@@ -11,7 +11,9 @@ vectors; distinct orbits correspond to spin^c structures on the boundary and
 there are exactly |det| of them, each meeting the box.  Orbit membership is
 decided exactly: k and k' lie in the same orbit iff A^{-1}(k' - k)/2 is an
 integer vector, tested with the integer adjugate so no rationals appear in
-the hot path.
+the hot path.  Box vectors are addressed by mixed-radix indices
+(:class:`BoxIndex`), and :func:`box_orbits` is the one scan that splits the
+box into orbits, updating keys digit by digit.
 
 The weight function w(x) = -((x, x) + <k0, x>)/2, taken in the +1 edge
 convention, turns lattice points into the filtration that drives the graded
@@ -35,7 +37,9 @@ from .errors import (
 )
 from .plumbing import CanonicalClass, EdgeSign, IntersectionForm
 
-DEFAULT_BOX_CAP = 10**8
+# compute_homology peaks at about 31 bytes of RSS per box vector, so the
+# default box stays near 0.6 GiB
+DEFAULT_BOX_CAP = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -101,13 +105,6 @@ def box_ranges(form: IntersectionForm) -> list[range]:
     return [range(m, -m + 1, 2) for m in (row[i] for i, row in enumerate(form.matrix))]
 
 
-def box_size(form: IntersectionForm) -> int:
-    size = 1
-    for i in range(len(form)):
-        size *= -form.matrix[i][i] + 1
-    return size
-
-
 def in_box(evals: Sequence[int], form: IntersectionForm) -> bool:
     return all(
         form.matrix[i][i] <= evals[i] <= -form.matrix[i][i]
@@ -125,10 +122,53 @@ def enumerate_box(
     """
     if not form.is_negative_definite:
         raise NotNegativeDefinite("box enumeration requires a negative-definite form")
-    size = box_size(form)
-    if size > box_cap:
-        raise BoxTooLarge(f"box holds {size} vectors, cap is {box_cap}")
+    BoxIndex(form, box_cap)  # raises BoxTooLarge before enumerating
     return [CharVector(evals) for evals in product(*box_ranges(form))]
+
+
+class BoxIndex:
+    """Mixed-radix integer indices of the characteristic box.
+
+    Digit d_v runs over [0, -m_v] and stands for the evaluation
+    k_v = m_v + 2 d_v.  Vertex 0 is the most significant digit, so index
+    order is lexicographic order of evaluation tuples, and negating a vector
+    maps index i to ``size - 1 - i``.  The size is checked against
+    ``box_cap`` here, before anything proportional to it is allocated.
+    """
+
+    def __init__(self, form: IntersectionForm, box_cap: int):
+        self.framings = tuple(row[i] for i, row in enumerate(form.matrix))
+        self.radices = tuple(1 - m for m in self.framings)
+        strides, self.size = [], 1
+        for radix in reversed(self.radices):
+            strides.insert(0, self.size)
+            self.size *= radix
+        self.strides = tuple(strides)
+        if self.size > box_cap:
+            raise BoxTooLarge(f"box holds {self.size} vectors, cap is {box_cap}")
+
+    def evals(self, index: int) -> tuple[int, ...]:
+        out = []
+        for stride, m in zip(self.strides, self.framings):
+            digit, index = divmod(index, stride)
+            out.append(m + 2 * digit)
+        return tuple(out)
+
+    def runs(self, digits: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+        """The sub-box with d_v in digits[v] as runs of consecutive indices.
+
+        Returns the run starts in increasing order and the common run
+        length: vertices after the last restricted one take every digit, so
+        each choice of the leading digits covers one contiguous block.
+        """
+        last = len(digits)
+        while last and len(digits[last - 1]) == self.radices[last - 1]:
+            last -= 1
+        starts = [0]
+        for stride, allowed in zip(self.strides[:last], digits[:last]):
+            steps = [d * stride for d in allowed]
+            starts = [x + step for x in starts for step in steps]
+        return starts, self.strides[last - 1] if last else self.size
 
 
 class OrbitIndexer:
@@ -173,28 +213,68 @@ class OrbitIndexer:
         return LatticeVector(tuple(coords))
 
 
+def box_orbits(
+    indexer: OrbitIndexer, box: BoxIndex, *, members: bool = True
+) -> dict[tuple[int, ...], list[int]]:
+    """Split the whole box into spin^c orbits with one incremental-key scan.
+
+    Maps each orbit key to the sorted indices of its members, or with
+    ``members=False`` to its least (lex-least) member alone, in order of
+    least member.  The scan runs digit by digit: a prefix (d_0..d_v, 0..0)
+    is a box vector, and raising d_v by one adds the column 2 adj(A)[:, v]
+    to its key.  Grouping prefixes by key at each level costs O(n) per
+    distinct partial key, and walking groups in order of least member keeps
+    that order at the next level.
+    """
+    mod = indexer.modulus
+    n = indexer.n
+    groups = {indexer.key(box.evals(0)): [0]}
+    for v in range(n):
+        column = [2 * indexer.adjugate[r][v] % mod for r in range(n)]
+        stride = box.strides[v]
+        grown: dict[tuple[int, ...], list[int]] = {}
+        for key, idxs in groups.items():
+            for d in range(box.radices[v]):
+                if d:
+                    key = tuple([(a + b) % mod for a, b in zip(key, column)])
+                if members:
+                    shift = d * stride
+                    grown.setdefault(key, []).extend(
+                        [x + shift for x in idxs] if shift else idxs
+                    )
+                elif key not in grown:
+                    grown[key] = [idxs[0] + d * stride]
+        groups = grown
+    expected = abs(indexer.determinant)
+    if len(groups) != expected:
+        raise InternalInvariantViolation(
+            f"box met {len(groups)} orbits, |det| = {expected}"
+        )
+    if members:
+        for idxs in groups.values():
+            idxs.sort()
+    return groups
+
+
 def orbit_decompose(
     box: Iterable[CharVector], form: IntersectionForm
 ) -> list[OrbitMembers]:
-    """Partition the full box into spin^c orbits; exactly |det| of them."""
+    """Partition the full box into spin^c orbits; exactly |det| of them.
+
+    ``box`` must hold the whole box of ``form``, as :func:`enumerate_box`
+    returns it; the caller's vectors are regrouped, not copied.
+    """
     indexer = OrbitIndexer(form)
-    groups: dict[tuple[int, ...], list[CharVector]] = {}
-    for k in box:
-        groups.setdefault(indexer.key(k), []).append(k)
-    ordered = sorted(groups.values(), key=lambda ms: min(m.evals for m in ms))
+    by_evals = {k.evals: k for k in box}
+    grid = BoxIndex(form, len(by_evals))
     out = []
-    for idx, members in enumerate(ordered):
-        members = sorted(members, key=lambda m: m.evals)
+    for idx, members in enumerate(box_orbits(indexer, grid).values()):
+        vectors = tuple(by_evals[grid.evals(i)] for i in members)
         out.append(
             OrbitMembers(
-                orbit=SpinCOrbit(representative=members[0], index=idx),
-                members=tuple(members),
+                orbit=SpinCOrbit(representative=vectors[0], index=idx),
+                members=vectors,
             )
-        )
-    expected = abs(form.determinant)
-    if len(out) != expected:
-        raise InternalInvariantViolation(
-            f"box met {len(out)} orbits, |det| = {expected}"
         )
     return out
 

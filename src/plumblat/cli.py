@@ -23,7 +23,7 @@ from . import __version__
 from .charlattice import DEFAULT_BOX_CAP
 from .classify import DEFAULT_NMAX, full_report, is_rational
 from .dsl import parse_plumbing, serialize_dsl
-from .errors import EXIT_USAGE, PlumblatError
+from .errors import EXIT_INVALID_INPUT, EXIT_USAGE, PlumblatError
 from .homology import HomologyResult, compute_homology, derived_dimensions
 from .hplus import DEFAULT_POINT_CAP, compute_hplus, ker_u_cross_check
 from .moves import blow_down, check_exactness, surgery_triple
@@ -461,6 +461,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    for budget in ("box_cap", "point_cap", "nmax"):
+        value = getattr(args, budget)
+        if value < 0:
+            flag = "--" + budget.replace("_", "-")
+            sys.stderr.write(f"plumblat: error: {flag} must not be negative, got {value}\n")
+            return EXIT_INVALID_INPUT
     try:
         return args.handler(args)
     except PlumblatError as exc:

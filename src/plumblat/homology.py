@@ -10,82 +10,40 @@ subject to two families of relations at each vertex v:
 
 Since every relation is monomial (k ~ +-k'), the quotient dimension over any
 field of characteristic != 2 is the number of sign-consistent classes not
-identified with zero.  A union-find with signs on the parent pointers
-computes this exactly in near-linear time: a sign conflict inside a class
-(k ~ -k) or any reflection escaping the box sends the class to a single
-global zero node.  The outcome is independent of processing order.
+identified with zero.  The engine addresses the box by the mixed-radix
+indices of :class:`~plumblat.charlattice.BoxIndex`: a reflection at v moves
+an index by a fixed offset and changes only the digits of v and its
+neighbours, so whether it leaves the box is decided for whole runs of
+indices at once.  Escaping vectors are flagged in a byte array first; a pair
+with a flagged end passes the flag on, and every other pair is united, once,
+in a union-find whose parent pointers carry a sign parity and whose roots
+are class minima.  A sign conflict (k ~ -k) flags the class.  A class is
+zero iff some member is flagged, whatever the processing order, and only
+members of nonzero classes become :class:`CharVector` objects.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Sequence
 
 from .charlattice import (
     DEFAULT_BOX_CAP,
+    BoxIndex,
     CharVector,
     OrbitIndexer,
     SpinCOrbit,
-    box_ranges,
-    box_size,
+    box_orbits,
     in_box,
+    is_characteristic,
 )
 from .errors import (
-    BoxTooLarge,
     InternalInvariantViolation,
     NegativeOddDimension,
     NotNegativeDefinite,
 )
 from .plumbing import EdgeSign, IntersectionForm, PlumbingForest, intersection_form
-
-
-class SignedUnionFind:
-    """Union-find whose parent pointers carry a sign in {+1, -1}."""
-
-    __slots__ = ("parent", "sign", "rank")
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.sign = [1] * size
-        self.rank = [0] * size
-
-    def find(self, a: int) -> tuple[int, int]:
-        """Root of a and the sign s with val(a) = s * val(root)."""
-        parent = self.parent
-        sign = self.sign
-        path = []
-        while parent[a] != a:
-            path.append(a)
-            a = parent[a]
-        s = 1
-        # walk back towards the query node, accumulating signs root-ward and
-        # re-hanging every path node directly off the root
-        for node in reversed(path):
-            s *= sign[node]
-            parent[node] = a
-            sign[node] = s
-        return a, s
-
-    def union(self, a: int, b: int, rel: int) -> bool:
-        """Impose val(a) = rel * val(b); False reports a sign conflict."""
-        ra, sa = self.find(a)
-        rb, sb = self.find(b)
-        if ra == rb:
-            return sa == rel * sb
-        # val(ra) = (sa * rel * sb) * val(rb)
-        s = sa * rel * sb
-        if self.rank[ra] < self.rank[rb]:
-            self.parent[ra] = rb
-            self.sign[ra] = s
-        elif self.rank[ra] > self.rank[rb]:
-            self.parent[rb] = ra
-            self.sign[rb] = s
-        else:
-            self.parent[rb] = ra
-            self.sign[rb] = s
-            self.rank[ra] += 1
-        return True
 
 
 @dataclass(frozen=True)
@@ -121,7 +79,13 @@ class OrbitHomology:
 
 @dataclass(frozen=True, eq=False)
 class HomologyResult:
-    """Quotient dimensions per spin^c orbit, with class lookup tables."""
+    """Quotient dimensions per spin^c orbit, with class lookup tables.
+
+    ``classes`` lists the nonzero classes in order of their lex-least
+    members.  ``zero_class`` stands for every box vector that dies; it does
+    not list them.  ``_lookup`` maps the evaluations of each nonzero-class
+    member to its :class:`ClassRef`; :func:`class_of` reads it.
+    """
 
     forest: PlumbingForest
     form: IntersectionForm
@@ -154,102 +118,121 @@ def compute_homology(
         raise NotNegativeDefinite(
             "lattice homology is defined for negative-definite forests only"
         )
+    box = BoxIndex(form, box_cap)
     n = len(forest)
-    size = box_size(form)
-    if size > box_cap:
-        raise BoxTooLarge(f"box holds {size} vectors, cap is {box_cap}")
+    size = box.size
+    radices, strides = box.radices, box.strides
+    parent = array("q", range(size))  # parent[a] <= a; roots are class minima
+    flip = bytearray(size)  # val(a) = (-1)^flip[a] val(parent[a])
+    dead = bytearray(size)  # a class is zero iff some member is flagged
 
-    framings = forest.framings
-    box = list(product(*box_ranges(form)))
-    index = {k: i for i, k in enumerate(box)}
-    zero_node = len(box)
-    uf = SignedUnionFind(len(box) + 1)
-    double_rows = [
-        tuple(2 * form.matrix[i][j] for j in range(n)) for i in range(n)
-    ]
+    def find(a: int) -> tuple[int, int]:
+        """Root of a and the parity s with val(a) = (-1)^s val(root)."""
+        p = parent[a]
+        if p == a:
+            return a, 0
+        if parent[p] == p:
+            return p, flip[a]
+        path = []
+        while parent[a] != a:
+            path.append(a)
+            a = parent[a]
+        s = 0
+        for node in reversed(path):
+            s ^= flip[node]
+            flip[node] = s
+            parent[node] = a
+        return a, s
 
-    def unite(a: int, b: int, rel: int) -> None:
-        if not uf.union(a, b, rel):
-            # k ~ -k forces the class to zero (coefficients have char != 2)
-            uf.union(a, zero_node, 1) or uf.union(a, zero_node, -1)
-
-    for idx, k in enumerate(box):
-        for i in range(n):
-            m = framings[i]
-            if k[i] == m:
-                row = double_rows[i]
-                target = tuple(k[j] - row[j] for j in range(n))
-            elif k[i] == -m:
-                row = double_rows[i]
-                target = tuple(k[j] + row[j] for j in range(n))
-            else:
+    reflections = []
+    for i in range(n):
+        # from <k, v_i> = m_i (digit i at 0) the reflection sets digit i to
+        # its top and moves each neighbour digit j by -a_ij
+        stays = [range(r) for r in radices]
+        stays[i] = (0,)
+        offset = (radices[i] - 1) * strides[i]
+        for j in range(n):
+            a_ij = form.matrix[i][j]
+            if j == i or not a_ij:
                 continue
-            rel = -1 if (signed and m % 2) else 1
-            tidx = index.get(target)
-            if tidx is None:
-                unite(idx, zero_node, 1)
-            else:
-                unite(idx, tidx, rel)
+            lo, hi = max(0, a_ij), radices[j] + min(0, a_ij)
+            escapes = list(stays)  # disjoint: earlier neighbours stay in range
+            escapes[j] = [d for d in range(radices[j]) if not lo <= d < hi]
+            starts, length = box.runs(escapes)
+            ones = b"\x01" * length
+            for x in starts:
+                dead[x : x + length] = ones
+                # the mirror image escapes from <k, v_i> = -m_i
+                dead[size - x - length : size - x] = ones
+            stays[j] = range(lo, hi)
+            offset -= a_ij * strides[j]
+        rel = 1 if (signed and forest.framings[i] % 2) else 0
+        reflections.append((stays, offset, rel))
 
-    zero_root, _ = uf.find(zero_node)
-    groups: dict[int, list[int]] = {}
-    zero_members: list[int] = []
-    for idx in range(len(box)):
-        root, _ = uf.find(idx)
-        if root == zero_root:
-            zero_members.append(idx)
-        else:
-            groups.setdefault(root, []).append(idx)
+    # with every escape flagged first, most pairs touch a zero class: flagging
+    # the partner instead of uniting leaves every nonzero class as it is
+    for stays, offset, rel in reflections:
+        starts, length = box.runs(stays)
+        for start in starts:
+            for a in range(start, start + length):
+                b = a + offset
+                if dead[a] or dead[b]:
+                    dead[a] = dead[b] = 1
+                    continue
+                ra, pa = find(a)
+                rb, pb = find(b)
+                if ra == rb:
+                    if pa ^ pb != rel:
+                        dead[ra] = 1  # k ~ -k: zero over a field of char != 2
+                    continue
+                if rb < ra:
+                    ra, rb = rb, ra
+                parent[rb] = ra
+                flip[rb] = pa ^ pb ^ rel
 
-    ordered = sorted(groups.values(), key=lambda idxs: min(box[i] for i in idxs))
+    # parents precede children, so one pass in index order flattens every
+    # path and gathers each member's flag at its root, the lex-least member
+    for a in range(size):
+        root = parent[a]
+        if root != a:
+            top = parent[root]
+            if top != root:
+                parent[a] = top
+                flip[a] ^= flip[root]
+                root = top
+            if dead[a]:
+                dead[root] = 1
+    members_of: dict[int, list[int]] = {}
+    for a in [a for a, root in enumerate(parent) if not dead[root]]:
+        members_of.setdefault(parent[a], []).append(a)
+
     classes: list[SignedClass] = []
-    lookup: dict[tuple[int, ...], tuple[int | None, int]] = {}
-    for cls_id, idxs in enumerate(ordered):
-        rep_idx = min(idxs, key=lambda i: box[i])
-        _, rep_sign = uf.find(rep_idx)
-        members = []
-        for i in sorted(idxs, key=lambda i: box[i]):
-            _, s = uf.find(i)
-            rel = s * rep_sign  # val(i) = (s / rep_sign) val(rep); signs are involutive
-            members.append((CharVector(box[i]), rel))
-            lookup[box[i]] = (cls_id, rel)
+    lookup: dict[tuple[int, ...], ClassRef] = {}
+    for cls_id, members in enumerate(members_of.values()):
+        signed_members = []
+        for a in members:
+            evals = box.evals(a)
+            sign = -1 if flip[a] else 1
+            signed_members.append((CharVector(evals), sign))
+            lookup[evals] = ClassRef(index=cls_id, sign=sign)
         classes.append(
             SignedClass(
-                representative=CharVector(box[rep_idx]),
-                members=tuple(members),
+                representative=signed_members[0][0], members=tuple(signed_members)
             )
         )
-    for i in zero_members:
-        lookup[box[i]] = (None, 1)
-    zero_class = SignedClass(
-        representative=None,
-        members=tuple((CharVector(box[i]), 1) for i in zero_members),
-        is_zero=True,
-    )
+    zero_class = SignedClass(representative=None, members=(), is_zero=True)
 
     indexer = OrbitIndexer(form)
-    orbit_of_key: dict[tuple[int, ...], list[int]] = {}
+    # orbits are read off the whole box so empty orbits cannot hide
+    orbits = box_orbits(indexer, box, members=False)
+    classes_of: dict[tuple[int, ...], list[int]] = {key: [] for key in orbits}
     for cls_id, cls in enumerate(classes):
-        orbit_of_key.setdefault(indexer.key(cls.representative), []).append(cls_id)
-    # orbits are read off the box so empty orbits cannot hide
-    all_keys: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for k in box:
-        key = indexer.key(k)
-        if key not in all_keys or k < all_keys[key]:
-            all_keys[key] = k
+        classes_of.setdefault(indexer.key(cls.representative), []).append(cls_id)
     det_abs = abs(form.determinant)
-    if len(all_keys) != det_abs:
-        raise InternalInvariantViolation(
-            f"box met {len(all_keys)} orbits, |det| = {det_abs}"
-        )
     per_orbit = []
-    for orbit_index, (key, rep) in enumerate(
-        sorted(all_keys.items(), key=lambda kv: kv[1])
-    ):
-        cls_ids = sorted(
-            orbit_of_key.get(key, ()),
-            key=lambda c: classes[c].representative.evals,
-        )
+    for orbit_index, (key, (least,)) in enumerate(orbits.items()):
+        rep = box.evals(least)
+        cls_ids = classes_of[key]
         if not cls_ids:
             raise InternalInvariantViolation(
                 f"orbit of {rep} has dimension 0; every orbit carries a generator"
@@ -258,9 +241,7 @@ def compute_homology(
             OrbitHomology(
                 orbit=SpinCOrbit(representative=CharVector(rep), index=orbit_index),
                 dim=len(cls_ids),
-                representatives=tuple(
-                    classes[c].representative for c in cls_ids
-                ),
+                representatives=tuple(classes[c].representative for c in cls_ids),
             )
         )
 
@@ -285,17 +266,20 @@ def compute_homology(
 
 
 def class_of(k: CharVector | Sequence[int], result: HomologyResult) -> ClassRef:
-    """Class and relative sign of a characteristic vector; ZERO off the box."""
+    """Class and relative sign of a characteristic vector; ZERO off the box.
+
+    A vector of the box that is not characteristic raises KeyError.
+    """
     evals = k.evals if isinstance(k, CharVector) else tuple(k)
-    if not in_box(evals, result.form):
-        return ZERO
-    entry = result._lookup.get(evals)
-    if entry is None:
+    ref = result._lookup.get(evals)
+    if ref is not None:
+        return ref
+    form = result.form
+    if len(evals) != len(form) or (
+        in_box(evals, form) and not is_characteristic(evals, form)
+    ):
         raise KeyError(f"{evals} is not a box vector of this forest")
-    idx, sign = entry
-    if idx is None:
-        return ZERO
-    return ClassRef(index=idx, sign=sign)
+    return ZERO
 
 
 @dataclass(frozen=True)

@@ -40,18 +40,17 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
 
 from .charlattice import (
     DEFAULT_BOX_CAP,
+    BoxIndex,
     CharVector,
     OrbitIndexer,
     SpinCOrbit,
-    box_ranges,
+    box_orbits,
     weight_radius_sq_bound,
 )
 from .errors import (
-    BoxTooLarge,
     EnumerationBudgetExceeded,
     InternalInvariantViolation,
     NotNegativeDefinite,
@@ -164,17 +163,11 @@ def _plus_grading(
 
 
 def _orbit_members(grading: _OrbitGrading, box_cap: int) -> list[Point]:
-    """Box vectors in the orbit of k0, by direct key filtering."""
-    form = grading.form
-    size = 1
-    ranges = box_ranges(form)
-    for r in ranges:
-        size *= len(r)
-    if size > box_cap:
-        raise BoxTooLarge(f"box holds {size} vectors, cap is {box_cap}")
-    indexer = OrbitIndexer(form)
-    base = indexer.key(grading.k0)
-    return [evals for evals in product(*ranges) if indexer.key(evals) == base]
+    """Box vectors in the orbit of k0, read off the box's orbit scan."""
+    indexer = OrbitIndexer(grading.form)
+    box = BoxIndex(grading.form, box_cap)
+    members = box_orbits(indexer, box).get(indexer.key(grading.k0), ())
+    return [box.evals(i) for i in members]
 
 
 def _birth_counts(
@@ -476,13 +469,12 @@ def ker_u_cross_check(
         plus, moved = conv.forest, conv.vectors
     form = intersection_form(plus)
     indexer = OrbitIndexer(form)
-    members_by_key: dict[tuple[int, ...], list[Point]] = {}
-    for evals in product(*box_ranges(form)):
-        members_by_key.setdefault(indexer.key(evals), []).append(evals)
+    box = BoxIndex(form, box_cap)
+    orbits = box_orbits(indexer, box)
     rows = []
     for oh, rep_plus in zip(homology.per_orbit, moved):
         grading = _OrbitGrading(plus, form, rep_plus)
-        members = members_by_key[indexer.key(rep_plus)]
+        members = [box.evals(i) for i in orbits[indexer.key(rep_plus)]]
         minima = grading.minima_from_members(members)
         births = _birth_counts(grading, minima)
         rows.append(
@@ -508,7 +500,7 @@ def rational_via_hplus(
     one at every level, which is the single-tower shape at the component
     level.  A cross-check against the direct definition-based rationality
     test, not the primary test; deliberately shares nothing with either the
-    quotient engine or the chi ellipsoid (orbits are grouped here directly).
+    quotient engine or the chi ellipsoid (orbits come from the box scan).
     """
     del point_cap  # births never need the sweep
     if forest.edge_sign is EdgeSign.PLUS_ONE:
@@ -518,18 +510,10 @@ def rational_via_hplus(
     form = intersection_form(plus)
     if not form.is_negative_definite:
         raise NotNegativeDefinite("rationality cross-check needs negative definiteness")
-    size = 1
-    ranges = box_ranges(form)
-    for r in ranges:
-        size *= len(r)
-    if size > box_cap:
-        raise BoxTooLarge(f"box holds {size} vectors, cap is {box_cap}")
-    indexer = OrbitIndexer(form)
-    members_by_key: dict[tuple[int, ...], list[Point]] = {}
-    for evals in product(*ranges):
-        members_by_key.setdefault(indexer.key(evals), []).append(evals)
-    for members in members_by_key.values():
-        grading = _OrbitGrading(plus, form, CharVector(min(members)))
+    box = BoxIndex(form, box_cap)
+    for idxs in box_orbits(OrbitIndexer(form), box).values():
+        members = [box.evals(i) for i in idxs]
+        grading = _OrbitGrading(plus, form, CharVector(members[0]))
         minima = grading.minima_from_members(members)
         if sum(_birth_counts(grading, minima).values()) != 1:
             return False

@@ -126,6 +126,23 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["homology", "e8.plumb", "--box-cap", "-5"],
+        ["hplus", "lens_3.plumb", "--point-cap", "-1"],
+        ["classify", "e8.plumb", "--nmax", "-3"],
+    ],
+)
+def test_cli_rejects_negative_budgets(capsys, argv):
+    flag, value = argv[-2:]
+    code = main([str(FIXTURES / a) if a.endswith(".plumb") else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{flag} must not be negative, got {value}" in captured.err
+
+
 def test_cli_internal_violation_maps_to_4(capsys, monkeypatch):
     import plumblat.cli as cli_mod
 

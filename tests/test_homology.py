@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 
 from conftest import e8, elliptic_a, elliptic_b, lens, random_forest
+from oracle_homology import reference_homology
 from plumblat import (
     CharVector,
+    EdgeSign,
     class_of,
     compute_homology,
+    convert_convention,
     derived_dimensions,
     intersection_form,
     validate_forest,
 )
-from plumblat.errors import NegativeOddDimension, NotNegativeDefinite
+from plumblat.charlattice import DEFAULT_BOX_CAP, enumerate_box
+from plumblat.errors import BoxTooLarge, NegativeOddDimension, NotNegativeDefinite
+from plumblat.hplus import ker_u_cross_check, rational_via_hplus
 
 
 def test_lens_dimensions():
@@ -52,6 +59,8 @@ def test_extremal_vector_dies_through_the_central_vertex():
 def test_class_of_examples():
     r2 = compute_homology(lens(2))
     assert class_of(CharVector((4,)), r2).is_zero
+    with pytest.raises(KeyError):
+        class_of(CharVector((1,)), r2)  # in range but not characteristic
     a = class_of(CharVector((-2,)), r2)
     b = class_of(CharVector((2,)), r2)
     assert a.index == b.index and a.sign * b.sign == 1
@@ -68,6 +77,30 @@ def test_sign_relation_all_p():
         hi = class_of(CharVector((p,)), result)
         assert lo.index == hi.index
         assert lo.sign * hi.sign == (-1) ** p
+
+
+def test_default_box_cap_trips_before_allocating():
+    """3^16 box vectors of a (-2)-chain exceed the default cap, and every box
+    pass refuses them before allocating anything proportional to the box."""
+    chain = validate_forest(
+        [(f"v{i}", -2) for i in range(16)],
+        [(f"v{i}", f"v{i + 1}") for i in range(15)],
+    )
+    message = f"box holds {3**16} vectors, cap is {DEFAULT_BOX_CAP}"
+    for run in (
+        compute_homology,
+        ker_u_cross_check,
+        rational_via_hplus,
+        lambda forest: enumerate_box(intersection_form(forest)),
+    ):
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoxTooLarge, match=message):
+                run(chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_requires_negative_definite():
@@ -200,3 +233,34 @@ def test_zero_class_collects_escaping_vectors():
     members = {k.evals for k, _ in result.classes[0].members}
     assert members == {(-1,), (1,)}
     assert result.zero_class.is_zero
+
+
+def _assert_matches_reference(forest, signed):
+    result = compute_homology(forest, signed=signed)
+    ref = reference_homology(forest, signed=signed)
+    assert [
+        (cls.representative.evals, tuple((k.evals, s) for k, s in cls.members))
+        for cls in result.classes
+    ] == list(ref.classes)
+    assert [
+        (oh.orbit.representative.evals, oh.dim, tuple(r.evals for r in oh.representatives))
+        for oh in result.per_orbit
+    ] == list(ref.per_orbit)
+    for evals, (index, sign) in ref.lookup.items():  # every box vector
+        ref_class = class_of(evals, result)
+        assert ref_class.index == index
+        assert ref_class.sign == sign
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+@pytest.mark.parametrize("signed", [True, False])
+def test_engine_matches_reference_engine(rng, edge_sign, signed):
+    """The index engine reproduces the tuple-and-dict engine class by class."""
+    for _ in range(30):
+        _assert_matches_reference(
+            random_forest(rng, max_vertices=5, edge_sign=edge_sign), signed
+        )
+    for forest in (e8(), elliptic_a(), elliptic_b(), lens(1), lens(4)):
+        if edge_sign is EdgeSign.PLUS_ONE:
+            forest = convert_convention(forest).forest
+        _assert_matches_reference(forest, signed)
