@@ -110,7 +110,19 @@ def is_almost_rational(
     Scans decrements in increasing order so the reported witness is minimal;
     rational inputs are reported as witnesses with decrement zero.
     """
-    if is_rational(forest, point_cap=point_cap).rational:
+    rational = is_rational(forest, point_cap=point_cap).rational
+    return _decrement_search(forest, rational, nmax, point_cap)
+
+
+def _decrement_search(
+    forest: PlumbingForest, rational: bool, nmax: int, point_cap: int
+) -> ARVerdict:
+    """The almost-rational verdict, given whether the forest itself is rational.
+
+    A rational forest is its own witness at decrement zero; otherwise the
+    decrements 1, 2, ..., nmax are tried on every vertex in turn.
+    """
+    if rational:
         vertex = forest.ids[0] if forest.ids else None
         return ARVerdict(status="yes", vertex=vertex, decrement=0)
     for decrement in range(1, nmax + 1):
@@ -169,7 +181,7 @@ def full_report(
 
     homology = compute_homology(forest, box_cap=box_cap)
     rationality = is_rational(forest, point_cap=point_cap)
-    ar = is_almost_rational(forest, nmax=nmax, point_cap=point_cap)
+    ar = _decrement_search(forest, rationality.rational, nmax, point_cap)
     if ar.status == "unknown" and len(bad) == 1:
         # certified fallback: lowering the bad vertex until -m(v) >= d(v)
         # reaches a zero-bad-vertex forest, and those are always rational

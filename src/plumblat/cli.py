@@ -23,9 +23,14 @@ from . import __version__
 from .charlattice import DEFAULT_BOX_CAP
 from .classify import DEFAULT_NMAX, full_report, is_rational
 from .dsl import parse_plumbing, serialize_dsl
-from .errors import EXIT_INVALID_INPUT, EXIT_USAGE, PlumblatError
-from .homology import HomologyResult, compute_homology, derived_dimensions
-from .hplus import DEFAULT_POINT_CAP, compute_hplus, ker_u_cross_check
+from .errors import EXIT_INVALID_INPUT, EXIT_USAGE, DslSyntaxError, PlumblatError
+from .homology import (
+    DerivedDimensions,
+    HomologyResult,
+    compute_homology,
+    derived_dimensions,
+)
+from .hplus import DEFAULT_POINT_CAP, _GradedOrbitTable, ker_u_cross_check
 from .moves import blow_down, check_exactness, surgery_triple
 from .plumbing import (
     PlumbingForest,
@@ -47,7 +52,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str) -> PlumbingForest:
-    return parse_plumbing(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        byte = exc.object[exc.start]
+        raise DslSyntaxError(line, f"byte {byte:#04x} is not UTF-8") from None
+    return parse_plumbing(text)
 
 
 def _frac(value: Fraction) -> str:
@@ -78,6 +89,17 @@ def _certified_almost_rational(forest: PlumbingForest, point_cap: int) -> bool:
     return is_rational(forest, point_cap=point_cap).rational
 
 
+def _derived_json(dims: DerivedDimensions) -> dict:
+    return {
+        "dim_isharp_even": dims.dim_isharp_even,
+        "dim_isharp_odd": dims.dim_isharp_odd,
+        "dim_isharp": dims.dim_isharp,
+        "dim_hfhat": dims.dim_hfhat,
+        "is_instanton_lspace": dims.is_instanton_lspace,
+        "conjectural": dims.conjectural,
+    }
+
+
 def _homology_json(result: HomologyResult, certified: bool) -> dict:
     dims = derived_dimensions(result, almost_rational_certified=certified)
     return {
@@ -92,14 +114,7 @@ def _homology_json(result: HomologyResult, certified: bool) -> dict:
             }
             for oh in result.per_orbit
         ],
-        "derived": {
-            "dim_isharp_even": dims.dim_isharp_even,
-            "dim_isharp_odd": dims.dim_isharp_odd,
-            "dim_isharp": dims.dim_isharp,
-            "dim_hfhat": dims.dim_hfhat,
-            "is_instanton_lspace": dims.is_instanton_lspace,
-            "conjectural": dims.conjectural,
-        },
+        "derived": _derived_json(dims),
     }
 
 
@@ -171,28 +186,27 @@ def _cmd_homology(args) -> int:
 
 def _cmd_hplus(args) -> int:
     forest = _load(args.file)
-    report = ker_u_cross_check(
-        forest, point_cap=args.point_cap, box_cap=args.box_cap
-    )
+    homology = compute_homology(forest, box_cap=args.box_cap)
+    table = _GradedOrbitTable(forest, args.box_cap)
     per_orbit = []
     human = []
-    for row in report.rows:
-        graded = compute_hplus(
-            forest, row.orbit, point_cap=args.point_cap, box_cap=args.box_cap
-        )
+    ok = True
+    for oh in homology.per_orbit:
+        graded = table.hplus(oh.orbit, args.point_cap, 0)
+        ok = ok and graded.ker_u_rank == oh.dim
         per_orbit.append(
             {
-                "orbit": row.orbit.index,
-                "representative": list(row.orbit.representative.evals),
+                "orbit": oh.orbit.index,
+                "representative": list(oh.orbit.representative.evals),
                 "ker_u_rank": graded.ker_u_rank,
                 "stabilized_at": graded.stabilized_at,
-                "homology_dim": row.homology_dim,
+                "homology_dim": oh.dim,
                 "levels": [[l.level, l.rank, l.births] for l in graded.levels],
             }
         )
         human.append(
-            f"orbit {row.orbit.index}: ker U rank {graded.ker_u_rank}"
-            f" (homology dim {row.homology_dim}), stabilized at n = {graded.stabilized_at}"
+            f"orbit {oh.orbit.index}: ker U rank {graded.ker_u_rank}"
+            f" (homology dim {oh.dim}), stabilized at n = {graded.stabilized_at}"
         )
         for lvl in graded.levels:
             human.append(f"  n = {lvl.level}: rank H0 = {lvl.rank}, births = {lvl.births}")
@@ -200,9 +214,9 @@ def _cmd_hplus(args) -> int:
         "command": "hplus",
         **_forest_json(forest),
         "per_orbit": per_orbit,
-        "cross_check_ok": report.ok,
+        "cross_check_ok": ok,
     }
-    human.append(f"cross-check vs homology engine: {'OK' if report.ok else 'MISMATCH'}")
+    human.append(f"cross-check vs homology engine: {'OK' if ok else 'MISMATCH'}")
     _emit(args, payload, human)
     return 0
 
@@ -243,14 +257,7 @@ def _cmd_classify(args) -> int:
                     "cutoff": ar.cutoff,
                 },
                 "dim_h": report.dim_h,
-                "derived": {
-                    "dim_isharp_even": report.dims.dim_isharp_even,
-                    "dim_isharp_odd": report.dims.dim_isharp_odd,
-                    "dim_isharp": report.dims.dim_isharp,
-                    "dim_hfhat": report.dims.dim_hfhat,
-                    "is_instanton_lspace": report.dims.is_instanton_lspace,
-                    "conjectural": report.dims.conjectural,
-                },
+                "derived": _derived_json(report.dims),
                 "theorems_applicable": {
                     "floer_equivalence": report.floer_equivalence_certified
                 },

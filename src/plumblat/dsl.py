@@ -26,7 +26,7 @@ from .errors import (
     DuplicateVertexId,
     SelfLoop,
 )
-from .plumbing import EdgeSign, PlumbingForest, validate_forest
+from .plumbing import EdgeSign, PlumbingForest, UnionFind, validate_forest
 
 _CONVENTIONS = {
     "minus_one": EdgeSign.MINUS_ONE,
@@ -40,13 +40,8 @@ def parse_dsl(text: str) -> PlumbingForest:
     edges: list[tuple[str, str]] = []
     edge_keys: set[tuple[str, str]] = set()
     convention = EdgeSign.MINUS_ONE
-    parent: dict[str, str] = {}
-
-    def find(v: str) -> str:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
+    index: dict[str, int] = {}
+    sets = UnionFind()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -67,7 +62,7 @@ def parse_dsl(text: str) -> PlumbingForest:
                     f"line {lineno}: vertex id {vid!r} already defined on line {seen[vid]}"
                 )
             seen[vid] = lineno
-            parent[vid] = vid
+            index[vid] = sets.add()
             vertices.append((vid, framing))
         elif keyword == "edge":
             if len(tokens) != 3:
@@ -83,10 +78,8 @@ def parse_dsl(text: str) -> PlumbingForest:
             if key in edge_keys:
                 raise DuplicateEdge(f"line {lineno}: edge ({a!r}, {b!r}) appears twice")
             edge_keys.add(key)
-            ra, rb = find(a), find(b)
-            if ra == rb:
+            if sets.union(index[a], index[b]) is None:
                 raise CycleDetected(f"line {lineno}: edge ({a!r}, {b!r}) closes a cycle")
-            parent[ra] = rb
             edges.append((a, b))
         elif keyword == "convention":
             if len(tokens) != 2 or tokens[1] not in _CONVENTIONS:
@@ -106,10 +99,18 @@ def parse_json_plumbing(text: str) -> PlumbingForest:
     if not isinstance(doc, dict):
         raise DslSyntaxError(1, "JSON plumbing must be an object")
     try:
-        vertices = [(v["id"], int(v["framing"])) for v in doc["vertices"]]
+        vertices = [(v["id"], v["framing"]) for v in doc["vertices"]]
         edges = [(a, b) for a, b in doc.get("edges", [])]
     except (KeyError, TypeError, ValueError) as exc:
         raise DslSyntaxError(1, f"malformed JSON plumbing: {exc}") from None
+    for vid, framing in vertices:
+        if not isinstance(vid, str):
+            raise DslSyntaxError(1, f"vertex id {json.dumps(vid)} is not a string")
+        if type(framing) is not int:  # bool is an int subclass, and not a framing
+            raise DslSyntaxError(1, f"framing {json.dumps(framing)} is not an integer")
+    for a, b in edges:
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise DslSyntaxError(1, f"edge {json.dumps([a, b])} must name vertex ids")
     name = doc.get("convention", "minus_one")
     if name not in _CONVENTIONS:
         raise DslSyntaxError(1, f"unknown convention {name!r}")

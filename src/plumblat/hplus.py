@@ -34,6 +34,9 @@ nothing).  Two facts keep the sweep short and certify the stopping level:
 
 An exact ellipsoid bound derived from the rational LDL eigenvalue bound
 checks every flooded point, and a point cap guards runtime.
+
+Every entry point reads its orbits from one :class:`_GradedOrbitTable` per
+forest, which converts the forest and scans the box once.
 """
 
 from __future__ import annotations
@@ -58,7 +61,13 @@ from .errors import (
 )
 from .homology import compute_homology
 from .moves import convert_convention
-from .plumbing import EdgeSign, IntersectionForm, PlumbingForest, intersection_form
+from .plumbing import (
+    EdgeSign,
+    IntersectionForm,
+    PlumbingForest,
+    UnionFind,
+    intersection_form,
+)
 
 DEFAULT_POINT_CAP = 10**7
 
@@ -107,16 +116,17 @@ class GradedHPlus:
 
 
 class _OrbitGrading:
-    """Weight bookkeeping for one orbit in the +1 convention."""
+    """Weights and local minima of one orbit in the +1 convention."""
 
     def __init__(self, plus: PlumbingForest, form: IntersectionForm, k0: CharVector):
-        self.plus = plus
         self.form = form
         self.k0 = k0
         self.n = len(plus)
         self._framings = plus.framings
         self._edges = plus.edges
         self._k0e = k0.evals
+        # local minima of w with their weights, one per orbit box vector
+        self.minima: dict[Point, int] = {}
 
     def weight(self, x: Point) -> int:
         framings = self._framings
@@ -136,65 +146,85 @@ class _OrbitGrading:
             for step in (1, -1):
                 yield x[:i] + (x[i] + step,) + x[i + 1 :]
 
-    def minima_from_members(self, members) -> dict[Point, int]:
-        """Local minima of w with their weights, one per orbit box vector."""
-        indexer = OrbitIndexer(self.form)
-        out: dict[Point, int] = {}
-        for evals in members:
-            x = indexer.lattice_coordinates(evals, self._k0e).coords
-            out[x] = self.weight(x)
-        if not out:
+
+class _GradedOrbitTable:
+    """The graded engine's per-forest setup, built once from (forest, box_cap).
+
+    Holds the forest in the +1 convention with the bipartition that moves
+    representatives there, its intersection form, one orbit indexer and one
+    scan of the box into orbits.  Each orbit's local minima are read off that
+    scan on demand.
+    """
+
+    def __init__(self, forest: PlumbingForest, box_cap: int):
+        if forest.edge_sign is EdgeSign.PLUS_ONE:
+            self.plus, self.negated = forest, (False,) * len(forest)
+        else:
+            conv = convert_convention(forest)
+            self.plus, self.negated = conv.forest, conv.negated
+        self.form = intersection_form(self.plus)
+        if not self.form.is_negative_definite:
+            raise NotNegativeDefinite("graded engine needs a negative-definite forest")
+        self.indexer = OrbitIndexer(self.form)
+        self.box = BoxIndex(self.form, box_cap)
+        self.orbits = box_orbits(self.indexer, self.box)
+
+    def grading(self, rep: CharVector) -> _OrbitGrading:
+        """The orbit of ``rep``, a vector in the forest's own convention."""
+        return self.plus_grading(
+            CharVector(tuple(-e if neg else e for e, neg in zip(rep.evals, self.negated)))
+        )
+
+    def plus_grading(self, k0: CharVector) -> _OrbitGrading:
+        """The orbit of ``k0``, a vector in the +1 convention."""
+        grading = _OrbitGrading(self.plus, self.form, k0)
+        for i in self.orbits.get(self.indexer.key(k0), ()):
+            x = self.indexer.lattice_coordinates(self.box.evals(i), k0.evals).coords
+            grading.minima[x] = grading.weight(x)
+        if not grading.minima:
             raise InternalInvariantViolation("an orbit lost all its box vectors")
-        return out
+        return grading
+
+    def hplus(
+        self, orbit: SpinCOrbit, point_cap: int, extra_levels: int
+    ) -> GradedHPlus:
+        """Level table of one orbit, counting its births once."""
+        grading = self.grading(orbit.representative)
+        births = _birth_counts(grading)
+        ker_u_rank = sum(births.values())
+        if ker_u_rank == 1:
+            stabilized_at = min(grading.minima.values())
+            levels = [HPlusLevel(level=stabilized_at, rank=1, births=1)]
+            for j in range(1, extra_levels + 1):
+                levels.append(HPlusLevel(level=stabilized_at + j, rank=1, births=0))
+        else:
+            levels, stabilized_at = _sweep_levels(
+                grading, births, point_cap, extra_levels
+            )
+        return GradedHPlus(
+            orbit=orbit,
+            levels=tuple(levels),
+            ker_u_rank=ker_u_rank,
+            stabilized_at=stabilized_at,
+        )
 
 
-def _plus_grading(
-    forest: PlumbingForest, representative: CharVector
-) -> _OrbitGrading:
-    if forest.edge_sign is EdgeSign.PLUS_ONE:
-        plus, k0 = forest, representative
-    else:
-        conv = convert_convention(forest, (representative,))
-        plus, k0 = conv.forest, conv.vectors[0]
-    form = intersection_form(plus)
-    if not form.is_negative_definite:
-        raise NotNegativeDefinite("graded engine needs a negative-definite forest")
-    return _OrbitGrading(plus, form, k0)
-
-
-def _orbit_members(grading: _OrbitGrading, box_cap: int) -> list[Point]:
-    """Box vectors in the orbit of k0, read off the box's orbit scan."""
-    indexer = OrbitIndexer(grading.form)
-    box = BoxIndex(grading.form, box_cap)
-    members = box_orbits(indexer, box).get(indexer.key(grading.k0), ())
-    return [box.evals(i) for i in members]
-
-
-def _birth_counts(
-    grading: _OrbitGrading, minima: dict[Point, int]
-) -> dict[int, int]:
+def _birth_counts(grading: _OrbitGrading) -> dict[int, int]:
     """Births per level from the local-minima plateaus alone."""
+    minima = grading.minima
     by_weight: dict[int, list[Point]] = {}
     for x, w in minima.items():
         by_weight.setdefault(w, []).append(x)
     births: dict[int, int] = {}
     for level, plateau in sorted(by_weight.items()):
         index = {p: i for i, p in enumerate(plateau)}
-        parent = list(range(len(plateau)))
-
-        def find(a: int) -> int:
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
+        sets = UnionFind(len(plateau))
         linked_below = [False] * len(plateau)
-        for p in plateau:
-            i = index[p]
+        for i, p in enumerate(plateau):
             for q in grading.neighbors(p):
                 j = index.get(q)
                 if j is not None:
-                    parent[find(i)] = find(j)
+                    sets.union(i, j)
                     continue
                 wq = minima.get(q)
                 if wq is None:
@@ -205,7 +235,7 @@ def _birth_counts(
                     linked_below[i] = True
         newborn = {}
         for i in range(len(plateau)):
-            root = find(i)
+            root = sets.find(i)
             newborn.setdefault(root, True)
             if linked_below[i]:
                 newborn[root] = False
@@ -217,7 +247,6 @@ def _birth_counts(
 
 def _sweep_levels(
     grading: _OrbitGrading,
-    minima: dict[Point, int],
     births: dict[int, int],
     point_cap: int,
     extra_levels: int,
@@ -227,35 +256,16 @@ def _sweep_levels(
     form = grading.form
     k0 = grading.k0
     minima_by_weight: dict[int, list[Point]] = {}
-    for x, w in minima.items():
+    for x, w in grading.minima.items():
         minima_by_weight.setdefault(w, []).append(x)
     n_min = min(minima_by_weight)
     last_birth = max(births)
 
     points: dict[Point, int] = {}
-    parent: list[int] = []
-    rank: list[int] = []
-    birth_level: list[int] = []
+    sets = UnionFind()
+    birth_level: list[int] = []  # per root: the least level of its component
     frontier: dict[Point, int] = {}
     touched = 0
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> bool:
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            return False
-        if rank[ra] < rank[rb]:
-            ra, rb = rb, ra
-        parent[rb] = ra
-        if rank[ra] == rank[rb]:
-            rank[ra] += 1
-        birth_level[ra] = min(birth_level[ra], birth_level[rb])
-        return True
 
     comp_count = 0
     levels: list[HPlusLevel] = []
@@ -283,18 +293,19 @@ def _sweep_levels(
                 raise EnumerationBudgetExceeded(
                     f"sublevel sweep exceeded {point_cap} points"
                 )
-            node = len(parent)
+            node = sets.add()
             points[pt] = node
-            parent.append(node)
-            rank.append(0)
             birth_level.append(level)
             comp_count += 1
             added.append(node)
             for q in grading.neighbors(pt):
                 other = points.get(q)
                 if other is not None:
-                    if union(node, other):
+                    gone = sets.union(node, other)
+                    if gone is not None:
                         comp_count -= 1
+                        root = sets.find(gone)
+                        birth_level[root] = min(birth_level[root], birth_level[gone])
                 elif q not in frontier:
                     wq = grading.weight(q)
                     if wq <= level:
@@ -302,7 +313,7 @@ def _sweep_levels(
                     else:
                         frontier[q] = wq
         swept_births = len(
-            {r for r in (find(node) for node in added) if birth_level[r] == level}
+            {r for r in (sets.find(node) for node in added) if birth_level[r] == level}
         )
         if swept_births != births.get(level, 0):
             raise InternalInvariantViolation(
@@ -340,32 +351,9 @@ def compute_hplus(
     be connected); others pay for a flood sweep up to the certified
     stabilization level.
     """
-    rep = orbit.representative if isinstance(orbit, SpinCOrbit) else orbit
-    grading = _plus_grading(forest, rep)
-    minima = grading.minima_from_members(_orbit_members(grading, box_cap))
-    births = _birth_counts(grading, minima)
-    ker_u_rank = sum(births.values())
-    n_min = min(minima.values())
-    if ker_u_rank == 1:
-        stabilized_at = n_min
-        levels = [HPlusLevel(level=n_min, rank=1, births=1)]
-        for j in range(1, extra_levels + 1):
-            levels.append(HPlusLevel(level=n_min + j, rank=1, births=0))
-    else:
-        levels, stabilized_at = _sweep_levels(
-            grading, minima, births, point_cap, extra_levels
-        )
-    out_orbit = (
-        orbit
-        if isinstance(orbit, SpinCOrbit)
-        else SpinCOrbit(representative=rep, index=-1)
-    )
-    return GradedHPlus(
-        orbit=out_orbit,
-        levels=tuple(levels),
-        ker_u_rank=ker_u_rank,
-        stabilized_at=stabilized_at,
-    )
+    if not isinstance(orbit, SpinCOrbit):
+        orbit = SpinCOrbit(representative=orbit, index=-1)
+    return _GradedOrbitTable(forest, box_cap).hplus(orbit, point_cap, extra_levels)
 
 
 def sublevel_complex(
@@ -382,19 +370,11 @@ def sublevel_complex(
     mostly useful for inspection and for testing the level tables.
     """
     rep = orbit.representative if isinstance(orbit, SpinCOrbit) else orbit
-    grading = _plus_grading(forest, rep)
-    minima = grading.minima_from_members(_orbit_members(grading, box_cap))
+    grading = _GradedOrbitTable(forest, box_cap).grading(rep)
     radius_sq = weight_radius_sq_bound(grading.form, grading.k0, level)
     points: dict[Point, int] = {}
-    parent: list[int] = []
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    queue = deque(x for x, w in minima.items() if w <= level)
+    sets = UnionFind()
+    queue = deque(x for x, w in grading.minima.items() if w <= level)
     for pt in queue:
         if sum(c * c for c in pt) > radius_sq:
             raise InternalInvariantViolation(
@@ -408,20 +388,17 @@ def sublevel_complex(
             raise EnumerationBudgetExceeded(
                 f"sublevel enumeration exceeded {point_cap} points"
             )
-        node = len(parent)
+        node = sets.add()
         points[pt] = node
-        parent.append(node)
         for q in grading.neighbors(pt):
             other = points.get(q)
             if other is not None:
-                ra, rb = find(node), find(other)
-                if ra != rb:
-                    parent[rb] = ra
+                sets.union(other, node)
             elif grading.weight(q) <= level:
                 queue.append(q)
     groups: dict[int, list[Point]] = {}
     for pt, node in points.items():
-        groups.setdefault(find(node), []).append(pt)
+        groups.setdefault(sets.find(node), []).append(pt)
     components = tuple(
         tuple(sorted(group)) for group in sorted(groups.values(), key=min)
     )
@@ -461,37 +438,20 @@ def ker_u_cross_check(
     is grouped into orbits once, not once per orbit.
     """
     homology = compute_homology(forest, box_cap=box_cap)
-    reps = [oh.orbit.representative for oh in homology.per_orbit]
-    if forest.edge_sign is EdgeSign.PLUS_ONE:
-        plus, moved = forest, tuple(reps)
-    else:
-        conv = convert_convention(forest, reps)
-        plus, moved = conv.forest, conv.vectors
-    form = intersection_form(plus)
-    indexer = OrbitIndexer(form)
-    box = BoxIndex(form, box_cap)
-    orbits = box_orbits(indexer, box)
-    rows = []
-    for oh, rep_plus in zip(homology.per_orbit, moved):
-        grading = _OrbitGrading(plus, form, rep_plus)
-        members = [box.evals(i) for i in orbits[indexer.key(rep_plus)]]
-        minima = grading.minima_from_members(members)
-        births = _birth_counts(grading, minima)
-        rows.append(
-            CrossCheckRow(
-                orbit=oh.orbit,
-                homology_dim=oh.dim,
-                ker_u_rank=sum(births.values()),
-            )
+    table = _GradedOrbitTable(forest, box_cap)
+    rows = tuple(
+        CrossCheckRow(
+            orbit=oh.orbit,
+            homology_dim=oh.dim,
+            ker_u_rank=sum(_birth_counts(table.grading(oh.orbit.representative)).values()),
         )
-    return CrossCheckReport(ok=all(r.matches for r in rows), rows=tuple(rows))
+        for oh in homology.per_orbit
+    )
+    return CrossCheckReport(ok=all(r.matches for r in rows), rows=rows)
 
 
 def rational_via_hplus(
-    forest: PlumbingForest,
-    *,
-    point_cap: int = DEFAULT_POINT_CAP,
-    box_cap: int = DEFAULT_BOX_CAP,
+    forest: PlumbingForest, *, box_cap: int = DEFAULT_BOX_CAP
 ) -> bool:
     """Whether every orbit shows the single-tower shape.
 
@@ -502,19 +462,9 @@ def rational_via_hplus(
     test, not the primary test; deliberately shares nothing with either the
     quotient engine or the chi ellipsoid (orbits come from the box scan).
     """
-    del point_cap  # births never need the sweep
-    if forest.edge_sign is EdgeSign.PLUS_ONE:
-        plus = forest
-    else:
-        plus = convert_convention(forest).forest
-    form = intersection_form(plus)
-    if not form.is_negative_definite:
-        raise NotNegativeDefinite("rationality cross-check needs negative definiteness")
-    box = BoxIndex(form, box_cap)
-    for idxs in box_orbits(OrbitIndexer(form), box).values():
-        members = [box.evals(i) for i in idxs]
-        grading = _OrbitGrading(plus, form, CharVector(members[0]))
-        minima = grading.minima_from_members(members)
-        if sum(_birth_counts(grading, minima).values()) != 1:
+    table = _GradedOrbitTable(forest, box_cap)
+    for idxs in table.orbits.values():
+        grading = table.plus_grading(CharVector(table.box.evals(idxs[0])))
+        if sum(_birth_counts(grading).values()) != 1:
             return False
     return True

@@ -47,6 +47,42 @@ class Definiteness(Enum):
     INDEFINITE = "indefinite"
 
 
+class UnionFind:
+    """Disjoint sets over the indices 0, 1, ..., with path halving.
+
+    Shared by forest components, cycle checks and the graded engine's
+    floods; the quotient engine keeps its signed union-find in arrays.
+    """
+
+    def __init__(self, size: int = 0):
+        self.parent = list(range(size))
+
+    def add(self) -> int:
+        """A new singleton set; returns its index."""
+        node = len(self.parent)
+        self.parent.append(node)
+        return node
+
+    def find(self, a: int) -> int:
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> int | None:
+        """Join the sets of a and b under b's root.
+
+        Returns the root that was absorbed, or None if a and b were already
+        in one set.
+        """
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        self.parent[ra] = rb
+        return ra
+
+
 @dataclass(frozen=True)
 class PlumbingForest:
     """Immutable validated plumbing forest.
@@ -90,22 +126,12 @@ class PlumbingForest:
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted index lists, sorted by first vertex."""
-        n = len(self.ids)
-        parent = list(range(n))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        sets = UnionFind(len(self.ids))
         for a, b in self.edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
+            sets.union(a, b)
         groups: dict[int, list[int]] = {}
-        for i in range(n):
-            groups.setdefault(find(i), []).append(i)
+        for i in range(len(self.ids)):
+            groups.setdefault(sets.find(i), []).append(i)
         return sorted((sorted(g) for g in groups.values()), key=lambda g: g[0])
 
     def with_framing(self, i: int, framing: int) -> "PlumbingForest":
@@ -181,14 +207,7 @@ def validate_forest(
         ids.append(vid)
         framings.append(int(m))
 
-    parent = list(range(len(ids)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    sets = UnionFind(len(ids))
     seen: set[tuple[int, int]] = set()
     out_edges: list[tuple[int, int]] = []
     for a, b in edges:
@@ -200,10 +219,8 @@ def validate_forest(
         if (i, j) in seen:
             raise DuplicateEdge(f"edge ({a!r}, {b!r}) appears twice")
         seen.add((i, j))
-        ri, rj = find(i), find(j)
-        if ri == rj:
+        if sets.union(i, j) is None:
             raise CycleDetected(f"edge ({a!r}, {b!r}) closes a cycle")
-        parent[ri] = rj
         out_edges.append((i, j))
     return PlumbingForest(tuple(ids), tuple(framings), tuple(out_edges), edge_sign)
 

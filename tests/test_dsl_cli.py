@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURES, random_forest
-from plumblat import EdgeSign, parse_dsl, serialize_dsl
+from plumblat import EdgeSign, parse_dsl, parse_plumbing, serialize_dsl
 from plumblat.cli import main
 from plumblat.errors import (
     CycleDetected,
@@ -143,6 +143,41 @@ def test_cli_rejects_negative_budgets(capsys, argv):
     assert f"{flag} must not be negative, got {value}" in captured.err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"vertices": [{"id": "a", "framing": -2.7}]},
+        {"vertices": [{"id": "a", "framing": True}]},
+        {"vertices": [{"id": ["a"], "framing": -2}]},
+        {"vertices": [{"id": 7, "framing": -2}]},
+        {"vertices": [{"id": "a", "framing": -2}, {"id": "b", "framing": -2}],
+         "edges": [["a", ["b"]]]},
+    ],
+)
+def test_cli_rejects_mistyped_json(capsys, tmp_path, doc):
+    """JSON framings must be integers and ids strings: nothing is coerced."""
+    text = json.dumps(doc)
+    with pytest.raises(DslSyntaxError):
+        parse_plumbing(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("plumblat: error: line 1: ")
+
+
+def test_cli_rejects_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "bad.plumb"
+    path.write_bytes(b"vertex a -2\n\xff\xfe\n")
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "plumblat: error: line 2: byte 0xff is not UTF-8\n"
+
+
 def test_cli_internal_violation_maps_to_4(capsys, monkeypatch):
     import plumblat.cli as cli_mod
 
@@ -197,7 +232,12 @@ def test_cli_json_deterministic(capsys):
         ("m038_n1_sfs", ["sfs", "--sfs", "@m038_n1.sfs", "homology"]),
         ("m038_n2_sfs", ["sfs", "--sfs", "@m038_n2.sfs", "homology"]),
     ]
-    + [(f"lens{p}_homology", ["homology", f"lens_{p}.plumb"]) for p in range(1, 9)],
+    + [(f"lens{p}_homology", ["homology", f"lens_{p}.plumb"]) for p in range(1, 9)]
+    + [
+        ("elliptic_a_hplus", ["hplus", "elliptic_a.plumb"]),
+        ("elliptic_b_hplus", ["hplus", "elliptic_b.plumb"]),
+        ("m038_n1_sfs_hplus", ["sfs", "--sfs", "@m038_n1.sfs", "hplus"]),
+    ],
 )
 def test_golden_json(capsys, name, argv):
     """Shipped fixtures produce byte-stable machine output."""

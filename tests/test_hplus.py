@@ -2,23 +2,27 @@
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 
 import pytest
 
-from conftest import e8, elliptic_a, lens, random_forest
+from conftest import FIXTURES, e8, elliptic_a, lens, random_forest
 from plumblat import (
     CharVector,
     EdgeSign,
+    charlattice,
     compute_homology,
     compute_hplus,
+    hplus,
     ker_u_cross_check,
     rational_via_hplus,
     validate_forest,
 )
 from plumblat.charlattice import weight_radius_sq_bound
+from plumblat.cli import main
 from plumblat.errors import EnumerationBudgetExceeded
-from plumblat.hplus import _birth_counts, _orbit_members, _plus_grading
+from plumblat.hplus import _birth_counts, _GradedOrbitTable
 
 
 def test_single_vertex_orbit_of_zero():
@@ -97,7 +101,7 @@ def test_stabilization_is_stable(rng):
 def _brute_levels(forest, rep, up_to):
     """Independent oracle: enumerate sublevel sets by scanning a certified
     window, then count components and births with a fresh union-find."""
-    grading = _plus_grading(forest, rep)
+    grading = _GradedOrbitTable(forest, 10**8).grading(rep)
     form = grading.form
     radius_sq = weight_radius_sq_bound(form, grading.k0, up_to)
     bound = 1
@@ -171,13 +175,40 @@ def test_birth_counts_equal_homology_dim_per_orbit(rng):
     for _ in range(8):
         forest = random_forest(rng, max_vertices=4)
         result = compute_homology(forest)
+        table = _GradedOrbitTable(forest, 10**8)
         for oh in result.per_orbit:
-            grading = _plus_grading(forest, oh.orbit.representative)
-            minima = grading.minima_from_members(
-                _orbit_members(grading, 10**8)
-            )
-            births = _birth_counts(grading, minima)
+            births = _birth_counts(table.grading(oh.orbit.representative))
             assert sum(births.values()) == oh.dim
+
+
+def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys):
+    """One indexer and one box scan each for the quotient and the graded
+    engine, and one birth count per orbit, whatever |det| is."""
+    calls = {"indexer": 0, "box_orbits": 0, "births": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        charlattice.OrbitIndexer,
+        "__init__",
+        counting("indexer", charlattice.OrbitIndexer.__init__),
+    )
+    original = charlattice.box_orbits
+    scan = counting("box_orbits", original)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("plumblat") and vars(module).get("box_orbits") is original:
+            monkeypatch.setattr(module, "box_orbits", scan)
+    monkeypatch.setattr(hplus, "_birth_counts", counting("births", hplus._birth_counts))
+    assert main(["hplus", str(FIXTURES / "elliptic_b.plumb")]) == 0
+    assert "cross-check vs homology engine: OK" in capsys.readouterr().out
+    assert calls["indexer"] <= 2
+    assert calls["box_orbits"] <= 2
+    assert calls["births"] == 13  # |det| orbits, each counted once
 
 
 def test_point_budget():
