@@ -10,16 +10,19 @@ chi <= 0 is a compact ellipsoid, and its lattice points are enumerated
 exactly, so the verdict either carries an explicit witness or an exhaustive
 bound.
 
-Almost-rationality is searched directly from its definition: decrement one
-vertex framing by N = 1, 2, ... and retest.  Rationality survives framing
-decrements, so the first success per vertex is conclusive.  Past the cutoff
-the verdict is an honest "unknown" -- there is no finite certificate of
-impossibility to report.
+Almost-rationality asks for one framing m_i whose lowering by some N >= 1
+makes the forest rational.  That lowering turns chi into
+chi(x) + N x_i (x_i - 1)/2 >= chi(x), so the lowered forest's witnesses are
+among the forest's own, and the search reads each vertex's least decrement
+off them instead of enumerating again; a real enumeration confirms the
+chosen lowered forest, and every vertex's blocking witness is re-checked on
+its own lowered forest.  Past the cutoff the verdict is an honest "unknown"
+-- there is no finite certificate of impossibility to report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .charlattice import DEFAULT_BOX_CAP, LatticeVector, chi
 from .errors import InternalInvariantViolation, NotNegativeDefinite
@@ -39,8 +42,13 @@ DEFAULT_RATIONALITY_POINT_CAP = 10**7
 
 @dataclass(frozen=True)
 class RationalityVerdict:
+    """``witnesses``: every nonnegative nonzero (point, chi) with chi <= 0."""
+
     rational: bool
     witness: LatticeVector | None = None
+    witnesses: tuple[tuple[tuple[int, ...], int], ...] = field(
+        default=(), compare=False, repr=False
+    )
 
 
 @dataclass(frozen=True)
@@ -91,11 +99,14 @@ def is_rational(
     for pt in quadratic_sublevel_points(negated, linear, 0, point_cap):
         if any(c < 0 for c in pt) or not any(pt):
             continue
-        x = LatticeVector(pt)
-        if chi(x, canonical, form) <= 0:
-            witnesses.append(pt)
+        value = chi(LatticeVector(pt), canonical, form)
+        if value <= 0:
+            witnesses.append((pt, value))
     if witnesses:
-        return RationalityVerdict(rational=False, witness=LatticeVector(min(witnesses)))
+        least = min(pt for pt, _ in witnesses)
+        return RationalityVerdict(
+            rational=False, witness=LatticeVector(least), witnesses=tuple(witnesses)
+        )
     return RationalityVerdict(rational=True)
 
 
@@ -107,30 +118,64 @@ def is_almost_rational(
 ) -> ARVerdict:
     """Search for a single-vertex framing decrement that reaches rationality.
 
-    Scans decrements in increasing order so the reported witness is minimal;
-    rational inputs are reported as witnesses with decrement zero.
+    The reported decrement is the least one that works, at the first vertex
+    where it works; rational inputs are reported as witnesses with decrement
+    zero.
     """
-    rational = is_rational(forest, point_cap=point_cap).rational
-    return _decrement_search(forest, rational, nmax, point_cap)
+    rationality = is_rational(forest, point_cap=point_cap)
+    return _decrement_search(forest, rationality, nmax, point_cap)
 
 
 def _decrement_search(
-    forest: PlumbingForest, rational: bool, nmax: int, point_cap: int
+    forest: PlumbingForest, rationality: RationalityVerdict, nmax: int, point_cap: int
 ) -> ARVerdict:
-    """The almost-rational verdict, given whether the forest itself is rational.
+    """The almost-rational verdict, read off the forest's own witnesses W.
 
-    A rational forest is its own witness at decrement zero; otherwise the
-    decrements 1, 2, ..., nmax are tried on every vertex in turn.
+    A rational forest is its own witness at decrement zero.  Otherwise a w in
+    W with w_i in {0, 1} blocks vertex i at every decrement, and else vertex
+    i needs N > -chi(w) / (w_i (w_i - 1)/2) for every w; the least (N_i, i)
+    with N_i <= nmax is the verdict, in the order a loop over decrements and
+    then vertices would meet it.  Certificates: the chosen lowered forest is
+    confirmed by a real :func:`is_rational`, and each vertex's blocking
+    witness is re-evaluated on the forest lowered by min(N_i - 1, nmax) at i;
+    a failure of either raises :class:`InternalInvariantViolation`.
     """
-    if rational:
+    if rationality.rational:
         vertex = forest.ids[0] if forest.ids else None
         return ARVerdict(status="yes", vertex=vertex, decrement=0)
-    for decrement in range(1, nmax + 1):
-        for i, vid in enumerate(forest.ids):
-            lowered = forest.with_framing(i, forest.framings[i] - decrement)
-            if is_rational(lowered, point_cap=point_cap).rational:
-                return ARVerdict(status="yes", vertex=vid, decrement=decrement)
-    return ARVerdict(status="unknown", cutoff=nmax)
+    # least[i] is N_i (None: never cured); blocking[i] is the witness setting it
+    least: list[int | None] = [0] * len(forest)
+    blocking: list[tuple[int, ...] | None] = [None] * len(forest)
+    for pt, value in rationality.witnesses:
+        for i, floor in enumerate(least):
+            if floor is None:
+                continue
+            if pt[i] < 2:
+                least[i], blocking[i] = None, pt
+                continue
+            needed = -value // (pt[i] * (pt[i] - 1) // 2) + 1
+            if needed > floor:
+                least[i], blocking[i] = needed, pt
+
+    for i, pt in enumerate(blocking):
+        short = nmax if least[i] is None else min(least[i] - 1, nmax)
+        lowered = forest.with_framing(i, forest.framings[i] - short)
+        form = _plus_form(lowered)
+        if pt is None or chi(LatticeVector(pt), canonical_class(lowered), form) > 0:
+            raise InternalInvariantViolation(
+                f"vertex {forest.ids[i]!r} lowered by {short} lost its blocking witness {pt}"
+            )
+
+    cured = [(need, i) for i, need in enumerate(least) if need is not None and need <= nmax]
+    if not cured:
+        return ARVerdict(status="unknown", cutoff=nmax)
+    decrement, i = min(cured)
+    lowered = forest.with_framing(i, forest.framings[i] - decrement)
+    if not is_rational(lowered, point_cap=point_cap).rational:
+        raise InternalInvariantViolation(
+            f"vertex {forest.ids[i]!r} lowered by {decrement} tested non-rational"
+        )
+    return ARVerdict(status="yes", vertex=forest.ids[i], decrement=decrement)
 
 
 @dataclass(frozen=True)
@@ -181,7 +226,7 @@ def full_report(
 
     homology = compute_homology(forest, box_cap=box_cap)
     rationality = is_rational(forest, point_cap=point_cap)
-    ar = _decrement_search(forest, rationality.rational, nmax, point_cap)
+    ar = _decrement_search(forest, rationality, nmax, point_cap)
     if ar.status == "unknown" and len(bad) == 1:
         # certified fallback: lowering the bad vertex until -m(v) >= d(v)
         # reaches a zero-bad-vertex forest, and those are always rational

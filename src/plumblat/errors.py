@@ -50,6 +50,11 @@ class CycleDetected(ForestValidationError):
     pass
 
 
+class MistypedForestData(ForestValidationError):
+    """A vertex id or edge endpoint that is not a str, or a framing that is
+    not an int (bools included)."""
+
+
 # --- parsing -----------------------------------------------------------
 
 class DslSyntaxError(PlumblatError):

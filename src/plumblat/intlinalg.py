@@ -20,6 +20,15 @@ POSITIVE_SEMIDEFINITE = "positive_semidefinite"
 INDEFINITE = "indefinite"
 
 
+def _eliminate_below(a: list[list[int]], k: int, prev: int) -> None:
+    """One fraction-free Bareiss step on pivot a[k][k]; prev is the last pivot."""
+    pivot, row_k = a[k][k], a[k]
+    for row_i in a[k + 1:]:
+        aik = row_i[k]
+        for j in range(k + 1, len(a)):
+            row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+
+
 def det_bareiss(rows: Matrix) -> int:
     """Exact determinant of an integer matrix by fraction-free elimination."""
     a = [[int(x) for x in row] for row in rows]
@@ -37,21 +46,29 @@ def det_bareiss(rows: Matrix) -> int:
                     break
             else:
                 return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            aik = a[i][k]
-            row_i = a[i]
-            row_k = a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
-        prev = pivot
+        _eliminate_below(a, k, prev)
+        prev = a[k][k]
     return sign * a[n - 1][n - 1]
 
 
 def leading_principal_minors(rows: Matrix) -> list[int]:
-    """Minors det(A[:k,:k]) for k = 1..n, each computed independently."""
-    n = len(rows)
-    return [det_bareiss([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+    """Minors det(A[:k,:k]) for k = 1..n from one Bareiss pass.
+
+    Without row exchanges the k-th Bareiss pivot is the k-th leading minor
+    (Sylvester's identity), so one O(n^3) pass yields them all.  A zero
+    pivot is a zero minor; the minors past it are computed one by one.
+    """
+    a = [[int(x) for x in row] for row in rows]
+    minors: list[int] = []
+    prev = 1
+    for k in range(len(a)):
+        minors.append(a[k][k])
+        if a[k][k] == 0:
+            rest = range(k + 2, len(a) + 1)
+            return minors + [det_bareiss([row[:j] for row in rows[:j]]) for j in rest]
+        _eliminate_below(a, k, prev)
+        prev = a[k][k]
+    return minors
 
 
 def adjugate(rows: Matrix) -> list[list[int]]:

@@ -27,6 +27,7 @@ from .errors import (
     DanglingEdge,
     DuplicateEdge,
     DuplicateVertexId,
+    MistypedForestData,
     NotApplicable,
     SelfLoop,
 )
@@ -193,24 +194,32 @@ def validate_forest(
 ) -> PlumbingForest:
     """Validate raw vertex/edge data into a :class:`PlumbingForest`.
 
-    Rejects duplicate vertex ids, self-loops, dangling or duplicate edges and
-    cycles.  Duplicate edges are an error rather than being deduplicated:
-    silently merging them would hide a likely mistake in the input.
+    Rejects ids and edge endpoints that are not strings, framings that are
+    not ints (nothing is coerced: -2.7, True and "-3" are errors), duplicate
+    vertex ids, self-loops, dangling or duplicate edges and cycles.
+    Duplicate edges are an error rather than being deduplicated: silently
+    merging them would hide a likely mistake in the input.
     """
     ids: list[str] = []
     framings: list[int] = []
     index: dict[str, int] = {}
     for vid, m in vertices:
+        if not isinstance(vid, str):
+            raise MistypedForestData(f"vertex id {vid!r} is not a string")
+        if type(m) is not int:  # bool is an int subclass, and not a framing
+            raise MistypedForestData(f"framing {m!r} of vertex {vid!r} is not an integer")
         if vid in index:
             raise DuplicateVertexId(f"vertex id {vid!r} appears twice")
         index[vid] = len(ids)
         ids.append(vid)
-        framings.append(int(m))
+        framings.append(m)
 
     sets = UnionFind(len(ids))
     seen: set[tuple[int, int]] = set()
     out_edges: list[tuple[int, int]] = []
     for a, b in edges:
+        if not (isinstance(a, str) and isinstance(b, str)):
+            raise MistypedForestData(f"edge ({a!r}, {b!r}) must name vertex ids")
         if a == b:
             raise SelfLoop(f"edge ({a!r}, {b!r}) is a self-loop")
         if a not in index or b not in index:

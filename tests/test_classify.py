@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import sys
+from dataclasses import replace
+
+import pytest
+
 from conftest import e8, elliptic_a, elliptic_b, lens, random_forest, random_zero_bad_forest
+from oracle_classify import reference_almost_rational
 from plumblat import (
     canonical_class,
     chi,
@@ -14,7 +20,24 @@ from plumblat import (
     rational_via_hplus,
     validate_forest,
 )
-from plumblat.plumbing import EdgeSign
+from plumblat import intlinalg
+from plumblat.classify import DEFAULT_RATIONALITY_POINT_CAP, _decrement_search
+from plumblat.errors import InternalInvariantViolation
+from plumblat.plumbing import EdgeSign, PlumbingForest
+
+
+def _disjoint(*forests: PlumbingForest) -> PlumbingForest:
+    vertices, edges = [], []
+    for j, forest in enumerate(forests):
+        vertices += [(f"s{j}{vid}", m) for vid, m in zip(forest.ids, forest.framings)]
+        edges += [(f"s{j}{forest.ids[a]}", f"s{j}{forest.ids[b]}") for a, b in forest.edges]
+    return validate_forest(vertices, edges)
+
+
+def _star(center: int, legs: list[int]) -> PlumbingForest:
+    """Center with one-vertex legs; (-1; -2, -3, -7) bounds Sigma(2,3,7)."""
+    vertices = [("c", center)] + [(f"l{j}", m) for j, m in enumerate(legs)]
+    return validate_forest(vertices, [("c", f"l{j}") for j in range(len(legs))])
 
 
 def test_single_vertices_rational():
@@ -174,3 +197,73 @@ def test_report_invariant_rational_implies_minimal(rng):
             assert report.dim_h == abs(report.det)
         if report.bad_vertex_count <= 1:
             assert report.almost_rational.status == "yes"
+
+
+def test_decrement_search_matches_reference(rng):
+    """The read-off search gives the per-decrement loop's verdict exactly:
+    on random forests, on Sigma(2,3,7)-type stars, and on disjoint unions of
+    two non-rational forests, which no single decrement cures (unknown).
+    The loop costs nmax * n enumerations on an unknown, so only the
+    cheapest union goes up to nmax = 16."""
+    sigma237 = _star(-1, [-2, -3, -7])
+    stars = [sigma237]
+    stars += [_star(-1, legs) for legs in ([-2, -3, -11], [-2, -5, -5], [-3, -3, -4])]
+    # more legs need deeper decrements at the center: 2, 3 and 2
+    stars += [_star(-1, [-5] * 4), _star(-1, [-6] * 5), _star(-2, [-3] * 5)]
+    forests = [e8(), elliptic_a(), elliptic_b(), _disjoint(lens(3), stars[4])] + stars
+    forests += [random_forest(rng, max_vertices=6, lo=-4) for _ in range(30)]
+    cases = [(forest, (1, 3, 16)) for forest in forests]
+    cases += [
+        (_disjoint(sigma237, sigma237), (1, 3)),
+        (_disjoint(stars[2], stars[3]), (1, 3, 16)),
+        (_disjoint(elliptic_a(), stars[3]), (1, 3)),
+    ]
+    statuses = set()
+    for forest, nmaxes in cases:
+        for nmax in nmaxes:
+            verdict = is_almost_rational(forest, nmax=nmax)
+            assert verdict == reference_almost_rational(forest, nmax), (forest, nmax)
+            statuses.add((verdict.status, verdict.decrement))
+    assert {("yes", 0), ("yes", 1), ("yes", 2), ("yes", 3), ("unknown", None)} <= statuses
+
+
+@pytest.mark.parametrize(
+    "forest, nmax, enumerations",
+    [
+        # no single decrement cures two disjoint stars: only the forest's own
+        (_disjoint(_star(-1, [-2, -3, -7]), _star(-1, [-2, -3, -7])), 16, 1),
+        # the forest's own, and the confirmation of the chosen lowered forest
+        (elliptic_a(), 64, 2),
+        # the same when the cure is two decrements deep
+        (_star(-2, [-3] * 5), 64, 2),
+    ],
+)
+def test_full_report_enumerates_the_forest_once(monkeypatch, forest, nmax, enumerations):
+    """The decrement search reads lowered forests off the forest's own
+    enumeration; only a yes costs one more, to confirm it."""
+    calls = []
+    original = intlinalg.quadratic_sublevel_points
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("plumblat") and vars(module).get("quadratic_sublevel_points") is original:
+            monkeypatch.setattr(module, "quadratic_sublevel_points", counting)
+    report = full_report(forest, nmax=nmax)
+    assert report.almost_rational.status == ("unknown" if enumerations == 1 else "yes")
+    assert len(calls) == enumerations
+
+
+@pytest.mark.parametrize("shift", [1, -100])
+def test_decrement_search_certificates_catch_wrong_chi(shift):
+    """A witness table whose chi values are off picks a wrong decrement: too
+    small fails the confirming enumeration, too large fails the blocking
+    witness re-evaluated on its lowered forest."""
+    forest = _star(-2, [-3] * 5)  # cured at the center by 2
+    rationality = is_rational(forest)
+    wrong = [(pt, min(value + shift, 0)) for pt, value in rationality.witnesses]
+    tampered = replace(rationality, witnesses=tuple(wrong))
+    with pytest.raises(InternalInvariantViolation):
+        _decrement_search(forest, tampered, 16, DEFAULT_RATIONALITY_POINT_CAP)

@@ -57,6 +57,29 @@ def test_leading_principal_minors():
     assert intlinalg.leading_principal_minors(m) == [-2, 3, -4]
 
 
+def test_leading_minors_match_per_minor_definition(rng):
+    """The one-pass minors equal det(A[:k,:k]) taken block by block, also
+    when a leading block is singular and the pass has to stop early."""
+    singular_seen = 0
+    for trial in range(120):
+        n = rng.randint(1, 7)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-4, 4)
+        if trial % 3 == 0 and n >= 2:
+            # make the leading k-block singular: row k-1 a multiple of row 0
+            k = rng.randint(2, n)
+            c = rng.choice((-2, -1, 1, 2))
+            for j in range(k):
+                rows[k - 1][j] = rows[j][k - 1] = c * rows[0][j]
+            rows[k - 1][k - 1] = c * c * rows[0][0]
+        want = [det_gauss([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
+        singular_seen += 0 in want[:-1]
+        assert intlinalg.leading_principal_minors(rows) == want, rows
+    assert singular_seen >= 20
+
+
 @given(small_matrices)
 @settings(max_examples=80, deadline=None)
 def test_adjugate_identity(rows):

@@ -19,6 +19,7 @@ from plumblat.errors import (
     DanglingEdge,
     DuplicateEdge,
     DuplicateVertexId,
+    MistypedForestData,
     NotApplicable,
     SelfLoop,
 )
@@ -29,6 +30,25 @@ def test_single_vertex_forest_is_valid():
     forest = validate_forest([("a", -2)])
     assert forest.ids == ("a",)
     assert forest.framings == (-2,)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges",
+    [
+        ([("a", -2.7)], []),
+        ([("a", -2), ("b", True)], []),
+        ([("a", "-3")], []),
+        ([("a", None)], []),
+        ([(7, -2)], []),
+        ([("a", -2), ("b", -2)], [("a", ["b"])]),
+    ],
+)
+def test_validate_forest_rejects_mistyped_data(vertices, edges):
+    """Framings must be ints and ids strings: nothing is coerced, and the
+    error is a validation error (exit code 2), not a bare TypeError."""
+    with pytest.raises(MistypedForestData) as info:
+        validate_forest(vertices, edges)
+    assert info.value.exit_code == 2
 
 
 def test_duplicate_edge_rejected():
