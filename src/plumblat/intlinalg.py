@@ -1,19 +1,22 @@
 """Exact integer and rational linear algebra helpers.
 
 Everything here is exact: integer matrices go through fraction-free Bareiss
-elimination, rational ones through ``fractions.Fraction``.  No floating point
-is used anywhere in the package.
+elimination, ranks through a fraction-free integer echelon, and the other
+rational matrices through ``fractions.Fraction``.  No floating point is used
+anywhere in the package.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterator, Sequence
 
 from .errors import EnumerationBudgetExceeded
 
 Matrix = Sequence[Sequence[int]]
+Row = Sequence[Fraction | int] | Mapping[int, Fraction | int]
 
 POSITIVE_DEFINITE = "positive_definite"
 POSITIVE_SEMIDEFINITE = "positive_semidefinite"
@@ -181,29 +184,44 @@ def min_eigenvalue_lower_bound(rows: Matrix) -> Fraction:
     return min(diag) / frob_sq
 
 
-def rank_rational(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in rows]
-    if not a:
-        return 0
-    ncols = len(a[0])
-    rank = 0
-    col = 0
-    while rank < len(a) and col < ncols:
-        pivot_row = next((i for i in range(rank, len(a)) if a[i][col]), None)
-        if pivot_row is None:
-            col += 1
-            continue
-        a[rank], a[pivot_row] = a[pivot_row], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [v * inv for v in a[rank]]
-        for i in range(len(a)):
-            if i != rank and a[i][col]:
-                f = a[i][col]
-                a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
-        rank += 1
-        col += 1
-    return rank
+def _integer_row(row: Row) -> dict[int, int]:
+    """Nonzero entries of a dense or ``{column: value}`` row, times the lcm of
+    their denominators, so every entry is an integer."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    entries = {j: v for j, v in items if v}
+    scale = lcm(*(v.denominator for v in entries.values()))
+    return {j: v.numerator * (scale // v.denominator) for j, v in entries.items()}
+
+
+def rank_rational(rows: Sequence[Row]) -> int:
+    """Rank over the rationals of dense rows or ``{column: value}`` rows.
+
+    One fraction-free echelon over the integers: each row is cleared of
+    denominators and reduced against the stored pivot rows, keyed by their
+    leading column, by integer row operations that cancel its leading
+    entry.  A row that reaches a new leading column is divided by its
+    content and stored; the rank is the number of pivot rows.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        vec = _integer_row(row)
+        while vec:
+            lead = min(vec)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                content = gcd(*vec.values())
+                pivots[lead] = {j: v // content for j, v in vec.items()}
+                break
+            g = gcd(pivot[lead], vec[lead])
+            a, b = pivot[lead] // g, vec[lead] // g
+            vec = {j: a * v for j, v in vec.items()}
+            for j, v in pivot.items():
+                w = vec.get(j, 0) - b * v
+                if w:
+                    vec[j] = w
+                else:
+                    del vec[j]
+    return len(pivots)
 
 
 def sqrt_upper_bound(value: Fraction) -> Fraction:

@@ -16,17 +16,18 @@ Three families live here:
   conventions without changing any dimension.
 
 All induced maps are materialized as exact rational matrices over the class
-bases of the quotient engine; ranks come from exact elimination, so the
-exactness report carries no tolerances.
+bases of the quotient engine, stored as sparse columns (an extension sum has
+at most p + 1 terms, a half-shift two); ranks come from one fraction-free
+integer echelon, so the exactness report carries no tolerances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .charlattice import CharVector, DEFAULT_BOX_CAP, OrbitIndexer, in_box
+from .charlattice import CharVector, DEFAULT_BOX_CAP, OrbitIndexer
 from .errors import (
     InternalInvariantViolation,
     InvalidTriple,
@@ -66,22 +67,6 @@ class FormalSum:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-
-def truncate_to_box(fs: FormalSum, form: IntersectionForm) -> FormalSum:
-    """Drop terms that die by the out-of-range vanishing relation."""
-    return FormalSum.of(
-        (c, v) for c, v in fs.terms if in_box(v.evals, form)
-    )
-
-
-def apply_linear(
-    mapping: Callable[[CharVector], FormalSum], fs: FormalSum
-) -> FormalSum:
-    out = FormalSum.of(())
-    for coeff, vec in fs.terms:
-        out = out + mapping(vec).scale(coeff)
-    return out
 
 
 # --- surgery triples ------------------------------------------------------
@@ -161,14 +146,26 @@ def bump_framing_section(k: CharVector, triple: SurgeryTriple) -> FormalSum:
     return FormalSum.of(pairs)
 
 
-def project_to_classes(fs: FormalSum, result: HomologyResult) -> list[Fraction]:
-    """Coordinates of a formal sum in the nonzero class basis."""
-    coords = [Fraction(0)] * result.total_dim
+SparseColumn = dict[int, Fraction]
+
+
+def project_to_classes(fs: FormalSum, result: HomologyResult) -> SparseColumn:
+    """Nonzero coordinates of a formal sum in the nonzero class basis."""
+    coords: SparseColumn = {}
     for coeff, vec in fs.terms:
         ref = class_of(vec, result)
         if not ref.is_zero:
-            coords[ref.index] += coeff * ref.sign
-    return coords
+            coords[ref.index] = coords.get(ref.index, 0) + coeff * ref.sign
+    return {i: c for i, c in coords.items() if c}
+
+
+def _apply(cols: Sequence[SparseColumn], col: SparseColumn) -> SparseColumn:
+    """The matrix with sparse columns ``cols`` applied to a sparse column."""
+    out: SparseColumn = {}
+    for j, coeff in col.items():
+        for i, v in cols[j].items():
+            out[i] = out.get(i, 0) + coeff * v
+    return {i: v for i, v in out.items() if v}
 
 
 @dataclass(frozen=True)
@@ -195,8 +192,9 @@ def check_exactness(
     """Verify exactness of the quotient sequence through the triple.
 
     Builds the three quotients, materializes the two maps (and the section)
-    as rational matrices over class bases, and checks surjectivity, that the
-    composite vanishes, and the rank identity ker = image.
+    as sparse rational columns over class bases, and checks surjectivity,
+    that the composite vanishes, that the section inverts the half-shift,
+    and the rank identity ker = image.
     """
     if not triple.valid:
         raise InvalidTriple(
@@ -219,26 +217,8 @@ def check_exactness(
         for cls in h_bumped.classes
     ]
 
-    def matmul(left: list[list[Fraction]], right: list[list[Fraction]]) -> list[list[Fraction]]:
-        # matrices are stored column-wise: (M N) column j = M applied to N[:, j]
-        out = []
-        for col in right:
-            acc = [Fraction(0)] * (len(left[0]) if left else 0)
-            for coeff, lcol in zip(col, left):
-                if coeff:
-                    for i, v in enumerate(lcol):
-                        acc[i] += coeff * v
-            out.append(acc)
-        return out
-
-    ba = matmul(cols_b, cols_a) if cols_a else []
-    ba_zero = all(all(v == 0 for v in col) for col in ba)
-
-    bs = matmul(cols_b, cols_s) if cols_s else []
-    section_ok = all(
-        all(v == (1 if i == j else 0) for i, v in enumerate(col))
-        for j, col in enumerate(bs)
-    )
+    ba_zero = all(not _apply(cols_b, col) for col in cols_a)
+    section_ok = all(_apply(cols_b, col) == {j: 1} for j, col in enumerate(cols_s))
 
     rank_b = rank_rational(cols_b) if cols_b else 0
     rank_a = rank_rational(cols_a) if cols_a else 0
@@ -431,31 +411,3 @@ def blow_down(
         source=source,
         target=target,
     )
-
-
-def slide_leaf_basis_change(
-    k: CharVector, forest: PlumbingForest, leaf_id: str
-) -> CharVector:
-    """Evaluations after the handleslide v -> v - x over the leaf x."""
-    xi = forest.index_of(leaf_id)
-    neighbors = forest.neighbors(xi)
-    if len(neighbors) != 1:
-        raise NotBlowdownable(f"{leaf_id!r} is not a leaf")
-    vi = neighbors[0]
-    evals = list(k.evals)
-    evals[vi] -= evals[xi]
-    return CharVector(tuple(evals))
-
-
-def unslide_leaf_basis_change(
-    k: CharVector, forest: PlumbingForest, leaf_id: str
-) -> CharVector:
-    """Inverse of :func:`slide_leaf_basis_change`."""
-    xi = forest.index_of(leaf_id)
-    neighbors = forest.neighbors(xi)
-    if len(neighbors) != 1:
-        raise NotBlowdownable(f"{leaf_id!r} is not a leaf")
-    vi = neighbors[0]
-    evals = list(k.evals)
-    evals[vi] += evals[xi]
-    return CharVector(tuple(evals))

@@ -1,0 +1,165 @@
+"""Reference surgery exactness and test-only helpers for graph moves.
+
+The reference engine is the dense one: every induced map is a list of
+``Fraction`` columns over the class bases, composites are dense matrix
+products, and ranks come from Gauss-Jordan elimination over ``Fraction``.
+The production check in :mod:`plumblat.moves` works on sparse columns with
+an integer echelon and must agree with it on every report field.
+
+The formal-sum helpers and the leaf slide below are used only by tests: the
+slide is the basis change that :func:`plumblat.moves.blow_down` applies
+inline.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Sequence
+
+from plumblat import CharVector, PlumbingForest, compute_homology
+from plumblat.charlattice import in_box
+from plumblat.errors import InvalidTriple, NotBlowdownable
+from plumblat.homology import HomologyResult, class_of
+from plumblat.moves import (
+    ExactnessReport,
+    FormalSum,
+    SurgeryTriple,
+    add_vertex_map,
+    bump_framing_map,
+    bump_framing_section,
+)
+from plumblat.plumbing import IntersectionForm
+
+
+# --- reference engine -------------------------------------------------------
+
+def reference_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over the rationals by Gauss-Jordan elimination on dense rows."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    if not a:
+        return 0
+    ncols = len(a[0])
+    rank = 0
+    col = 0
+    while rank < len(a) and col < ncols:
+        pivot_row = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot_row is None:
+            col += 1
+            continue
+        a[rank], a[pivot_row] = a[pivot_row], a[rank]
+        inv = 1 / a[rank][col]
+        a[rank] = [v * inv for v in a[rank]]
+        for i in range(len(a)):
+            if i != rank and a[i][col]:
+                f = a[i][col]
+                a[i] = [v - f * w for v, w in zip(a[i], a[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def dense_project(fs: FormalSum, result: HomologyResult) -> list[Fraction]:
+    """Coordinates of a formal sum in the nonzero class basis, as a dense list."""
+    coords = [Fraction(0)] * result.total_dim
+    for coeff, vec in fs.terms:
+        ref = class_of(vec, result)
+        if not ref.is_zero:
+            coords[ref.index] += coeff * ref.sign
+    return coords
+
+
+def reference_exactness(triple: SurgeryTriple) -> ExactnessReport:
+    """Exactness report from dense rational matrices over the class bases."""
+    if not triple.valid:
+        raise InvalidTriple(
+            f"bumping {triple.vertex!r} leaves the negative-definite world"
+        )
+    h_removed = compute_homology(triple.removed)
+    h_base = compute_homology(triple.base)
+    h_bumped = compute_homology(triple.bumped)
+
+    cols_a = [
+        dense_project(add_vertex_map(cls.representative, triple), h_base)
+        for cls in h_removed.classes
+    ]
+    cols_b = [
+        dense_project(bump_framing_map(cls.representative, triple), h_bumped)
+        for cls in h_base.classes
+    ]
+    cols_s = [
+        dense_project(bump_framing_section(cls.representative, triple), h_base)
+        for cls in h_bumped.classes
+    ]
+
+    def matmul(left, right):
+        # matrices are stored column-wise: (M N) column j = M applied to N[:, j]
+        out = []
+        for col in right:
+            acc = [Fraction(0)] * (len(left[0]) if left else 0)
+            for coeff, lcol in zip(col, left):
+                if coeff:
+                    for i, v in enumerate(lcol):
+                        acc[i] += coeff * v
+            out.append(acc)
+        return out
+
+    ba = matmul(cols_b, cols_a) if cols_a else []
+    bs = matmul(cols_b, cols_s) if cols_s else []
+    rank_b = reference_rank(cols_b) if cols_b else 0
+    rank_a = reference_rank(cols_a) if cols_a else 0
+    return ExactnessReport(
+        b_surjective=(rank_b == h_bumped.total_dim),
+        ba_zero=all(all(v == 0 for v in col) for col in ba),
+        ker_b_equals_im_a=(rank_a == h_base.total_dim - rank_b),
+        section_inverts_b=all(
+            all(v == (1 if i == j else 0) for i, v in enumerate(col))
+            for j, col in enumerate(bs)
+        ),
+        dims=(h_removed.total_dim, h_base.total_dim, h_bumped.total_dim),
+    )
+
+
+# --- test-only helpers --------------------------------------------------------
+
+def truncate_to_box(fs: FormalSum, form: IntersectionForm) -> FormalSum:
+    """Drop terms that die by the out-of-range vanishing relation."""
+    return FormalSum.of(
+        (c, v) for c, v in fs.terms if in_box(v.evals, form)
+    )
+
+
+def apply_linear(
+    mapping: Callable[[CharVector], FormalSum], fs: FormalSum
+) -> FormalSum:
+    out = FormalSum.of(())
+    for coeff, vec in fs.terms:
+        out = out + mapping(vec).scale(coeff)
+    return out
+
+
+def slide_leaf_basis_change(
+    k: CharVector, forest: PlumbingForest, leaf_id: str
+) -> CharVector:
+    """Evaluations after the handleslide v -> v - x over the leaf x."""
+    xi = forest.index_of(leaf_id)
+    neighbors = forest.neighbors(xi)
+    if len(neighbors) != 1:
+        raise NotBlowdownable(f"{leaf_id!r} is not a leaf")
+    vi = neighbors[0]
+    evals = list(k.evals)
+    evals[vi] -= evals[xi]
+    return CharVector(tuple(evals))
+
+
+def unslide_leaf_basis_change(
+    k: CharVector, forest: PlumbingForest, leaf_id: str
+) -> CharVector:
+    """Inverse of :func:`slide_leaf_basis_change`."""
+    xi = forest.index_of(leaf_id)
+    neighbors = forest.neighbors(xi)
+    if len(neighbors) != 1:
+        raise NotBlowdownable(f"{leaf_id!r} is not a leaf")
+    vi = neighbors[0]
+    evals = list(k.evals)
+    evals[vi] += evals[xi]
+    return CharVector(tuple(evals))

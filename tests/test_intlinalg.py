@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle_moves import reference_rank
 from plumblat import intlinalg
 from plumblat.errors import EnumerationBudgetExceeded
 
@@ -152,6 +153,49 @@ def test_rank_rational():
     assert intlinalg.rank_rational([[1, 0], [0, 1]]) == 2
     assert intlinalg.rank_rational([[0, 0], [0, 0]]) == 0
     assert intlinalg.rank_rational([]) == 0
+
+
+def _planted_rank_matrix(rng):
+    """Rows spanned by at most ``basis`` random rational rows, plus zero rows."""
+    ncols = rng.randint(1, 9)
+    basis = [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 6)) if rng.random() < 0.6 else 0
+         for _ in range(ncols)]
+        for _ in range(rng.randint(0, min(ncols, 5)))
+    ]
+    rows = []
+    for _ in range(rng.randint(0, 10)):
+        if basis and rng.random() < 0.85:
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in basis]
+            rows.append([sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(ncols)])
+        else:
+            rows.append([0] * ncols)
+    rng.shuffle(rows)
+    return rows, len(basis)
+
+
+def test_rank_matches_reference(rng):
+    """The integer echelon agrees with Gauss-Jordan over Q on dense and
+    mapping rows; planted dependencies cap the rank."""
+    fixed = [
+        ([], 0),
+        ([[0, 0, 0], [Fraction(0), 0, 0]], 0),
+        ([[Fraction(1, 2), 1], [1, 2]], 1),
+        ([[Fraction(1, 3), 0], [0, Fraction(-2, 7)], [1, 1]], 2),
+    ]
+    for rows, rank in fixed:
+        assert reference_rank(rows) == rank
+    reached = 0
+    for rows, bound in fixed + [_planted_rank_matrix(rng) for _ in range(400)]:
+        expected = reference_rank(rows)
+        assert expected <= bound
+        reached += 0 < expected == bound
+        assert intlinalg.rank_rational(rows) == expected
+        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
+        assert intlinalg.rank_rational(sparse) == expected
+        with_zeros = [dict(enumerate(row)) for row in rows]
+        assert intlinalg.rank_rational(with_zeros) == expected
+    assert reached > 100
 
 
 @given(st.fractions(min_value=0, max_value=1000))

@@ -7,6 +7,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import e8, lens, random_forest
+import oracle_moves
+from oracle_moves import (
+    apply_linear,
+    reference_exactness,
+    slide_leaf_basis_change,
+    truncate_to_box,
+    unslide_leaf_basis_change,
+)
 from plumblat import (
     CharVector,
     add_vertex_map,
@@ -21,15 +29,9 @@ from plumblat import (
     surgery_triple,
     validate_forest,
 )
+from plumblat import moves
 from plumblat.errors import InvalidTriple, NotBlowdownable
-from plumblat.moves import (
-    FormalSum,
-    apply_linear,
-    project_to_classes,
-    slide_leaf_basis_change,
-    truncate_to_box,
-    unslide_leaf_basis_change,
-)
+from plumblat.moves import FormalSum, project_to_classes
 
 
 def test_extension_sum_single_vertex():
@@ -155,6 +157,90 @@ def test_random_triples_exact(rng):
             continue  # keep exact rank computations inside the time budget
         assert check_exactness(triple).exact
         count += 1
+
+
+def test_large_chain_triples_exact():
+    """Chain triples far past the small-dimension cap of the random suites."""
+    def chain(framings):
+        names = [f"v{i}" for i in range(len(framings))]
+        return validate_forest(list(zip(names, framings)), list(zip(names, names[1:])))
+
+    for framings, dims in (
+        ([-6] * 3, (35, 204, 169)),
+        ([-4] * 4, (56, 209, 153)),
+        ([-8] * 3, (63, 496, 433)),
+    ):
+        report = check_exactness(surgery_triple(chain(framings), "v0"))
+        assert report.exact
+        assert report.dims == dims
+
+
+def test_exactness_matches_reference_engine(rng):
+    """Sparse columns and the integer echelon give the dense engine's report,
+    on small random triples and on ones with hundreds of classes."""
+    small = large = 0
+    while small < 30 or large < 3:
+        if small < 30:
+            forest, dims = random_forest(rng, max_vertices=5), range(61)
+        else:
+            forest, dims = random_forest(rng, max_vertices=3, lo=-6, hi=-4), range(100, 251)
+        vid = forest.ids[rng.randrange(len(forest))]
+        triple = surgery_triple(forest, vid)
+        if not triple.valid:
+            continue
+        report = check_exactness(triple)
+        if report.dims[1] not in dims:
+            continue  # the dense reference is cubic in the dimension
+        assert report == reference_exactness(triple), (forest.framings, forest.edges, vid)
+        if small < 30:
+            small += 1
+        else:
+            large += 1
+
+
+def _drop_first_term(fn):
+    return lambda k, triple: FormalSum(fn(k, triple).terms[1:])
+
+
+def _shift_first_term(fn):
+    def shifted(k, triple):
+        (coeff, vec), *rest = fn(k, triple).terms
+        vi = triple.vertex_index
+        evals = vec.evals[:vi] + (vec.evals[vi] + 2,) + vec.evals[vi + 1:]
+        return FormalSum.of([(coeff, CharVector(evals))] + rest)
+    return shifted
+
+
+def _vanish(fn):
+    return lambda k, triple: FormalSum(())
+
+
+@pytest.mark.parametrize(
+    "name, breaker, failing",
+    [
+        ("bump_framing_section", _drop_first_term, {"section_inverts_b"}),
+        ("bump_framing_section", _shift_first_term, {"section_inverts_b"}),
+        ("add_vertex_map", _drop_first_term, {"ba_zero"}),
+        ("add_vertex_map", _shift_first_term, {"ba_zero"}),
+        ("add_vertex_map", _vanish, {"ker_b_equals_im_a"}),
+        ("bump_framing_map", _vanish,
+         {"b_surjective", "ker_b_equals_im_a", "section_inverts_b"}),
+    ],
+)
+def test_check_exactness_flags_broken_maps(monkeypatch, name, breaker, failing):
+    """A map with a term dropped, shifted or lost makes exactly the checks it
+    breaks go False, in both engines, so no check is a constant True."""
+    broken = breaker(getattr(moves, name))
+    monkeypatch.setattr(moves, name, broken)
+    monkeypatch.setattr(oracle_moves, name, broken)
+    chain = validate_forest(
+        [("a", -3), ("b", -2), ("c", -3)], [("a", "b"), ("b", "c")]
+    )
+    for triple in (surgery_triple(lens(4), "v"), surgery_triple(chain, "a")):
+        report = check_exactness(triple)
+        fields = {"b_surjective", "ba_zero", "ker_b_equals_im_a", "section_inverts_b"}
+        assert {f for f in fields if not getattr(report, f)} == failing
+        assert report == reference_exactness(triple)
 
 
 def test_blow_down_leaf():
