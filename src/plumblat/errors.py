@@ -83,6 +83,10 @@ class NotApplicable(PlumblatError):
     """Precondition of the operation is not met (e.g. bad vertices present)."""
 
 
+class UnknownVertexId(PlumblatError):
+    """A vertex id that names no vertex of the forest."""
+
+
 class NotBlowdownable(PlumblatError):
     """The chosen vertex is not a (-1)-framed leaf or isolated vertex."""
 

@@ -1,9 +1,14 @@
 """Exact integer and rational linear algebra helpers.
 
-Everything here is exact: integer matrices go through fraction-free Bareiss
-elimination, ranks through a fraction-free integer echelon, and the other
-rational matrices through ``fractions.Fraction``.  No floating point is used
-anywhere in the package.
+Two eliminations serve the package.  Forest forms never reach this module:
+their determinant and definiteness come from the leaf-first pass of
+:func:`plumbing.intersection_form` (Neumann's plumbing calculus, Trans.
+AMS 268, 1981), with no matrix and no leading minors.  Definite matrices go
+through :func:`gauss_jordan`, one fraction-free Gauss-Jordan pass on
+[A | I] in the given order, which yields the leading minors, A = L D L^T,
+L^{-1} and the adjugate at once.  Ranks come from a fraction-free echelon
+over the integers.  Everything is exact: integers and
+``fractions.Fraction`` only, and no floating point anywhere in the package.
 """
 
 from __future__ import annotations
@@ -11,163 +16,72 @@ from __future__ import annotations
 from collections.abc import Mapping
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationBudgetExceeded
 
 Matrix = Sequence[Sequence[int]]
 Row = Sequence[Fraction | int] | Mapping[int, Fraction | int]
 
-POSITIVE_DEFINITE = "positive_definite"
-POSITIVE_SEMIDEFINITE = "positive_semidefinite"
-INDEFINITE = "indefinite"
+
+class GaussJordan(NamedTuple):
+    """Leading minors, A = L D L^T (A symmetric), L^{-1} and adj(A)."""
+
+    minors: list[int]
+    lower: list[list[Fraction]]
+    diag: list[Fraction]
+    lower_inverse: list[list[Fraction]]
+    adjugate: list[list[int]]
 
 
-def _eliminate_below(a: list[list[int]], k: int, prev: int) -> None:
-    """One fraction-free Bareiss step on pivot a[k][k]; prev is the last pivot."""
-    pivot, row_k = a[k][k], a[k]
-    for row_i in a[k + 1:]:
-        aik = row_i[k]
-        for j in range(k + 1, len(a)):
-            row_i[j] = (row_i[j] * pivot - aik * row_k[j]) // prev
+def gauss_jordan(rows: Matrix) -> GaussJordan:
+    """One fraction-free Gauss-Jordan pass on [A | I] in row order.
 
-
-def det_bareiss(rows: Matrix) -> int:
-    """Exact determinant of an integer matrix by fraction-free elimination."""
-    a = [[int(x) for x in row] for row in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        _eliminate_below(a, k, prev)
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def leading_principal_minors(rows: Matrix) -> list[int]:
-    """Minors det(A[:k,:k]) for k = 1..n from one Bareiss pass.
-
-    Without row exchanges the k-th Bareiss pivot is the k-th leading minor
-    (Sylvester's identity), so one O(n^3) pass yields them all.  A zero
-    pivot is a zero minor; the minors past it are computed one by one.
+    Step k replaces every row r but row k by (p_k r - r[k] a[k]) / p_{k-1},
+    an exact division (Bareiss), with p_k = a[k][k] the k-th leading minor.
+    Row k at step k is p_{k-1} times its row in [A | I] -> [D L^T | L^{-1}],
+    which gives L[i][k] = a[k][i] / p_k, d_k = p_k / p_{k-1} and row k of
+    L^{-1}; at the end the right block is adj(A).  Raises ValueError if a
+    leading minor vanishes.
     """
-    a = [[int(x) for x in row] for row in rows]
+    n = len(rows)
+    aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     minors: list[int] = []
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    diag: list[Fraction] = []
+    lower_inverse: list[list[Fraction]] = []
     prev = 1
-    for k in range(len(a)):
-        minors.append(a[k][k])
-        if a[k][k] == 0:
-            rest = range(k + 2, len(a) + 1)
-            return minors + [det_bareiss([row[:j] for row in rows[:j]]) for j in rest]
-        _eliminate_below(a, k, prev)
-        prev = a[k][k]
-    return minors
+    for k, pivot_row in enumerate(aug):
+        pivot = pivot_row[k]
+        if pivot == 0:
+            raise ValueError(f"leading minor {k + 1} vanishes")
+        minors.append(pivot)
+        diag.append(Fraction(pivot, prev))
+        for i in range(k + 1, n):
+            lower[i][k] = Fraction(pivot_row[i], pivot)
+        lower_inverse.append(
+            [Fraction(v, prev) for v in pivot_row[n:n + k + 1]] + [Fraction(0)] * (n - k - 1)
+        )
+        tail = pivot_row[k + 1:]
+        for i, row in enumerate(aug):
+            if i != k:
+                f = row[k]
+                row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
+        prev = pivot
+    return GaussJordan(minors, lower, diag, lower_inverse, [row[n:] for row in aug])
 
 
 def adjugate(rows: Matrix) -> list[list[int]]:
-    """Adjugate matrix, so that A * adj(A) = det(A) * I."""
-    n = len(rows)
-    if n == 0:
-        return []
-    adj = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[r][c] for c in range(n) if c != j]
-                for r in range(n)
-                if r != i
-            ]
-            adj[j][i] = (-1) ** (i + j) * det_bareiss(minor)
-    return adj
+    """adj(A), with A adj(A) = det(A) I; A needs nonzero leading minors."""
+    return gauss_jordan(rows).adjugate
 
 
-def solve_exact(rows: Matrix, rhs: Sequence[Fraction | int]) -> list[Fraction]:
-    """Solve A x = rhs exactly for invertible integer A."""
-    det = det_bareiss(rows)
-    if det == 0:
-        raise ZeroDivisionError("matrix is singular")
-    adj = adjugate(rows)
-    n = len(rows)
-    return [
-        Fraction(sum(adj[i][j] * Fraction(rhs[j]) for j in range(n)), 1) / det
-        for i in range(n)
-    ]
-
-
-def psd_classify(rows: Sequence[Sequence[int | Fraction]]) -> str:
-    """Classify a symmetric rational matrix as PD, PSD or indefinite.
-
-    Uses symmetric elimination: a positive pivot reduces to a Schur
-    complement, a negative diagonal entry anywhere certifies indefiniteness,
-    and an all-zero-diagonal remainder must vanish entirely for
-    semidefiniteness.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    active = list(range(n))
-    while active:
-        pivot = None
-        for i in active:
-            if a[i][i] < 0:
-                return INDEFINITE
-            if a[i][i] > 0 and pivot is None:
-                pivot = i
-        if pivot is None:
-            for i in active:
-                for j in active:
-                    if a[i][j] != 0:
-                        return INDEFINITE
-            return POSITIVE_SEMIDEFINITE
-        active.remove(pivot)
-        d = a[pivot][pivot]
-        for i in active:
-            f = a[i][pivot] / d
-            if f:
-                for j in active:
-                    a[i][j] -= f * a[pivot][j]
-    return POSITIVE_DEFINITE
-
-
-def ldl_decompose(
-    rows: Sequence[Sequence[int | Fraction]],
-) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """LDL^T factorization of a positive-definite symmetric rational matrix.
-
-    Returns (L, d) with L unit lower triangular and d the positive diagonal.
-    """
-    n = len(rows)
-    a = [[Fraction(x) for x in row] for row in rows]
-    lower = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    diag: list[Fraction] = []
-    for k in range(n):
-        d = a[k][k] - sum(diag[j] * lower[k][j] ** 2 for j in range(k))
-        if d <= 0:
-            raise ValueError("matrix is not positive definite")
-        diag.append(d)
-        for i in range(k + 1, n):
-            s = a[i][k] - sum(diag[j] * lower[i][j] * lower[k][j] for j in range(k))
-            lower[i][k] = s / d
-    return lower, diag
-
-
-def invert_unit_lower(lower: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    """Exact inverse of a unit lower triangular matrix."""
-    n = len(lower)
-    inv = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i):
-            inv[i][j] = -sum(lower[i][k] * inv[k][j] for k in range(j, i))
-    return inv
+def _positive_definite(rows: Matrix) -> GaussJordan:
+    """:func:`gauss_jordan` of a positive-definite matrix; ValueError if not."""
+    elimination = gauss_jordan(rows)
+    if any(d <= 0 for d in elimination.diag):
+        raise ValueError("matrix is not positive definite")
+    return elimination
 
 
 def min_eigenvalue_lower_bound(rows: Matrix) -> Fraction:
@@ -175,13 +89,11 @@ def min_eigenvalue_lower_bound(rows: Matrix) -> Fraction:
 
     From Q = L D L^T:  x'Qx >= min(d) |L'x|^2 >= (min(d)/|L^{-1}|_F^2) |x|^2.
     """
-    n = len(rows)
-    if n == 0:
+    if not rows:
         return Fraction(1)
-    lower, diag = ldl_decompose(rows)
-    inv = invert_unit_lower(lower)
-    frob_sq = sum(v * v for row in inv for v in row)
-    return min(diag) / frob_sq
+    elimination = _positive_definite(rows)
+    frob_sq = sum(v * v for row in elimination.lower_inverse for v in row)
+    return min(elimination.diag) / frob_sq
 
 
 def _integer_row(row: Row) -> dict[int, int]:
@@ -243,11 +155,12 @@ def quadratic_sublevel_points(
 ) -> Iterator[tuple[int, ...]]:
     """All integer x with x'Mx + b.x + c <= 0 for positive-definite M.
 
-    Completes the square and walks a Fincke-Pohst style recursion on an exact
-    LDL factorization; every emitted point is re-verified against the exact
-    inequality, so the rational square-root rounding can never admit or drop
-    a point.  Raises EnumerationBudgetExceeded past ``point_cap`` scanned
-    candidates.
+    Completes the square around the center -adj(M) b / (2 det M) and walks a
+    Fincke-Pohst style recursion on the exact L D L^T of M, both read off one
+    :func:`gauss_jordan` pass in the given variable order; every emitted
+    point is re-verified against the exact inequality, so the rational
+    square-root rounding can never admit or drop a point.  Raises
+    EnumerationBudgetExceeded past ``point_cap`` scanned candidates.
     """
     n = len(matrix)
     constant = Fraction(constant)
@@ -255,7 +168,11 @@ def quadratic_sublevel_points(
         if constant <= 0:
             yield ()
         return
-    center = [-v / 2 for v in solve_exact(matrix, linear)]
+    minors, lower, diag, _, adj = _positive_definite(matrix)
+    center = [
+        -sum(a * Fraction(b) for a, b in zip(row, linear)) / (2 * minors[-1])
+        for row in adj
+    ]
     radius_sq = (
         sum(
             Fraction(matrix[i][j]) * center[i] * center[j]
@@ -266,7 +183,6 @@ def quadratic_sublevel_points(
     )
     if radius_sq < 0:
         return
-    lower, diag = ldl_decompose(matrix)
     budget = [int(point_cap)]
     coords = [0] * n
 

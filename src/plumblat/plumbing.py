@@ -7,12 +7,17 @@ off-diagonal entry equal to the forest's edge sign.  Both the ``-1`` and the
 standard ``+1`` edge conventions are supported; the convention is part of the
 data of the forest.
 
-All arithmetic is exact.  Definiteness is certified through leading principal
-minors ((-1)^k * minor_k > 0 for every k is equivalent to negative
-definiteness), and the degenerate direction of a zero-bad-vertex forest is
-located combinatorially: a connected component with -m(v) = d(v) throughout
-is a plumbing description of S^1 x S^2, and is the only way such a forest can
-fail to be negative definite.
+All arithmetic is exact.  The determinant and the definiteness come from
+one leaf-first pass over the forest, the continued-fraction reduction of
+Neumann's plumbing calculus (Trans. AMS 268, 1981): a leaf with nonzero
+pivot d is split off by a congruence that adds -1/d to its neighbour's
+framing, a leaf with zero pivot splits off with its neighbour as a block of
+determinant -1 and one eigenvalue of each sign, and by Sylvester's law of
+inertia the signs of the pivots certify the verdict.  The degenerate
+direction of a zero-bad-vertex forest is located combinatorially: a
+connected component with -m(v) = d(v) throughout is a plumbing description
+of S^1 x S^2, and is the only way such a forest can fail to be negative
+definite.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
-from . import intlinalg
 from .errors import (
     CycleDetected,
     DanglingEdge,
@@ -30,6 +34,7 @@ from .errors import (
     MistypedForestData,
     NotApplicable,
     SelfLoop,
+    UnknownVertexId,
 )
 
 
@@ -104,7 +109,7 @@ class PlumbingForest:
         try:
             return self.ids.index(vertex_id)
         except ValueError:
-            raise KeyError(f"unknown vertex id {vertex_id!r}") from None
+            raise UnknownVertexId(f"unknown vertex id {vertex_id!r}") from None
 
     def degree(self, i: int) -> int:
         return sum(1 for a, b in self.edges if a == i or b == i)
@@ -163,7 +168,6 @@ class IntersectionForm:
     matrix: tuple[tuple[int, ...], ...]
     determinant: int
     definiteness: Definiteness
-    leading_minors: tuple[int, ...]
     edge_sign: EdgeSign
 
     def __len__(self) -> int:
@@ -234,36 +238,62 @@ def validate_forest(
     return PlumbingForest(tuple(ids), tuple(framings), tuple(out_edges), edge_sign)
 
 
+def _leaf_first(forest: PlumbingForest) -> tuple[int, Definiteness]:
+    """Determinant and definiteness from one leaf-first pass over the edges.
+
+    A leaf v with pivot d != 0 leaves with d; its neighbour's pivot gains
+    -e^2/d = -1/d.  A leaf with pivot 0 leaves with its neighbour u as the
+    block [[0, e], [e, d_u]]: determinant -e^2 = -1, one eigenvalue of each
+    sign, and row v clears u's other edges without changing a pivot.  So the
+    form is negative definite iff every pivot is negative, semidefinite iff
+    no pivot or pair is positive; e^2 = 1 in both edge conventions.
+    """
+    adjacent: list[set[int]] = [set() for _ in forest.ids]
+    for a, b in forest.edges:
+        adjacent[a].add(b)
+        adjacent[b].add(a)
+    # the pivot of v is num[v] / den[v], with den[v] > 0
+    num, den = list(forest.framings), [1] * len(forest.ids)
+    det_num, det_den, signs, done = 1, 1, set(), [False] * len(num)
+    leaves = [v for v, near in enumerate(adjacent) if len(near) <= 1]
+    while leaves:
+        v = leaves.pop()
+        if done[v]:
+            continue
+        done[v], d, released = True, num[v], list(adjacent[v])
+        if released and not d:
+            (u,) = released
+            done[u], det_num = True, -det_num
+            signs.add(1)
+            released = list(adjacent[u] - {v})
+            for w in released:
+                adjacent[w].remove(u)
+        else:
+            sign = (d > 0) - (d < 0)
+            signs.add(sign)
+            det_num, det_den = det_num * d, det_den * den[v]
+            for u in released:
+                adjacent[u].remove(v)
+                num[u], den[u] = sign * (num[u] * d - den[u] * den[v]), den[u] * abs(d)
+        leaves.extend(w for w in released if len(adjacent[w]) <= 1)
+    det = det_num // det_den
+    if 1 in signs:
+        return det, Definiteness.INDEFINITE
+    if 0 in signs:
+        return det, Definiteness.NEGATIVE_SEMIDEFINITE
+    return det, Definiteness.NEGATIVE_DEFINITE
+
+
 def intersection_form(forest: PlumbingForest) -> IntersectionForm:
     """Intersection matrix, exact determinant and definiteness certificate."""
     n = len(forest)
     rows = [[0] * n for _ in range(n)]
     for i, m in enumerate(forest.framings):
         rows[i][i] = m
-    off = forest.edge_sign.value
     for a, b in forest.edges:
-        rows[a][b] = off
-        rows[b][a] = off
-    minors = intlinalg.leading_principal_minors(rows)
-    det = minors[-1] if minors else 1
-    if all((-1) ** (k + 1) * minors[k] > 0 for k in range(n)):
-        definiteness = Definiteness.NEGATIVE_DEFINITE
-    else:
-        negated = [[-x for x in row] for row in rows]
-        kind = intlinalg.psd_classify(negated)
-        if kind == intlinalg.POSITIVE_SEMIDEFINITE:
-            definiteness = Definiteness.NEGATIVE_SEMIDEFINITE
-        elif kind == intlinalg.POSITIVE_DEFINITE:
-            definiteness = Definiteness.NEGATIVE_DEFINITE
-        else:
-            definiteness = Definiteness.INDEFINITE
-    return IntersectionForm(
-        matrix=tuple(tuple(row) for row in rows),
-        determinant=det,
-        definiteness=definiteness,
-        leading_minors=tuple(minors),
-        edge_sign=forest.edge_sign,
-    )
+        rows[a][b] = rows[b][a] = forest.edge_sign.value
+    det, definiteness = _leaf_first(forest)
+    return IntersectionForm(tuple(map(tuple, rows)), det, definiteness, forest.edge_sign)
 
 
 def bad_vertices(forest: PlumbingForest) -> list[str]:

@@ -6,10 +6,17 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from plumblat import EdgeSign, PlumbingForest, intersection_form, validate_forest
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Every @given test replays the same examples on each run: the seed is derived
+# from the test itself, and no example database carries failures between runs.
+# Example counts stay as each test sets them.
+settings.register_profile("replay", derandomize=True, database=None)
+settings.load_profile("replay")
 
 
 def lens(p: int) -> PlumbingForest:

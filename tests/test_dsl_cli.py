@@ -204,6 +204,15 @@ def test_cli_blowdown_and_triad(capsys, tmp_path):
     assert payload["dims"] == [1, 4, 3]
 
 
+@pytest.mark.parametrize("command", ["triad", "blowdown"])
+def test_cli_unknown_vertex_exits_2(capsys, command):
+    code = main([command, str(FIXTURES / "lens_4.plumb"), "--vertex", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "plumblat: error: unknown vertex id 'nosuch'\n"
+
+
 def test_cli_sfs(capsys):
     sfs = (FIXTURES / "m038_n1.sfs").read_text().strip()
     code, out = run_cli(capsys, "sfs", "--sfs", sfs, "homology", "--json")

@@ -1,4 +1,9 @@
-"""Exact linear algebra against independent oracles."""
+"""Exact linear algebra against independent oracles.
+
+The dense eliminations that ``plumblat.intlinalg`` no longer carries live in
+``oracle_intlinalg``; the tests that exercised them on general matrices run
+against that module, and the one Gauss-Jordan pass is checked against it.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_intlinalg as oracle
 from oracle_moves import reference_rank
 from plumblat import intlinalg
 from plumblat.errors import EnumerationBudgetExceeded
@@ -46,16 +52,17 @@ small_matrices = st.integers(1, 5).flatmap(
 @given(small_matrices)
 @settings(max_examples=150, deadline=None)
 def test_bareiss_matches_gauss(rows):
-    assert intlinalg.det_bareiss(rows) == det_gauss(rows)
+    assert oracle.det_bareiss(rows) == det_gauss(rows)
 
 
 def test_det_empty_matrix_is_one():
-    assert intlinalg.det_bareiss([]) == 1
+    assert oracle.det_bareiss([]) == 1
 
 
 def test_leading_principal_minors():
     m = [[-2, -1, 0], [-1, -2, -1], [0, -1, -2]]
-    assert intlinalg.leading_principal_minors(m) == [-2, 3, -4]
+    assert oracle.leading_principal_minors(m) == [-2, 3, -4]
+    assert intlinalg.gauss_jordan(m).minors == [-2, 3, -4]
 
 
 def test_leading_minors_match_per_minor_definition(rng):
@@ -77,7 +84,7 @@ def test_leading_minors_match_per_minor_definition(rng):
             rows[k - 1][k - 1] = c * c * rows[0][0]
         want = [det_gauss([row[:k] for row in rows[:k]]) for k in range(1, n + 1)]
         singular_seen += 0 in want[:-1]
-        assert intlinalg.leading_principal_minors(rows) == want, rows
+        assert oracle.leading_principal_minors(rows) == want, rows
     assert singular_seen >= 20
 
 
@@ -85,8 +92,8 @@ def test_leading_minors_match_per_minor_definition(rng):
 @settings(max_examples=80, deadline=None)
 def test_adjugate_identity(rows):
     n = len(rows)
-    det = intlinalg.det_bareiss(rows)
-    adj = intlinalg.adjugate(rows)
+    det = oracle.det_bareiss(rows)
+    adj = oracle.adjugate(rows)
     for i in range(n):
         for j in range(n):
             entry = sum(rows[i][k] * adj[k][j] for k in range(n))
@@ -95,17 +102,17 @@ def test_adjugate_identity(rows):
 
 def test_solve_exact():
     m = [[-2, -1], [-1, -3]]
-    x = intlinalg.solve_exact(m, [1, 0])
+    x = oracle.solve_exact(m, [1, 0])
     assert [sum(Fraction(m[i][j]) * x[j] for j in range(2)) for i in range(2)] == [1, 0]
 
 
 def test_psd_classify_cases():
-    assert intlinalg.psd_classify([[2, 0], [0, 3]]) == intlinalg.POSITIVE_DEFINITE
-    assert intlinalg.psd_classify([[1, 1], [1, 1]]) == intlinalg.POSITIVE_SEMIDEFINITE
-    assert intlinalg.psd_classify([[0, 1], [1, 0]]) == intlinalg.INDEFINITE
-    assert intlinalg.psd_classify([[1, 0], [0, -1]]) == intlinalg.INDEFINITE
-    assert intlinalg.psd_classify([[0, 0], [0, 0]]) == intlinalg.POSITIVE_SEMIDEFINITE
-    assert intlinalg.psd_classify([]) == intlinalg.POSITIVE_DEFINITE
+    assert oracle.psd_classify([[2, 0], [0, 3]]) == oracle.POSITIVE_DEFINITE
+    assert oracle.psd_classify([[1, 1], [1, 1]]) == oracle.POSITIVE_SEMIDEFINITE
+    assert oracle.psd_classify([[0, 1], [1, 0]]) == oracle.INDEFINITE
+    assert oracle.psd_classify([[1, 0], [0, -1]]) == oracle.INDEFINITE
+    assert oracle.psd_classify([[0, 0], [0, 0]]) == oracle.POSITIVE_SEMIDEFINITE
+    assert oracle.psd_classify([]) == oracle.POSITIVE_DEFINITE
 
 
 def _random_pd(rng, n):
@@ -121,7 +128,7 @@ def test_ldl_reconstructs(rng):
     for _ in range(30):
         n = rng.randint(1, 5)
         m = _random_pd(rng, n)
-        lower, diag = intlinalg.ldl_decompose(m)
+        lower, diag = oracle.ldl_decompose(m)
         for i in range(n):
             for j in range(n):
                 entry = sum(
@@ -132,7 +139,50 @@ def test_ldl_reconstructs(rng):
 
 def test_ldl_rejects_indefinite():
     with pytest.raises(ValueError):
-        intlinalg.ldl_decompose([[1, 0], [0, -1]])
+        oracle.ldl_decompose([[1, 0], [0, -1]])
+
+
+def test_gauss_jordan_matches_oracle_on_pd_matrices(rng):
+    """Leading minors, L, D, L^{-1} and adj(A) of one pass equal the dense
+    routines, entry for entry."""
+    for _ in range(400):
+        m = _random_pd(rng, rng.randint(1, 7))
+        elimination = intlinalg.gauss_jordan(m)
+        lower, diag = oracle.ldl_decompose(m)
+        assert elimination.minors == oracle.leading_principal_minors(m)
+        assert elimination.lower == lower
+        assert elimination.diag == diag
+        assert elimination.lower_inverse == oracle.invert_unit_lower(lower)
+        assert elimination.adjugate == oracle.adjugate(m)
+        assert intlinalg.adjugate(m) == elimination.adjugate
+
+
+def test_gauss_jordan_on_general_matrices(rng):
+    """Unsymmetric and indefinite matrices with nonzero leading minors get
+    the oracle's minors and adjugate; a vanishing leading minor raises."""
+    tried = 0
+    for _ in range(600):
+        n = rng.randint(1, 6)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        minors = oracle.leading_principal_minors(m)
+        if 0 in minors:
+            with pytest.raises(ValueError):
+                intlinalg.gauss_jordan(m)
+            continue
+        tried += 1
+        elimination = intlinalg.gauss_jordan(m)
+        assert elimination.minors == minors
+        assert elimination.adjugate == oracle.adjugate(m)
+    assert tried > 300
+    assert intlinalg.gauss_jordan([]) == ([], [], [], [], [])
+
+
+def test_positive_definite_callers_reject_other_matrices():
+    for m in ([[-2]], [[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[0, 1], [1, 0]], [[1, 1], [1, 1]]):
+        with pytest.raises(ValueError):
+            intlinalg.min_eigenvalue_lower_bound(m)
+        with pytest.raises(ValueError):
+            list(intlinalg.quadratic_sublevel_points(m, [0] * len(m), -1, 100))
 
 
 def test_min_eigenvalue_bound_is_a_lower_bound(rng):
@@ -146,6 +196,7 @@ def test_min_eigenvalue_bound_is_a_lower_bound(rng):
             q = sum(m[i][j] * x[i] * x[j] for i in range(n) for j in range(n))
             norm_sq = sum(v * v for v in x)
             assert q >= lam * norm_sq
+        assert lam == oracle.reference_min_eigenvalue_lower_bound(m)
 
 
 def test_rank_rational():

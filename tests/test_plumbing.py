@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import oracle_intlinalg as oracle
 from conftest import e8, elliptic_a, lens, random_forest, random_zero_bad_forest
 from plumblat import (
     Definiteness,
@@ -11,6 +12,9 @@ from plumblat import (
     bad_vertices,
     canonical_class,
     intersection_form,
+    intlinalg,
+    parse_sfs,
+    seifert_to_plumbing,
     semidefinite_classify,
     validate_forest,
 )
@@ -133,18 +137,58 @@ def test_determinant_invariant_under_reordering(rng):
 
 
 def test_minor_criterion_matches_psd_classification(rng):
-    from plumblat import intlinalg
-
     for _ in range(40):
         forest = random_forest(rng, lo=-4, require_negdef=False)
         form = intersection_form(forest)
-        negdef_by_minors = all(
-            (-1) ** (k + 1) * m > 0 for k, m in enumerate(form.leading_minors)
-        )
+        minors = [
+            det_gauss([row[:k] for row in form.matrix[:k]]) for k in range(1, len(form) + 1)
+        ]
+        negdef_by_minors = all((-1) ** (k + 1) * m > 0 for k, m in enumerate(minors))
         negated = [[-x for x in row] for row in form.matrix]
         assert negdef_by_minors == (
-            intlinalg.psd_classify(negated) == intlinalg.POSITIVE_DEFINITE
+            oracle.psd_classify(negated) == oracle.POSITIVE_DEFINITE
         )
+        assert negdef_by_minors == form.is_negative_definite
+
+
+def test_leaf_first_pass_matches_oracle(rng):
+    """Determinant and definiteness of the leaf-first pass equal the dense
+    certificate on seeded forests of both conventions.  Framings up to +2,
+    or in [-3, 0] on dense trees, make zero pivots at leaves and singular,
+    semidefinite and indefinite forms common."""
+    seen = {kind: 0 for kind in Definiteness}
+    singular = 0
+    for trial in range(800):
+        sign = (EdgeSign.MINUS_ONE, EdgeSign.PLUS_ONE)[trial % 2]
+        hi = (2, 0)[trial // 2 % 2]
+        forest = random_forest(
+            rng, max_vertices=9, lo=-4 + (hi == 0), hi=hi, edge_probability=0.85,
+            require_negdef=False, edge_sign=sign,
+        )
+        form = intersection_form(forest)
+        det, definiteness = oracle.reference_form_certificate(form.matrix)
+        assert (form.determinant, form.definiteness) == (det, definiteness), forest
+        seen[definiteness] += 1
+        singular += det == 0
+    assert min(seen.values()) >= 25 and singular >= 100, (seen, singular)
+
+
+def test_star_23_vertices_matches_oracle():
+    """The 23-vertex Seifert star -2; 2/1 3/1 21/20 in both conventions."""
+    star = seifert_to_plumbing(parse_sfs("-2; 2/1 3/1 21/20")).forest
+    for sign in EdgeSign:
+        form = intersection_form(star.with_edge_sign(sign))
+        assert len(form) == 23
+        assert (form.determinant, form.definiteness) == oracle.reference_form_certificate(
+            form.matrix
+        ) == (-27, Definiteness.NEGATIVE_DEFINITE)
+        negated = [[-x for x in row] for row in form.matrix]
+        elimination = intlinalg.gauss_jordan(negated)
+        lower, diag = oracle.ldl_decompose(negated)
+        assert elimination.minors == oracle.leading_principal_minors(negated)
+        assert (elimination.lower, elimination.diag) == (lower, diag)
+        assert elimination.lower_inverse == oracle.invert_unit_lower(lower)
+        assert intlinalg.adjugate(form.matrix) == oracle.adjugate(form.matrix)
 
 
 def test_bad_vertices():

@@ -14,9 +14,11 @@ from plumblat import (
     compute_homology,
     cont_frac_expand,
     intersection_form,
+    is_rational,
     parse_sfs,
     seifert_to_plumbing,
 )
+from plumblat.charlattice import OrbitIndexer
 from plumblat.errors import (
     InvalidFraction,
     NotNegativeDefiniteEitherOrientation,
@@ -146,3 +148,22 @@ def test_star_has_at_most_one_bad_vertex(rng):
         assert len(bad) <= 1
         if bad:
             assert bad == ["c"]
+
+
+@pytest.mark.parametrize("p", [41, 61])
+def test_long_star_adjugate_determinant_and_rationality(p):
+    """-2; 2/1 3/1 p/(p-1) has p + 2 vertices: the orbit indexer's adjugate
+    satisfies A adj(A) = det(A) I, |det| is the Seifert |H1|, and the
+    rationality enumeration runs to its verdict."""
+    conversion = seifert_to_plumbing(parse_sfs(f"-2; 2/1 3/1 {p}/{p - 1}"))
+    form = intersection_form(conversion.forest)
+    n = len(form)
+    assert n == p + 2
+    adj = OrbitIndexer(form).adjugate
+    for i in range(n):
+        row = form.matrix[i]
+        for j in range(n):
+            entry = sum(row[k] * adj[k][j] for k in range(n))
+            assert entry == (form.determinant if i == j else 0)
+    assert abs(form.determinant) == conversion.h1_order == p + 6
+    assert is_rational(conversion.forest).rational
