@@ -17,8 +17,10 @@ box into orbits, updating keys digit by digit.
 
 The weight function w(x) = -((x, x) + <k0, x>)/2, taken in the +1 edge
 convention, turns lattice points into the filtration that drives the graded
-cross-check engine; its local minima correspond exactly to box vectors of the
-orbit of k0.
+cross-check engine.  Expanding (x + s e_v)^2 with k = k0 + 2x* gives the step
+w(x + s e_v) - w(x) = -(s k_v + m_v)/2, s = +-1, so the local minima are the
+box vectors of the orbit of k0 (every step is >= 0 iff |k_v| <= -m_v), tying
+only along face directions s k_v = -m_v.
 """
 
 from __future__ import annotations

@@ -96,6 +96,8 @@ def parse_json_plumbing(text: str) -> PlumbingForest:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DslSyntaxError(exc.lineno, f"bad JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # over-long integers, deep nesting
+        raise DslSyntaxError(1, f"bad JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DslSyntaxError(1, "JSON plumbing must be an object")
     try:
@@ -112,7 +114,7 @@ def parse_json_plumbing(text: str) -> PlumbingForest:
         if not (isinstance(a, str) and isinstance(b, str)):
             raise DslSyntaxError(1, f"edge {json.dumps([a, b])} must name vertex ids")
     name = doc.get("convention", "minus_one")
-    if name not in _CONVENTIONS:
+    if not isinstance(name, str) or name not in _CONVENTIONS:
         raise DslSyntaxError(1, f"unknown convention {name!r}")
     return validate_forest(vertices, edges, _CONVENTIONS[name])
 

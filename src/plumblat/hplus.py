@@ -16,8 +16,11 @@ weight-n local minima founds a new component unless some member has a
 strictly lighter neighbor, or a same-weight neighbor that is not itself a
 local minimum (such a neighbor has a lighter neighbor of its own, linking
 the plateau to the previous level either way).  The local minima are exactly
-the orbit's box vectors under x <-> k0 + 2x*, hence finite and enumerated up
-front; scanning their unit neighborhoods settles every birth.
+the orbit's box vectors under x <-> k = k0 + 2x*, hence finite and
+enumerated up front.  Expanding the square with k_v = k0_v + 2(x, e_v) gives
+the step identity w(x + s e_v) - w(x) = -(s k_v + m_v)/2, s = +-1: on a box
+vector it is >= 0 and zero exactly on the face s k_v = -m_v, so births scan
+only face directions, at most one per vertex.
 
 Component counts for ranks do need sublevel sets, and come from a certified
 breadth-first flood out of the local minima (every component of S_n contains
@@ -32,8 +35,9 @@ nothing).  Two facts keep the sweep short and certify the stopping level:
   plateau -- being birthless -- links to strictly lighter points and hence,
   inductively, to the connected core.
 
-An exact ellipsoid bound derived from the rational LDL eigenvalue bound
-checks every flooded point, and a point cap guards runtime.
+Floods weigh neighbors by the same identity, from one k per point.  An exact
+ellipsoid bound derived from the rational LDL eigenvalue bound checks every
+flooded point, and a point cap guards runtime.
 
 Every entry point reads its orbits from one :class:`_GradedOrbitTable` per
 forest, which converts the forest and scans the box once.
@@ -121,7 +125,6 @@ class _OrbitGrading:
     def __init__(self, plus: PlumbingForest, form: IntersectionForm, k0: CharVector):
         self.form = form
         self.k0 = k0
-        self.n = len(plus)
         self._framings = plus.framings
         self._edges = plus.edges
         self._k0e = k0.evals
@@ -129,22 +132,44 @@ class _OrbitGrading:
         self.minima: dict[Point, int] = {}
 
     def weight(self, x: Point) -> int:
-        framings = self._framings
-        k0e = self._k0e
-        s = 0
-        for i in range(self.n):
-            xi = x[i]
-            s += xi * (framings[i] * xi + k0e[i])
-        for a, b in self._edges:
-            s += 2 * x[a] * x[b]
+        s = sum(xi * (m * xi + e) for xi, m, e in zip(x, self._framings, self._k0e))
+        s += 2 * sum(x[a] * x[b] for a, b in self._edges)
         if s % 2:
             raise ParityViolation("orbit representative is not characteristic")
         return -s // 2
 
-    def neighbors(self, x: Point):
-        for i in range(self.n):
-            for step in (1, -1):
-                yield x[:i] + (x[i] + step,) + x[i + 1 :]
+    def plateaus(self) -> dict[int, list[Point]]:
+        """The local minima grouped by weight."""
+        out: dict[int, list[Point]] = {}
+        for x, w in self.minima.items():
+            out.setdefault(w, []).append(x)
+        return out
+
+    def char(self, x: Point) -> list[int]:
+        """The evaluations of k = k0 + 2x*, in O(n + E)."""
+        k = [e + 2 * m * xi for e, m, xi in zip(self._k0e, self._framings, x)]
+        for a, b in self._edges:
+            k[a] += 2 * x[b]
+            k[b] += 2 * x[a]
+        return k
+
+    def steps(self, x: Point, w: int):
+        """The 2n unit neighbors of x (weight w) weighed by the step identity."""
+        k = self.char(x)
+        for v, m in enumerate(self._framings):
+            head, xv, tail = x[:v], x[v], x[v + 1 :]
+            yield head + (xv + 1,) + tail, w - (k[v] + m) // 2
+            yield head + (xv - 1,) + tail, w + (k[v] - m) // 2
+
+    def faces(self, x: Point):
+        """The neighbors of a local minimum x that tie its weight: x + s e_v
+        with s k_v = -m_v; every other neighbor is strictly heavier."""
+        k = self.char(x)
+        for v, m in enumerate(self._framings):
+            if k[v] == -m:
+                yield x[:v] + (x[v] + 1,) + x[v + 1 :]
+            elif k[v] == m:
+                yield x[:v] + (x[v] - 1,) + x[v + 1 :]
 
 
 class _GradedOrbitTable:
@@ -176,10 +201,29 @@ class _GradedOrbitTable:
         )
 
     def plus_grading(self, k0: CharVector) -> _OrbitGrading:
-        """The orbit of ``k0``, a vector in the +1 convention."""
+        """The orbit of ``k0``, a vector in the +1 convention.
+
+        Walks the orbit's sorted box indices keeping num = adj(A)(k - k0): a
+        digit d_v moving changes k_v by t and adds t adj(A)[v] (adj(A) is
+        symmetric), and the minimum is x = num / (2 det), checked exact."""
         grading = _OrbitGrading(self.plus, self.form, k0)
+        adj, box, denom = self.indexer.adjugate, self.box, 2 * self.indexer.determinant
+        shift = [m - e for m, e in zip(box.framings, k0.evals)]  # k - k0 at index 0
+        num = [sum(a * d for a, d in zip(row, shift)) for row in adj]
+        prev = 0
         for i in self.orbits.get(self.indexer.key(k0), ()):
-            x = self.indexer.lattice_coordinates(self.box.evals(i), k0.evals).coords
+            for v in reversed(range(len(num))):
+                hi, lo = i // box.strides[v], prev // box.strides[v]
+                if hi == lo:
+                    break
+                t = 2 * (hi % box.radices[v] - lo % box.radices[v])
+                if t:
+                    num = [a + t * c for a, c in zip(num, adj[v])]
+            prev = i
+            qr = [divmod(a, denom) for a in num]
+            if any(r for _, r in qr):
+                raise InternalInvariantViolation("a box vector left its orbit")
+            x = tuple(q for q, _ in qr)
             grading.minima[x] = grading.weight(x)
         if not grading.minima:
             raise InternalInvariantViolation("an orbit lost all its box vectors")
@@ -211,35 +255,21 @@ class _GradedOrbitTable:
 
 def _birth_counts(grading: _OrbitGrading) -> dict[int, int]:
     """Births per level from the local-minima plateaus alone."""
-    minima = grading.minima
-    by_weight: dict[int, list[Point]] = {}
-    for x, w in minima.items():
-        by_weight.setdefault(w, []).append(x)
     births: dict[int, int] = {}
-    for level, plateau in sorted(by_weight.items()):
+    for level, plateau in sorted(grading.plateaus().items()):
         index = {p: i for i, p in enumerate(plateau)}
         sets = UnionFind(len(plateau))
-        linked_below = [False] * len(plateau)
+        drained = set()
         for i, p in enumerate(plateau):
-            for q in grading.neighbors(p):
+            for q in grading.faces(p):
                 j = index.get(q)
-                if j is not None:
+                if j is None:
+                    # a tied non-minimum has a lighter neighbor: drains down
+                    drained.add(i)
+                else:
                     sets.union(i, j)
-                    continue
-                wq = minima.get(q)
-                if wq is None:
-                    wq = grading.weight(q)
-                if wq <= level:
-                    # lighter neighbor, or a same-weight neighbor that is not
-                    # a local minimum: either way the plateau drains downward
-                    linked_below[i] = True
-        newborn = {}
-        for i in range(len(plateau)):
-            root = sets.find(i)
-            newborn.setdefault(root, True)
-            if linked_below[i]:
-                newborn[root] = False
-        count = sum(1 for alive in newborn.values() if alive)
+        roots = {sets.find(i) for i in range(len(plateau))}
+        count = len(roots - {sets.find(i) for i in drained})
         if count:
             births[level] = count
     return births
@@ -253,43 +283,34 @@ def _sweep_levels(
 ) -> tuple[list[HPlusLevel], int]:
     """Exact per-level component counts by certified flood, with births
     re-derived independently and compared against the plateau counts."""
-    form = grading.form
-    k0 = grading.k0
-    minima_by_weight: dict[int, list[Point]] = {}
-    for x, w in grading.minima.items():
-        minima_by_weight.setdefault(w, []).append(x)
-    n_min = min(minima_by_weight)
+    minima_by_weight = grading.plateaus()
     last_birth = max(births)
 
     points: dict[Point, int] = {}
     sets = UnionFind()
     birth_level: list[int] = []  # per root: the least level of its component
     frontier: dict[Point, int] = {}
-    touched = 0
 
     comp_count = 0
     levels: list[HPlusLevel] = []
     stabilized_at: int | None = None
     remaining_extra = extra_levels
-    level = n_min
+    level = min(minima_by_weight)
     while True:
-        radius_sq = weight_radius_sq_bound(form, k0, level)
-        queue: deque[Point] = deque(minima_by_weight.pop(level, ()))
-        ready = [pt for pt, w in frontier.items() if w <= level]
-        for pt in ready:
-            del frontier[pt]
-            queue.append(pt)
+        radius_sq = weight_radius_sq_bound(grading.form, grading.k0, level)
+        queue = deque((x, level) for x in minima_by_weight.pop(level, ()))
+        for pt in [pt for pt, w in frontier.items() if w <= level]:
+            queue.append((pt, frontier.pop(pt)))
         added: list[int] = []
         while queue:
-            pt = queue.popleft()
+            pt, w = queue.popleft()
             if pt in points:
                 continue
             if sum(c * c for c in pt) > radius_sq:
                 raise InternalInvariantViolation(
                     "a sublevel point escaped the certified ellipsoid bound"
                 )
-            touched += 1
-            if touched > point_cap:
+            if len(points) >= point_cap:
                 raise EnumerationBudgetExceeded(
                     f"sublevel sweep exceeded {point_cap} points"
                 )
@@ -298,7 +319,7 @@ def _sweep_levels(
             birth_level.append(level)
             comp_count += 1
             added.append(node)
-            for q in grading.neighbors(pt):
+            for q, wq in grading.steps(pt, w):
                 other = points.get(q)
                 if other is not None:
                     gone = sets.union(node, other)
@@ -307,9 +328,8 @@ def _sweep_levels(
                         root = sets.find(gone)
                         birth_level[root] = min(birth_level[root], birth_level[gone])
                 elif q not in frontier:
-                    wq = grading.weight(q)
                     if wq <= level:
-                        queue.append(q)
+                        queue.append((q, wq))
                     else:
                         frontier[q] = wq
         swept_births = len(
@@ -374,14 +394,14 @@ def sublevel_complex(
     radius_sq = weight_radius_sq_bound(grading.form, grading.k0, level)
     points: dict[Point, int] = {}
     sets = UnionFind()
-    queue = deque(x for x, w in grading.minima.items() if w <= level)
-    for pt in queue:
+    queue = deque((x, w) for x, w in grading.minima.items() if w <= level)
+    for pt, _ in queue:
         if sum(c * c for c in pt) > radius_sq:
             raise InternalInvariantViolation(
                 "a sublevel point escaped the certified ellipsoid bound"
             )
     while queue:
-        pt = queue.popleft()
+        pt, w = queue.popleft()
         if pt in points:
             continue
         if len(points) >= point_cap:
@@ -390,12 +410,12 @@ def sublevel_complex(
             )
         node = sets.add()
         points[pt] = node
-        for q in grading.neighbors(pt):
+        for q, wq in grading.steps(pt, w):
             other = points.get(q)
             if other is not None:
                 sets.union(other, node)
-            elif grading.weight(q) <= level:
-                queue.append(q)
+            elif wq <= level:
+                queue.append((q, wq))
     groups: dict[int, list[Point]] = {}
     for pt, node in points.items():
         groups.setdefault(sets.find(node), []).append(pt)

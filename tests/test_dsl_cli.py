@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, random_forest
 from plumblat import EdgeSign, parse_dsl, parse_plumbing, serialize_dsl
@@ -176,6 +180,69 @@ def test_cli_rejects_non_utf8_file(capsys, tmp_path):
     assert code == 2
     assert captured.out == ""
     assert captured.err == "plumblat: error: line 2: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"vertices": [], "convention": []}',
+        '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}",
+        '{"vertices": [{"id": "a", "framing": -' + "9" * 5000 + "}]}",
+    ],
+    ids=["unhashable-convention", "deep-nesting", "long-integer"],
+)
+def test_cli_rejects_json_it_cannot_read(capsys, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("plumblat: error: line 1: ")
+
+
+_JSON_KEYS = st.sampled_from(["vertices", "edges", "convention", "id", "framing"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_JSON_KEYS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+_JSON_PLUMBING = st.fixed_dictionaries(
+    {"vertices": st.lists(st.fixed_dictionaries({"id": _JSON, "framing": _JSON}), max_size=3)
+     | _JSON},
+    optional={"edges": st.lists(st.lists(_JSON, max_size=3), max_size=3) | _JSON,
+              "convention": st.sampled_from(["minus_one", "plus_one"]) | _JSON},
+)
+_DSL_TOKENS = st.sampled_from(
+    ["vertex", "edge", "convention", "minus_one", "plus_one", "a", "b", "c",
+     "-1", "-2", "-3", "-7", "0", "1", "#", "\n", "\n", "\t", "\x00", "{"]
+)
+PLUMBING_FILES = {
+    "bytes": st.binary(max_size=300),
+    "text": st.text(max_size=200).map(str.encode),
+    "dsl-tokens": st.lists(_DSL_TOKENS, max_size=40).map(lambda ws: " ".join(ws).encode()),
+    "json": (_JSON_PLUMBING | _JSON).map(lambda doc: json.dumps(doc).encode()),
+}
+
+
+@pytest.mark.parametrize("family", sorted(PLUMBING_FILES))
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    command=st.sampled_from(["info", "homology", "hplus", "classify"]),
+)
+def test_cli_fuzz_plumbing_files(tmp_path_factory, family, data, command):
+    """Any bytes as a plumbing file end in exit code 0-3, never a traceback."""
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{family}.plumb"
+    path.write_bytes(data.draw(PLUMBING_FILES[family], label="file"))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            [command, str(path), "--box-cap", "2000", "--point-cap", "2000", "--nmax", "3"]
+        )
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
 
 
 def test_cli_internal_violation_maps_to_4(capsys, monkeypatch):

@@ -2,12 +2,20 @@
 
 from __future__ import annotations
 
+import random
 import sys
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from conftest import FIXTURES, e8, elliptic_a, lens, random_forest
+from conftest import FIXTURES, e8, elliptic_a, elliptic_b, lens, random_forest
+from oracle_hplus import (
+    reference_birth_counts,
+    reference_grading,
+    reference_hplus,
+    unit_neighbors,
+)
 from plumblat import (
     CharVector,
     EdgeSign,
@@ -15,14 +23,18 @@ from plumblat import (
     compute_homology,
     compute_hplus,
     hplus,
+    intersection_form,
+    intlinalg,
     ker_u_cross_check,
     rational_via_hplus,
+    sublevel_complex,
     validate_forest,
 )
 from plumblat.charlattice import weight_radius_sq_bound
 from plumblat.cli import main
 from plumblat.errors import EnumerationBudgetExceeded
 from plumblat.hplus import _birth_counts, _GradedOrbitTable
+from plumblat.moves import convert_convention
 
 
 def test_single_vertex_orbit_of_zero():
@@ -128,7 +140,7 @@ def _brute_levels(forest, rep, up_to):
             return a
 
         for x in pts:
-            for q in grading.neighbors(x):
+            for q in unit_neighbors(x):
                 j = index.get(q)
                 if j is not None:
                     parent[find(index[x])] = find(j)
@@ -251,3 +263,109 @@ def test_sublevel_complex_snapshot():
     first = graded.levels[0]
     snapshot = sublevel_complex(elliptic_a(), orbit, first.level)
     assert snapshot.rank == first.rank
+
+
+def _chain_m1():
+    framings = (-1, -4, -2, -2, -2, -2, -3)
+    return validate_forest(
+        [(f"v{i}", m) for i, m in enumerate(framings)],
+        [(f"v{i}", f"v{i + 1}") for i in range(len(framings) - 1)],
+    )
+
+
+def _differential_cases():
+    """Seeded random forests in both conventions, many with -1 framings
+    (a -1 vertex lies on a box face in every box vector), and the fixtures."""
+    rng = random.Random(0x5EED)
+    cases = [validate_forest([("a", -1), ("b", -1), ("c", -1)])]
+    for i in range(200):
+        sign = EdgeSign.PLUS_ONE if i % 2 else EdgeSign.MINUS_ONE
+        lo = -3 if i % 4 < 2 else -4
+        cases.append(random_forest(rng, max_vertices=5, lo=lo, edge_sign=sign))
+    cases += [e8(), elliptic_a(), elliptic_b(), _chain_m1()]
+    return cases
+
+
+def test_graded_engine_matches_all_neighbour_oracle():
+    """Minima, births per level and full level tables agree with the
+    per-vector, all-neighbour reference engine."""
+    cases = _differential_cases()
+    assert sum(1 for f in cases if -1 in f.framings) >= 50
+    assert {f.edge_sign for f in cases} == set(EdgeSign)
+    for forest in cases:
+        table = _GradedOrbitTable(forest, 10**8)
+        for oh in compute_homology(forest).per_orbit:
+            rep = oh.orbit.representative
+            grading = table.grading(rep)
+            reference = reference_grading(table, rep)
+            assert list(grading.minima.items()) == list(reference.minima.items())
+            assert _birth_counts(grading) == reference_birth_counts(reference)
+            # a small point cap stops a flood with wrong weights early
+            assert table.hplus(oh.orbit, 10**5, 1) == reference_hplus(
+                table, oh.orbit, 10**5, 1
+            )
+
+
+def test_sublevel_complex_ranks_match_level_tables():
+    """The one-level flood agrees with every level of the sweep's table."""
+    for forest in (elliptic_a(), elliptic_b(), _chain_m1()):
+        table = _GradedOrbitTable(forest, 10**8)
+        for oh in compute_homology(forest).per_orbit:
+            for lvl in reference_hplus(table, oh.orbit, 10**7, 1).levels:
+                snapshot = sublevel_complex(forest, oh.orbit, lvl.level)
+                assert snapshot.rank == lvl.rank
+
+
+def _orbit_signature(forest):
+    """The multiset of per-orbit (ker_u_rank, stabilized_at, levels).
+
+    Weights are taken relative to the orbit representative k0, which the
+    vertex order and the convention pick; moving k0 to k0 + 2y* within its
+    orbit shifts every weight by (k0'^2 - k0^2)/8 with k^2 = k A^-1 k, so
+    levels are compared after subtracting k0^2/8.
+    """
+    form = intersection_form(forest)
+    adj = intlinalg.adjugate(form.matrix) if len(form) else []
+    table = _GradedOrbitTable(forest, 10**8)
+    out = []
+    for oh in compute_homology(forest).per_orbit:
+        k0 = oh.orbit.representative.evals
+        square = Fraction(
+            sum(a * k0[i] * k0[j] for i, row in enumerate(adj) for j, a in enumerate(row)),
+            form.determinant,
+        )
+        shift = square / 8
+        graded = table.hplus(oh.orbit, 10**7, 0)
+        levels = tuple((l.level - shift, l.rank, l.births) for l in graded.levels)
+        out.append((graded.ker_u_rank, graded.stabilized_at - shift, levels))
+    return sorted(out)
+
+
+def _relabelled(forest, rng):
+    """The same forest with vertices permuted, renamed, and edges shuffled."""
+    order = list(range(len(forest)))
+    rng.shuffle(order)
+    name = {old: f"w{new}" for new, old in enumerate(order)}
+    vertices = [(name[old], forest.framings[old]) for old in order]
+    edges = [
+        (name[b], name[a]) if rng.random() < 0.5 else (name[a], name[b])
+        for a, b in forest.edges
+    ]
+    rng.shuffle(edges)
+    return validate_forest(vertices, edges, forest.edge_sign)
+
+
+def test_hplus_invariant_under_relabelling_and_convention_flip():
+    rng = random.Random(0xF11D)
+    cases = [elliptic_a(), elliptic_b()]
+    for i in range(40):
+        sign = EdgeSign.PLUS_ONE if i % 2 else EdgeSign.MINUS_ONE
+        cases.append(random_forest(rng, max_vertices=5, lo=-4, edge_sign=sign))
+    for forest in cases:
+        signature = _orbit_signature(forest)
+        relabelled = _relabelled(forest, rng)
+        assert relabelled.ids != forest.ids
+        assert _orbit_signature(relabelled) == signature
+        flipped = convert_convention(forest).forest
+        assert flipped.edge_sign is not forest.edge_sign
+        assert _orbit_signature(flipped) == signature
