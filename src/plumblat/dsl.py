@@ -17,6 +17,7 @@ character.
 from __future__ import annotations
 
 import json
+import re
 
 from .errors import (
     CycleDetected,
@@ -32,6 +33,22 @@ _CONVENTIONS = {
     "minus_one": EdgeSign.MINUS_ONE,
     "plus_one": EdgeSign.PLUS_ONE,
 }
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(token: str) -> int | None:
+    """The integer an ASCII token ``[+-]?[0-9]+`` spells, else None.
+
+    Stricter than ``int``, which also reads digit separators ("-2_0") and
+    non-ASCII digits.  A token too long for ``int`` to convert is None too.
+    """
+    if not _INTEGER.fullmatch(token):
+        return None
+    try:
+        return int(token)
+    except ValueError:  # past the interpreter's limit on digits
+        return None
 
 
 def parse_dsl(text: str) -> PlumbingForest:
@@ -53,9 +70,8 @@ def parse_dsl(text: str) -> PlumbingForest:
             if len(tokens) != 3:
                 raise DslSyntaxError(lineno, "expected: vertex <id> <framing>")
             vid = tokens[1]
-            try:
-                framing = int(tokens[2])
-            except ValueError:
+            framing = parse_int(tokens[2])
+            if framing is None:
                 raise DslSyntaxError(lineno, f"framing {tokens[2]!r} is not an integer")
             if vid in seen:
                 raise DuplicateVertexId(

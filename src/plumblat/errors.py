@@ -117,6 +117,11 @@ class EnumerationBudgetExceeded(BudgetExceeded):
     """A lattice-point sweep exceeded the configured point cap."""
 
 
+class TooManyVertices(BudgetExceeded):
+    """A forest, or the expansion of a Seifert leg, past the fixed vertex
+    limit :data:`plumblat.plumbing.MAX_VERTICES`."""
+
+
 # --- internal ------------------------------------------------------------
 
 class InternalInvariantViolation(PlumblatError):

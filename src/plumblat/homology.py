@@ -10,22 +10,30 @@ subject to two families of relations at each vertex v:
 
 Since every relation is monomial (k ~ +-k'), the quotient dimension over any
 field of characteristic != 2 is the number of sign-consistent classes not
-identified with zero.  The engine addresses the box by the mixed-radix
-indices of :class:`~plumblat.charlattice.BoxIndex`: a reflection at v moves
-an index by a fixed offset and changes only the digits of v and its
-neighbours, so whether it leaves the box is decided for whole runs of
-indices at once.  Escaping vectors are flagged in a byte array first; a pair
-with a flagged end passes the flag on, and every other pair is united, once,
-in a union-find whose parent pointers carry a sign parity and whose roots
-are class minima.  A sign conflict (k ~ -k) flags the class.  A class is
-zero iff some member is flagged, whatever the processing order, and only
-members of nonzero classes become :class:`CharVector` objects.
+identified with zero.  The engine holds sets of box vectors as Python-int
+bitsets, bit a standing for the mixed-radix index a of
+:class:`~plumblat.charlattice.BoxIndex`.  A reflection at v pairs each index
+a whose digit of v is 0, and whose neighbour digits stay in range after the
+move, with a + offset, for one fixed offset.  The set of these pair starts
+is a product of digit sets, and so is the set of vectors extremal at v, so
+both are built by shifts; an extremal vector that is neither end of a pair
+escapes the box and is flagged.  Flags then cross a whole reflection at
+once, as integer shifts by the offset: the flagged pairs are
+ends = (dead | dead shifted by -offset) & starts, and
+dead |= ends | ends shifted by +offset.  The sweeps over all reflections
+repeat until nothing moves.  After that every pair has both ends flagged or
+neither, so a class is zero iff all its members are flagged, and only the
+pairs with both ends alive -- a few percent of the box -- enter a union-find
+keyed by index, whose links carry a sign parity and whose roots are class
+minima.  A sign conflict (k ~ -k) kills its class.  Only members of nonzero
+classes become :class:`CharVector` objects.
 """
 
 from __future__ import annotations
 
-from array import array
+import re
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Sequence
 
 from .charlattice import (
@@ -35,6 +43,7 @@ from .charlattice import (
     OrbitIndexer,
     SpinCOrbit,
     box_orbits,
+    box_ranges,
     in_box,
     is_characteristic,
 )
@@ -101,6 +110,18 @@ class HomologyResult:
         return abs(self.form.determinant)
 
 
+def _shift(bits: int, offset: int) -> int:
+    """Move every bit a of the bitset to a + offset."""
+    return bits << offset if offset >= 0 else bits >> -offset
+
+
+def _set_bits(bits: int) -> list[int]:
+    """The members of a bitset, in increasing order."""
+    digits = bin(bits)
+    top = len(digits) - 1  # the last binary digit is bit 0
+    return [top - m.start() for m in re.finditer("1", digits)][::-1]
+
+
 def compute_homology(
     forest: PlumbingForest,
     *,
@@ -120,101 +141,97 @@ def compute_homology(
         )
     box = BoxIndex(form, box_cap)
     n = len(forest)
-    size = box.size
     radices, strides = box.radices, box.strides
-    parent = array("q", range(size))  # parent[a] <= a; roots are class minima
-    flip = bytearray(size)  # val(a) = (-1)^flip[a] val(parent[a])
-    dead = bytearray(size)  # a class is zero iff some member is flagged
 
-    def find(a: int) -> tuple[int, int]:
-        """Root of a and the parity s with val(a) = (-1)^s val(root)."""
-        p = parent[a]
-        if p == a:
-            return a, 0
-        if parent[p] == p:
-            return p, flip[a]
-        path = []
-        while parent[a] != a:
-            path.append(a)
-            a = parent[a]
-        s = 0
-        for node in reversed(path):
-            s ^= flip[node]
-            flip[node] = s
-            parent[node] = a
-        return a, s
-
-    reflections = []
+    pairs, dead = [], 0
     for i in range(n):
         # from <k, v_i> = m_i (digit i at 0) the reflection sets digit i to
         # its top and moves each neighbour digit j by -a_ij
         stays = [range(r) for r in radices]
-        stays[i] = (0,)
+        extremal = list(stays)
+        stays[i], extremal[i] = (0,), (0, radices[i] - 1)
         offset = (radices[i] - 1) * strides[i]
         for j in range(n):
             a_ij = form.matrix[i][j]
-            if j == i or not a_ij:
-                continue
-            lo, hi = max(0, a_ij), radices[j] + min(0, a_ij)
-            escapes = list(stays)  # disjoint: earlier neighbours stay in range
-            escapes[j] = [d for d in range(radices[j]) if not lo <= d < hi]
-            starts, length = box.runs(escapes)
-            ones = b"\x01" * length
-            for x in starts:
-                dead[x : x + length] = ones
-                # the mirror image escapes from <k, v_i> = -m_i
-                dead[size - x - length : size - x] = ones
-            stays[j] = range(lo, hi)
-            offset -= a_ij * strides[j]
+            if j != i and a_ij:
+                stays[j] = range(max(0, a_ij), radices[j] + min(0, a_ij))
+                offset -= a_ij * strides[j]
+        starts = box.bitset(stays)
+        # an extremal vector at v_i that is neither end of a pair escapes;
+        # the pair ends starts + offset are the mirror images of the starts
+        dead |= box.bitset(extremal) & ~(starts | _shift(starts, offset))
         rel = 1 if (signed and forest.framings[i] % 2) else 0
-        reflections.append((stays, offset, rel))
+        pairs.append((starts, offset, rel))
 
-    # with every escape flagged first, most pairs touch a zero class: flagging
-    # the partner instead of uniting leaves every nonzero class as it is
-    for stays, offset, rel in reflections:
-        starts, length = box.runs(stays)
-        for start in starts:
-            for a in range(start, start + length):
-                b = a + offset
-                if dead[a] or dead[b]:
-                    dead[a] = dead[b] = 1
-                    continue
-                ra, pa = find(a)
-                rb, pb = find(b)
-                if ra == rb:
-                    if pa ^ pb != rel:
-                        dead[ra] = 1  # k ~ -k: zero over a field of char != 2
-                    continue
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
-                flip[rb] = pa ^ pb ^ rel
+    # a pair with one flagged end flags the other; sweep every reflection at
+    # once until no flag moves, so each pair is flagged at both ends or neither
+    while True:
+        before = dead
+        for starts, offset, _ in pairs:
+            ends = (dead | _shift(dead, -offset)) & starts
+            dead |= ends | _shift(ends, offset)
+        if dead == before:
+            break
 
-    # parents precede children, so one pass in index order flattens every
-    # path and gathers each member's flag at its root, the lex-least member
-    for a in range(size):
-        root = parent[a]
-        if root != a:
-            top = parent[root]
-            if top != root:
-                parent[a] = top
-                flip[a] ^= flip[root]
-                root = top
-            if dead[a]:
-                dead[root] = 1
-    members_of: dict[int, list[int]] = {}
-    for a in [a for a, root in enumerate(parent) if not dead[root]]:
-        members_of.setdefault(parent[a], []).append(a)
+    # non-roots only: link = 2 * parent + s with val(a) = (-1)^s val(parent),
+    # and parent < a, so roots are class minima
+    links: dict[int, int] = {}
+
+    def find(a: int) -> tuple[int, int]:
+        """Root of a and the parity s with val(a) = (-1)^s val(root),
+        pointing each node on the way at its grandparent."""
+        s = 0
+        link = links.get(a)
+        while link is not None:
+            up = links.get(link >> 1)
+            if up is None:
+                return link >> 1, s ^ link & 1
+            link = links[a] = up ^ link & 1
+            s ^= link & 1
+            a = link >> 1
+            link = links.get(a)
+        return a, s
+
+    conflicts = []
+    for starts, offset, rel in pairs:
+        for a in _set_bits(starts & ~dead):
+            b = a + offset
+            ra, pa = find(a)
+            rb, pb = find(b)
+            if ra == rb:
+                if pa ^ pb != rel:
+                    conflicts.append(ra)  # k ~ -k: zero over a field of char != 2
+            elif ra < rb:
+                links[rb] = ra << 1 | pa ^ pb ^ rel
+            else:
+                links[ra] = rb << 1 | pa ^ pb ^ rel
+    killed = {find(a)[0] for a in conflicts}
+
+    members_of: dict[int, list[tuple[int, int]]] = {}
+    for a in _set_bits(dead ^ ((1 << box.size) - 1)):
+        root, s = find(a)
+        if root not in killed:
+            members_of.setdefault(root, []).append((a, s))
+
+    # an index splits as high * low + rest: evaluations come from two tables
+    # of about sqrt(size) prefixes and suffixes instead of n divisions
+    split, low = n, 1
+    while split and (low * radices[split - 1]) ** 2 <= box.size:
+        split -= 1
+        low *= radices[split]
+    ranges = box_ranges(form)
+    heads, tails = list(product(*ranges[:split])), list(product(*ranges[split:]))
 
     classes: list[SignedClass] = []
     lookup: dict[tuple[int, ...], ClassRef] = {}
     for cls_id, members in enumerate(members_of.values()):
+        refs = (ClassRef(index=cls_id, sign=1), ClassRef(index=cls_id, sign=-1))
         signed_members = []
-        for a in members:
-            evals = box.evals(a)
-            sign = -1 if flip[a] else 1
-            signed_members.append((CharVector(evals), sign))
-            lookup[evals] = ClassRef(index=cls_id, sign=sign)
+        for a, s in members:
+            high, rest = divmod(a, low)
+            evals = heads[high] + tails[rest]
+            signed_members.append((CharVector(evals), -1 if s else 1))
+            lookup[evals] = refs[s]
         classes.append(
             SignedClass(
                 representative=signed_members[0][0], members=tuple(signed_members)

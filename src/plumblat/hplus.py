@@ -395,15 +395,14 @@ def sublevel_complex(
     points: dict[Point, int] = {}
     sets = UnionFind()
     queue = deque((x, w) for x, w in grading.minima.items() if w <= level)
-    for pt, _ in queue:
-        if sum(c * c for c in pt) > radius_sq:
-            raise InternalInvariantViolation(
-                "a sublevel point escaped the certified ellipsoid bound"
-            )
     while queue:
         pt, w = queue.popleft()
         if pt in points:
             continue
+        if sum(c * c for c in pt) > radius_sq:
+            raise InternalInvariantViolation(
+                "a sublevel point escaped the certified ellipsoid bound"
+            )
         if len(points) >= point_cap:
             raise EnumerationBudgetExceeded(
                 f"sublevel enumeration exceeded {point_cap} points"

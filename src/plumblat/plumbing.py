@@ -34,8 +34,14 @@ from .errors import (
     MistypedForestData,
     NotApplicable,
     SelfLoop,
+    TooManyVertices,
     UnknownVertexId,
 )
+
+# Every forest holds at most this many vertices, so the dense n x n
+# intersection matrix stays small whatever the input; the Seifert stars
+# -2; 2/1 3/1 p/(p-1) fit up to p = 998.
+MAX_VERTICES = 1000
 
 
 class EdgeSign(Enum):
@@ -57,7 +63,8 @@ class UnionFind:
     """Disjoint sets over the indices 0, 1, ..., with path halving.
 
     Shared by forest components, cycle checks and the graded engine's
-    floods; the quotient engine keeps its signed union-find in arrays.
+    floods; the quotient engine keeps its signed union-find in a dict keyed
+    by box index.
     """
 
     def __init__(self, size: int = 0):
@@ -200,7 +207,8 @@ def validate_forest(
 
     Rejects ids and edge endpoints that are not strings, framings that are
     not ints (nothing is coerced: -2.7, True and "-3" are errors), duplicate
-    vertex ids, self-loops, dangling or duplicate edges and cycles.
+    vertex ids, self-loops, dangling or duplicate edges and cycles, and
+    raises :class:`TooManyVertices` past :data:`MAX_VERTICES` vertices.
     Duplicate edges are an error rather than being deduplicated: silently
     merging them would hide a likely mistake in the input.
     """
@@ -208,6 +216,8 @@ def validate_forest(
     framings: list[int] = []
     index: dict[str, int] = {}
     for vid, m in vertices:
+        if len(ids) == MAX_VERTICES:
+            raise TooManyVertices(f"a forest holds at most {MAX_VERTICES} vertices")
         if not isinstance(vid, str):
             raise MistypedForestData(f"vertex id {vid!r} is not a string")
         if type(m) is not int:  # bool is an int subclass, and not a framing

@@ -26,13 +26,21 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
+from .dsl import parse_int
 from .errors import (
     InternalInvariantViolation,
     InvalidFraction,
     NotNegativeDefiniteEitherOrientation,
     SeifertInputError,
+    TooManyVertices,
 )
-from .plumbing import EdgeSign, PlumbingForest, intersection_form, validate_forest
+from .plumbing import (
+    MAX_VERTICES,
+    EdgeSign,
+    PlumbingForest,
+    intersection_form,
+    validate_forest,
+)
 
 
 @dataclass(frozen=True)
@@ -51,19 +59,17 @@ class SeifertData:
 def parse_sfs(text: str) -> SeifertData:
     """Parse the CLI form ``"e0; a1/b1 a2/b2 ..."``."""
     head, _, tail = text.partition(";")
-    try:
-        e0 = int(head.strip())
-    except ValueError:
-        raise SeifertInputError(f"bad central framing {head.strip()!r}") from None
+    e0 = parse_int(head.strip())
+    if e0 is None:
+        raise SeifertInputError(f"bad central framing {head.strip()!r}")
     legs = []
     for token in tail.split():
         num, slash, den = token.partition("/")
         if not slash:
             raise SeifertInputError(f"leg {token!r} is not of the form a/b")
-        try:
-            alpha, beta = int(num), int(den)
-        except ValueError:
-            raise SeifertInputError(f"leg {token!r} is not a pair of integers") from None
+        alpha, beta = parse_int(num), parse_int(den)
+        if alpha is None or beta is None:
+            raise SeifertInputError(f"leg {token!r} is not a pair of integers")
         legs.append((alpha, beta))
     data = SeifertData(e0=e0, legs=tuple(legs))
     data.validate()
@@ -74,7 +80,9 @@ def cont_frac_expand(alpha: int, beta: int) -> list[int]:
     """Negative continued fraction of alpha/beta: all terms >= 2.
 
     Requires 0 < beta < alpha and coprimality; the expansion satisfies
-    alpha/beta = a_1 - 1/(a_2 - 1/(...)) and is unique.
+    alpha/beta = a_1 - 1/(a_2 - 1/(...)) and is unique.  Each term is a
+    vertex of the star, so more than MAX_VERTICES terms raise
+    TooManyVertices before the list grows past them.
     """
     if not (0 < beta < alpha):
         raise InvalidFraction(f"need 0 < beta < alpha, got {alpha}/{beta}")
@@ -83,6 +91,11 @@ def cont_frac_expand(alpha: int, beta: int) -> list[int]:
     terms = []
     num, den = alpha, beta
     while den:
+        if len(terms) == MAX_VERTICES:
+            raise TooManyVertices(
+                f"{alpha}/{beta} expands to more than {MAX_VERTICES} terms, "
+                f"and a forest holds at most {MAX_VERTICES} vertices"
+            )
         a = -(-num // den)  # ceiling
         terms.append(a)
         num, den = den, a * den - num
@@ -131,6 +144,8 @@ def _build_star(normalized: SeifertData, edge_sign: EdgeSign) -> PlumbingForest:
             vertices.append((vid, -a))
             edges.append((previous, vid))
             previous = vid
+        if len(vertices) > MAX_VERTICES:  # before the next leg adds more
+            raise TooManyVertices(f"a forest holds at most {MAX_VERTICES} vertices")
     return validate_forest(vertices, edges, edge_sign)
 
 

@@ -24,6 +24,7 @@ from plumblat.errors import (
     DuplicateVertexId,
     InternalInvariantViolation,
 )
+from plumblat.plumbing import MAX_VERTICES
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -199,6 +200,43 @@ def test_cli_rejects_json_it_cannot_read(capsys, tmp_path, text):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("plumblat: error: line 1: ")
+
+
+@pytest.mark.parametrize("framing", ["-2_0", "-\u0663", "\uff0d2", "-2.0", "--2", "2-"])
+def test_dsl_framings_are_ascii_integers(capsys, tmp_path, framing):
+    """int() would read -2_0 as -20 and an Arabic-Indic -3 as -3; the DSL
+    takes only [+-]?[0-9]+."""
+    with pytest.raises(DslSyntaxError) as err:
+        parse_dsl(f"vertex a -2\nvertex b {framing}\n")
+    assert err.value.line == 2
+    path = tmp_path / "bad.plumb"
+    path.write_text(f"vertex a {framing}\n", encoding="utf-8")
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"plumblat: error: line 1: framing {framing!r} is not an integer\n"
+    )
+
+
+def test_dsl_framings_keep_their_signs():
+    assert parse_dsl("vertex a +3\nvertex b -0\nvertex c -007\n").framings == (3, 0, -7)
+
+
+def test_forest_past_the_vertex_limit_is_a_budget_error(capsys, tmp_path):
+    chain = [f"vertex v{i} -2" for i in range(MAX_VERTICES + 1)]
+    path = tmp_path / "long.plumb"
+    path.write_text("\n".join(chain) + "\n")
+    code = main(["info", str(path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        f"plumblat: error: a forest holds at most {MAX_VERTICES} vertices\n"
+    )
+    path.write_text("\n".join(chain[:-1]) + "\n")
+    assert main(["info", str(path)]) == 0
 
 
 _JSON_KEYS = st.sampled_from(["vertices", "edges", "convention", "id", "framing"])

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import random
 import tracemalloc
+from itertools import product
+from math import prod
 
 import pytest
 
@@ -18,7 +21,7 @@ from plumblat import (
     intersection_form,
     validate_forest,
 )
-from plumblat.charlattice import DEFAULT_BOX_CAP, enumerate_box
+from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, box_ranges, enumerate_box
 from plumblat.errors import BoxTooLarge, NegativeOddDimension, NotNegativeDefinite
 from plumblat.hplus import ker_u_cross_check, rational_via_hplus
 
@@ -264,3 +267,80 @@ def test_engine_matches_reference_engine(rng, edge_sign, signed):
         if edge_sign is EdgeSign.PLUS_ONE:
             forest = convert_convention(forest).forest
         _assert_matches_reference(forest, signed)
+
+
+def _flag_sweeps(forest):
+    """Sweeps over the reflections, in vertex order, in which some escape
+    flag crosses a pair: the engine's fixpoint, replayed on tuples."""
+    form = intersection_form(forest)
+    n = len(forest)
+    box = set(product(*box_ranges(form)))
+    pairs, dead = [], set()
+    for i, m in enumerate(forest.framings):
+        row = form.matrix[i]
+        for k in box:
+            if abs(k[i]) != -m:
+                continue
+            step = -2 if k[i] == m else 2
+            target = tuple(k[j] + step * row[j] for j in range(n))
+            if target not in box:
+                dead.add(k)
+            elif step < 0:
+                pairs.append((k, target))
+    sweeps = 0
+    while True:
+        moved = [pair for pair in pairs if (pair[0] in dead) != (pair[1] in dead)]
+        if not moved:
+            return sweeps
+        for pair in pairs:  # one sweep, reflection after reflection
+            if pair[0] in dead or pair[1] in dead:
+                dead.update(pair)
+        sweeps += 1
+
+
+def _offsets(forest):
+    """Index offset of each reflection's pairs, as the engine lays them out."""
+    form = intersection_form(forest)
+    box = BoxIndex(form, DEFAULT_BOX_CAP)
+    return [
+        (box.radices[i] - 1) * box.strides[i]
+        - sum(a * box.strides[j] for j, a in enumerate(row) if j != i)
+        for i, row in enumerate(form.matrix)
+    ]
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_engine_matches_reference_where_flags_take_several_sweeps(edge_sign):
+    """Forests whose escape flags still move after the first sweep over the
+    reflections, in boxes of many machine words, with negative pair offsets
+    (a neighbour before the reflected vertex) in the +1 convention."""
+    rng = random.Random(0xF1A65)
+    forests = []
+    while len(forests) < 6:
+        forest = random_forest(rng, max_vertices=6, edge_sign=edge_sign)
+        if prod(1 - m for m in forest.framings) <= 3000 and _flag_sweeps(forest) >= 2:
+            forests.append(forest)
+    assert max(prod(1 - m for m in f.framings) for f in forests) > 640
+    negative = any(min(_offsets(f)) < 0 for f in forests)
+    assert negative == (edge_sign is EdgeSign.PLUS_ONE)
+    for forest in forests:
+        for signed in (True, False):
+            _assert_matches_reference(forest, signed)
+
+
+def test_engine_peak_memory_on_a_long_chain():
+    """The (-3, -2^10, -3) chain has 944,784 box vectors; the bitset engine
+    holds a few bits per vector, not an index array."""
+    framings = [-3] + [-2] * 10 + [-3]
+    chain = validate_forest(
+        [(f"v{i}", m) for i, m in enumerate(framings)],
+        [(f"v{i}", f"v{i + 1}") for i in range(len(framings) - 1)],
+    )
+    tracemalloc.start()
+    try:
+        result = compute_homology(chain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.total_dim == result.det_abs == 48
+    assert peak < 16 * 2**20

@@ -32,7 +32,7 @@ from plumblat import (
 )
 from plumblat.charlattice import weight_radius_sq_bound
 from plumblat.cli import main
-from plumblat.errors import EnumerationBudgetExceeded
+from plumblat.errors import EnumerationBudgetExceeded, InternalInvariantViolation
 from plumblat.hplus import _birth_counts, _GradedOrbitTable
 from plumblat.moves import convert_convention
 
@@ -263,6 +263,23 @@ def test_sublevel_complex_snapshot():
     first = graded.levels[0]
     snapshot = sublevel_complex(elliptic_a(), orbit, first.level)
     assert snapshot.rank == first.rank
+
+
+def test_sublevel_complex_checks_every_flooded_point(monkeypatch):
+    """A radius that admits the starting minima but not a point the flood
+    reaches later must trip the ellipsoid check."""
+    forest, rep, level = lens(2), CharVector((2,)), 2
+    grading = _GradedOrbitTable(forest, 10**8).grading(rep)
+    radius_sq = max(
+        sum(c * c for c in x) for x, w in grading.minima.items() if w <= level
+    )
+    flooded = sublevel_complex(forest, rep, level).points
+    assert max(sum(c * c for c in x) for x in flooded) > radius_sq
+    monkeypatch.setattr(
+        hplus, "weight_radius_sq_bound", lambda form, k0, lvl: Fraction(radius_sq)
+    )
+    with pytest.raises(InternalInvariantViolation, match="ellipsoid"):
+        sublevel_complex(forest, rep, level)
 
 
 def _chain_m1():

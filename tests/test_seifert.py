@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -19,11 +20,14 @@ from plumblat import (
     seifert_to_plumbing,
 )
 from plumblat.charlattice import OrbitIndexer
+from plumblat.cli import main
 from plumblat.errors import (
     InvalidFraction,
     NotNegativeDefiniteEitherOrientation,
     SeifertInputError,
+    TooManyVertices,
 )
+from plumblat.plumbing import MAX_VERTICES
 from plumblat.seifert import SeifertData, evaluate_cont_frac, normalize
 
 
@@ -72,6 +76,59 @@ def test_parse_sfs():
         parse_sfs("0; 21")
     with pytest.raises(SeifertInputError):
         parse_sfs("0; 4/2")
+
+
+@pytest.mark.parametrize(
+    "text",
+    [" -1_0; 2/1 3/1", "-\u0661; 2/1 3/1", "-1; 2/1 3/1_0", "-1; \u0662/1 3/1",
+     "-1; 2/1 3/+-1", "-1.0; 2/1"],
+)
+def test_parse_sfs_takes_ascii_integers_only(capsys, text):
+    """int() would read -1_0 as -10 and non-ASCII digits as digits."""
+    with pytest.raises(SeifertInputError):
+        parse_sfs(text)
+    code = main(["sfs", "--sfs", text, "info"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("plumblat: error: ")
+
+
+def test_parse_sfs_keeps_signed_integers():
+    data = parse_sfs(" -1 ; 2/+1 5/-4 ")
+    assert data.e0 == -1
+    assert data.legs == ((2, 1), (5, -4))
+
+
+@pytest.mark.parametrize("p", [100_000, 1_000_000_000])
+def test_long_leg_trips_the_vertex_limit_before_allocating(capsys, p):
+    """-2; 2/1 3/1 p/(p-1) needs p + 2 vertices: the expansion stops at the
+    vertex limit, before the term list or the dense matrix grow with p."""
+    tracemalloc.start()
+    try:
+        code = main(["sfs", "--sfs", f"-2; 2/1 3/1 {p}/{p - 1}", "info"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == (
+        f"plumblat: error: {p}/{p - 1} expands to more than {MAX_VERTICES} terms, "
+        f"and a forest holds at most {MAX_VERTICES} vertices\n"
+    )
+    assert peak < 2**20
+    with pytest.raises(TooManyVertices):
+        cont_frac_expand(p, p - 1)
+
+
+def test_vertex_limit_counts_every_leg():
+    legs = " ".join([f"{MAX_VERTICES // 2}/{MAX_VERTICES // 2 - 1}"] * 3)
+    with pytest.raises(TooManyVertices, match=f"at most {MAX_VERTICES} vertices"):
+        seifert_to_plumbing(parse_sfs(f"-2; {legs}"))
+    assert len(cont_frac_expand(MAX_VERTICES + 1, MAX_VERTICES)) == MAX_VERTICES
+    conversion = seifert_to_plumbing(parse_sfs("-2; 2/1 3/1 100/99"))
+    assert len(conversion.forest) == 102
 
 
 def test_normalization():
