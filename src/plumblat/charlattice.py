@@ -20,7 +20,12 @@ convention, turns lattice points into the filtration that drives the graded
 cross-check engine.  Expanding (x + s e_v)^2 with k = k0 + 2x* gives the step
 w(x + s e_v) - w(x) = -(s k_v + m_v)/2, s = +-1, so the local minima are the
 box vectors of the orbit of k0 (every step is >= 0 iff |k_v| <= -m_v), tying
-only along face directions s k_v = -m_v.
+only along face directions s k_v = -m_v.  In box digits (k_v = m_v + 2 d_v)
+the face condition reads: x + e_v ties iff d_v = -m_v, its top, and
+x - e_v ties iff d_v = 0.  The tied neighbour k + 2s A e_v moves d_v to the
+other end of its range and each neighbour digit by s (+1 convention), so it
+lies at index a + s up_v, up_v = m_v stride_v + sum_{u ~ v} stride_u, and is
+in the box iff no neighbour digit already sits at the end it moves past.
 """
 
 from __future__ import annotations
@@ -156,6 +161,21 @@ class BoxIndex:
             digit, index = divmod(index, stride)
             out.append(m + 2 * digit)
         return tuple(out)
+
+    def halves(self) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
+        """(low, heads, tails) with evals(a) == heads[a // low] + tails[a % low].
+
+        heads and tails are the evaluation tuples of a prefix and a suffix
+        of the vertices, split so that each table holds about sqrt(size)
+        entries: a whole box decodes from two small tables instead of n
+        divisions per index.
+        """
+        split, low = len(self.radices), 1
+        while split and (low * self.radices[split - 1]) ** 2 <= self.size:
+            split -= 1
+            low *= self.radices[split]
+        ranges = [range(m, -m + 1, 2) for m in self.framings]
+        return low, list(product(*ranges[:split])), list(product(*ranges[split:]))
 
     def bitset(self, digits: Sequence[Sequence[int]]) -> int:
         """The sub-box with d_v in digits[v], as an int with bit a set for

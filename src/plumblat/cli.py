@@ -22,7 +22,7 @@ from pathlib import Path
 from . import __version__
 from .charlattice import DEFAULT_BOX_CAP
 from .classify import DEFAULT_NMAX, full_report, is_rational
-from .dsl import parse_plumbing, serialize_dsl
+from .dsl import parse_int, parse_plumbing, serialize_dsl
 from .errors import EXIT_INVALID_INPUT, EXIT_USAGE, DslSyntaxError, PlumblatError
 from .homology import (
     DerivedDimensions,
@@ -420,19 +420,27 @@ def _cmd_sfs(args) -> int:
     return 0
 
 
+def _budget(token: str) -> int:
+    """A budget flag's value: an ASCII integer, as :func:`parse_int` reads it."""
+    value = parse_int(token)
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="plumblat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"plumblat {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")
     common.add_argument(
-        "--box-cap", type=int, default=DEFAULT_BOX_CAP, help="box size budget"
+        "--box-cap", type=_budget, default=DEFAULT_BOX_CAP, help="box size budget"
     )
     common.add_argument(
-        "--point-cap", type=int, default=DEFAULT_POINT_CAP, help="sweep point budget"
+        "--point-cap", type=_budget, default=DEFAULT_POINT_CAP, help="sweep point budget"
     )
     common.add_argument(
-        "--nmax", type=int, default=DEFAULT_NMAX, help="framing decrement cutoff"
+        "--nmax", type=_budget, default=DEFAULT_NMAX, help="framing decrement cutoff"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Sequence
 
 from .charlattice import (
@@ -43,7 +42,6 @@ from .charlattice import (
     OrbitIndexer,
     SpinCOrbit,
     box_orbits,
-    box_ranges,
     in_box,
     is_characteristic,
 )
@@ -213,15 +211,7 @@ def compute_homology(
         if root not in killed:
             members_of.setdefault(root, []).append((a, s))
 
-    # an index splits as high * low + rest: evaluations come from two tables
-    # of about sqrt(size) prefixes and suffixes instead of n divisions
-    split, low = n, 1
-    while split and (low * radices[split - 1]) ** 2 <= box.size:
-        split -= 1
-        low *= radices[split]
-    ranges = box_ranges(form)
-    heads, tails = list(product(*ranges[:split])), list(product(*ranges[split:]))
-
+    low, heads, tails = box.halves()
     classes: list[SignedClass] = []
     lookup: dict[tuple[int, ...], ClassRef] = {}
     for cls_id, members in enumerate(members_of.values()):

@@ -22,6 +22,14 @@ the step identity w(x + s e_v) - w(x) = -(s k_v + m_v)/2, s = +-1: on a box
 vector it is >= 0 and zero exactly on the face s k_v = -m_v, so births scan
 only face directions, at most one per vertex.
 
+Births are read off box digits, with no lattice coordinates: the face
+x + e_v is tied exactly when the digit d_v is at its top, and then sits a
+fixed index offset away, in the box iff no neighbour digit is at its top;
+x - e_v is tied exactly when d_v = 0, in the box iff no neighbour digit is
+0.  A plateau's weight is (k0^2 - k^2)/8 with k^2 = k A^{-1} k, taken once
+per undrained plateau.  Coordinates are solved only for orbits with more
+than one birth, to seed their flood.
+
 Component counts for ranks do need sublevel sets, and come from a certified
 breadth-first flood out of the local minima (every component of S_n contains
 a point of minimal weight, which is a local minimum, so the flood misses
@@ -161,24 +169,14 @@ class _OrbitGrading:
             yield head + (xv + 1,) + tail, w - (k[v] + m) // 2
             yield head + (xv - 1,) + tail, w + (k[v] - m) // 2
 
-    def faces(self, x: Point):
-        """The neighbors of a local minimum x that tie its weight: x + s e_v
-        with s k_v = -m_v; every other neighbor is strictly heavier."""
-        k = self.char(x)
-        for v, m in enumerate(self._framings):
-            if k[v] == -m:
-                yield x[:v] + (x[v] + 1,) + x[v + 1 :]
-            elif k[v] == m:
-                yield x[:v] + (x[v] - 1,) + x[v + 1 :]
-
 
 class _GradedOrbitTable:
     """The graded engine's per-forest setup, built once from (forest, box_cap).
 
     Holds the forest in the +1 convention with the bipartition that moves
-    representatives there, its intersection form, one orbit indexer and one
-    scan of the box into orbits.  Each orbit's local minima are read off that
-    scan on demand.
+    representatives there, its intersection form, one orbit indexer, one
+    scan of the box into orbits, and the prefix and suffix tables that
+    :meth:`births` reads box faces and orbit keys from.
     """
 
     def __init__(self, forest: PlumbingForest, box_cap: int):
@@ -194,14 +192,54 @@ class _GradedOrbitTable:
         self.box = BoxIndex(self.form, box_cap)
         self.orbits = box_orbits(self.indexer, self.box)
 
+        # the face x + e_v of a vector with d_v at its top sets d_v to 0 and
+        # raises each neighbour digit by one: index offset up_v
+        framings, strides = self.box.framings, self.box.strides
+        neighbours = [0] * len(framings)
+        up = [m * stride for m, stride in zip(framings, strides)]
+        for a, b in self.plus.edges:
+            neighbours[a] |= 1 << b
+            neighbours[b] |= 1 << a
+            up[a] += strides[b]
+            up[b] += strides[a]
+        low, heads, tails = self.box.halves()
+        adj, mod = self.indexer.adjugate, self.indexer.modulus
+        rows = range(len(adj))
+
+        def half(table, offset):
+            """Per half-vector: its part of the orbit key adj(A) k mod 2 det,
+            masks of its top and zero digits and of their neighbours, and
+            (neighbours, up_v) for each top digit v."""
+            cols = adj[offset : offset + len(table[0])]  # adj(A) is symmetric
+            out = []
+            for evals in table:
+                key = tuple(sum(c[r] * e for c, e in zip(cols, evals)) % mod for r in rows)
+                top = zero = top_reach = zero_reach = 0
+                ups = []
+                for v, e in enumerate(evals, offset):
+                    if e == -framings[v]:
+                        top |= 1 << v
+                        top_reach |= neighbours[v]
+                        ups.append((neighbours[v], up[v]))
+                    elif e == framings[v]:
+                        zero |= 1 << v
+                        zero_reach |= neighbours[v]
+                out.append((key, top, zero, top_reach, zero_reach, ups))
+            return out
+
+        self._low, self._heads = low, half(heads, 0)
+        self._tails = half(tails, len(heads[0]))
+
+    def to_plus(self, rep: CharVector) -> CharVector:
+        """A vector of the forest's own convention, moved to the +1 one."""
+        return CharVector(tuple(-e if neg else e for e, neg in zip(rep.evals, self.negated)))
+
     def grading(self, rep: CharVector) -> _OrbitGrading:
         """The orbit of ``rep``, a vector in the forest's own convention."""
-        return self.plus_grading(
-            CharVector(tuple(-e if neg else e for e, neg in zip(rep.evals, self.negated)))
-        )
+        return self.plus_grading(self.to_plus(rep))
 
     def plus_grading(self, k0: CharVector) -> _OrbitGrading:
-        """The orbit of ``k0``, a vector in the +1 convention.
+        """The orbit of ``k0``, a vector in the +1 convention, in coordinates.
 
         Walks the orbit's sorted box indices keeping num = adj(A)(k - k0): a
         digit d_v moving changes k_v by t and adds t adj(A)[v] (adj(A) is
@@ -229,21 +267,77 @@ class _GradedOrbitTable:
             raise InternalInvariantViolation("an orbit lost all its box vectors")
         return grading
 
+    def births(self, k0: CharVector) -> dict[int, int]:
+        """Births per level of the orbit of ``k0`` (+1 convention), in
+        increasing level order, read off the box digits of its members.
+
+        A member with d_v at its top ties its face x + e_v, which sits at
+        index a + up_v and is in the box iff no neighbour digit is at its
+        top; a member with d_v = 0 ties x - e_v, the same pair seen from its
+        other end, in the box iff no neighbour digit is 0.  In-box faces
+        unite plateaus; a member with an out-of-box face drains its plateau.
+        Each undrained plateau is a birth at its weight
+        w = (q(k0) - q(k)) / (8 det), q(k) = k^T adj(A) k.
+        """
+        key0, mod = self.indexer.key(k0), self.indexer.modulus
+        idxs = self.orbits.get(key0, ())
+        if not idxs:
+            raise InternalInvariantViolation("an orbit lost all its box vectors")
+        low, heads, tails = self._low, self._heads, self._tails
+        # orbit membership: the suffix key must complete the prefix key to key0
+        need = {
+            high: tuple([(a - b) % mod for a, b in zip(key0, heads[high][0])])
+            for high in {a // low for a in idxs}
+        }
+        position = {a: i for i, a in enumerate(idxs)}
+        sets = UnionFind(len(idxs))
+        drained = []
+        for i, a in enumerate(idxs):
+            high, rest = divmod(a, low)
+            _, htop, hzero, hreach, hzreach, hups = heads[high]
+            tkey, ttop, tzero, treach, tzreach, tups = tails[rest]
+            if tkey != need[high]:
+                raise InternalInvariantViolation("a box vector left its orbit")
+            top, zero = htop | ttop, hzero | tzero
+            if top & (hreach | treach) or zero & (hzreach | tzreach):
+                drained.append(i)  # a tie off the box is no minimum: it drains
+            for nbrs, up in hups + tups:
+                if not top & nbrs:
+                    j = position.get(a + up)
+                    if j is None:
+                        raise InternalInvariantViolation("a box face left its orbit")
+                    sets.union(i, j)
+        gone = {sets.find(i) for i in drained}
+        adj, denom = self.indexer.adjugate, 8 * self.indexer.determinant
+        q0 = _quadratic(adj, k0.evals)
+        births: dict[int, int] = {}
+        for root, parent in enumerate(sets.parent):
+            if parent == root and root not in gone:
+                k = self.box.evals(idxs[root])
+                level, rem = divmod(q0 - _quadratic(adj, k), denom)
+                if rem:
+                    raise InternalInvariantViolation("a plateau weight is not integral")
+                births[level] = births.get(level, 0) + 1
+        return dict(sorted(births.items()))
+
     def hplus(
         self, orbit: SpinCOrbit, point_cap: int, extra_levels: int
     ) -> GradedHPlus:
-        """Level table of one orbit, counting its births once."""
-        grading = self.grading(orbit.representative)
-        births = _birth_counts(grading)
+        """Level table of one orbit, counting its births once.
+
+        A single birth is the global minimum plateau and needs no
+        coordinates; more births seed a flood from the orbit's minima."""
+        k0 = self.to_plus(orbit.representative)
+        births = self.births(k0)
         ker_u_rank = sum(births.values())
         if ker_u_rank == 1:
-            stabilized_at = min(grading.minima.values())
+            (stabilized_at,) = births
             levels = [HPlusLevel(level=stabilized_at, rank=1, births=1)]
             for j in range(1, extra_levels + 1):
                 levels.append(HPlusLevel(level=stabilized_at + j, rank=1, births=0))
         else:
             levels, stabilized_at = _sweep_levels(
-                grading, births, point_cap, extra_levels
+                self.plus_grading(k0), births, point_cap, extra_levels
             )
         return GradedHPlus(
             orbit=orbit,
@@ -253,26 +347,9 @@ class _GradedOrbitTable:
         )
 
 
-def _birth_counts(grading: _OrbitGrading) -> dict[int, int]:
-    """Births per level from the local-minima plateaus alone."""
-    births: dict[int, int] = {}
-    for level, plateau in sorted(grading.plateaus().items()):
-        index = {p: i for i, p in enumerate(plateau)}
-        sets = UnionFind(len(plateau))
-        drained = set()
-        for i, p in enumerate(plateau):
-            for q in grading.faces(p):
-                j = index.get(q)
-                if j is None:
-                    # a tied non-minimum has a lighter neighbor: drains down
-                    drained.add(i)
-                else:
-                    sets.union(i, j)
-        roots = {sets.find(i) for i in range(len(plateau))}
-        count = len(roots - {sets.find(i) for i in drained})
-        if count:
-            births[level] = count
-    return births
+def _quadratic(adj: list[list[int]], k) -> int:
+    """k^T adj(A) k."""
+    return sum(e * sum(a * f for a, f in zip(row, k)) for e, row in zip(k, adj))
 
 
 def _sweep_levels(
@@ -462,7 +539,7 @@ def ker_u_cross_check(
         CrossCheckRow(
             orbit=oh.orbit,
             homology_dim=oh.dim,
-            ker_u_rank=sum(_birth_counts(table.grading(oh.orbit.representative)).values()),
+            ker_u_rank=sum(table.births(table.to_plus(oh.orbit.representative)).values()),
         )
         for oh in homology.per_orbit
     )
@@ -483,7 +560,6 @@ def rational_via_hplus(
     """
     table = _GradedOrbitTable(forest, box_cap)
     for idxs in table.orbits.values():
-        grading = table.plus_grading(CharVector(table.box.evals(idxs[0])))
-        if sum(_birth_counts(grading).values()) != 1:
+        if sum(table.births(CharVector(table.box.evals(idxs[0]))).values()) != 1:
             return False
     return True

@@ -4,9 +4,10 @@ Each local minimum's lattice coordinates come from a full adjugate product
 (:meth:`OrbitIndexer.lattice_coordinates` on its own box vector), births scan
 all 2n unit neighbours of every minimum and weigh each one with the full
 quadratic form, and the flood weighs every new neighbour the same way.  The
-production engine in :mod:`plumblat.hplus` reads births off box-face ties,
-keeps one running numerator for the coordinates and weighs flood steps by
-the step identity; it must agree with this one exactly.
+production engine in :mod:`plumblat.hplus` reads births off box digits
+without coordinates, keeps one running numerator for the coordinates that
+seed a flood and weighs flood steps by the step identity; it must agree
+with this one exactly.
 """
 
 from __future__ import annotations

@@ -149,6 +149,27 @@ def test_cli_rejects_negative_budgets(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--box-cap", "1_0"),
+        ("--box-cap", "\u0663"),
+        ("--point-cap", "2_000"),
+        ("--point-cap", "\uff11"),
+        ("--nmax", " 2"),
+        ("--nmax", "2.0"),
+    ],
+)
+def test_cli_budget_flags_are_ascii_integers(capsys, flag, value):
+    """int() would read 1_0 as 10, an Arabic-Indic 3 as 3 and " 2" as 2; a
+    budget flag takes only [+-]?[0-9]+, like the DSL."""
+    code = main(["classify", str(FIXTURES / "lens_3.plumb"), flag, value])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
+
+
+@pytest.mark.parametrize(
     "doc",
     [
         {"vertices": [{"id": "a", "framing": -2.7}]},
@@ -278,6 +299,46 @@ def test_cli_fuzz_plumbing_files(tmp_path_factory, family, data, command):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(
             [command, str(path), "--box-cap", "2000", "--point-cap", "2000", "--nmax", "3"]
+        )
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+
+
+# token soup with malformed pieces, well-formed data that reaches the
+# engines, and raw text
+_SFS_ODD = st.sampled_from(["", "+1", "-0", "007", "1_0", "\u0663", "99999999999999999999"])
+_SFS_E0 = st.integers(-4, 1).map(str)
+_SFS_ALPHA = st.integers(1, 12).map(str)
+_SFS_BETA = st.integers(-12, 12).map(str)
+_SFS_LEGS = st.tuples(
+    _SFS_ALPHA | _SFS_ALPHA | _SFS_ODD,
+    st.sampled_from(["/"] * 6 + ["", "//"]),
+    _SFS_BETA | _SFS_BETA | _SFS_ODD,
+).map("".join)
+SFS_TEXTS = {
+    "tokens": st.tuples(
+        _SFS_E0 | _SFS_E0 | _SFS_ODD,
+        st.sampled_from(["; "] * 5 + [";", "", ";; ", ", "]),
+        st.lists(_SFS_LEGS, max_size=5),
+    ).map(lambda parts: parts[0] + parts[1] + " ".join(parts[2])),
+    "seifert": st.tuples(_SFS_E0, st.lists(st.tuples(_SFS_ALPHA, _SFS_BETA), max_size=5)).map(
+        lambda parts: parts[0] + "; " + " ".join(f"{a}/{b}" for a, b in parts[1])
+    ),
+    "text": st.text(max_size=40),
+}
+
+
+@pytest.mark.parametrize("family", sorted(SFS_TEXTS))
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), action=st.sampled_from(["info", "homology", "hplus", "classify"]))
+def test_cli_fuzz_sfs_text(family, data, action):
+    """Any --sfs text ends in exit code 0-3, never a traceback."""
+    text = data.draw(SFS_TEXTS[family], label="sfs")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(
+            ["sfs", f"--sfs={text}", action,
+             "--box-cap", "2000", "--point-cap", "2000", "--nmax", "3"]
         )
     assert code in {0, 1, 2, 3}
     assert "Traceback" not in err.getvalue()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import sys
 from fractions import Fraction
@@ -33,7 +34,7 @@ from plumblat import (
 from plumblat.charlattice import weight_radius_sq_bound
 from plumblat.cli import main
 from plumblat.errors import EnumerationBudgetExceeded, InternalInvariantViolation
-from plumblat.hplus import _birth_counts, _GradedOrbitTable
+from plumblat.hplus import _GradedOrbitTable
 from plumblat.moves import convert_convention
 
 
@@ -189,7 +190,7 @@ def test_birth_counts_equal_homology_dim_per_orbit(rng):
         result = compute_homology(forest)
         table = _GradedOrbitTable(forest, 10**8)
         for oh in result.per_orbit:
-            births = _birth_counts(table.grading(oh.orbit.representative))
+            births = table.births(table.to_plus(oh.orbit.representative))
             assert sum(births.values()) == oh.dim
 
 
@@ -215,7 +216,9 @@ def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys):
     for name, module in list(sys.modules.items()):
         if name.startswith("plumblat") and vars(module).get("box_orbits") is original:
             monkeypatch.setattr(module, "box_orbits", scan)
-    monkeypatch.setattr(hplus, "_birth_counts", counting("births", hplus._birth_counts))
+    monkeypatch.setattr(
+        _GradedOrbitTable, "births", counting("births", _GradedOrbitTable.births)
+    )
     assert main(["hplus", str(FIXTURES / "elliptic_b.plumb")]) == 0
     assert "cross-check vs homology engine: OK" in capsys.readouterr().out
     assert calls["indexer"] <= 2
@@ -316,7 +319,7 @@ def test_graded_engine_matches_all_neighbour_oracle():
             grading = table.grading(rep)
             reference = reference_grading(table, rep)
             assert list(grading.minima.items()) == list(reference.minima.items())
-            assert _birth_counts(grading) == reference_birth_counts(reference)
+            assert table.births(grading.k0) == reference_birth_counts(reference)
             # a small point cap stops a flood with wrong weights early
             assert table.hplus(oh.orbit, 10**5, 1) == reference_hplus(
                 table, oh.orbit, 10**5, 1
@@ -386,3 +389,79 @@ def test_hplus_invariant_under_relabelling_and_convention_flip():
         flipped = convert_convention(forest).forest
         assert flipped.edge_sign is not forest.edge_sign
         assert _orbit_signature(flipped) == signature
+
+
+def _chain(framings, edge_sign=EdgeSign.MINUS_ONE):
+    return validate_forest(
+        [(f"v{i}", m) for i, m in enumerate(framings)],
+        [(f"v{i}", f"v{i + 1}") for i in range(len(framings) - 1)],
+        edge_sign,
+    )
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_index_births_match_oracle_on_a_split_box(edge_sign):
+    """The (-3,-2^6,-3) chain: 11,664 box vectors decoded from prefix and
+    suffix tables of several entries each, with faces crossing the split."""
+    forest = _chain([-3] + [-2] * 6 + [-3], edge_sign)
+    table = _GradedOrbitTable(forest, 10**8)
+    low, heads, tails = table.box.halves()
+    assert len(heads) > 1 and len(tails) > 1 and low == len(tails)
+    total = 0
+    for oh in compute_homology(forest).per_orbit:
+        k0 = table.to_plus(oh.orbit.representative)
+        births = table.births(k0)
+        assert births == reference_birth_counts(reference_grading(table, oh.orbit.representative))
+        assert sum(births.values()) == oh.dim
+        total += oh.dim
+    assert total == abs(table.indexer.determinant) == 32  # an L-space
+
+
+def _plus_grading_calls(monkeypatch, capsys, path):
+    calls = []
+    original = _GradedOrbitTable.plus_grading
+
+    def counting(self, k0):
+        calls.append(k0)
+        return original(self, k0)
+
+    monkeypatch.setattr(_GradedOrbitTable, "plus_grading", counting)
+    assert main(["hplus", str(path)]) == 0
+    assert "cross-check vs homology engine: OK" in capsys.readouterr().out
+    return len(calls)
+
+
+def test_cli_hplus_solves_coordinates_only_for_floods(monkeypatch, capsys, tmp_path):
+    """Orbits with one birth never need lattice coordinates; elliptic_b has
+    one orbit with two births, which seeds the only flood."""
+    chain = tmp_path / "chain3x5.plumb"
+    chain.write_text(
+        "".join(f"vertex v{i} -3\n" for i in range(5))
+        + "".join(f"edge v{i} v{i + 1}\n" for i in range(4))
+    )
+    assert _plus_grading_calls(monkeypatch, capsys, FIXTURES / "e8.plumb") == 0
+    assert _plus_grading_calls(monkeypatch, capsys, chain) == 0
+    assert _plus_grading_calls(monkeypatch, capsys, FIXTURES / "elliptic_b.plumb") == 1
+
+
+def test_long_star_hplus_cross_check(capsys):
+    """A Seifert star of 11 vertices (box 1,119,744) through sfs ... hplus."""
+    assert main(["sfs", "--sfs", "-2; 2/1 3/1 9/8", "hplus", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["cross_check_ok"] is True
+    assert len(payload["per_orbit"]) == payload["seifert"]["h1_order"]
+    for row in payload["per_orbit"]:
+        assert row["ker_u_rank"] == row["homology_dim"]
+
+
+def test_births_and_coordinates_check_every_member_orbit():
+    """A box index moved into a foreign orbit's list trips the per-vector
+    orbit check of both the index route and the coordinate route."""
+    table = _GradedOrbitTable(elliptic_b(), 10**8)
+    (key, idxs), (_, other) = list(table.orbits.items())[:2]
+    k0 = CharVector(table.box.evals(idxs[0]))
+    table.orbits[key] = sorted(idxs + [other[-1]])
+    with pytest.raises(InternalInvariantViolation, match="left its orbit"):
+        table.births(k0)
+    with pytest.raises(InternalInvariantViolation, match="left its orbit"):
+        table.plus_grading(k0)
