@@ -210,11 +210,17 @@ class OrbitIndexer:
         self.modulus = 2 * abs(form.determinant)
 
     def key(self, k: CharVector | Sequence[int]) -> tuple[int, ...]:
-        evals = k.evals if isinstance(k, CharVector) else k
+        return self.key_part(k.evals if isinstance(k, CharVector) else k)
+
+    def key_part(self, evals: Sequence[int], start: int = 0) -> tuple[int, ...]:
+        """adj(A) k mod 2|det| for the k with evaluations ``evals`` on
+        vertices start, start + 1, ... and 0 elsewhere.  Keys are additive,
+        so the key of a whole vector is the sum of the parts of a prefix and
+        the following suffix, mod 2|det|."""
+        cols = self.adjugate[start : start + len(evals)]  # adj(A) is symmetric
         mod = self.modulus
         return tuple(
-            sum(self.adjugate[i][j] * evals[j] for j in range(self.n)) % mod
-            for i in range(self.n)
+            [sum([c[r] * e for c, e in zip(cols, evals)]) % mod for r in range(self.n)]
         )
 
     def lattice_coordinates(

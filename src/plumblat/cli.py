@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -470,10 +471,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _attach_sfs_values(argv: list[str]) -> list[str]:
+    """``--sfs -1;2/1`` as ``--sfs=-1;2/1`` (and so for ``--sf``, ``--s``).
+
+    argparse reads a token that starts with '-' and holds no space as an
+    option, so Seifert text with a negative e0 and no space after it would
+    be a usage error when given after a space.  No option starts with '-'
+    and a digit, so such a token is always the value of ``--sfs``.
+    """
+    out: list[str] = []
+    for token in argv:
+        flag = out[-1] if out else ""
+        if (
+            len(flag) > 2
+            and "--sfs".startswith(flag)
+            and "--" not in out
+            and re.match(r"-[0-9]", token)
+        ):
+            out[-1] = f"{flag}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_sfs_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     for budget in ("box_cap", "point_cap", "nmax"):

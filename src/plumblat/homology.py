@@ -26,7 +26,9 @@ neither, so a class is zero iff all its members are flagged, and only the
 pairs with both ends alive -- a few percent of the box -- enter a union-find
 keyed by index, whose links carry a sign parity and whose roots are class
 minima.  A sign conflict (k ~ -k) kills its class.  Only members of nonzero
-classes become :class:`CharVector` objects.
+classes become :class:`CharVector` objects, decoded from a prefix and a
+suffix table of the box, and each class's orbit key is read off the same
+two halves at its minimum index.
 """
 
 from __future__ import annotations
@@ -212,9 +214,25 @@ def compute_homology(
             members_of.setdefault(root, []).append((a, s))
 
     low, heads, tails = box.halves()
+    indexer = OrbitIndexer(form)
+    mod, split = indexer.modulus, len(heads[0])
+    # orbits are read off the whole box so empty orbits cannot hide
+    orbits = box_orbits(indexer, box, members=False)
+    classes_of: dict[tuple[int, ...], list[int]] = {key: [] for key in orbits}
+    head_keys: dict[int, tuple[int, ...]] = {}
+    tail_keys: dict[int, tuple[int, ...]] = {}
     classes: list[SignedClass] = []
     lookup: dict[tuple[int, ...], ClassRef] = {}
-    for cls_id, members in enumerate(members_of.values()):
+    for cls_id, (root, members) in enumerate(members_of.items()):
+        # the orbit key of the class minimum, from the key parts of its two
+        # halves, each computed the first time a class minimum touches it
+        high, rest = divmod(root, low)
+        if high not in head_keys:
+            head_keys[high] = indexer.key_part(heads[high])
+        if rest not in tail_keys:
+            tail_keys[rest] = indexer.key_part(tails[rest], split)
+        key = tuple([(x + y) % mod for x, y in zip(head_keys[high], tail_keys[rest])])
+        classes_of.setdefault(key, []).append(cls_id)
         refs = (ClassRef(index=cls_id, sign=1), ClassRef(index=cls_id, sign=-1))
         signed_members = []
         for a, s in members:
@@ -229,16 +247,11 @@ def compute_homology(
         )
     zero_class = SignedClass(representative=None, members=(), is_zero=True)
 
-    indexer = OrbitIndexer(form)
-    # orbits are read off the whole box so empty orbits cannot hide
-    orbits = box_orbits(indexer, box, members=False)
-    classes_of: dict[tuple[int, ...], list[int]] = {key: [] for key in orbits}
-    for cls_id, cls in enumerate(classes):
-        classes_of.setdefault(indexer.key(cls.representative), []).append(cls_id)
     det_abs = abs(form.determinant)
     per_orbit = []
     for orbit_index, (key, (least,)) in enumerate(orbits.items()):
-        rep = box.evals(least)
+        high, rest = divmod(least, low)
+        rep = heads[high] + tails[rest]
         cls_ids = classes_of[key]
         if not cls_ids:
             raise InternalInvariantViolation(

@@ -203,17 +203,14 @@ class _GradedOrbitTable:
             up[a] += strides[b]
             up[b] += strides[a]
         low, heads, tails = self.box.halves()
-        adj, mod = self.indexer.adjugate, self.indexer.modulus
-        rows = range(len(adj))
 
         def half(table, offset):
             """Per half-vector: its part of the orbit key adj(A) k mod 2 det,
             masks of its top and zero digits and of their neighbours, and
             (neighbours, up_v) for each top digit v."""
-            cols = adj[offset : offset + len(table[0])]  # adj(A) is symmetric
             out = []
             for evals in table:
-                key = tuple(sum(c[r] * e for c, e in zip(cols, evals)) % mod for r in rows)
+                key = self.indexer.key_part(evals, offset)
                 top = zero = top_reach = zero_reach = 0
                 ups = []
                 for v, e in enumerate(evals, offset):

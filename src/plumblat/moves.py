@@ -15,10 +15,14 @@ Three families live here:
   one side of a 2-coloring transports vectors between the -1 and +1 pairing
   conventions without changing any dimension.
 
-All induced maps are materialized as exact rational matrices over the class
-bases of the quotient engine, stored as sparse columns (an extension sum has
-at most p + 1 terms, a half-shift two); ranks come from one fraction-free
-integer echelon, so the exactness report carries no tolerances.
+All induced maps are materialized over the class bases of the quotient
+engine as sparse integer columns (an extension sum has at most p + 1 terms,
+a half-shift two).  Extension-sum and section coefficients are +-1 and +-2
+times a class sign; the half-shift's are +-1/2, so the check runs on 2B,
+whose columns are doubled exactly (an odd remainder is an internal error,
+never truncated): BA = 0 iff (2B)A = 0, BS = I iff each column of (2B)S is
+2 e_j, and rank(2B) = rank(B).  Ranks come from one fraction-free integer
+echelon, so the exactness report carries no tolerances.
 """
 
 from __future__ import annotations
@@ -40,27 +44,35 @@ from .plumbing import EdgeSign, IntersectionForm, PlumbingForest, intersection_f
 
 # --- formal sums ---------------------------------------------------------
 
+def _exact(coeff) -> Fraction | int:
+    """An ``int`` or ``Fraction`` coefficient as it is, anything else as a
+    ``Fraction``."""
+    return coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
+
+
 @dataclass(frozen=True)
 class FormalSum:
-    """Finite rational combination of characteristic vectors."""
+    """Finite rational combination of characteristic vectors.
 
-    terms: tuple[tuple[Fraction, CharVector], ...]
+    Integer coefficients stay ``int``; any other coefficient becomes a
+    ``Fraction``, so the terms never hold a float.
+    """
+
+    terms: tuple[tuple[Fraction | int, CharVector], ...]
 
     @staticmethod
     def of(pairs: Iterable[tuple[Fraction | int, CharVector]]) -> "FormalSum":
-        combined: dict[tuple[int, ...], Fraction] = {}
+        combined: dict[tuple[int, ...], tuple[Fraction | int, CharVector]] = {}
         for coeff, vec in pairs:
-            key = vec.evals
-            combined[key] = combined.get(key, Fraction(0)) + Fraction(coeff)
-        terms = tuple(
-            (coeff, CharVector(evals))
-            for evals, coeff in sorted(combined.items())
-            if coeff
-        )
-        return FormalSum(terms)
+            coeff, key = _exact(coeff), vec.evals
+            if key in combined:
+                coeff += combined[key][0]
+            combined[key] = (coeff, vec)
+        return FormalSum(tuple(term for _, term in sorted(combined.items()) if term[0]))
 
     def scale(self, factor: Fraction | int) -> "FormalSum":
-        return FormalSum.of((Fraction(factor) * c, v) for c, v in self.terms)
+        factor = _exact(factor)
+        return FormalSum.of((factor * c, v) for c, v in self.terms)
 
     def __add__(self, other: "FormalSum") -> "FormalSum":
         return FormalSum.of(list(self.terms) + list(other.terms))
@@ -122,15 +134,17 @@ def add_vertex_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
     return FormalSum.of(pairs)
 
 
+_MINUS_HALF = Fraction(-1, 2)
+_HALF = Fraction(1, 2)
+
+
 def bump_framing_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
     """(-1/2) k^+ + (1/2) k^- on the framing-bumped graph."""
     vi = triple.vertex_index
     evals = k.evals
     up = evals[:vi] + (evals[vi] + 1,) + evals[vi + 1 :]
     down = evals[:vi] + (evals[vi] - 1,) + evals[vi + 1 :]
-    return FormalSum.of(
-        [(Fraction(-1, 2), CharVector(up)), (Fraction(1, 2), CharVector(down))]
-    )
+    return FormalSum.of([(_MINUS_HALF, CharVector(up)), (_HALF, CharVector(down))])
 
 
 def bump_framing_section(k: CharVector, triple: SurgeryTriple) -> FormalSum:
@@ -146,7 +160,7 @@ def bump_framing_section(k: CharVector, triple: SurgeryTriple) -> FormalSum:
     return FormalSum.of(pairs)
 
 
-SparseColumn = dict[int, Fraction]
+SparseColumn = dict[int, Fraction | int]
 
 
 def project_to_classes(fs: FormalSum, result: HomologyResult) -> SparseColumn:
@@ -155,8 +169,23 @@ def project_to_classes(fs: FormalSum, result: HomologyResult) -> SparseColumn:
     for coeff, vec in fs.terms:
         ref = class_of(vec, result)
         if not ref.is_zero:
-            coords[ref.index] = coords.get(ref.index, 0) + coeff * ref.sign
+            i, term = ref.index, coeff if ref.sign == 1 else -coeff
+            coords[i] = coords[i] + term if i in coords else term
     return {i: c for i, c in coords.items() if c}
+
+
+def _doubled(col: SparseColumn) -> dict[int, int]:
+    """2 col as integers; a coefficient that does not double to an integer
+    is an internal error, never truncated."""
+    out = {}
+    for i, c in col.items():
+        q, r = divmod(2 * c.numerator, c.denominator)
+        if r:
+            raise InternalInvariantViolation(
+                f"half-shift coordinate {c} is not a multiple of 1/2"
+            )
+        out[i] = q
+    return out
 
 
 def _apply(cols: Sequence[SparseColumn], col: SparseColumn) -> SparseColumn:
@@ -192,9 +221,9 @@ def check_exactness(
     """Verify exactness of the quotient sequence through the triple.
 
     Builds the three quotients, materializes the two maps (and the section)
-    as sparse rational columns over class bases, and checks surjectivity,
-    that the composite vanishes, that the section inverts the half-shift,
-    and the rank identity ker = image.
+    as sparse integer columns over class bases, the half-shift B doubled,
+    and checks surjectivity, that the composite vanishes, that the section
+    inverts the half-shift, and the rank identity ker = image.
     """
     if not triple.valid:
         raise InvalidTriple(
@@ -208,8 +237,10 @@ def check_exactness(
         project_to_classes(add_vertex_map(cls.representative, triple), h_base)
         for cls in h_removed.classes
     ]
-    cols_b = [
-        project_to_classes(bump_framing_map(cls.representative, triple), h_bumped)
+    cols_2b = [
+        _doubled(
+            project_to_classes(bump_framing_map(cls.representative, triple), h_bumped)
+        )
         for cls in h_base.classes
     ]
     cols_s = [
@@ -217,10 +248,10 @@ def check_exactness(
         for cls in h_bumped.classes
     ]
 
-    ba_zero = all(not _apply(cols_b, col) for col in cols_a)
-    section_ok = all(_apply(cols_b, col) == {j: 1} for j, col in enumerate(cols_s))
+    ba_zero = all(not _apply(cols_2b, col) for col in cols_a)
+    section_ok = all(_apply(cols_2b, col) == {j: 2} for j, col in enumerate(cols_s))
 
-    rank_b = rank_rational(cols_b) if cols_b else 0
+    rank_b = rank_rational(cols_2b) if cols_2b else 0
     rank_a = rank_rational(cols_a) if cols_a else 0
     report = ExactnessReport(
         b_surjective=(rank_b == h_bumped.total_dim),
@@ -303,15 +334,26 @@ class BlowdownResult:
     """Blown-down forest plus the verified signed class bijection.
 
     ``class_map`` sends each nonzero class index of the source quotient to
-    (target class index, sign).  The attached homology results are computed
-    in the -1 edge convention, where the two elementary isomorphisms are
-    defined; dimensions are convention-independent.
+    (target class index, sign), and ``orbit_map`` each source orbit index to
+    the target orbit index its classes land in, in source order.  The
+    attached homology results are computed in the -1 edge convention, where
+    the two elementary isomorphisms are defined; dimensions are
+    convention-independent.
     """
 
     forest: PlumbingForest
     class_map: tuple[tuple[int, int, int], ...]
+    orbit_map: tuple[tuple[int, int], ...]
     source: HomologyResult
     target: HomologyResult
+
+
+def _orbit_of_classes(result: HomologyResult) -> list[int]:
+    """The orbit index of each nonzero class, read off ``result.per_orbit``."""
+    orbit_of = {
+        rep.evals: oh.orbit.index for oh in result.per_orbit for rep in oh.representatives
+    }
+    return [orbit_of[cls.representative.evals] for cls in result.classes]
 
 
 def blow_down(
@@ -363,16 +405,8 @@ def blow_down(
     mapping: list[tuple[int, int, int]] = []
     seen_targets: dict[int, int] = {}
     orbit_pairs: dict[int, int] = {}
-    src_indexer = OrbitIndexer(source.form)
-    dst_indexer = OrbitIndexer(target.form)
-    src_orbit_index = {
-        src_indexer.key(oh.orbit.representative): oh.orbit.index
-        for oh in source.per_orbit
-    }
-    dst_orbit_index = {
-        dst_indexer.key(oh.orbit.representative): oh.orbit.index
-        for oh in target.per_orbit
-    }
+    src_orbit_of = _orbit_of_classes(source)
+    dst_orbit_of = _orbit_of_classes(target)
     for cls_id, cls in enumerate(source.classes):
         img_evals, coeff = image_of(cls.representative)
         ref = class_of(img_evals, target)
@@ -384,8 +418,7 @@ def blow_down(
             raise InternalInvariantViolation("blow-down map is not injective")
         seen_targets[ref.index] = cls_id
         mapping.append((cls_id, ref.index, coeff * ref.sign))
-        src_orbit = src_orbit_index[src_indexer.key(cls.representative)]
-        dst_orbit = dst_orbit_index[dst_indexer.key(CharVector(img_evals))]
+        src_orbit, dst_orbit = src_orbit_of[cls_id], dst_orbit_of[ref.index]
         if orbit_pairs.setdefault(src_orbit, dst_orbit) != dst_orbit:
             raise InternalInvariantViolation(
                 "blow-down scattered one orbit across several targets"
@@ -408,6 +441,7 @@ def blow_down(
     return BlowdownResult(
         forest=result_forest,
         class_map=tuple(mapping),
+        orbit_map=tuple(sorted(orbit_pairs.items())),
         source=source,
         target=target,
     )

@@ -8,7 +8,9 @@ an integer echelon and must agree with it on every report field.
 
 The formal-sum helpers and the leaf slide below are used only by tests: the
 slide is the basis change that :func:`plumblat.moves.blow_down` applies
-inline.
+inline.  :func:`reference_blowdown_pairing` pairs a blow-down's classes and
+orbits through :class:`~plumblat.charlattice.OrbitIndexer` keys, where the
+production code reads orbits off the homology results.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from plumblat import CharVector, PlumbingForest, compute_homology
-from plumblat.charlattice import in_box
+from plumblat.charlattice import OrbitIndexer, in_box
 from plumblat.errors import InvalidTriple, NotBlowdownable
 from plumblat.homology import HomologyResult, class_of
 from plumblat.moves import (
+    BlowdownResult,
     ExactnessReport,
     FormalSum,
     SurgeryTriple,
@@ -163,3 +166,34 @@ def unslide_leaf_basis_change(
     evals = list(k.evals)
     evals[vi] += evals[xi]
     return CharVector(tuple(evals))
+
+
+def reference_blowdown_pairing(
+    result: BlowdownResult, leaf_id: str
+) -> tuple[tuple[tuple[int, int, int], ...], dict[int, set[int]]]:
+    """The class map of a blow-down and the target orbits each source orbit
+    meets, found from orbit keys.
+
+    Each source class representative is slid over the leaf (if it has a
+    neighbour) and restricted to the other vertices; its class in the target
+    gives the class map, and the keys of the representative and of its image,
+    matched against the keys of the orbit representatives, give the orbits.
+    """
+    source, target = result.source, result.target
+    work = source.forest
+    xi = work.index_of(leaf_id)
+    src_keys, dst_keys = OrbitIndexer(source.form), OrbitIndexer(target.form)
+    src_orbit = {src_keys.key(oh.orbit.representative): oh.orbit.index for oh in source.per_orbit}
+    dst_orbit = {dst_keys.key(oh.orbit.representative): oh.orbit.index for oh in target.per_orbit}
+    class_map, orbit_pairs = [], {}
+    for cls_id, cls in enumerate(source.classes):
+        k = cls.representative
+        if work.neighbors(xi):
+            k = slide_leaf_basis_change(k, work, leaf_id)
+        image = k.evals[:xi] + k.evals[xi + 1:]
+        ref = class_of(image, target)
+        class_map.append((cls_id, ref.index, k.evals[xi] * ref.sign))
+        orbit_pairs.setdefault(src_orbit[src_keys.key(cls.representative)], set()).add(
+            dst_orbit[dst_keys.key(image)]
+        )
+    return tuple(class_map), orbit_pairs

@@ -388,6 +388,16 @@ def test_cli_sfs(capsys):
     assert payload["seifert"]["h1_order"] == 5
 
 
+@pytest.mark.parametrize("text", ["-1;2/1", "-3;", "-2; 2/1 3/1 5/4"])
+def test_cli_sfs_value_may_start_with_minus(capsys, text):
+    """Seifert text with a negative e0 reads the same after a space as
+    after '=', with or without spaces inside it."""
+    joined = main(["sfs", f"--sfs={text}", "info"]), capsys.readouterr()
+    assert joined[0] == 0
+    for flag in ("--sfs", "--sf"):
+        assert (main(["sfs", flag, text, "info"]), capsys.readouterr()) == joined
+
+
 def test_cli_json_deterministic(capsys):
     _, first = run_cli(capsys, "classify", str(FIXTURES / "elliptic_a.plumb"), "--json")
     _, second = run_cli(capsys, "classify", str(FIXTURES / "elliptic_a.plumb"), "--json")

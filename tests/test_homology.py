@@ -19,9 +19,16 @@ from plumblat import (
     convert_convention,
     derived_dimensions,
     intersection_form,
+    surgery_triple,
     validate_forest,
 )
-from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, box_ranges, enumerate_box
+from plumblat.charlattice import (
+    DEFAULT_BOX_CAP,
+    BoxIndex,
+    OrbitIndexer,
+    box_ranges,
+    enumerate_box,
+)
 from plumblat.errors import BoxTooLarge, NegativeOddDimension, NotNegativeDefinite
 from plumblat.hplus import ker_u_cross_check, rational_via_hplus
 
@@ -326,6 +333,45 @@ def test_engine_matches_reference_where_flags_take_several_sweeps(edge_sign):
     for forest in forests:
         for signed in (True, False):
             _assert_matches_reference(forest, signed)
+
+
+def _assert_orbits_match_keys(forest):
+    """Every class sits in the orbit whose representative shares its
+    OrbitIndexer key, and the box splits into a head and a tail table."""
+    result = compute_homology(forest)
+    low, heads, tails = BoxIndex(result.form, DEFAULT_BOX_CAP).halves()
+    assert low > 1 and len(heads) > 1
+    indexer = OrbitIndexer(result.form)
+    orbit_of = {indexer.key(oh.orbit.representative): oh.orbit.index for oh in result.per_orbit}
+    assert len(orbit_of) == len(result.per_orbit) == result.det_abs
+    placed = []
+    for oh in result.per_orbit:
+        assert len(oh.representatives) == oh.dim
+        for rep in oh.representatives:
+            assert orbit_of[indexer.key(rep)] == oh.orbit.index
+            placed.append(rep)
+    assert sorted(r.evals for r in placed) == sorted(c.representative.evals for c in result.classes)
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_class_orbits_match_orbit_keys(rng, edge_sign):
+    """The orbit of each class, read off the two halves of the box at its
+    minimum index, is the one OrbitIndexer.key gives its representative."""
+    count = 0
+    while count < 25:
+        forest = random_forest(rng, max_vertices=6, edge_sign=edge_sign)
+        if len(forest) >= 4:
+            _assert_orbits_match_keys(forest)
+            count += 1
+
+
+def test_class_orbits_match_orbit_keys_on_triad_chains():
+    for framings in ([-6] * 3, [-4] * 4, [-8] * 3):
+        names = [f"v{i}" for i in range(len(framings))]
+        chain = validate_forest(list(zip(names, framings)), list(zip(names, names[1:])))
+        triple = surgery_triple(chain, "v0")
+        for forest in (triple.removed, triple.base, triple.bumped):
+            _assert_orbits_match_keys(forest)
 
 
 def test_engine_peak_memory_on_a_long_chain():

@@ -12,6 +12,7 @@ from oracle_moves import (
     apply_linear,
     reference_exactness,
     slide_leaf_basis_change,
+    reference_blowdown_pairing,
     truncate_to_box,
     unslide_leaf_basis_change,
 )
@@ -30,7 +31,7 @@ from plumblat import (
     validate_forest,
 )
 from plumblat import moves
-from plumblat.errors import InvalidTriple, NotBlowdownable
+from plumblat.errors import InternalInvariantViolation, InvalidTriple, NotBlowdownable
 from plumblat.moves import FormalSum, project_to_classes
 
 
@@ -68,6 +69,52 @@ def test_half_shift_map():
         (Fraction(1, 2), (0,)),
         (Fraction(-1, 2), (2,)),
     ]
+
+
+def test_integer_maps_carry_int_coefficients(rng):
+    """Extension sums and sections stay over the integers; only the
+    half-shift holds fractions."""
+    count = 0
+    while count < 10:
+        forest = random_forest(rng, max_vertices=4)
+        triple = surgery_triple(forest, forest.ids[rng.randrange(len(forest))])
+        if not triple.valid:
+            continue
+        count += 1
+        removed, bumped = compute_homology(triple.removed), compute_homology(triple.bumped)
+        for cls in removed.classes:
+            assert all(type(c) is int for c, _ in add_vertex_map(cls.representative, triple).terms)
+        for cls in bumped.classes:
+            terms = bump_framing_section(cls.representative, triple).terms
+            assert all(type(c) is int for c, _ in terms)
+        half = bump_framing_map(compute_homology(forest).classes[0].representative, triple).terms
+        assert [type(c) for c, _ in half] == [Fraction, Fraction]
+
+
+def test_formal_sum_equality_and_scale():
+    k, k2 = CharVector((1, -1)), CharVector((3, -1))
+    halves = FormalSum.of([(Fraction(1, 2), k), (Fraction(1, 2), k), (2, k2)])
+    assert halves == FormalSum.of([(1, k), (2, k2)])
+    assert halves.scale(Fraction(1, 2)) == FormalSum.of([(Fraction(1, 2), k), (1, k2)])
+    assert FormalSum.of([(3, k)]).scale(2) == FormalSum.of([(Fraction(6), k)])
+    assert [type(c) for c, _ in FormalSum.of([(3, k)]).scale(2).terms] == [int]
+    assert FormalSum.of([(1, k), (Fraction(-1), k)]).is_zero()
+    assert halves.scale(0).is_zero()
+    assert (halves + halves.scale(-1)).is_zero()
+    assert FormalSum.of([(2, k2), (1, k)]).terms == ((1, k), (2, k2))
+
+
+def test_half_shift_off_the_half_integers_raises(monkeypatch):
+    """A half-shift coordinate that does not double to an integer is an
+    internal error, not a truncated column or a report."""
+    def third(k, triple):
+        vi = triple.vertex_index
+        up = k.evals[:vi] + (k.evals[vi] + 1,) + k.evals[vi + 1:]
+        return FormalSum.of([(Fraction(1, 3), CharVector(up))])
+
+    monkeypatch.setattr(moves, "bump_framing_map", third)
+    with pytest.raises(InternalInvariantViolation, match="1/3"):
+        check_exactness(surgery_triple(lens(4), "v"))
 
 
 def test_invalid_triple_still_computes_but_is_flagged():
@@ -284,6 +331,10 @@ def test_blow_down_random_suite(rng):
             continue
         result = blow_down(candidate, "x")
         assert result.source.total_dim == result.target.total_dim
+        class_map, orbit_pairs = reference_blowdown_pairing(result, "x")
+        assert result.class_map == class_map
+        assert {src: {dst} for src, dst in result.orbit_map} == orbit_pairs
+        assert [src for src, _ in result.orbit_map] == list(range(len(result.source.per_orbit)))
         count += 1
 
 
