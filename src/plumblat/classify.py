@@ -126,6 +126,21 @@ def is_almost_rational(
     return _decrement_search(forest, rationality, nmax, point_cap)
 
 
+def certify_almost_rational(
+    forest: PlumbingForest,
+    *,
+    nmax: int = DEFAULT_NMAX,
+    point_cap: int = DEFAULT_RATIONALITY_POINT_CAP,
+) -> bool:
+    """Whether the forest is certified almost-rational, as :func:`full_report`
+    decides it: at most one bad vertex (a theorem that report enforces), else
+    the decrement search of :func:`is_almost_rational` finds a vertex."""
+    return (
+        len(bad_vertices(forest)) <= 1
+        or is_almost_rational(forest, nmax=nmax, point_cap=point_cap).certified
+    )
+
+
 def _decrement_search(
     forest: PlumbingForest, rationality: RationalityVerdict, nmax: int, point_cap: int
 ) -> ARVerdict:

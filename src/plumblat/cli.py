@@ -2,10 +2,11 @@
 
 Subcommands: ``info``, ``homology``, ``hplus``, ``classify``, ``triad``,
 ``blowdown`` take a plumbing file in the DSL of :mod:`plumblat.dsl`;
-``sfs`` takes Seifert data as ``--sfs "e0; a1/b1 a2/b2 ..."`` and runs one of
-the actions on the converted star.  ``--json`` switches to a stable,
-versioned machine format (keys sorted, no floats, so identical inputs give
-byte-identical output).
+``sfs`` takes Seifert data as ``--sfs "e0; a1/b1 a2/b2 ..."`` and runs
+``homology``, ``hplus`` or ``classify`` on the converted star through the same
+code, after a two-line Seifert header (``info`` prints the star).  ``--json``
+switches to a stable, versioned machine format (keys sorted, no floats, so
+identical inputs give byte-identical output).
 
 Exit codes: 0 success, 1 usage, 2 parse/validation, 3 budget exceeded,
 4 internal invariant violation.
@@ -17,21 +18,16 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
 from .charlattice import DEFAULT_BOX_CAP
-from .classify import DEFAULT_NMAX, full_report, is_rational
+from .classify import DEFAULT_NMAX, certify_almost_rational, full_report
+from .classify import is_rational  # noqa: F401  (perfbench's span tests read cli.is_rational)
 from .dsl import parse_int, parse_plumbing, serialize_dsl
 from .errors import EXIT_INVALID_INPUT, EXIT_USAGE, DslSyntaxError, PlumblatError
-from .homology import (
-    DerivedDimensions,
-    HomologyResult,
-    compute_homology,
-    derived_dimensions,
-)
-from .hplus import DEFAULT_POINT_CAP, _GradedOrbitTable, ker_u_cross_check
+from .homology import DerivedDimensions, compute_homology, derived_dimensions
+from .hplus import DEFAULT_POINT_CAP, ker_u_cross_check
 from .moves import blow_down, check_exactness, surgery_triple
 from .plumbing import (
     PlumbingForest,
@@ -62,10 +58,6 @@ def _load(path: str) -> PlumbingForest:
     return parse_plumbing(text)
 
 
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}" if value.denominator != 1 else str(value.numerator)
-
-
 def _forest_json(forest: PlumbingForest) -> dict:
     return {
         "vertices": [
@@ -74,20 +66,6 @@ def _forest_json(forest: PlumbingForest) -> dict:
         "edges": [[forest.ids[a], forest.ids[b]] for a, b in forest.edges],
         "convention": "minus_one" if forest.edge_sign.value == -1 else "plus_one",
     }
-
-
-def _certified_almost_rational(forest: PlumbingForest, point_cap: int) -> bool:
-    """Cheap certificate: at most one bad vertex, or outright rational.
-
-    The full decrement search lives in the classify command; this is enough
-    to stamp most outputs non-conjectural without paying for it.
-    """
-    if len(bad_vertices(forest)) <= 1:
-        return True
-    form = intersection_form(forest)
-    if not form.is_negative_definite:
-        return False
-    return is_rational(forest, point_cap=point_cap).rational
 
 
 def _derived_json(dims: DerivedDimensions) -> dict:
@@ -101,9 +79,47 @@ def _derived_json(dims: DerivedDimensions) -> dict:
     }
 
 
-def _homology_json(result: HomologyResult, certified: bool) -> dict:
+def _emit(args, payload: dict, human: list[str]) -> None:
+    if args.json:
+        payload = {"schema_version": SCHEMA_VERSION, **payload}
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    else:
+        sys.stdout.write("\n".join(human) + "\n")
+
+
+def _info(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    form = intersection_form(forest)
+    bad = bad_vertices(forest)
+    body = {
+        "determinant": form.determinant,
+        "definiteness": form.definiteness.value,
+        "bad_vertices": bad,
+        "canonical_class": list(canonical_class(forest).evals),
+    }
+    human = [
+        f"vertices: {len(forest)}, edges: {len(forest.edges)}, "
+        f"convention: {_forest_json(forest)['convention']}",
+        f"determinant: {form.determinant}  definiteness: {form.definiteness.value}",
+        f"bad vertices ({len(bad)}): {', '.join(bad) if bad else '-'}",
+    ]
+    if not bad:
+        verdict = semidefinite_classify(forest)
+        body["semidefinite"] = {
+            "kind": verdict.kind,
+            "component": list(verdict.component),
+        }
+        human.append(
+            f"zero-bad-vertex classification: {verdict.kind}"
+            + (f" on component {list(verdict.component)}" if verdict.component else "")
+        )
+    return body, human
+
+
+def _homology(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    result = compute_homology(forest, box_cap=args.box_cap)
+    certified = certify_almost_rational(forest, nmax=args.nmax, point_cap=args.point_cap)
     dims = derived_dimensions(result, almost_rational_certified=certified)
-    return {
+    body = {
         "total_dim": result.total_dim,
         "det": result.form.determinant,
         "per_orbit": [
@@ -116,120 +132,52 @@ def _homology_json(result: HomologyResult, certified: bool) -> dict:
             for oh in result.per_orbit
         ],
         "derived": _derived_json(dims),
-    }
-
-
-def _emit(args, payload: dict, human: list[str]) -> None:
-    if args.json:
-        payload = {"schema_version": SCHEMA_VERSION, **payload}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(human) + "\n")
-
-
-def _cmd_info(args) -> int:
-    forest = _load(args.file)
-    form = intersection_form(forest)
-    bad = bad_vertices(forest)
-    payload = {
-        "command": "info",
-        **_forest_json(forest),
-        "determinant": form.determinant,
-        "definiteness": form.definiteness.value,
-        "bad_vertices": bad,
-        "canonical_class": list(canonical_class(forest).evals),
-    }
-    human = [
-        f"vertices: {len(forest)}, edges: {len(forest.edges)}, convention: {payload['convention']}",
-        f"determinant: {form.determinant}  definiteness: {form.definiteness.value}",
-        f"bad vertices ({len(bad)}): {', '.join(bad) if bad else '-'}",
-    ]
-    if not bad:
-        verdict = semidefinite_classify(forest)
-        payload["semidefinite"] = {
-            "kind": verdict.kind,
-            "component": list(verdict.component),
-        }
-        human.append(
-            f"zero-bad-vertex classification: {verdict.kind}"
-            + (f" on component {list(verdict.component)}" if verdict.component else "")
-        )
-    _emit(args, payload, human)
-    return 0
-
-
-def _cmd_homology(args) -> int:
-    forest = _load(args.file)
-    result = compute_homology(forest, box_cap=args.box_cap)
-    certified = _certified_almost_rational(forest, args.point_cap)
-    payload = {
-        "command": "homology",
-        **_forest_json(forest),
-        **_homology_json(result, certified),
         "certified_almost_rational": certified,
     }
-    human = [
-        f"total_dim: {result.total_dim}   |det|: {result.det_abs}",
-    ]
+    human = [f"total_dim: {result.total_dim}   |det|: {result.det_abs}"]
     for oh in result.per_orbit:
         human.append(
             f"orbit {oh.orbit.index} rep {list(oh.orbit.representative.evals)}: dim {oh.dim}"
         )
-    dims = payload["derived"]
-    tag = "  [conjectural]" if dims["conjectural"] else ""
+    tag = "  [conjectural]" if dims.conjectural else ""
     human.append(
-        f"dim I# = {dims['dim_isharp']}  (even {dims['dim_isharp_even']}, odd {dims['dim_isharp_odd']})"
-        f"  dim HF-hat = {dims['dim_hfhat']}  L-space: {dims['is_instanton_lspace']}{tag}"
+        f"dim I# = {dims.dim_isharp}  (even {dims.dim_isharp_even}, odd {dims.dim_isharp_odd})"
+        f"  dim HF-hat = {dims.dim_hfhat}  L-space: {dims.is_instanton_lspace}{tag}"
     )
-    _emit(args, payload, human)
-    return 0
+    return body, human
 
 
-def _cmd_hplus(args) -> int:
-    forest = _load(args.file)
-    homology = compute_homology(forest, box_cap=args.box_cap)
-    table = _GradedOrbitTable(forest, args.box_cap)
+def _hplus(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    report = ker_u_cross_check(forest, point_cap=args.point_cap, box_cap=args.box_cap)
     per_orbit = []
     human = []
-    ok = True
-    for oh in homology.per_orbit:
-        graded = table.hplus(oh.orbit, args.point_cap, 0)
-        ok = ok and graded.ker_u_rank == oh.dim
+    for row in report.rows:
+        graded = row.graded
         per_orbit.append(
             {
-                "orbit": oh.orbit.index,
-                "representative": list(oh.orbit.representative.evals),
+                "orbit": row.orbit.index,
+                "representative": list(row.orbit.representative.evals),
                 "ker_u_rank": graded.ker_u_rank,
                 "stabilized_at": graded.stabilized_at,
-                "homology_dim": oh.dim,
+                "homology_dim": row.homology_dim,
                 "levels": [[l.level, l.rank, l.births] for l in graded.levels],
             }
         )
         human.append(
-            f"orbit {oh.orbit.index}: ker U rank {graded.ker_u_rank}"
-            f" (homology dim {oh.dim}), stabilized at n = {graded.stabilized_at}"
+            f"orbit {row.orbit.index}: ker U rank {graded.ker_u_rank}"
+            f" (homology dim {row.homology_dim}), stabilized at n = {graded.stabilized_at}"
         )
         for lvl in graded.levels:
             human.append(f"  n = {lvl.level}: rank H0 = {lvl.rank}, births = {lvl.births}")
-    payload = {
-        "command": "hplus",
-        **_forest_json(forest),
-        "per_orbit": per_orbit,
-        "cross_check_ok": ok,
-    }
-    human.append(f"cross-check vs homology engine: {'OK' if ok else 'MISMATCH'}")
-    _emit(args, payload, human)
-    return 0
+    human.append(f"cross-check vs homology engine: {'OK' if report.ok else 'MISMATCH'}")
+    return {"per_orbit": per_orbit, "cross_check_ok": report.ok}, human
 
 
-def _cmd_classify(args) -> int:
-    forest = _load(args.file)
+def _classify(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
     report = full_report(
         forest, nmax=args.nmax, box_cap=args.box_cap, point_cap=args.point_cap
     )
-    payload = {
-        "command": "classify",
-        **_forest_json(forest),
+    body = {
         "negdef": report.negdef,
         "bad_vertex_count": report.bad_vertex_count,
         "bad_vertices": list(report.bad_vertices),
@@ -241,59 +189,47 @@ def _cmd_classify(args) -> int:
         f"{', '.join(report.bad_vertices) if report.bad_vertices else '-'}",
         f"determinant: {report.det}",
     ]
-    if report.negdef:
-        ar = report.almost_rational
-        payload.update(
-            {
-                "rational": report.rational.rational,
-                "rational_witness": (
-                    list(report.rational.witness.coords)
-                    if report.rational.witness
-                    else None
-                ),
-                "almost_rational": {
-                    "status": ar.status,
-                    "vertex": ar.vertex,
-                    "decrement": ar.decrement,
-                    "cutoff": ar.cutoff,
-                },
-                "dim_h": report.dim_h,
-                "derived": _derived_json(report.dims),
-                "theorems_applicable": {
-                    "floer_equivalence": report.floer_equivalence_certified
-                },
-            }
-        )
-        human.append(
-            f"rational: {report.rational.rational}"
-            + (
-                f"  (witness {list(report.rational.witness.coords)})"
-                if report.rational.witness
-                else ""
-            )
-        )
-        if ar.status == "yes":
-            human.append(f"almost-rational: yes (vertex {ar.vertex}, decrement {ar.decrement})")
-        else:
-            human.append(f"almost-rational: unknown (searched decrements up to {ar.cutoff})")
-        tag = " [conjectural]" if report.dims.conjectural else ""
-        human.append(
-            f"dim H = {report.dim_h}, dim I# = {report.dims.dim_isharp}, "
-            f"L-space: {report.dims.is_instanton_lspace}{tag}"
-        )
-    else:
+    if not report.negdef:
         human.append("not negative definite: homology fields omitted")
-    _emit(args, payload, human)
-    return 0
+        return body, human
+    ar, witness = report.almost_rational, report.rational.witness
+    body.update(
+        {
+            "rational": report.rational.rational,
+            "rational_witness": list(witness.coords) if witness else None,
+            "almost_rational": {
+                "status": ar.status,
+                "vertex": ar.vertex,
+                "decrement": ar.decrement,
+                "cutoff": ar.cutoff,
+            },
+            "dim_h": report.dim_h,
+            "derived": _derived_json(report.dims),
+            "theorems_applicable": {
+                "floer_equivalence": report.floer_equivalence_certified
+            },
+        }
+    )
+    human.append(
+        f"rational: {report.rational.rational}"
+        + (f"  (witness {list(witness.coords)})" if witness else "")
+    )
+    if ar.status == "yes":
+        human.append(f"almost-rational: yes (vertex {ar.vertex}, decrement {ar.decrement})")
+    else:
+        human.append(f"almost-rational: unknown (searched decrements up to {ar.cutoff})")
+    tag = " [conjectural]" if report.dims.conjectural else ""
+    human.append(
+        f"dim H = {report.dim_h}, dim I# = {report.dims.dim_isharp}, "
+        f"L-space: {report.dims.is_instanton_lspace}{tag}"
+    )
+    return body, human
 
 
-def _cmd_triad(args) -> int:
-    forest = _load(args.file)
+def _triad(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
     triple = surgery_triple(forest, args.vertex)
     report = check_exactness(triple, box_cap=args.box_cap)
-    payload = {
-        "command": "triad",
-        **_forest_json(forest),
+    body = {
         "vertex": args.vertex,
         "valid": triple.valid,
         "dims": list(report.dims),
@@ -311,16 +247,12 @@ def _cmd_triad(args) -> int:
         f"section inverts: {report.section_inverts_b}",
         f"exact: {report.exact}",
     ]
-    _emit(args, payload, human)
-    return 0
+    return body, human
 
 
-def _cmd_blowdown(args) -> int:
-    forest = _load(args.file)
+def _blowdown(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
     result = blow_down(forest, args.vertex, box_cap=args.box_cap)
-    payload = {
-        "command": "blowdown",
-        **_forest_json(forest),
+    body = {
         "vertex": args.vertex,
         "result": _forest_json(result.forest),
         "dim_before": result.source.total_dim,
@@ -334,8 +266,46 @@ def _cmd_blowdown(args) -> int:
         "result:",
         serialize_dsl(result.forest).rstrip(),
     ]
-    _emit(args, payload, human)
+    return body, human
+
+
+# Each action maps (forest, args) to its JSON body and its human lines; the
+# plain commands add "command" and the forest, ``sfs`` adds "seifert".
+_ACTIONS = {
+    "info": _info,
+    "homology": _homology,
+    "hplus": _hplus,
+    "classify": _classify,
+    "triad": _triad,
+    "blowdown": _blowdown,
+}
+
+
+def _cmd_plain(args) -> int:
+    forest = _load(args.file)
+    body, human = _ACTIONS[args.command](forest, args)
+    _emit(args, {"command": args.command, **_forest_json(forest), **body}, human)
     return 0
+
+
+# ``sfs`` keeps the shorter key sets it has always printed for these actions.
+_SFS_PROJECTIONS = {
+    "hplus": lambda body: {
+        "cross_check_ok": body["cross_check_ok"],
+        "per_orbit": [
+            {key: row[key] for key in ("orbit", "homology_dim", "ker_u_rank")}
+            for row in body["per_orbit"]
+        ],
+    },
+    "classify": lambda body: {
+        "negdef": body["negdef"],
+        "bad_vertex_count": body["bad_vertex_count"],
+        "rational": body.get("rational"),
+        "dim_h": body.get("dim_h"),
+        "dim_isharp": body.get("derived", {}).get("dim_isharp"),
+        "is_instanton_lspace": body.get("derived", {}).get("is_instanton_lspace"),
+    },
+}
 
 
 def _cmd_sfs(args) -> int:
@@ -348,76 +318,21 @@ def _cmd_sfs(args) -> int:
         "normalized_e0": conversion.used.e0,
         "normalized_legs": [list(leg) for leg in conversion.used.legs],
         "reversed_orientation": conversion.reversed_orientation,
-        "euler_number": _frac(conversion.euler),
+        "euler_number": str(conversion.euler),
         "h1_order": conversion.h1_order,
         "plumbing": _forest_json(forest),
     }
-    human = [
+    header = [
         f"star plumbing with {len(forest)} vertices"
         + (" (orientation reversed)" if conversion.reversed_orientation else ""),
-        f"euler number {_frac(conversion.euler)}, |H1| = {conversion.h1_order}",
+        f"euler number {conversion.euler}, |H1| = {conversion.h1_order}",
     ]
     if args.action == "info":
-        payload = {"command": "sfs", "seifert": seifert_payload, **_forest_json(forest)}
-        human.append(serialize_dsl(forest).rstrip())
-        _emit(args, payload, human)
-        return 0
-    if args.action == "homology":
-        result = compute_homology(forest, box_cap=args.box_cap)
-        certified = _certified_almost_rational(forest, args.point_cap)
-        payload = {
-            "command": "sfs",
-            "seifert": seifert_payload,
-            **_homology_json(result, certified),
-            "certified_almost_rational": certified,
-        }
-        dims = payload["derived"]
-        human.append(
-            f"total_dim: {result.total_dim}  |det|: {result.det_abs}  "
-            f"dim I# = {dims['dim_isharp']}"
-            + ("  [conjectural]" if dims["conjectural"] else "")
-        )
-        _emit(args, payload, human)
-        return 0
-    if args.action == "hplus":
-        report = ker_u_cross_check(forest, point_cap=args.point_cap, box_cap=args.box_cap)
-        payload = {
-            "command": "sfs",
-            "seifert": seifert_payload,
-            "cross_check_ok": report.ok,
-            "per_orbit": [
-                {
-                    "orbit": row.orbit.index,
-                    "homology_dim": row.homology_dim,
-                    "ker_u_rank": row.ker_u_rank,
-                }
-                for row in report.rows
-            ],
-        }
-        human.append(f"cross-check: {'OK' if report.ok else 'MISMATCH'}")
-        _emit(args, payload, human)
-        return 0
-    # classify
-    report = full_report(
-        forest, nmax=args.nmax, box_cap=args.box_cap, point_cap=args.point_cap
-    )
-    payload = {
-        "command": "sfs",
-        "seifert": seifert_payload,
-        "negdef": report.negdef,
-        "bad_vertex_count": report.bad_vertex_count,
-        "rational": report.rational.rational if report.rational else None,
-        "dim_h": report.dim_h,
-        "dim_isharp": report.dims.dim_isharp if report.dims else None,
-        "is_instanton_lspace": (
-            report.dims.is_instanton_lspace if report.dims else None
-        ),
-    }
-    human.append(
-        f"rational: {report.rational.rational if report.rational else None}, "
-        f"dim H = {report.dim_h}, dim I# = {report.dims.dim_isharp if report.dims else None}"
-    )
-    _emit(args, payload, human)
+        body, human = _forest_json(forest), [serialize_dsl(forest).rstrip()]
+    else:
+        body, human = _ACTIONS[args.action](forest, args)
+        body = _SFS_PROJECTIONS.get(args.action, dict)(body)
+    _emit(args, {"command": "sfs", "seifert": seifert_payload, **body}, header + human)
     return 0
 
 
@@ -445,19 +360,12 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, handler, needs_vertex in (
-        ("info", _cmd_info, False),
-        ("homology", _cmd_homology, False),
-        ("hplus", _cmd_hplus, False),
-        ("classify", _cmd_classify, False),
-        ("triad", _cmd_triad, True),
-        ("blowdown", _cmd_blowdown, True),
-    ):
+    for name in _ACTIONS:
         p = sub.add_parser(name, parents=[common])
         p.add_argument("file", help="plumbing DSL file")
-        if needs_vertex:
+        if name in ("triad", "blowdown"):
             p.add_argument("--vertex", required=True, help="vertex id")
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=_cmd_plain)
 
     p = sub.add_parser("sfs", parents=[common])
     p.add_argument("--sfs", required=True, help='Seifert data "e0; a1/b1 a2/b2 ..."')

@@ -504,7 +504,11 @@ def sublevel_complex(
 class CrossCheckRow:
     orbit: SpinCOrbit
     homology_dim: int
-    ker_u_rank: int
+    graded: GradedHPlus
+
+    @property
+    def ker_u_rank(self) -> int:
+        return self.graded.ker_u_rank
 
     @property
     def matches(self) -> bool:
@@ -528,7 +532,9 @@ def ker_u_cross_check(
     The two engines share nothing past the box: one quotients characteristic
     vectors by signed reflections, the other counts component births of the
     weight filtration, so agreement is a genuine two-route check.  The box
-    is grouped into orbits once, not once per orbit.
+    is grouped into orbits once, not once per orbit.  Each row carries its
+    orbit's level table; ``point_cap`` bounds the sweeps of orbits with more
+    than one birth.
     """
     homology = compute_homology(forest, box_cap=box_cap)
     table = _GradedOrbitTable(forest, box_cap)
@@ -536,7 +542,7 @@ def ker_u_cross_check(
         CrossCheckRow(
             orbit=oh.orbit,
             homology_dim=oh.dim,
-            ker_u_rank=sum(table.births(table.to_plus(oh.orbit.representative)).values()),
+            graded=table.hplus(oh.orbit, point_cap, 0),
         )
         for oh in homology.per_orbit
     )

@@ -5,8 +5,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -14,7 +16,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, random_forest
-from plumblat import EdgeSign, parse_dsl, parse_plumbing, serialize_dsl
+from plumblat import (
+    EdgeSign,
+    bad_vertices,
+    parse_dsl,
+    parse_plumbing,
+    parse_sfs,
+    seifert_to_plumbing,
+    serialize_dsl,
+)
 from plumblat.cli import main
 from plumblat.errors import (
     CycleDetected,
@@ -108,6 +118,13 @@ def run_cli(capsys, *argv) -> tuple[int, str]:
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def _cli(*argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_cli_homology_human(capsys):
@@ -295,13 +312,11 @@ def test_cli_fuzz_plumbing_files(tmp_path_factory, family, data, command):
     """Any bytes as a plumbing file end in exit code 0-3, never a traceback."""
     path = tmp_path_factory.getbasetemp() / f"fuzz-{family}.plumb"
     path.write_bytes(data.draw(PLUMBING_FILES[family], label="file"))
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(
-            [command, str(path), "--box-cap", "2000", "--point-cap", "2000", "--nmax", "3"]
-        )
+    code, _, err = _cli(
+        command, str(path), "--box-cap", "2000", "--point-cap", "2000", "--nmax", "3"
+    )
     assert code in {0, 1, 2, 3}
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
 
 
 # token soup with malformed pieces, well-formed data that reaches the
@@ -334,14 +349,11 @@ SFS_TEXTS = {
 def test_cli_fuzz_sfs_text(family, data, action):
     """Any --sfs text ends in exit code 0-3, never a traceback."""
     text = data.draw(SFS_TEXTS[family], label="sfs")
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(
-            ["sfs", f"--sfs={text}", action,
-             "--box-cap", "2000", "--point-cap", "2000", "--nmax", "3"]
-        )
+    code, _, err = _cli(
+        "sfs", f"--sfs={text}", action, "--box-cap", "2000", "--point-cap", "2000", "--nmax", "3"
+    )
     assert code in {0, 1, 2, 3}
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
 
 
 def test_cli_internal_violation_maps_to_4(capsys, monkeypatch):
@@ -386,6 +398,109 @@ def test_cli_sfs(capsys):
     payload = json.loads(out)
     assert payload["derived"]["dim_isharp"] == 7
     assert payload["seifert"]["h1_order"] == 5
+
+
+# Two disjoint Sigma(2,3,7) stars: the decrement search ends in "unknown".
+SIGMA_237_TWICE = "".join(
+    f"vertex {s}c -1\nvertex {s}a -2\nvertex {s}b -3\nvertex {s}d -7\n"
+    f"edge {s}c {s}a\nedge {s}c {s}b\nedge {s}c {s}d\n"
+    for s in "xy"
+)
+
+
+def test_homology_certifies_almost_rationality_as_classify_does(tmp_path):
+    """``homology`` stamps its output certified exactly when ``classify``
+    finds the Floer equivalence theorem applicable, at the default --nmax
+    and at --nmax 0, where only forests with at most one bad vertex pass."""
+    texts = {f.name: f.read_text() for f in sorted(FIXTURES.glob("*.plumb"))}
+    for f in sorted(FIXTURES.glob("*.sfs")):
+        texts[f.name] = serialize_dsl(seifert_to_plumbing(parse_sfs(f.read_text())).forest)
+    texts["sigma237x2"] = SIGMA_237_TWICE
+    rng = random.Random(20261018)
+    while len(texts) < 45:
+        forest = random_forest(rng, max_vertices=7, lo=-3, hi=-1, edge_probability=0.6)
+        if len(bad_vertices(forest)) >= 2:
+            texts[f"random{len(texts)}"] = serialize_dsl(forest)
+    verdicts = []
+    for name, text in texts.items():
+        path = tmp_path / "input.plumb"
+        path.write_text(text)
+        for nmax in ("64", "0"):
+            code, out, _ = _cli("homology", str(path), "--json", "--nmax", nmax)
+            assert code == 0, name
+            certified = json.loads(out)["certified_almost_rational"]
+            code, out, _ = _cli("classify", str(path), "--json", "--nmax", nmax)
+            assert code == 0, name
+            floer = json.loads(out)["theorems_applicable"]["floer_equivalence"]
+            assert certified == floer, (name, nmax)
+            verdicts.append(certified)
+    assert True in verdicts and False in verdicts
+
+
+def _random_seifert_texts(rng: random.Random, count: int) -> list[str]:
+    texts = []
+    while len(texts) < count:
+        legs = []
+        for _ in range(rng.randint(2, 3)):
+            alpha = rng.randint(2, 5)
+            beta = rng.choice([b for b in range(1, alpha) if gcd(alpha, b) == 1])
+            legs.append(f"{alpha}/{beta}")
+        texts.append(f"{rng.randint(-3, -1)}; " + " ".join(legs))
+    return texts
+
+
+# The key sets ``sfs`` prints for each action, read off the plain action's JSON.
+SFS_KEYS = {
+    "homology": lambda body: body,
+    "hplus": lambda body: {
+        "cross_check_ok": body["cross_check_ok"],
+        "per_orbit": [
+            {"orbit": r["orbit"], "homology_dim": r["homology_dim"], "ker_u_rank": r["ker_u_rank"]}
+            for r in body["per_orbit"]
+        ],
+    },
+    "classify": lambda body: {
+        "negdef": body["negdef"],
+        "bad_vertex_count": body["bad_vertex_count"],
+        "rational": body.get("rational"),
+        "dim_h": body.get("dim_h"),
+        "dim_isharp": body["derived"]["dim_isharp"] if "derived" in body else None,
+        "is_instanton_lspace": (
+            body["derived"]["is_instanton_lspace"] if "derived" in body else None
+        ),
+    },
+}
+
+
+def test_sfs_actions_print_the_plain_actions_output(tmp_path):
+    """``sfs ... <action>`` prints the Seifert header and then exactly what
+    the plain action prints on the converted star; its JSON is the plain
+    action's JSON cut to the ``sfs`` key set, plus "seifert"."""
+    texts = [f.read_text().strip() for f in sorted(FIXTURES.glob("*.sfs"))]
+    texts += _random_seifert_texts(random.Random(11), 12)
+    path = tmp_path / "star.plumb"
+    for text in texts:
+        conversion = seifert_to_plumbing(parse_sfs(text))
+        path.write_text(serialize_dsl(conversion.forest))
+        header = [
+            f"star plumbing with {len(conversion.forest)} vertices"
+            + (" (orientation reversed)" if conversion.reversed_orientation else ""),
+            f"euler number {conversion.euler}, |H1| = {conversion.h1_order}",
+        ]
+        for action in SFS_KEYS:
+            code, out, err = _cli("sfs", f"--sfs={text}", action)
+            assert (code, err) == _cli(action, str(path))[::2], (text, action)
+            assert out.splitlines() == header + _cli(action, str(path))[1].splitlines()
+
+            code, out, _ = _cli("sfs", f"--sfs={text}", action, "--json")
+            plain_code, plain_out, _ = _cli(action, str(path), "--json")
+            assert code == plain_code == 0, (text, action)
+            routed, plain = json.loads(out), json.loads(plain_out)
+            assert routed.pop("command") == "sfs" and plain.pop("command") == action
+            assert routed.pop("schema_version") == plain.pop("schema_version") == 1
+            star = {key: plain.pop(key) for key in ("vertices", "edges", "convention")}
+            assert routed.pop("seifert")["plumbing"] == star
+            assert routed == SFS_KEYS[action](plain), (text, action)
 
 
 @pytest.mark.parametrize("text", ["-1;2/1", "-3;", "-2; 2/1 3/1 5/4"])

@@ -81,6 +81,20 @@ def test_cross_check_elliptic_a():
     assert sorted(r.ker_u_rank for r in report.rows) == [1, 1, 1, 2]
 
 
+def test_cross_check_rows_carry_level_tables_under_the_point_cap():
+    """Each row holds its orbit's compute_hplus table, and the point cap
+    bounds the sweeps that build them, in the library and in ``sfs hplus``."""
+    forest = elliptic_a()
+    for row in ker_u_cross_check(forest).rows:
+        assert row.graded == compute_hplus(forest, row.orbit)
+        assert row.ker_u_rank == row.graded.ker_u_rank
+    with pytest.raises(EnumerationBudgetExceeded):
+        ker_u_cross_check(forest, point_cap=1)
+    sfs = (FIXTURES / "m038_n1.sfs").read_text().strip()
+    assert main(["sfs", "--sfs", sfs, "hplus", "--point-cap", "1"]) == 3
+    assert main(["sfs", "--sfs", sfs, "hplus"]) == 0
+
+
 def test_cross_check_random_suite(rng):
     """Fifty random small forests: quotient dims equal kernel ranks."""
     for _ in range(50):

@@ -18,6 +18,7 @@ from oracle_moves import (
 )
 from plumblat import (
     CharVector,
+    EdgeSign,
     add_vertex_map,
     blow_down,
     bump_framing_map,
@@ -317,16 +318,22 @@ def test_blow_down_rejections():
 
 
 def test_blow_down_random_suite(rng):
-    count = 0
-    while count < 25:
+    """The (-1) leaf is listed last, first or in between, in either edge
+    convention.  Every blow-down seen keeps class i at index i (on the
+    k_x = -1 slice the map drops a constant coordinate and adds one to
+    another, which keeps lex order), so the orbit map is what tells a source
+    index from a target one here: it must be checked on permuted orbits."""
+    count = permuted = 0
+    while count < 40:
         base = random_forest(rng, max_vertices=5)
         ids = list(zip(base.ids, base.framings))
         edges = [(base.ids[a], base.ids[b]) for a, b in base.edges]
         if rng.random() < 0.5:
-            target = base.ids[rng.randrange(len(base))]
-            candidate = validate_forest(ids + [("x", -1)], edges + [(target, "x")])
-        else:
-            candidate = validate_forest(ids + [("x", -1)], edges)
+            edges.append((base.ids[rng.randrange(len(base))], "x"))
+        at = (len(ids), 0, rng.randrange(len(ids) + 1))[count % 3]
+        candidate = validate_forest(
+            ids[:at] + [("x", -1)] + ids[at:], edges, rng.choice(list(EdgeSign))
+        )
         if not intersection_form(candidate).is_negative_definite:
             continue
         result = blow_down(candidate, "x")
@@ -335,7 +342,9 @@ def test_blow_down_random_suite(rng):
         assert result.class_map == class_map
         assert {src: {dst} for src, dst in result.orbit_map} == orbit_pairs
         assert [src for src, _ in result.orbit_map] == list(range(len(result.source.per_orbit)))
+        permuted += any(src != dst for src, dst in result.orbit_map)
         count += 1
+    assert permuted >= 5
 
 
 def test_slide_unslide_identity(rng):
