@@ -27,7 +27,9 @@ from plumblat import (
     intersection_form,
     intlinalg,
     ker_u_cross_check,
+    parse_sfs,
     rational_via_hplus,
+    seifert_to_plumbing,
     sublevel_complex,
     validate_forest,
 )
@@ -307,9 +309,20 @@ def _chain_m1():
     )
 
 
+# Seifert stars whose orbits carry several births, so their sweeps flood:
+# the first has one orbit with six births
+FLOODING_STARS = (
+    "-1; 4/1 5/3 7/1",
+    "-2; 5/3 7/5 7/5",
+    "-2; 7/5 7/5 7/5",
+    "-2; 5/3 7/4 7/6",
+)
+
+
 def _differential_cases():
     """Seeded random forests in both conventions, many with -1 framings
-    (a -1 vertex lies on a box face in every box vector), and the fixtures."""
+    (a -1 vertex lies on a box face in every box vector), the fixtures, and
+    the flooding stars in both conventions."""
     rng = random.Random(0x5EED)
     cases = [validate_forest([("a", -1), ("b", -1), ("c", -1)])]
     for i in range(200):
@@ -317,6 +330,9 @@ def _differential_cases():
         lo = -3 if i % 4 < 2 else -4
         cases.append(random_forest(rng, max_vertices=5, lo=lo, edge_sign=sign))
     cases += [e8(), elliptic_a(), elliptic_b(), _chain_m1()]
+    for text in FLOODING_STARS:
+        star = seifert_to_plumbing(parse_sfs(text)).forest
+        cases += [star, convert_convention(star).forest]
     return cases
 
 
@@ -326,6 +342,7 @@ def test_graded_engine_matches_all_neighbour_oracle():
     cases = _differential_cases()
     assert sum(1 for f in cases if -1 in f.framings) >= 50
     assert {f.edge_sign for f in cases} == set(EdgeSign)
+    flooded = 0
     for forest in cases:
         table = _GradedOrbitTable(forest, 10**8)
         for oh in compute_homology(forest).per_orbit:
@@ -335,9 +352,10 @@ def test_graded_engine_matches_all_neighbour_oracle():
             assert list(grading.minima.items()) == list(reference.minima.items())
             assert table.births(grading.k0) == reference_birth_counts(reference)
             # a small point cap stops a flood with wrong weights early
-            assert table.hplus(oh.orbit, 10**5, 1) == reference_hplus(
-                table, oh.orbit, 10**5, 1
-            )
+            graded = table.hplus(oh.orbit, 10**5, 1)
+            assert graded == reference_hplus(table, oh.orbit, 10**5, 1)
+            flooded += graded.ker_u_rank > 1
+    assert flooded >= 30
 
 
 def test_sublevel_complex_ranks_match_level_tables():
