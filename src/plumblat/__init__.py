@@ -7,16 +7,10 @@ from .charlattice import (
     LatticeVector,
     OrbitMembers,
     SpinCOrbit,
-    char_to_lattice,
     chi,
-    coercivity_bounds,
     enumerate_box,
     is_characteristic,
-    is_local_minimum,
-    lattice_to_char,
     orbit_decompose,
-    pd_dual,
-    weight,
 )
 from .classify import (
     ARVerdict,
@@ -39,8 +33,6 @@ from .homology import (
 )
 from .hplus import (
     CrossCheckReport,
-    SublevelComplex,
-    sublevel_complex,
     GradedHPlus,
     HPlusLevel,
     compute_hplus,
@@ -59,7 +51,6 @@ from .moves import (
     bump_framing_section,
     check_exactness,
     convert_convention,
-    sign_normalization,
     surgery_triple,
 )
 from .plumbing import (

@@ -1,4 +1,4 @@
-"""Characteristic vectors, spin^c orbits, and lattice coordinates.
+"""Characteristic vectors, spin^c orbits, and the characteristic box.
 
 A characteristic vector is an integer functional k on the vertex lattice with
 <k, x> congruent to (x, x) mod 2; it is stored through its evaluations on the
@@ -15,23 +15,18 @@ the hot path.  Box vectors are addressed by mixed-radix indices
 (:class:`BoxIndex`), and :func:`box_orbits` is the one scan that splits the
 box into orbits, updating keys digit by digit.
 
-The weight function w(x) = -((x, x) + <k0, x>)/2, taken in the +1 edge
-convention, turns lattice points into the filtration that drives the graded
-cross-check engine.  Expanding (x + s e_v)^2 with k = k0 + 2x* gives the step
-w(x + s e_v) - w(x) = -(s k_v + m_v)/2, s = +-1, so the local minima are the
-box vectors of the orbit of k0 (every step is >= 0 iff |k_v| <= -m_v), tying
-only along face directions s k_v = -m_v.  In box digits (k_v = m_v + 2 d_v)
-the face condition reads: x + e_v ties iff d_v = -m_v, its top, and
-x - e_v ties iff d_v = 0.  The tied neighbour k + 2s A e_v moves d_v to the
-other end of its range and each neighbour digit by s (+1 convention), so it
-lies at index a + s up_v, up_v = m_v stride_v + sum_{u ~ v} stride_u, and is
-in the box iff no neighbour digit already sits at the end it moves past.
+In box digits (k_v = m_v + 2 d_v) the faces of the box read: k_v = -m_v
+iff d_v = -m_v, its top, and k_v = m_v iff d_v = 0.  The vector
+k + 2s A e_v moves d_v by s m_v and each neighbour digit by s (+1
+convention), so from the face s k_v = -m_v it lands at index a + s up_v,
+up_v = m_v stride_v + sum_{u ~ v} stride_u, and is in the box iff no
+neighbour digit already sits at the end it moves past.  The graded engine
+(:mod:`plumblat.hplus`) reads its births off these offsets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -40,9 +35,8 @@ from .errors import (
     BoxTooLarge,
     InternalInvariantViolation,
     NotNegativeDefinite,
-    ParityViolation,
 )
-from .plumbing import CanonicalClass, EdgeSign, IntersectionForm
+from .plumbing import CanonicalClass, IntersectionForm
 
 # compute_homology peaks at about 6 bytes of RSS per box vector on a box near
 # the cap (5.8 at 1.9e7 vectors, 15 vertices; 13 at 9.4e5, where the classes
@@ -96,15 +90,6 @@ def is_characteristic(k: CharVector | Sequence[int], form: IntersectionForm) -> 
     evals = k.evals if isinstance(k, CharVector) else tuple(k)
     return all(
         (evals[i] - form.matrix[i][i]) % 2 == 0 for i in range(len(form))
-    )
-
-
-def pd_dual(x: LatticeVector, form: IntersectionForm) -> CharVector:
-    """The functional <x*, -> = (x, -); characteristic only for special x."""
-    n = len(form)
-    coords = x.coords
-    return CharVector(
-        tuple(sum(form.matrix[i][j] * coords[j] for j in range(n)) for i in range(n))
     )
 
 
@@ -223,24 +208,6 @@ class OrbitIndexer:
             [sum([c[r] * e for c, e in zip(cols, evals)]) % mod for r in range(self.n)]
         )
 
-    def lattice_coordinates(
-        self, k: CharVector | Sequence[int], k0: CharVector | Sequence[int]
-    ) -> LatticeVector:
-        """Solve k = k0 + 2 x* for integral x; ValueError if orbits differ."""
-        evals = k.evals if isinstance(k, CharVector) else k
-        base = k0.evals if isinstance(k0, CharVector) else k0
-        diff = [evals[j] - base[j] for j in range(self.n)]
-        coords = []
-        denom = 2 * self.determinant
-        for i in range(self.n):
-            num = sum(self.adjugate[i][j] * diff[j] for j in range(self.n))
-            q, r = divmod(num, denom)
-            if r:
-                raise ValueError("vectors lie in different orbits")
-            coords.append(q)
-        return LatticeVector(tuple(coords))
-
-
 def box_orbits(
     indexer: OrbitIndexer, box: BoxIndex, *, members: bool = True
 ) -> dict[tuple[int, ...], list[int]]:
@@ -319,109 +286,3 @@ def chi(x: LatticeVector, canonical: CanonicalClass, form: IntersectionForm) -> 
     if total % 2:
         raise InternalInvariantViolation("canonical class failed the parity test")
     return -total // 2
-
-
-def _double_weight(
-    coords: Sequence[int], k0: Sequence[int], form: IntersectionForm
-) -> int:
-    """(x, x) + <k0, x>; equals -2 w(x) for the form's own pairing."""
-    n = len(form)
-    square = sum(
-        form.matrix[i][j] * coords[i] * coords[j] for i in range(n) for j in range(n)
-    )
-    return square + sum(k0[i] * coords[i] for i in range(n))
-
-
-def weight(x: LatticeVector, k0: CharVector, form: IntersectionForm) -> int:
-    """w(x) = -((x, x) + <k0, x>)/2 in the +1 edge convention.
-
-    The graded engine is defined with adjacent vertices pairing to +1, so a
-    form built with the -1 convention is rejected here rather than silently
-    producing the wrong filtration; convert the forest first.
-    """
-    if form.edge_sign is not EdgeSign.PLUS_ONE:
-        raise ValueError("weight requires a +1 convention form; convert the forest first")
-    doubled = _double_weight(x.coords, k0.evals, form)
-    if doubled % 2:
-        raise ParityViolation("k0 is not characteristic for this form")
-    return -doubled // 2
-
-
-def lattice_to_char(
-    x: LatticeVector, k0: CharVector, form: IntersectionForm
-) -> CharVector:
-    """k0 + 2 x*: the orbit's bijection between lattice points and vectors."""
-    dual = pd_dual(x, form)
-    return CharVector(tuple(k0.evals[i] + 2 * dual.evals[i] for i in range(len(form))))
-
-
-def char_to_lattice(
-    k: CharVector, k0: CharVector, form: IntersectionForm
-) -> LatticeVector:
-    """Inverse of :func:`lattice_to_char`; ValueError if orbits differ."""
-    return OrbitIndexer(form).lattice_coordinates(k, k0)
-
-
-def is_local_minimum(
-    x: LatticeVector, k0: CharVector, form: IntersectionForm
-) -> bool:
-    """Whether w(x) <= w(x') for all 2n unit neighbors x' of x.
-
-    Compares doubled weights so no halving is needed; works in either edge
-    convention (the filtration semantics belong to the +1 one).
-    """
-    n = len(form)
-    base = _double_weight(x.coords, k0.evals, form)
-    coords = list(x.coords)
-    for i in range(n):
-        for step in (1, -1):
-            coords[i] += step
-            neighbor = _double_weight(coords, k0.evals, form)
-            coords[i] -= step
-            if neighbor > base:  # w(neighbor) < w(x)
-                return False
-    return True
-
-
-def coercivity_bounds(
-    form: IntersectionForm, k0: CharVector
-) -> tuple[Fraction, Fraction]:
-    """Exact rationals (c, C) with w(x) >= c |x|^2 - C for all lattice x.
-
-    Driven by the exact LDL eigenvalue bound on the positive-definite form
-    -(x, x); used to certify enumeration windows.
-    """
-    if not form.is_negative_definite:
-        raise NotNegativeDefinite("coercivity needs a negative-definite form")
-    n = len(form)
-    if n == 0:
-        return Fraction(1), Fraction(0)
-    negated = [[-x for x in row] for row in form.matrix]
-    lam = intlinalg.min_eigenvalue_lower_bound(negated)
-    norm_sq = Fraction(sum(v * v for v in k0.evals))
-    return lam / 4, norm_sq / (4 * lam)
-
-
-def weight_radius_sq_bound(
-    form: IntersectionForm, k0: CharVector, level: int
-) -> Fraction:
-    """R with: w(x) <= level implies |x|^2 <= R.  Negative R means no point.
-
-    From lambda |x|^2 <= -(x,x) = 2w(x) + <k0,x> <= 2 level + |k0| |x| and the
-    quadratic formula, rounding the square roots outward.
-    """
-    if not form.is_negative_definite:
-        raise NotNegativeDefinite("radius bound needs a negative-definite form")
-    n = len(form)
-    if n == 0:
-        return Fraction(0) if level >= 0 else Fraction(-1)
-    negated = [[-x for x in row] for row in form.matrix]
-    lam = intlinalg.min_eigenvalue_lower_bound(negated)
-    norm_sq = Fraction(sum(v * v for v in k0.evals))
-    disc = norm_sq + 8 * level * lam
-    if disc < 0:
-        return Fraction(-1)
-    b_up = intlinalg.sqrt_upper_bound(norm_sq)
-    root_up = intlinalg.sqrt_upper_bound(disc)
-    t_up = (b_up + root_up) / (2 * lam)
-    return t_up * t_up

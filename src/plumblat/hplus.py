@@ -8,6 +8,14 @@ both carry weight <= n.  U acts by restricting a component function to the
 previous level, so rank(ker U) counts the component births: components of
 S_n disjoint from S_{n-1}.
 
+The engine runs on characteristic vectors, never on lattice coordinates:
+x <-> k = k0 + 2x* identifies the lattice with the orbit of k0, and there
+w = (k0^2 - k^2)/8 with k^2 = k A^{-1} k, that is
+w(k) = (q(k0) - q(k)) / (8 det) with q(k) = k adj(A) k.  The basis step
+x +- e_v is the k-step k +- 2A e_v: +-2m_v at v and +-2 at each neighbour.
+Expanding the square gives the step identity
+w(k +- 2A e_v) - w(k) = -(+-k_v + m_v)/2, read off k itself.
+
 Births are computed without materializing any sublevel set.  A component of
 S_n disjoint from S_{n-1} consists of points of weight exactly n, each of
 which is a local minimum of w (its in-component neighbors share its weight
@@ -15,25 +23,25 @@ and everything else is heavier), and conversely a connected plateau of
 weight-n local minima founds a new component unless some member has a
 strictly lighter neighbor, or a same-weight neighbor that is not itself a
 local minimum (such a neighbor has a lighter neighbor of its own, linking
-the plateau to the previous level either way).  The local minima are exactly
-the orbit's box vectors under x <-> k = k0 + 2x*, hence finite and
-enumerated up front.  Expanding the square with k_v = k0_v + 2(x, e_v) gives
-the step identity w(x + s e_v) - w(x) = -(s k_v + m_v)/2, s = +-1: on a box
-vector it is >= 0 and zero exactly on the face s k_v = -m_v, so births scan
-only face directions, at most one per vertex.
+the plateau to the previous level either way).  By the step identity the
+local minima are exactly the orbit's box vectors (every step is >= 0 iff
+|k_v| <= -m_v), hence finite and enumerated up front; a step from a box
+vector is zero exactly on the face +-k_v = -m_v, so births scan only face
+directions, at most one per vertex.
 
-Births are read off box digits, with no lattice coordinates: the face
-x + e_v is tied exactly when the digit d_v is at its top, and then sits a
-fixed index offset away, in the box iff no neighbour digit is at its top;
-x - e_v is tied exactly when d_v = 0, in the box iff no neighbour digit is
-0.  A plateau's weight is (k0^2 - k^2)/8 with k^2 = k A^{-1} k, taken once
-per undrained plateau.  Coordinates are solved only for orbits with more
-than one birth, to seed their flood.
+Births are read off box digits: the face k + 2A e_v is tied exactly when
+the digit d_v is at its top, and then sits a fixed index offset away, in
+the box iff no neighbour digit is at its top; k - 2A e_v is tied exactly
+when d_v = 0, in the box iff no neighbour digit is 0.  Weights come from q
+split over the box halves, q(h) + q(t) + 2 h adj[head, tail] t, with the
+head and tail parts tabulated once: O(n) per box vector.
 
 Component counts for ranks do need sublevel sets, and come from a certified
-breadth-first flood out of the local minima (every component of S_n contains
-a point of minimal weight, which is a local minimum, so the flood misses
-nothing).  Two facts keep the sweep short and certify the stopping level:
+breadth-first flood of characteristic vectors.  It is seeded with every box
+vector of the orbit at its exact weight, so the components it finds newborn
+at each level must be exactly the plateau births, a check that fails in
+both directions.  Two facts keep the sweep short and certify the stopping
+level:
 
 * every component of every S_n contains some newborn core, so
   rank H^0(S_n) <= total births; in particular a kernel rank of one forces
@@ -43,9 +51,12 @@ nothing).  Two facts keep the sweep short and certify the stopping level:
   plateau -- being birthless -- links to strictly lighter points and hence,
   inductively, to the connected core.
 
-Floods weigh neighbors by the same identity, from one k per point.  An exact
-ellipsoid bound derived from the rational LDL eigenvalue bound checks every
-flooded point, and a point cap guards runtime.
+Every flooded point k of level n is checked against the exact integer bound
+k_v^2 |det| <= -m_v (8n |det| - sign(det) q(k0)) at every vertex v, in O(n).
+Proof: with P = -A positive definite, w(k) <= n reads k P^{-1} k <= 8n - k0^2,
+and Cauchy-Schwarz in P^{-1} gives k_v^2 = (k P^{-1} P e_v)^2
+<= (k P^{-1} k)(e_v P e_v) = -m_v (k P^{-1} k); multiply by |det|, using
+|det| k0^2 = sign(det) q(k0).  A point cap guards runtime.
 
 Every entry point reads its orbits from one :class:`_GradedOrbitTable` per
 forest, which converts the forest and scans the box once.
@@ -55,6 +66,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import add, mul, sub
 
 from .charlattice import (
     DEFAULT_BOX_CAP,
@@ -63,27 +75,19 @@ from .charlattice import (
     OrbitIndexer,
     SpinCOrbit,
     box_orbits,
-    weight_radius_sq_bound,
 )
 from .errors import (
     EnumerationBudgetExceeded,
     InternalInvariantViolation,
     NotNegativeDefinite,
-    ParityViolation,
 )
 from .homology import compute_homology
 from .moves import convert_convention
-from .plumbing import (
-    EdgeSign,
-    IntersectionForm,
-    PlumbingForest,
-    UnionFind,
-    intersection_form,
-)
+from .plumbing import EdgeSign, PlumbingForest, UnionFind, intersection_form
 
 DEFAULT_POINT_CAP = 10**7
 
-Point = tuple[int, ...]
+Point = tuple[int, ...]  # the evaluations of a characteristic vector
 
 
 @dataclass(frozen=True)
@@ -91,24 +95,6 @@ class HPlusLevel:
     level: int
     rank: int
     births: int
-
-
-@dataclass(frozen=True)
-class SublevelComplex:
-    """A single sublevel set: its lattice points and component partition.
-
-    Only vertices and edges of the cubical complex matter for component
-    counts (a higher cube never joins what its edges have not), so points
-    plus unit-step adjacency carry the whole structure.
-    """
-
-    level: int
-    points: frozenset[Point]
-    components: tuple[tuple[Point, ...], ...]
-
-    @property
-    def rank(self) -> int:
-        return len(self.components)
 
 
 @dataclass(frozen=True)
@@ -127,56 +113,14 @@ class GradedHPlus:
     stabilized_at: int
 
 
-class _OrbitGrading:
-    """Weights and local minima of one orbit in the +1 convention."""
-
-    def __init__(self, plus: PlumbingForest, form: IntersectionForm, k0: CharVector):
-        self.form = form
-        self.k0 = k0
-        self._framings = plus.framings
-        self._edges = plus.edges
-        self._k0e = k0.evals
-        # local minima of w with their weights, one per orbit box vector
-        self.minima: dict[Point, int] = {}
-
-    def weight(self, x: Point) -> int:
-        s = sum(xi * (m * xi + e) for xi, m, e in zip(x, self._framings, self._k0e))
-        s += 2 * sum(x[a] * x[b] for a, b in self._edges)
-        if s % 2:
-            raise ParityViolation("orbit representative is not characteristic")
-        return -s // 2
-
-    def plateaus(self) -> dict[int, list[Point]]:
-        """The local minima grouped by weight."""
-        out: dict[int, list[Point]] = {}
-        for x, w in self.minima.items():
-            out.setdefault(w, []).append(x)
-        return out
-
-    def char(self, x: Point) -> list[int]:
-        """The evaluations of k = k0 + 2x*, in O(n + E)."""
-        k = [e + 2 * m * xi for e, m, xi in zip(self._k0e, self._framings, x)]
-        for a, b in self._edges:
-            k[a] += 2 * x[b]
-            k[b] += 2 * x[a]
-        return k
-
-    def steps(self, x: Point, w: int):
-        """The 2n unit neighbors of x (weight w) weighed by the step identity."""
-        k = self.char(x)
-        for v, m in enumerate(self._framings):
-            head, xv, tail = x[:v], x[v], x[v + 1 :]
-            yield head + (xv + 1,) + tail, w - (k[v] + m) // 2
-            yield head + (xv - 1,) + tail, w + (k[v] - m) // 2
-
-
 class _GradedOrbitTable:
     """The graded engine's per-forest setup, built once from (forest, box_cap).
 
     Holds the forest in the +1 convention with the bipartition that moves
     representatives there, its intersection form, one orbit indexer, one
-    scan of the box into orbits, and the prefix and suffix tables that
-    :meth:`births` reads box faces and orbit keys from.
+    scan of the box into orbits, the flood's step columns 2A e_v, and the
+    prefix and suffix tables that :meth:`births` reads box faces, orbit keys
+    and weights from.
     """
 
     def __init__(self, forest: PlumbingForest, box_cap: int):
@@ -191,9 +135,10 @@ class _GradedOrbitTable:
         self.indexer = OrbitIndexer(self.form)
         self.box = BoxIndex(self.form, box_cap)
         self.orbits = box_orbits(self.indexer, self.box)
+        self.columns = [tuple(2 * a for a in row) for row in self.form.matrix]
 
-        # the face x + e_v of a vector with d_v at its top sets d_v to 0 and
-        # raises each neighbour digit by one: index offset up_v
+        # the face k + 2A e_v of a vector with d_v at its top sets d_v to 0
+        # and raises each neighbour digit by one: index offset up_v
         framings, strides = self.box.framings, self.box.strides
         neighbours = [0] * len(framings)
         up = [m * stride for m, stride in zip(framings, strides)]
@@ -203,6 +148,7 @@ class _GradedOrbitTable:
             up[a] += strides[b]
             up[b] += strides[a]
         low, heads, tails = self.box.halves()
+        adj, split = self.indexer.adjugate, len(heads[0])
 
         def half(table, offset):
             """Per half-vector: its part of the orbit key adj(A) k mod 2 det,
@@ -225,56 +171,55 @@ class _GradedOrbitTable:
             return out
 
         self._low, self._heads = low, half(heads, 0)
-        self._tails = half(tails, len(heads[0]))
+        self._tails = half(tails, split)
+        # q(k) = q(h) + q(t) + 2 h adj[head, tail] t: per head its q and its
+        # cross row adj[tail, head] h, per tail its q
+        self._head_evals, self._tail_evals = heads, tails
+        self._head_q = [
+            (_quadratic(adj, h), [sum(map(mul, row, h)) for row in adj[split:]])
+            for h in heads
+        ]
+        tail_block = [row[split:] for row in adj[split:]]
+        self._tail_q = [_quadratic(tail_block, t) for t in tails]
+        self._denom = 8 * self.indexer.determinant
 
     def to_plus(self, rep: CharVector) -> CharVector:
         """A vector of the forest's own convention, moved to the +1 one."""
         return CharVector(tuple(-e if neg else e for e, neg in zip(rep.evals, self.negated)))
 
-    def grading(self, rep: CharVector) -> _OrbitGrading:
-        """The orbit of ``rep``, a vector in the forest's own convention."""
-        return self.plus_grading(self.to_plus(rep))
+    def vector(self, a: int) -> Point:
+        """The evaluations of box index a."""
+        high, rest = divmod(a, self._low)
+        return self._head_evals[high] + self._tail_evals[rest]
 
-    def plus_grading(self, k0: CharVector) -> _OrbitGrading:
-        """The orbit of ``k0``, a vector in the +1 convention, in coordinates.
+    def weight(self, a: int, q0: int) -> int:
+        """The weight (q(k0) - q(k)) / (8 det) of box index a, q0 = q(k0)."""
+        high, rest = divmod(a, self._low)
+        qh, cross = self._head_q[high]
+        q = qh + self._tail_q[rest] + 2 * sum(map(mul, cross, self._tail_evals[rest]))
+        level, rem = divmod(q0 - q, self._denom)
+        if rem:
+            raise InternalInvariantViolation("a box vector weight is not integral")
+        return level
 
-        Walks the orbit's sorted box indices keeping num = adj(A)(k - k0): a
-        digit d_v moving changes k_v by t and adds t adj(A)[v] (adj(A) is
-        symmetric), and the minimum is x = num / (2 det), checked exact."""
-        grading = _OrbitGrading(self.plus, self.form, k0)
-        adj, box, denom = self.indexer.adjugate, self.box, 2 * self.indexer.determinant
-        shift = [m - e for m, e in zip(box.framings, k0.evals)]  # k - k0 at index 0
-        num = [sum(a * d for a, d in zip(row, shift)) for row in adj]
-        prev = 0
-        for i in self.orbits.get(self.indexer.key(k0), ()):
-            for v in reversed(range(len(num))):
-                hi, lo = i // box.strides[v], prev // box.strides[v]
-                if hi == lo:
-                    break
-                t = 2 * (hi % box.radices[v] - lo % box.radices[v])
-                if t:
-                    num = [a + t * c for a, c in zip(num, adj[v])]
-            prev = i
-            qr = [divmod(a, denom) for a in num]
-            if any(r for _, r in qr):
-                raise InternalInvariantViolation("a box vector left its orbit")
-            x = tuple(q for q, _ in qr)
-            grading.minima[x] = grading.weight(x)
-        if not grading.minima:
-            raise InternalInvariantViolation("an orbit lost all its box vectors")
-        return grading
+    def limits(self, q0: int, level: int) -> list[int]:
+        """Per vertex v, a bound on k_v^2 over the vectors of weight <= level
+        in the orbit of k0, q0 = q(k0): -m_v (8 level |det| - sign(det) q0),
+        divided by |det| and rounded down."""
+        det = abs(self.indexer.determinant)
+        bound = 8 * level * det - (q0 if self.indexer.determinant > 0 else -q0)
+        return [-m * bound // det for m in self.box.framings]
 
     def births(self, k0: CharVector) -> dict[int, int]:
         """Births per level of the orbit of ``k0`` (+1 convention), in
         increasing level order, read off the box digits of its members.
 
-        A member with d_v at its top ties its face x + e_v, which sits at
+        A member with d_v at its top ties its face k + 2A e_v, which sits at
         index a + up_v and is in the box iff no neighbour digit is at its
-        top; a member with d_v = 0 ties x - e_v, the same pair seen from its
-        other end, in the box iff no neighbour digit is 0.  In-box faces
+        top; a member with d_v = 0 ties k - 2A e_v, the same pair seen from
+        its other end, in the box iff no neighbour digit is 0.  In-box faces
         unite plateaus; a member with an out-of-box face drains its plateau.
-        Each undrained plateau is a birth at its weight
-        w = (q(k0) - q(k)) / (8 det), q(k) = k^T adj(A) k.
+        Each undrained plateau is a birth at its weight.
         """
         key0, mod = self.indexer.key(k0), self.indexer.modulus
         idxs = self.orbits.get(key0, ())
@@ -305,15 +250,11 @@ class _GradedOrbitTable:
                         raise InternalInvariantViolation("a box face left its orbit")
                     sets.union(i, j)
         gone = {sets.find(i) for i in drained}
-        adj, denom = self.indexer.adjugate, 8 * self.indexer.determinant
-        q0 = _quadratic(adj, k0.evals)
+        q0 = _quadratic(self.indexer.adjugate, k0.evals)
         births: dict[int, int] = {}
         for root, parent in enumerate(sets.parent):
             if parent == root and root not in gone:
-                k = self.box.evals(idxs[root])
-                level, rem = divmod(q0 - _quadratic(adj, k), denom)
-                if rem:
-                    raise InternalInvariantViolation("a plateau weight is not integral")
+                level = self.weight(idxs[root], q0)
                 births[level] = births.get(level, 0) + 1
         return dict(sorted(births.items()))
 
@@ -322,8 +263,8 @@ class _GradedOrbitTable:
     ) -> GradedHPlus:
         """Level table of one orbit, counting its births once.
 
-        A single birth is the global minimum plateau and needs no
-        coordinates; more births seed a flood from the orbit's minima."""
+        A single birth is the global minimum plateau and needs no flood;
+        more births flood the orbit from its box vectors."""
         k0 = self.to_plus(orbit.representative)
         births = self.births(k0)
         ker_u_rank = sum(births.values())
@@ -334,7 +275,7 @@ class _GradedOrbitTable:
                 levels.append(HPlusLevel(level=stabilized_at + j, rank=1, births=0))
         else:
             levels, stabilized_at = _sweep_levels(
-                self.plus_grading(k0), births, point_cap, extra_levels
+                self, k0, births, point_cap, extra_levels
             )
         return GradedHPlus(
             orbit=orbit,
@@ -346,18 +287,24 @@ class _GradedOrbitTable:
 
 def _quadratic(adj: list[list[int]], k) -> int:
     """k^T adj(A) k."""
-    return sum(e * sum(a * f for a, f in zip(row, k)) for e, row in zip(k, adj))
+    return sum(e * sum(map(mul, row, k)) for e, row in zip(k, adj))
 
 
 def _sweep_levels(
-    grading: _OrbitGrading,
+    table: _GradedOrbitTable,
+    k0: CharVector,
     births: dict[int, int],
     point_cap: int,
     extra_levels: int,
 ) -> tuple[list[HPlusLevel], int]:
-    """Exact per-level component counts by certified flood, with births
-    re-derived independently and compared against the plateau counts."""
-    minima_by_weight = grading.plateaus()
+    """Exact per-level component counts by certified flood of the orbit of
+    ``k0`` (+1 convention), with births re-derived independently and
+    compared against the plateau counts."""
+    q0 = _quadratic(table.indexer.adjugate, k0.evals)
+    seeds: dict[int, list[int]] = {}
+    for a in table.orbits[table.indexer.key(k0)]:
+        seeds.setdefault(table.weight(a, q0), []).append(a)
+    steps = list(zip(table.columns, table.box.framings))
     last_birth = max(births)
 
     points: dict[Point, int] = {}
@@ -369,10 +316,10 @@ def _sweep_levels(
     levels: list[HPlusLevel] = []
     stabilized_at: int | None = None
     remaining_extra = extra_levels
-    level = min(minima_by_weight)
+    level = min(seeds)
     while True:
-        radius_sq = weight_radius_sq_bound(grading.form, grading.k0, level)
-        queue = deque((x, level) for x in minima_by_weight.pop(level, ()))
+        limits = table.limits(q0, level)
+        queue = deque((table.vector(a), level) for a in seeds.pop(level, ()))
         for pt in [pt for pt, w in frontier.items() if w <= level]:
             queue.append((pt, frontier.pop(pt)))
         added: list[int] = []
@@ -380,9 +327,9 @@ def _sweep_levels(
             pt, w = queue.popleft()
             if pt in points:
                 continue
-            if sum(c * c for c in pt) > radius_sq:
+            if any(e * e > lim for e, lim in zip(pt, limits)):
                 raise InternalInvariantViolation(
-                    "a sublevel point escaped the certified ellipsoid bound"
+                    "a sublevel point broke the exact weight bound"
                 )
             if len(points) >= point_cap:
                 raise EnumerationBudgetExceeded(
@@ -393,19 +340,24 @@ def _sweep_levels(
             birth_level.append(level)
             comp_count += 1
             added.append(node)
-            for q, wq in grading.steps(pt, w):
-                other = points.get(q)
-                if other is not None:
-                    gone = sets.union(node, other)
-                    if gone is not None:
-                        comp_count -= 1
-                        root = sets.find(gone)
-                        birth_level[root] = min(birth_level[root], birth_level[gone])
-                elif q not in frontier:
-                    if wq <= level:
-                        queue.append((q, wq))
-                    else:
-                        frontier[q] = wq
+            for v, (column, m) in enumerate(steps):
+                kv = pt[v]
+                for q, wq in (
+                    (tuple(map(add, pt, column)), w - (kv + m) // 2),
+                    (tuple(map(sub, pt, column)), w + (kv - m) // 2),
+                ):
+                    other = points.get(q)
+                    if other is not None:
+                        gone = sets.union(node, other)
+                        if gone is not None:
+                            comp_count -= 1
+                            root = sets.find(gone)
+                            birth_level[root] = min(birth_level[root], birth_level[gone])
+                    elif q not in frontier:
+                        if wq <= level:
+                            queue.append((q, wq))
+                        else:
+                            frontier[q] = wq
         swept_births = len(
             {r for r in (sets.find(node) for node in added) if birth_level[r] == level}
         )
@@ -448,56 +400,6 @@ def compute_hplus(
     if not isinstance(orbit, SpinCOrbit):
         orbit = SpinCOrbit(representative=orbit, index=-1)
     return _GradedOrbitTable(forest, box_cap).hplus(orbit, point_cap, extra_levels)
-
-
-def sublevel_complex(
-    forest: PlumbingForest,
-    orbit: SpinCOrbit | CharVector,
-    level: int,
-    *,
-    point_cap: int = DEFAULT_POINT_CAP,
-    box_cap: int = DEFAULT_BOX_CAP,
-) -> SublevelComplex:
-    """Materialize one sublevel set by flooding from the local minima.
-
-    Complete because every component of the set contains a local minimum;
-    mostly useful for inspection and for testing the level tables.
-    """
-    rep = orbit.representative if isinstance(orbit, SpinCOrbit) else orbit
-    grading = _GradedOrbitTable(forest, box_cap).grading(rep)
-    radius_sq = weight_radius_sq_bound(grading.form, grading.k0, level)
-    points: dict[Point, int] = {}
-    sets = UnionFind()
-    queue = deque((x, w) for x, w in grading.minima.items() if w <= level)
-    while queue:
-        pt, w = queue.popleft()
-        if pt in points:
-            continue
-        if sum(c * c for c in pt) > radius_sq:
-            raise InternalInvariantViolation(
-                "a sublevel point escaped the certified ellipsoid bound"
-            )
-        if len(points) >= point_cap:
-            raise EnumerationBudgetExceeded(
-                f"sublevel enumeration exceeded {point_cap} points"
-            )
-        node = sets.add()
-        points[pt] = node
-        for q, wq in grading.steps(pt, w):
-            other = points.get(q)
-            if other is not None:
-                sets.union(other, node)
-            elif wq <= level:
-                queue.append((q, wq))
-    groups: dict[int, list[Point]] = {}
-    for pt, node in points.items():
-        groups.setdefault(sets.find(node), []).append(pt)
-    components = tuple(
-        tuple(sorted(group)) for group in sorted(groups.values(), key=min)
-    )
-    return SublevelComplex(
-        level=level, points=frozenset(points), components=components
-    )
 
 
 @dataclass(frozen=True)

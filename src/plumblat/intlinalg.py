@@ -5,9 +5,9 @@ their determinant and definiteness come from the leaf-first pass of
 :func:`plumbing.intersection_form` (Neumann's plumbing calculus, Trans.
 AMS 268, 1981), with no matrix and no leading minors.  Definite matrices go
 through :func:`gauss_jordan`, one fraction-free Gauss-Jordan pass on
-[A | I] in the given order, which yields the leading minors, A = L D L^T,
-L^{-1} and the adjugate at once.  Ranks come from a fraction-free echelon
-over the integers.  Everything is exact: integers and
+[A | I] in the given order, which yields the leading minors, A = L D L^T
+and the adjugate at once.  Ranks come from a fraction-free echelon over
+the integers.  Everything is exact: integers and
 ``fractions.Fraction`` only, and no floating point anywhere in the package.
 """
 
@@ -25,12 +25,11 @@ Row = Sequence[Fraction | int] | Mapping[int, Fraction | int]
 
 
 class GaussJordan(NamedTuple):
-    """Leading minors, A = L D L^T (A symmetric), L^{-1} and adj(A)."""
+    """Leading minors, A = L D L^T (A symmetric) and adj(A)."""
 
     minors: list[int]
     lower: list[list[Fraction]]
     diag: list[Fraction]
-    lower_inverse: list[list[Fraction]]
     adjugate: list[list[int]]
 
 
@@ -39,17 +38,16 @@ def gauss_jordan(rows: Matrix) -> GaussJordan:
 
     Step k replaces every row r but row k by (p_k r - r[k] a[k]) / p_{k-1},
     an exact division (Bareiss), with p_k = a[k][k] the k-th leading minor.
-    Row k at step k is p_{k-1} times its row in [A | I] -> [D L^T | L^{-1}],
-    which gives L[i][k] = a[k][i] / p_k, d_k = p_k / p_{k-1} and row k of
-    L^{-1}; at the end the right block is adj(A).  Raises ValueError if a
-    leading minor vanishes.
+    Row k at step k holds p_{k-1} times row k of D L^T in its left block,
+    which gives L[i][k] = a[k][i] / p_k and d_k = p_k / p_{k-1}; at the end
+    the right block is adj(A).  Raises ValueError if a leading minor
+    vanishes.
     """
     n = len(rows)
     aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     minors: list[int] = []
     lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     diag: list[Fraction] = []
-    lower_inverse: list[list[Fraction]] = []
     prev = 1
     for k, pivot_row in enumerate(aug):
         pivot = pivot_row[k]
@@ -59,16 +57,13 @@ def gauss_jordan(rows: Matrix) -> GaussJordan:
         diag.append(Fraction(pivot, prev))
         for i in range(k + 1, n):
             lower[i][k] = Fraction(pivot_row[i], pivot)
-        lower_inverse.append(
-            [Fraction(v, prev) for v in pivot_row[n:n + k + 1]] + [Fraction(0)] * (n - k - 1)
-        )
         tail = pivot_row[k + 1:]
         for i, row in enumerate(aug):
             if i != k:
                 f = row[k]
                 row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = pivot
-    return GaussJordan(minors, lower, diag, lower_inverse, [row[n:] for row in aug])
+    return GaussJordan(minors, lower, diag, [row[n:] for row in aug])
 
 
 def adjugate(rows: Matrix) -> list[list[int]]:
@@ -82,18 +77,6 @@ def _positive_definite(rows: Matrix) -> GaussJordan:
     if any(d <= 0 for d in elimination.diag):
         raise ValueError("matrix is not positive definite")
     return elimination
-
-
-def min_eigenvalue_lower_bound(rows: Matrix) -> Fraction:
-    """Exact rational lower bound for the least eigenvalue of a PD matrix.
-
-    From Q = L D L^T:  x'Qx >= min(d) |L'x|^2 >= (min(d)/|L^{-1}|_F^2) |x|^2.
-    """
-    if not rows:
-        return Fraction(1)
-    elimination = _positive_definite(rows)
-    frob_sq = sum(v * v for row in elimination.lower_inverse for v in row)
-    return min(elimination.diag) / frob_sq
 
 
 def _integer_row(row: Row) -> dict[int, int]:
@@ -168,7 +151,7 @@ def quadratic_sublevel_points(
         if constant <= 0:
             yield ()
         return
-    minors, lower, diag, _, adj = _positive_definite(matrix)
+    minors, lower, diag, adj = _positive_definite(matrix)
     center = [
         -sum(a * Fraction(b) for a, b in zip(row, linear)) / (2 * minors[-1])
         for row in adj

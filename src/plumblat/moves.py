@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .charlattice import CharVector, DEFAULT_BOX_CAP, OrbitIndexer
+from .charlattice import CharVector, DEFAULT_BOX_CAP
 from .errors import (
     InternalInvariantViolation,
     InvalidTriple,
@@ -39,7 +39,7 @@ from .errors import (
 )
 from .homology import HomologyResult, class_of, compute_homology
 from .intlinalg import rank_rational
-from .plumbing import EdgeSign, IntersectionForm, PlumbingForest, intersection_form
+from .plumbing import EdgeSign, PlumbingForest, intersection_form
 
 
 # --- formal sums ---------------------------------------------------------
@@ -309,22 +309,6 @@ def convert_convention(
     return ConventionConversion(
         forest=forest.with_edge_sign(flipped), vectors=moved, negated=mask
     )
-
-
-def sign_normalization(
-    k: CharVector, k0: CharVector, form: IntersectionForm
-) -> int:
-    """Sign of the basis change that removes the framing-parity factor.
-
-    Writing k = k0 + sum_i c_i 2v_i*, the sign is (-1) to the sum of the c_i
-    over odd-framed vertices; conjugating generators by it turns the signed
-    extremal reflections into unsigned ones.
-    """
-    coords = OrbitIndexer(form).lattice_coordinates(k, k0).coords
-    exponent = sum(
-        c for i, c in enumerate(coords) if form.matrix[i][i] % 2
-    )
-    return -1 if exponent % 2 else 1
 
 
 # --- blow-down --------------------------------------------------------------

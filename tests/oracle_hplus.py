@@ -1,30 +1,61 @@
-"""Reference graded engine: all-neighbour births and per-vector minima.
+"""Reference graded engine in lattice coordinates, and a one-level flood.
 
 Each local minimum's lattice coordinates come from a full adjugate product
-(:meth:`OrbitIndexer.lattice_coordinates` on its own box vector), births scan
-all 2n unit neighbours of every minimum and weigh each one with the full
-quadratic form, and the flood weighs every new neighbour the same way.  The
-production engine in :mod:`plumblat.hplus` reads births off box digits
-without coordinates, keeps one running numerator for the coordinates that
-seed a flood and weighs flood steps by the step identity; it must agree
-with this one exactly.
+(:func:`oracle_charlattice.lattice_coordinates` on its own box vector),
+births scan all 2n unit neighbours of every minimum and weigh each one with
+the full quadratic form, and the flood weighs every new neighbour the same
+way, checking each point against the ball of
+:func:`oracle_charlattice.weight_radius_sq_bound`.  The production engine
+in :mod:`plumblat.hplus` reads births off box digits, floods characteristic
+vectors from every box vector of the orbit and weighs flood steps by the
+step identity; it must agree with this one exactly.
+
+:func:`sublevel_complex` materializes a single sublevel set in coordinates,
+for inspection and for testing the level tables.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 
-from plumblat import CharVector
-from plumblat.charlattice import weight_radius_sq_bound
-from plumblat.errors import EnumerationBudgetExceeded, InternalInvariantViolation
+from oracle_charlattice import lattice_coordinates, weight_radius_sq_bound
+from plumblat import CharVector, IntersectionForm, PlumbingForest, SpinCOrbit
+from plumblat.charlattice import DEFAULT_BOX_CAP
+from plumblat.errors import (
+    EnumerationBudgetExceeded,
+    InternalInvariantViolation,
+    ParityViolation,
+)
 from plumblat.hplus import (
+    DEFAULT_POINT_CAP,
     GradedHPlus,
     HPlusLevel,
-    Point,
     _GradedOrbitTable,
-    _OrbitGrading,
 )
 from plumblat.plumbing import UnionFind
+
+Point = tuple[int, ...]  # lattice coordinates
+
+
+class OrbitGrading:
+    """Weights and local minima of one orbit in the +1 convention."""
+
+    def __init__(self, plus: PlumbingForest, form: IntersectionForm, k0: CharVector):
+        self.form = form
+        self.k0 = k0
+        self._framings = plus.framings
+        self._edges = plus.edges
+        self._k0e = k0.evals
+        # local minima of w with their weights, one per orbit box vector
+        self.minima: dict[Point, int] = {}
+
+    def weight(self, x: Point) -> int:
+        s = sum(xi * (m * xi + e) for xi, m, e in zip(x, self._framings, self._k0e))
+        s += 2 * sum(x[a] * x[b] for a, b in self._edges)
+        if s % 2:
+            raise ParityViolation("orbit representative is not characteristic")
+        return -s // 2
 
 
 def unit_neighbors(x: Point):
@@ -34,19 +65,19 @@ def unit_neighbors(x: Point):
             yield x[:i] + (x[i] + step,) + x[i + 1 :]
 
 
-def reference_grading(table: _GradedOrbitTable, rep: CharVector) -> _OrbitGrading:
+def reference_grading(table: _GradedOrbitTable, rep: CharVector) -> OrbitGrading:
     """The orbit of ``rep`` (forest's own convention), minima solved one by one."""
-    k0 = CharVector(tuple(-e if neg else e for e, neg in zip(rep.evals, table.negated)))
-    grading = _OrbitGrading(table.plus, table.form, k0)
+    k0 = table.to_plus(rep)
+    grading = OrbitGrading(table.plus, table.form, k0)
     for i in table.orbits.get(table.indexer.key(k0), ()):
-        x = table.indexer.lattice_coordinates(table.box.evals(i), k0.evals).coords
+        x = lattice_coordinates(table.indexer, table.box.evals(i), k0).coords
         grading.minima[x] = grading.weight(x)
     if not grading.minima:
         raise InternalInvariantViolation("an orbit lost all its box vectors")
     return grading
 
 
-def reference_birth_counts(grading: _OrbitGrading) -> dict[int, int]:
+def reference_birth_counts(grading: OrbitGrading) -> dict[int, int]:
     """Births per level, weighing all 2n neighbours of every minimum."""
     minima = grading.minima
     by_weight: dict[int, list[Point]] = {}
@@ -81,7 +112,7 @@ def reference_birth_counts(grading: _OrbitGrading) -> dict[int, int]:
 
 
 def reference_sweep_levels(
-    grading: _OrbitGrading,
+    grading: OrbitGrading,
     births: dict[int, int],
     point_cap: int,
     extra_levels: int,
@@ -173,4 +204,72 @@ def reference_hplus(
         levels=tuple(levels),
         ker_u_rank=sum(births.values()),
         stabilized_at=stabilized_at,
+    )
+
+
+@dataclass(frozen=True)
+class SublevelComplex:
+    """A single sublevel set: its lattice points and component partition.
+
+    Only vertices and edges of the cubical complex matter for component
+    counts (a higher cube never joins what its edges have not), so points
+    plus unit-step adjacency carry the whole structure.
+    """
+
+    level: int
+    points: frozenset[Point]
+    components: tuple[tuple[Point, ...], ...]
+
+    @property
+    def rank(self) -> int:
+        return len(self.components)
+
+
+def sublevel_complex(
+    forest: PlumbingForest,
+    orbit: SpinCOrbit | CharVector,
+    level: int,
+    *,
+    point_cap: int = DEFAULT_POINT_CAP,
+    box_cap: int = DEFAULT_BOX_CAP,
+) -> SublevelComplex:
+    """Materialize one sublevel set by flooding from the local minima.
+
+    Complete because every component of the set contains a local minimum;
+    every flooded point is checked against the radius bound.
+    """
+    rep = orbit.representative if isinstance(orbit, SpinCOrbit) else orbit
+    grading = reference_grading(_GradedOrbitTable(forest, box_cap), rep)
+    radius_sq = weight_radius_sq_bound(grading.form, grading.k0, level)
+    points: dict[Point, int] = {}
+    sets = UnionFind()
+    queue = deque(x for x, w in grading.minima.items() if w <= level)
+    while queue:
+        pt = queue.popleft()
+        if pt in points:
+            continue
+        if sum(c * c for c in pt) > radius_sq:
+            raise InternalInvariantViolation(
+                "a sublevel point escaped the certified ellipsoid bound"
+            )
+        if len(points) >= point_cap:
+            raise EnumerationBudgetExceeded(
+                f"sublevel enumeration exceeded {point_cap} points"
+            )
+        node = sets.add()
+        points[pt] = node
+        for q in unit_neighbors(pt):
+            other = points.get(q)
+            if other is not None:
+                sets.union(other, node)
+            elif grading.weight(q) <= level:
+                queue.append(q)
+    groups: dict[int, list[Point]] = {}
+    for pt, node in points.items():
+        groups.setdefault(sets.find(node), []).append(pt)
+    components = tuple(
+        tuple(sorted(group)) for group in sorted(groups.values(), key=min)
+    )
+    return SublevelComplex(
+        level=level, points=frozenset(points), components=components
     )

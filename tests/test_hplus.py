@@ -5,21 +5,27 @@ from __future__ import annotations
 import json
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import oracle_hplus
 from conftest import FIXTURES, e8, elliptic_a, elliptic_b, lens, random_forest
+from oracle_charlattice import lattice_to_char, weight_radius_sq_bound
 from oracle_hplus import (
     reference_birth_counts,
     reference_grading,
     reference_hplus,
+    sublevel_complex,
     unit_neighbors,
 )
 from plumblat import (
     CharVector,
     EdgeSign,
+    LatticeVector,
+    SpinCOrbit,
     charlattice,
     compute_homology,
     compute_hplus,
@@ -30,10 +36,8 @@ from plumblat import (
     parse_sfs,
     rational_via_hplus,
     seifert_to_plumbing,
-    sublevel_complex,
     validate_forest,
 )
-from plumblat.charlattice import weight_radius_sq_bound
 from plumblat.cli import main
 from plumblat.errors import EnumerationBudgetExceeded, InternalInvariantViolation
 from plumblat.hplus import _GradedOrbitTable
@@ -130,7 +134,7 @@ def test_stabilization_is_stable(rng):
 def _brute_levels(forest, rep, up_to):
     """Independent oracle: enumerate sublevel sets by scanning a certified
     window, then count components and births with a fresh union-find."""
-    grading = _GradedOrbitTable(forest, 10**8).grading(rep)
+    grading = reference_grading(_GradedOrbitTable(forest, 10**8), rep)
     form = grading.form
     radius_sq = weight_radius_sq_bound(form, grading.k0, up_to)
     bound = 1
@@ -267,8 +271,6 @@ def test_orbit_given_as_bare_vector():
 
 
 def test_sublevel_complex_snapshot():
-    from plumblat import sublevel_complex
-
     complex_0 = sublevel_complex(lens(2), CharVector((2,)), 0)
     assert complex_0.points == {(0,), (1,)}
     assert complex_0.rank == 1
@@ -288,14 +290,16 @@ def test_sublevel_complex_checks_every_flooded_point(monkeypatch):
     """A radius that admits the starting minima but not a point the flood
     reaches later must trip the ellipsoid check."""
     forest, rep, level = lens(2), CharVector((2,)), 2
-    grading = _GradedOrbitTable(forest, 10**8).grading(rep)
+    grading = reference_grading(_GradedOrbitTable(forest, 10**8), rep)
     radius_sq = max(
         sum(c * c for c in x) for x, w in grading.minima.items() if w <= level
     )
     flooded = sublevel_complex(forest, rep, level).points
     assert max(sum(c * c for c in x) for x in flooded) > radius_sq
     monkeypatch.setattr(
-        hplus, "weight_radius_sq_bound", lambda form, k0, lvl: Fraction(radius_sq)
+        oracle_hplus,
+        "weight_radius_sq_bound",
+        lambda form, k0, lvl: Fraction(radius_sq),
     )
     with pytest.raises(InternalInvariantViolation, match="ellipsoid"):
         sublevel_complex(forest, rep, level)
@@ -347,10 +351,14 @@ def test_graded_engine_matches_all_neighbour_oracle():
         table = _GradedOrbitTable(forest, 10**8)
         for oh in compute_homology(forest).per_orbit:
             rep = oh.orbit.representative
-            grading = table.grading(rep)
             reference = reference_grading(table, rep)
-            assert list(grading.minima.items()) == list(reference.minima.items())
-            assert table.births(grading.k0) == reference_birth_counts(reference)
+            # the flood's seeds: every box vector of the orbit, at the weight
+            # of its lattice point
+            k0 = table.to_plus(rep)
+            q0 = hplus._quadratic(table.indexer.adjugate, k0.evals)
+            idxs = table.orbits[table.indexer.key(k0)]
+            assert [table.weight(a, q0) for a in idxs] == list(reference.minima.values())
+            assert table.births(k0) == reference_birth_counts(reference)
             # a small point cap stops a flood with wrong weights early
             graded = table.hplus(oh.orbit, 10**5, 1)
             assert graded == reference_hplus(table, oh.orbit, 10**5, 1)
@@ -449,31 +457,31 @@ def test_index_births_match_oracle_on_a_split_box(edge_sign):
     assert total == abs(table.indexer.determinant) == 32  # an L-space
 
 
-def _plus_grading_calls(monkeypatch, capsys, path):
+def _sweep_calls(monkeypatch, capsys, path):
     calls = []
-    original = _GradedOrbitTable.plus_grading
+    original = hplus._sweep_levels
 
-    def counting(self, k0):
+    def counting(table, k0, *args):
         calls.append(k0)
-        return original(self, k0)
+        return original(table, k0, *args)
 
-    monkeypatch.setattr(_GradedOrbitTable, "plus_grading", counting)
+    monkeypatch.setattr(hplus, "_sweep_levels", counting)
     assert main(["hplus", str(path)]) == 0
     assert "cross-check vs homology engine: OK" in capsys.readouterr().out
     return len(calls)
 
 
 def test_cli_hplus_solves_coordinates_only_for_floods(monkeypatch, capsys, tmp_path):
-    """Orbits with one birth never need lattice coordinates; elliptic_b has
-    one orbit with two births, which seeds the only flood."""
+    """Orbits with one birth never flood; elliptic_b has one orbit with two
+    births, which runs the only flood."""
     chain = tmp_path / "chain3x5.plumb"
     chain.write_text(
         "".join(f"vertex v{i} -3\n" for i in range(5))
         + "".join(f"edge v{i} v{i + 1}\n" for i in range(4))
     )
-    assert _plus_grading_calls(monkeypatch, capsys, FIXTURES / "e8.plumb") == 0
-    assert _plus_grading_calls(monkeypatch, capsys, chain) == 0
-    assert _plus_grading_calls(monkeypatch, capsys, FIXTURES / "elliptic_b.plumb") == 1
+    assert _sweep_calls(monkeypatch, capsys, FIXTURES / "e8.plumb") == 0
+    assert _sweep_calls(monkeypatch, capsys, chain) == 0
+    assert _sweep_calls(monkeypatch, capsys, FIXTURES / "elliptic_b.plumb") == 1
 
 
 def test_long_star_hplus_cross_check(capsys):
@@ -488,7 +496,7 @@ def test_long_star_hplus_cross_check(capsys):
 
 def test_births_and_coordinates_check_every_member_orbit():
     """A box index moved into a foreign orbit's list trips the per-vector
-    orbit check of both the index route and the coordinate route."""
+    orbit check, both of the births and of the flood that starts after them."""
     table = _GradedOrbitTable(elliptic_b(), 10**8)
     (key, idxs), (_, other) = list(table.orbits.items())[:2]
     k0 = CharVector(table.box.evals(idxs[0]))
@@ -496,4 +504,57 @@ def test_births_and_coordinates_check_every_member_orbit():
     with pytest.raises(InternalInvariantViolation, match="left its orbit"):
         table.births(k0)
     with pytest.raises(InternalInvariantViolation, match="left its orbit"):
-        table.plus_grading(k0)
+        table.hplus(SpinCOrbit(table.to_plus(k0), -1), 10**7, 0)
+
+
+def _flooding_orbits(forest):
+    return [oh.orbit for oh in compute_homology(forest).per_orbit if oh.dim > 1]
+
+
+@pytest.mark.parametrize("forest", [elliptic_a(), elliptic_b()], ids=["a", "b"])
+def test_wrong_flood_steps_trip_at_once(forest):
+    """Step columns with their framing entries negated send the flood off
+    the orbit; the births check and the integer bound stop it within a few
+    points, long before the default point cap, in well under 1 MiB."""
+    table = _GradedOrbitTable(forest, 10**8)
+    table.columns = [
+        tuple(-c if u == v else c for u, c in enumerate(column))
+        for v, column in enumerate(table.columns)
+    ]
+    orbits = _flooding_orbits(forest)
+    assert orbits
+    tracemalloc.start()
+    try:
+        for orbit in orbits:
+            with pytest.raises(InternalInvariantViolation):
+                table.hplus(orbit, hplus.DEFAULT_POINT_CAP, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_integer_bound_holds_on_sublevel_sets_and_checks_every_point(monkeypatch):
+    """Every vector of weight <= n meets k_v^2 <= limits(q0, n), on sublevel
+    sets built in coordinates by the oracle; and the flood checks every
+    point it reaches, not only its seeds: limits that admit the box but not
+    the vectors beyond it trip the check."""
+    reached_off_box = False
+    for forest in (elliptic_a(), elliptic_b(), _chain_m1()):
+        table = _GradedOrbitTable(forest, 10**8)
+        for orbit in _flooding_orbits(forest):
+            k0 = table.to_plus(orbit.representative)
+            q0 = hplus._quadratic(table.indexer.adjugate, k0.evals)
+            for lvl in table.hplus(orbit, 10**7, 1).levels:
+                limits = table.limits(q0, lvl.level)
+                for x in sublevel_complex(forest, orbit, lvl.level).points:
+                    k = lattice_to_char(LatticeVector(x), k0, table.form).evals
+                    assert all(e * e <= lim for e, lim in zip(k, limits))
+                    reached_off_box |= any(e * e > m * m for e, m in zip(k, forest.framings))
+    assert reached_off_box
+    forest = elliptic_a()
+    monkeypatch.setattr(
+        _GradedOrbitTable, "limits", lambda self, q0, level: [m * m for m in self.box.framings]
+    )
+    with pytest.raises(InternalInvariantViolation, match="exact weight bound"):
+        compute_hplus(forest, _flooding_orbits(forest)[0])

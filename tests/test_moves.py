@@ -8,6 +8,7 @@ import pytest
 
 from conftest import e8, lens, random_forest
 import oracle_moves
+from oracle_charlattice import sign_normalization
 from oracle_moves import (
     apply_linear,
     reference_exactness,
@@ -27,7 +28,6 @@ from plumblat import (
     compute_homology,
     convert_convention,
     intersection_form,
-    sign_normalization,
     surgery_triple,
     validate_forest,
 )
