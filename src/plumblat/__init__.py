@@ -5,12 +5,9 @@ __version__ = "1.0.0"
 from .charlattice import (
     CharVector,
     LatticeVector,
-    OrbitMembers,
     SpinCOrbit,
     chi,
-    enumerate_box,
     is_characteristic,
-    orbit_decompose,
 )
 from .classify import (
     ARVerdict,
@@ -37,7 +34,6 @@ from .hplus import (
     HPlusLevel,
     compute_hplus,
     ker_u_cross_check,
-    rational_via_hplus,
 )
 from .moves import (
     BlowdownResult,

@@ -11,15 +11,18 @@ vectors; distinct orbits correspond to spin^c structures on the boundary and
 there are exactly |det| of them, each meeting the box.  Orbit membership is
 decided exactly: k and k' lie in the same orbit iff A^{-1}(k' - k)/2 is an
 integer vector, tested with the integer adjugate so no rationals appear in
-the hot path.  Box vectors are addressed by mixed-radix indices
-(:class:`BoxIndex`), and :func:`box_orbits` is the one scan that splits the
-box into orbits, updating keys digit by digit.
+the hot path.
+
+:class:`BoxIndex` is the one box layer both engines read: it addresses box
+vectors by mixed-radix indices, decodes each index and its orbit key from
+a head and a tail table of about sqrt(size) entries each, and
+:meth:`BoxIndex.orbits` is the one scan that splits the box into orbits.
 
 In box digits (k_v = m_v + 2 d_v) the faces of the box read: k_v = -m_v
 iff d_v = -m_v, its top, and k_v = m_v iff d_v = 0.  The vector
-k + 2s A e_v moves d_v by s m_v and each neighbour digit by s (+1
-convention), so from the face s k_v = -m_v it lands at index a + s up_v,
-up_v = m_v stride_v + sum_{u ~ v} stride_u, and is in the box iff no
+k + 2s A e_v moves d_v by s m_v and each neighbour digit by s times the
+edge sign, so from the face s k_v = -m_v it lands at index a + s up_v,
+up_v = m_v stride_v + sign sum_{u ~ v} stride_u, and is in the box iff no
 neighbour digit already sits at the end it moves past.  The graded engine
 (:mod:`plumblat.hplus`) reads its births off these offsets.
 """
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import intlinalg
 from .errors import (
@@ -80,12 +83,6 @@ class SpinCOrbit:
     index: int
 
 
-@dataclass(frozen=True)
-class OrbitMembers:
-    orbit: SpinCOrbit
-    members: tuple[CharVector, ...]
-
-
 def is_characteristic(k: CharVector | Sequence[int], form: IntersectionForm) -> bool:
     evals = k.evals if isinstance(k, CharVector) else tuple(k)
     return all(
@@ -105,28 +102,19 @@ def in_box(evals: Sequence[int], form: IntersectionForm) -> bool:
     )
 
 
-def enumerate_box(
-    form: IntersectionForm, box_cap: int = DEFAULT_BOX_CAP
-) -> list[CharVector]:
-    """All characteristic vectors that can be nonzero in the quotient.
-
-    Exactly the product of the per-vertex ranges; raises BoxTooLarge instead
-    of truncating when the product exceeds ``box_cap``.
-    """
-    if not form.is_negative_definite:
-        raise NotNegativeDefinite("box enumeration requires a negative-definite form")
-    BoxIndex(form, box_cap)  # raises BoxTooLarge before enumerating
-    return [CharVector(evals) for evals in product(*box_ranges(form))]
-
-
 class BoxIndex:
-    """Mixed-radix integer indices of the characteristic box.
+    """The characteristic box of a negative-definite form, with its orbits.
 
     Digit d_v runs over [0, -m_v] and stands for the evaluation
     k_v = m_v + 2 d_v.  Vertex 0 is the most significant digit, so index
     order is lexicographic order of evaluation tuples, and negating a vector
     maps index i to ``size - 1 - i``.  The size is checked against
-    ``box_cap`` here, before anything proportional to it is allocated.
+    ``box_cap`` first, before anything proportional to it is allocated.
+
+    Index a = high * low + rest decodes as ``heads[high] + tails[rest]``:
+    the evaluation tuples of a prefix and a suffix of the vertices, split so
+    that each table holds about sqrt(size) entries.  ``head_keys`` and
+    ``tail_keys`` hold their orbit key parts, which add to the key of a.
     """
 
     def __init__(self, form: IntersectionForm, box_cap: int):
@@ -139,28 +127,79 @@ class BoxIndex:
         self.strides = tuple(strides)
         if self.size > box_cap:
             raise BoxTooLarge(f"box holds {self.size} vectors, cap is {box_cap}")
+        self.form = form
+        self.indexer = OrbitIndexer(form)
+        split, self.low = len(self.radices), 1
+        while split and (self.low * self.radices[split - 1]) ** 2 <= self.size:
+            split -= 1
+            self.low *= self.radices[split]
+        ranges = box_ranges(form)
+        self.heads = list(product(*ranges[:split]))
+        self.tails = list(product(*ranges[split:]))
+        self.head_keys = self._key_table(0, split)
+        self.tail_keys = self._key_table(split, len(ranges))
+
+    def _key_table(self, start: int, stop: int) -> list[tuple[int, ...]]:
+        """Key parts of the half-vectors on vertices start..stop-1, in table
+        order: from all digits 0, raising d_v by one adds 2 adj(A)[:, v]."""
+        indexer = self.indexer
+        mod = indexer.modulus
+        keys = [indexer.key(self.framings[start:stop], start)]
+        for v in range(start, stop):
+            column = [2 * c % mod for c in indexer.adjugate[v]]  # adj(A) is symmetric
+            grown = []
+            for key in keys:
+                grown.append(key)
+                for _ in range(1, self.radices[v]):
+                    key = tuple([(a + b) % mod for a, b in zip(key, column)])
+                    grown.append(key)
+            keys = grown
+        return keys
 
     def evals(self, index: int) -> tuple[int, ...]:
-        out = []
-        for stride, m in zip(self.strides, self.framings):
-            digit, index = divmod(index, stride)
-            out.append(m + 2 * digit)
-        return tuple(out)
+        high, rest = divmod(index, self.low)
+        return self.heads[high] + self.tails[rest]
 
-    def halves(self) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]]]:
-        """(low, heads, tails) with evals(a) == heads[a // low] + tails[a % low].
+    def key(self, index: int) -> tuple[int, ...]:
+        """The orbit key of box index ``index``, as :meth:`OrbitIndexer.key`
+        gives it for ``evals(index)``."""
+        high, rest = divmod(index, self.low)
+        mod = self.indexer.modulus
+        return tuple(
+            [(a + b) % mod for a, b in zip(self.head_keys[high], self.tail_keys[rest])]
+        )
 
-        heads and tails are the evaluation tuples of a prefix and a suffix
-        of the vertices, split so that each table holds about sqrt(size)
-        entries: a whole box decodes from two small tables instead of n
-        divisions per index.
+    def orbits(self, *, members: bool = True) -> dict[tuple[int, ...], list[int]]:
+        """Split the whole box into spin^c orbits.
+
+        Maps each orbit key to the indices of its members in increasing
+        order, or with ``members=False`` to its least member alone, in order
+        of least member.  Tails are grouped by key part and heads walked in
+        index order: a head meets each tail group once, at one orbit key, so
+        member lists grow in index order.  Least members are all found once
+        |det| orbits have been seen.
         """
-        split, low = len(self.radices), 1
-        while split and (low * self.radices[split - 1]) ** 2 <= self.size:
-            split -= 1
-            low *= self.radices[split]
-        ranges = [range(m, -m + 1, 2) for m in self.framings]
-        return low, list(product(*ranges[:split])), list(product(*ranges[split:]))
+        mod = self.indexer.modulus
+        expected = abs(self.indexer.determinant)
+        tail_groups: dict[tuple[int, ...], list[int]] = {}
+        for rest, key in enumerate(self.tail_keys):
+            tail_groups.setdefault(key, []).append(rest)
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for high, head_key in enumerate(self.head_keys):
+            base = high * self.low
+            for tail_key, rests in tail_groups.items():
+                key = tuple([(a + b) % mod for a, b in zip(head_key, tail_key)])
+                if members:
+                    groups.setdefault(key, []).extend([base + r for r in rests])
+                elif key not in groups:
+                    groups[key] = [base + rests[0]]
+            if not members and len(groups) >= expected:
+                break
+        if len(groups) != expected:
+            raise InternalInvariantViolation(
+                f"box met {len(groups)} orbits, |det| = {expected}"
+            )
+        return groups
 
     def bitset(self, digits: Sequence[Sequence[int]]) -> int:
         """The sub-box with d_v in digits[v], as an int with bit a set for
@@ -194,84 +233,17 @@ class OrbitIndexer:
         self.determinant = form.determinant
         self.modulus = 2 * abs(form.determinant)
 
-    def key(self, k: CharVector | Sequence[int]) -> tuple[int, ...]:
-        return self.key_part(k.evals if isinstance(k, CharVector) else k)
-
-    def key_part(self, evals: Sequence[int], start: int = 0) -> tuple[int, ...]:
-        """adj(A) k mod 2|det| for the k with evaluations ``evals`` on
-        vertices start, start + 1, ... and 0 elsewhere.  Keys are additive,
-        so the key of a whole vector is the sum of the parts of a prefix and
-        the following suffix, mod 2|det|."""
+    def key(self, k: CharVector | Sequence[int], start: int = 0) -> tuple[int, ...]:
+        """adj(A) k mod 2|det|, for the k with evaluations ``k`` on vertices
+        start, start + 1, ... and 0 elsewhere.  Keys are additive, so the key
+        of a whole vector is the sum of the keys of a prefix and the
+        following suffix, mod 2|det|."""
+        evals = k.evals if isinstance(k, CharVector) else k
         cols = self.adjugate[start : start + len(evals)]  # adj(A) is symmetric
         mod = self.modulus
         return tuple(
             [sum([c[r] * e for c, e in zip(cols, evals)]) % mod for r in range(self.n)]
         )
-
-def box_orbits(
-    indexer: OrbitIndexer, box: BoxIndex, *, members: bool = True
-) -> dict[tuple[int, ...], list[int]]:
-    """Split the whole box into spin^c orbits with one incremental-key scan.
-
-    Maps each orbit key to the sorted indices of its members, or with
-    ``members=False`` to its least (lex-least) member alone, in order of
-    least member.  The scan runs digit by digit: a prefix (d_0..d_v, 0..0)
-    is a box vector, and raising d_v by one adds the column 2 adj(A)[:, v]
-    to its key.  Grouping prefixes by key at each level costs O(n) per
-    distinct partial key, and walking groups in order of least member keeps
-    that order at the next level.
-    """
-    mod = indexer.modulus
-    n = indexer.n
-    groups = {indexer.key(box.evals(0)): [0]}
-    for v in range(n):
-        column = [2 * indexer.adjugate[r][v] % mod for r in range(n)]
-        stride = box.strides[v]
-        grown: dict[tuple[int, ...], list[int]] = {}
-        for key, idxs in groups.items():
-            for d in range(box.radices[v]):
-                if d:
-                    key = tuple([(a + b) % mod for a, b in zip(key, column)])
-                if members:
-                    shift = d * stride
-                    grown.setdefault(key, []).extend(
-                        [x + shift for x in idxs] if shift else idxs
-                    )
-                elif key not in grown:
-                    grown[key] = [idxs[0] + d * stride]
-        groups = grown
-    expected = abs(indexer.determinant)
-    if len(groups) != expected:
-        raise InternalInvariantViolation(
-            f"box met {len(groups)} orbits, |det| = {expected}"
-        )
-    if members:
-        for idxs in groups.values():
-            idxs.sort()
-    return groups
-
-
-def orbit_decompose(
-    box: Iterable[CharVector], form: IntersectionForm
-) -> list[OrbitMembers]:
-    """Partition the full box into spin^c orbits; exactly |det| of them.
-
-    ``box`` must hold the whole box of ``form``, as :func:`enumerate_box`
-    returns it; the caller's vectors are regrouped, not copied.
-    """
-    indexer = OrbitIndexer(form)
-    by_evals = {k.evals: k for k in box}
-    grid = BoxIndex(form, len(by_evals))
-    out = []
-    for idx, members in enumerate(box_orbits(indexer, grid).values()):
-        vectors = tuple(by_evals[grid.evals(i)] for i in members)
-        out.append(
-            OrbitMembers(
-                orbit=SpinCOrbit(representative=vectors[0], index=idx),
-                members=vectors,
-            )
-        )
-    return out
 
 
 def chi(x: LatticeVector, canonical: CanonicalClass, form: IntersectionForm) -> int:

@@ -26,9 +26,11 @@ neither, so a class is zero iff all its members are flagged, and only the
 pairs with both ends alive -- a few percent of the box -- enter a union-find
 keyed by index, whose links carry a sign parity and whose roots are class
 minima.  A sign conflict (k ~ -k) kills its class.  Only members of nonzero
-classes become :class:`CharVector` objects, decoded from a prefix and a
-suffix table of the box, and each class's orbit key is read off the same
-two halves at its minimum index.
+classes become :class:`CharVector` objects.  The box decodes every index,
+orbit keys included, from its head and tail tables: a member's
+evaluations are ``box.evals(a)``, a class's orbit is ``box.key`` of its
+minimum index, and each orbit's representative is its least member from
+``box.orbits``.
 """
 
 from __future__ import annotations
@@ -41,9 +43,7 @@ from .charlattice import (
     DEFAULT_BOX_CAP,
     BoxIndex,
     CharVector,
-    OrbitIndexer,
     SpinCOrbit,
-    box_orbits,
     in_box,
     is_characteristic,
 )
@@ -93,7 +93,8 @@ class HomologyResult:
     ``classes`` lists the nonzero classes in order of their lex-least
     members.  ``zero_class`` stands for every box vector that dies; it does
     not list them.  ``_lookup`` maps the evaluations of each nonzero-class
-    member to its :class:`ClassRef`; :func:`class_of` reads it.
+    member to its :class:`ClassRef`; :func:`class_of` reads it.  ``box`` is
+    the box the classes were found in, with its orbit keys.
     """
 
     forest: PlumbingForest
@@ -103,6 +104,7 @@ class HomologyResult:
     per_orbit: tuple[OrbitHomology, ...]
     classes: tuple[SignedClass, ...]
     zero_class: SignedClass
+    box: BoxIndex = field(repr=False)
     _lookup: dict = field(repr=False)
 
     @property
@@ -213,31 +215,17 @@ def compute_homology(
         if root not in killed:
             members_of.setdefault(root, []).append((a, s))
 
-    low, heads, tails = box.halves()
-    indexer = OrbitIndexer(form)
-    mod, split = indexer.modulus, len(heads[0])
     # orbits are read off the whole box so empty orbits cannot hide
-    orbits = box_orbits(indexer, box, members=False)
+    orbits = box.orbits(members=False)
     classes_of: dict[tuple[int, ...], list[int]] = {key: [] for key in orbits}
-    head_keys: dict[int, tuple[int, ...]] = {}
-    tail_keys: dict[int, tuple[int, ...]] = {}
     classes: list[SignedClass] = []
     lookup: dict[tuple[int, ...], ClassRef] = {}
     for cls_id, (root, members) in enumerate(members_of.items()):
-        # the orbit key of the class minimum, from the key parts of its two
-        # halves, each computed the first time a class minimum touches it
-        high, rest = divmod(root, low)
-        if high not in head_keys:
-            head_keys[high] = indexer.key_part(heads[high])
-        if rest not in tail_keys:
-            tail_keys[rest] = indexer.key_part(tails[rest], split)
-        key = tuple([(x + y) % mod for x, y in zip(head_keys[high], tail_keys[rest])])
-        classes_of.setdefault(key, []).append(cls_id)
+        classes_of.setdefault(box.key(root), []).append(cls_id)
         refs = (ClassRef(index=cls_id, sign=1), ClassRef(index=cls_id, sign=-1))
         signed_members = []
         for a, s in members:
-            high, rest = divmod(a, low)
-            evals = heads[high] + tails[rest]
+            evals = box.evals(a)
             signed_members.append((CharVector(evals), -1 if s else 1))
             lookup[evals] = refs[s]
         classes.append(
@@ -250,8 +238,7 @@ def compute_homology(
     det_abs = abs(form.determinant)
     per_orbit = []
     for orbit_index, (key, (least,)) in enumerate(orbits.items()):
-        high, rest = divmod(least, low)
-        rep = heads[high] + tails[rest]
+        rep = box.evals(least)
         cls_ids = classes_of[key]
         if not cls_ids:
             raise InternalInvariantViolation(
@@ -281,6 +268,7 @@ def compute_homology(
         per_orbit=tuple(per_orbit),
         classes=tuple(classes),
         zero_class=zero_class,
+        box=box,
         _lookup=lookup,
     )
 

@@ -1,10 +1,10 @@
 """Graded lattice cohomology of an orbit, and the kernel-of-U cross-oracle.
 
 For a fixed characteristic vector k0, the weight w(x) = -((x,x) + <k0,x>)/2
-(+1 edge convention) filters the lattice by sublevel sets S_n.  Only zeroth
-cohomology is tracked: rank H^0(S_n) is the number of connected components,
-where two lattice points are adjacent when they differ by one basis step and
-both carry weight <= n.  U acts by restricting a component function to the
+filters the lattice by sublevel sets S_n.  Only zeroth cohomology is
+tracked: rank H^0(S_n) is the number of connected components, where two
+lattice points are adjacent when they differ by one basis step and both
+carry weight <= n.  U acts by restricting a component function to the
 previous level, so rank(ker U) counts the component births: components of
 S_n disjoint from S_{n-1}.
 
@@ -12,9 +12,11 @@ The engine runs on characteristic vectors, never on lattice coordinates:
 x <-> k = k0 + 2x* identifies the lattice with the orbit of k0, and there
 w = (k0^2 - k^2)/8 with k^2 = k A^{-1} k, that is
 w(k) = (q(k0) - q(k)) / (8 det) with q(k) = k adj(A) k.  The basis step
-x +- e_v is the k-step k +- 2A e_v: +-2m_v at v and +-2 at each neighbour.
-Expanding the square gives the step identity
-w(k +- 2A e_v) - w(k) = -(+-k_v + m_v)/2, read off k itself.
+x +- e_v is the k-step k +- 2A e_v: +-2m_v at v and +-2 sign at each
+neighbour, sign the edge sign.  Expanding the square gives the step
+identity w(k +- 2A e_v) - w(k) = -(+-k_v + m_v)/2, read off k itself; it
+and the weight are the same in either edge convention, so the engine runs
+in the forest's own.
 
 Births are computed without materializing any sublevel set.  A component of
 S_n disjoint from S_{n-1} consists of points of weight exactly n, each of
@@ -30,11 +32,15 @@ vector is zero exactly on the face +-k_v = -m_v, so births scan only face
 directions, at most one per vertex.
 
 Births are read off box digits: the face k + 2A e_v is tied exactly when
-the digit d_v is at its top, and then sits a fixed index offset away, in
-the box iff no neighbour digit is at its top; k - 2A e_v is tied exactly
-when d_v = 0, in the box iff no neighbour digit is 0.  Weights come from q
-split over the box halves, q(h) + q(t) + 2 h adj[head, tail] t, with the
-head and tail parts tabulated once: O(n) per box vector.
+the digit d_v is at its top, and then sits the index offset
+up_v = m_v stride_v + sign sum_{u ~ v} stride_u away; k - 2A e_v is tied
+exactly when d_v = 0.  A face is in the box iff no neighbour digit sits at
+the end it moves past: with sign +1 a top face is blocked by a neighbour
+digit at its top and a zero face by one at 0; with sign -1 a top face is
+blocked by a neighbour digit at 0 and a zero face by one at its top.
+Weights come from q split over the box halves,
+q(h) + q(t) + 2 h adj[head, tail] t, with the head and tail parts
+tabulated once: O(n) per box vector.
 
 Component counts for ranks do need sublevel sets, and come from a certified
 breadth-first flood of characteristic vectors.  It is seeded with every box
@@ -59,7 +65,8 @@ and Cauchy-Schwarz in P^{-1} gives k_v^2 = (k P^{-1} P e_v)^2
 |det| k0^2 = sign(det) q(k0).  A point cap guards runtime.
 
 Every entry point reads its orbits from one :class:`_GradedOrbitTable` per
-forest, which converts the forest and scans the box once.
+forest, built on the :class:`~plumblat.charlattice.BoxIndex` that
+:func:`~plumblat.homology.compute_homology` built, or on one of its own.
 """
 
 from __future__ import annotations
@@ -68,21 +75,13 @@ from collections import deque
 from dataclasses import dataclass
 from operator import add, mul, sub
 
-from .charlattice import (
-    DEFAULT_BOX_CAP,
-    BoxIndex,
-    CharVector,
-    OrbitIndexer,
-    SpinCOrbit,
-    box_orbits,
-)
+from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector, SpinCOrbit
 from .errors import (
     EnumerationBudgetExceeded,
     InternalInvariantViolation,
     NotNegativeDefinite,
 )
 from .homology import compute_homology
-from .moves import convert_convention
 from .plumbing import EdgeSign, PlumbingForest, UnionFind, intersection_form
 
 DEFAULT_POINT_CAP = 10**7
@@ -114,49 +113,37 @@ class GradedHPlus:
 
 
 class _GradedOrbitTable:
-    """The graded engine's per-forest setup, built once from (forest, box_cap).
+    """The graded engine's per-forest setup, built once on a box.
 
-    Holds the forest in the +1 convention with the bipartition that moves
-    representatives there, its intersection form, one orbit indexer, one
-    scan of the box into orbits, the flood's step columns 2A e_v, and the
-    prefix and suffix tables that :meth:`births` reads box faces, orbit keys
-    and weights from.
+    Holds the box with its form and orbit indexer, the box split into
+    orbits with their members, the flood's step columns 2A e_v, and the
+    per-half tables that :meth:`births` reads box faces and weights from.
     """
 
-    def __init__(self, forest: PlumbingForest, box_cap: int):
-        if forest.edge_sign is EdgeSign.PLUS_ONE:
-            self.plus, self.negated = forest, (False,) * len(forest)
-        else:
-            conv = convert_convention(forest)
-            self.plus, self.negated = conv.forest, conv.negated
-        self.form = intersection_form(self.plus)
-        if not self.form.is_negative_definite:
-            raise NotNegativeDefinite("graded engine needs a negative-definite forest")
-        self.indexer = OrbitIndexer(self.form)
-        self.box = BoxIndex(self.form, box_cap)
-        self.orbits = box_orbits(self.indexer, self.box)
+    def __init__(self, box: BoxIndex):
+        self.box, self.form, self.indexer = box, box.form, box.indexer
+        self.orbits = box.orbits()
         self.columns = [tuple(2 * a for a in row) for row in self.form.matrix]
 
         # the face k + 2A e_v of a vector with d_v at its top sets d_v to 0
-        # and raises each neighbour digit by one: index offset up_v
-        framings, strides = self.box.framings, self.box.strides
+        # and moves each neighbour digit by the edge sign a: offset up_v
+        framings, strides = box.framings, box.strides
         neighbours = [0] * len(framings)
         up = [m * stride for m, stride in zip(framings, strides)]
-        for a, b in self.plus.edges:
-            neighbours[a] |= 1 << b
-            neighbours[b] |= 1 << a
-            up[a] += strides[b]
-            up[b] += strides[a]
-        low, heads, tails = self.box.halves()
-        adj, split = self.indexer.adjugate, len(heads[0])
+        for v, row in enumerate(self.form.matrix):
+            for u, a in enumerate(row):
+                if a and u != v:
+                    neighbours[v] |= 1 << u
+                    up[v] += a * strides[u]
+        plus = self.form.edge_sign is EdgeSign.PLUS_ONE
 
         def half(table, offset):
-            """Per half-vector: its part of the orbit key adj(A) k mod 2 det,
-            masks of its top and zero digits and of their neighbours, and
-            (neighbours, up_v) for each top digit v."""
+            """Per half-vector: the masks of digits that block a top face
+            and a zero face of a neighbour (its top and its zero digits with
+            sign +1, the other way round with -1), the neighbours of its top
+            and of its zero digits, and (neighbours, up_v) per top digit v."""
             out = []
             for evals in table:
-                key = self.indexer.key_part(evals, offset)
                 top = zero = top_reach = zero_reach = 0
                 ups = []
                 for v, e in enumerate(evals, offset):
@@ -167,14 +154,15 @@ class _GradedOrbitTable:
                     elif e == framings[v]:
                         zero |= 1 << v
                         zero_reach |= neighbours[v]
-                out.append((key, top, zero, top_reach, zero_reach, ups))
+                blockers = (top, zero) if plus else (zero, top)
+                out.append((*blockers, top_reach, zero_reach, ups))
             return out
 
-        self._low, self._heads = low, half(heads, 0)
-        self._tails = half(tails, split)
+        heads, tails, split = box.heads, box.tails, len(box.heads[0])
+        self._heads, self._tails = half(heads, 0), half(tails, split)
         # q(k) = q(h) + q(t) + 2 h adj[head, tail] t: per head its q and its
         # cross row adj[tail, head] h, per tail its q
-        self._head_evals, self._tail_evals = heads, tails
+        adj = self.indexer.adjugate
         self._head_q = [
             (_quadratic(adj, h), [sum(map(mul, row, h)) for row in adj[split:]])
             for h in heads
@@ -183,20 +171,19 @@ class _GradedOrbitTable:
         self._tail_q = [_quadratic(tail_block, t) for t in tails]
         self._denom = 8 * self.indexer.determinant
 
-    def to_plus(self, rep: CharVector) -> CharVector:
-        """A vector of the forest's own convention, moved to the +1 one."""
-        return CharVector(tuple(-e if neg else e for e, neg in zip(rep.evals, self.negated)))
-
-    def vector(self, a: int) -> Point:
-        """The evaluations of box index a."""
-        high, rest = divmod(a, self._low)
-        return self._head_evals[high] + self._tail_evals[rest]
+    @classmethod
+    def of(cls, forest: PlumbingForest, box_cap: int) -> _GradedOrbitTable:
+        """The table of a forest's own box, for callers without one."""
+        form = intersection_form(forest)
+        if not form.is_negative_definite:
+            raise NotNegativeDefinite("graded engine needs a negative-definite forest")
+        return cls(BoxIndex(form, box_cap))
 
     def weight(self, a: int, q0: int) -> int:
         """The weight (q(k0) - q(k)) / (8 det) of box index a, q0 = q(k0)."""
-        high, rest = divmod(a, self._low)
+        high, rest = divmod(a, self.box.low)
         qh, cross = self._head_q[high]
-        q = qh + self._tail_q[rest] + 2 * sum(map(mul, cross, self._tail_evals[rest]))
+        q = qh + self._tail_q[rest] + 2 * sum(map(mul, cross, self.box.tails[rest]))
         level, rem = divmod(q0 - q, self._denom)
         if rem:
             raise InternalInvariantViolation("a box vector weight is not integral")
@@ -211,35 +198,28 @@ class _GradedOrbitTable:
         return [-m * bound // det for m in self.box.framings]
 
     def births(self, k0: CharVector) -> dict[int, int]:
-        """Births per level of the orbit of ``k0`` (+1 convention), in
-        increasing level order, read off the box digits of its members.
+        """Births per level of the orbit of ``k0``, in increasing level
+        order, read off the box digits of its members.
 
         A member with d_v at its top ties its face k + 2A e_v, which sits at
-        index a + up_v and is in the box iff no neighbour digit is at its
-        top; a member with d_v = 0 ties k - 2A e_v, the same pair seen from
-        its other end, in the box iff no neighbour digit is 0.  In-box faces
-        unite plateaus; a member with an out-of-box face drains its plateau.
-        Each undrained plateau is a birth at its weight.
+        index a + up_v; a member with d_v = 0 ties k - 2A e_v, the same pair
+        seen from its other end.  Either is in the box iff no blocking
+        neighbour digit stops it.  In-box faces unite plateaus; a member
+        with an out-of-box face drains its plateau.  Each undrained plateau
+        is a birth at its weight.
         """
-        key0, mod = self.indexer.key(k0), self.indexer.modulus
-        idxs = self.orbits.get(key0, ())
+        idxs = self.orbits.get(self.indexer.key(k0), ())
         if not idxs:
             raise InternalInvariantViolation("an orbit lost all its box vectors")
-        low, heads, tails = self._low, self._heads, self._tails
-        # orbit membership: the suffix key must complete the prefix key to key0
-        need = {
-            high: tuple([(a - b) % mod for a, b in zip(key0, heads[high][0])])
-            for high in {a // low for a in idxs}
-        }
+        low, heads, tails = self.box.low, self._heads, self._tails
         position = {a: i for i, a in enumerate(idxs)}
         sets = UnionFind(len(idxs))
         drained = []
         for i, a in enumerate(idxs):
             high, rest = divmod(a, low)
-            _, htop, hzero, hreach, hzreach, hups = heads[high]
-            tkey, ttop, tzero, treach, tzreach, tups = tails[rest]
-            if tkey != need[high]:
-                raise InternalInvariantViolation("a box vector left its orbit")
+            htop, hzero, hreach, hzreach, hups = heads[high]
+            ttop, tzero, treach, tzreach, tups = tails[rest]
+            # digits that block a top face, and a zero face, of a neighbour
             top, zero = htop | ttop, hzero | tzero
             if top & (hreach | treach) or zero & (hzreach | tzreach):
                 drained.append(i)  # a tie off the box is no minimum: it drains
@@ -265,7 +245,7 @@ class _GradedOrbitTable:
 
         A single birth is the global minimum plateau and needs no flood;
         more births flood the orbit from its box vectors."""
-        k0 = self.to_plus(orbit.representative)
+        k0 = orbit.representative
         births = self.births(k0)
         ker_u_rank = sum(births.values())
         if ker_u_rank == 1:
@@ -298,8 +278,8 @@ def _sweep_levels(
     extra_levels: int,
 ) -> tuple[list[HPlusLevel], int]:
     """Exact per-level component counts by certified flood of the orbit of
-    ``k0`` (+1 convention), with births re-derived independently and
-    compared against the plateau counts."""
+    ``k0``, with births re-derived independently and compared against the
+    plateau counts."""
     q0 = _quadratic(table.indexer.adjugate, k0.evals)
     seeds: dict[int, list[int]] = {}
     for a in table.orbits[table.indexer.key(k0)]:
@@ -319,7 +299,7 @@ def _sweep_levels(
     level = min(seeds)
     while True:
         limits = table.limits(q0, level)
-        queue = deque((table.vector(a), level) for a in seeds.pop(level, ()))
+        queue = deque((table.box.evals(a), level) for a in seeds.pop(level, ()))
         for pt in [pt for pt, w in frontier.items() if w <= level]:
             queue.append((pt, frontier.pop(pt)))
         added: list[int] = []
@@ -391,15 +371,15 @@ def compute_hplus(
     """Component counts, births per level and the kernel-of-U rank.
 
     ``orbit`` may be a SpinCOrbit of the given forest or a bare
-    characteristic vector in the forest's own convention; conversion to the
-    +1 pairing happens internally.  Orbits with kernel rank one get their
-    level table written down directly (a single birth forces every level to
-    be connected); others pay for a flood sweep up to the certified
-    stabilization level.
+    characteristic vector in the forest's own convention.  Orbits with
+    kernel rank one get their level table written down directly (a single
+    birth forces every level to be connected); others pay for a flood sweep
+    up to the certified stabilization level.  The forest's box is built
+    here; :func:`ker_u_cross_check` reuses the quotient engine's instead.
     """
     if not isinstance(orbit, SpinCOrbit):
         orbit = SpinCOrbit(representative=orbit, index=-1)
-    return _GradedOrbitTable(forest, box_cap).hplus(orbit, point_cap, extra_levels)
+    return _GradedOrbitTable.of(forest, box_cap).hplus(orbit, point_cap, extra_levels)
 
 
 @dataclass(frozen=True)
@@ -433,13 +413,14 @@ def ker_u_cross_check(
 
     The two engines share nothing past the box: one quotients characteristic
     vectors by signed reflections, the other counts component births of the
-    weight filtration, so agreement is a genuine two-route check.  The box
-    is grouped into orbits once, not once per orbit.  Each row carries its
+    weight filtration, so agreement is a genuine two-route check.  The
+    graded engine reads the box the quotient engine built, grouped into
+    orbits once, not once per orbit.  Each row carries its
     orbit's level table; ``point_cap`` bounds the sweeps of orbits with more
     than one birth.
     """
     homology = compute_homology(forest, box_cap=box_cap)
-    table = _GradedOrbitTable(forest, box_cap)
+    table = _GradedOrbitTable(homology.box)
     rows = tuple(
         CrossCheckRow(
             orbit=oh.orbit,
@@ -449,22 +430,3 @@ def ker_u_cross_check(
         for oh in homology.per_orbit
     )
     return CrossCheckReport(ok=all(r.matches for r in rows), rows=rows)
-
-
-def rational_via_hplus(
-    forest: PlumbingForest, *, box_cap: int = DEFAULT_BOX_CAP
-) -> bool:
-    """Whether every orbit shows the single-tower shape.
-
-    True iff each orbit has kernel rank one; since every component of every
-    sublevel set contains a newborn core, a single birth already forces rank
-    one at every level, which is the single-tower shape at the component
-    level.  A cross-check against the direct definition-based rationality
-    test, not the primary test; deliberately shares nothing with either the
-    quotient engine or the chi ellipsoid (orbits come from the box scan).
-    """
-    table = _GradedOrbitTable(forest, box_cap)
-    for idxs in table.orbits.values():
-        if sum(table.births(CharVector(table.box.evals(idxs[0]))).values()) != 1:
-            return False
-    return True

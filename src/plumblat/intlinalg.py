@@ -79,9 +79,13 @@ def _positive_definite(rows: Matrix) -> GaussJordan:
     return elimination
 
 
-def _integer_row(row: Row) -> dict[int, int]:
+def _integer_row(row: Row) -> Mapping[int, int]:
     """Nonzero entries of a dense or ``{column: value}`` row, times the lcm of
-    their denominators, so every entry is an integer."""
+    their denominators, so every entry is an integer.  A mapping whose
+    entries are all nonzero ints is returned as it is: :func:`rank_rational`
+    never writes to the row it is given."""
+    if isinstance(row, Mapping) and all(type(v) is int and v for v in row.values()):
+        return row
     items = row.items() if isinstance(row, Mapping) else enumerate(row)
     entries = {j: v for j, v in items if v}
     scale = lcm(*(v.denominator for v in entries.values()))

@@ -1,23 +1,75 @@
 """Reference lattice-coordinate helpers for characteristic vectors.
 
 The package works on characteristic vectors and box indices alone; these
-helpers express the same objects in lattice coordinates x, with
-k = k0 + 2x*, and serve as independent references in the tests: the
-weight w(x) = -((x, x) + <k0, x>)/2 from the full quadratic form, the
-coordinate solve through the integer adjugate, the unit-step local-minimum
-test, the framing-parity sign of a basis change, and the coercivity and
-radius bounds from the exact L D L^T eigenvalue bound.
+helpers list the box as vectors split into orbits, and express the same
+objects in lattice coordinates x, with k = k0 + 2x*, as independent
+references in the tests: the weight w(x) = -((x, x) + <k0, x>)/2 from the
+full quadratic form, the coordinate solve through the integer adjugate, the
+unit-step local-minimum test, the framing-parity sign of a basis change,
+and the coercivity and radius bounds from the exact L D L^T eigenvalue
+bound.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Iterable, Sequence
 
 from oracle_intlinalg import reference_min_eigenvalue_lower_bound
-from plumblat import CharVector, EdgeSign, IntersectionForm, LatticeVector, intlinalg
-from plumblat.charlattice import OrbitIndexer
+from plumblat import (
+    CharVector,
+    EdgeSign,
+    IntersectionForm,
+    LatticeVector,
+    SpinCOrbit,
+    intlinalg,
+)
+from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, OrbitIndexer, box_ranges
 from plumblat.errors import NotNegativeDefinite, ParityViolation
+
+
+@dataclass(frozen=True)
+class OrbitMembers:
+    orbit: SpinCOrbit
+    members: tuple[CharVector, ...]
+
+
+def enumerate_box(
+    form: IntersectionForm, box_cap: int = DEFAULT_BOX_CAP
+) -> list[CharVector]:
+    """All characteristic vectors that can be nonzero in the quotient.
+
+    Exactly the product of the per-vertex ranges; raises BoxTooLarge instead
+    of truncating when the product exceeds ``box_cap``.
+    """
+    if not form.is_negative_definite:
+        raise NotNegativeDefinite("box enumeration requires a negative-definite form")
+    BoxIndex(form, box_cap)  # raises BoxTooLarge before enumerating
+    return [CharVector(evals) for evals in product(*box_ranges(form))]
+
+
+def orbit_decompose(
+    box: Iterable[CharVector], form: IntersectionForm
+) -> list[OrbitMembers]:
+    """Partition the full box into spin^c orbits; exactly |det| of them.
+
+    ``box`` must hold the whole box of ``form``, as :func:`enumerate_box`
+    returns it; the caller's vectors are regrouped, not copied.
+    """
+    by_evals = {k.evals: k for k in box}
+    grid = BoxIndex(form, len(by_evals))
+    out = []
+    for idx, members in enumerate(grid.orbits().values()):
+        vectors = tuple(by_evals[grid.evals(i)] for i in members)
+        out.append(
+            OrbitMembers(
+                orbit=SpinCOrbit(representative=vectors[0], index=idx),
+                members=vectors,
+            )
+        )
+    return out
 
 
 def pd_dual(x: LatticeVector, form: IntersectionForm) -> CharVector:

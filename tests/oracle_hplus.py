@@ -11,13 +11,15 @@ vectors from every box vector of the orbit and weighs flood steps by the
 step identity; it must agree with this one exactly.
 
 :func:`sublevel_complex` materializes a single sublevel set in coordinates,
-for inspection and for testing the level tables.
+for inspection and for testing the level tables, and
+:func:`rational_via_hplus` reads rationality off the birth counts alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import mul
 
 from oracle_charlattice import lattice_coordinates, weight_radius_sq_bound
 from plumblat import CharVector, IntersectionForm, PlumbingForest, SpinCOrbit
@@ -39,20 +41,20 @@ Point = tuple[int, ...]  # lattice coordinates
 
 
 class OrbitGrading:
-    """Weights and local minima of one orbit in the +1 convention."""
+    """Weights and local minima of one orbit, in the form's own convention."""
 
-    def __init__(self, plus: PlumbingForest, form: IntersectionForm, k0: CharVector):
+    def __init__(self, form: IntersectionForm, k0: CharVector):
         self.form = form
         self.k0 = k0
-        self._framings = plus.framings
-        self._edges = plus.edges
         self._k0e = k0.evals
         # local minima of w with their weights, one per orbit box vector
         self.minima: dict[Point, int] = {}
 
     def weight(self, x: Point) -> int:
-        s = sum(xi * (m * xi + e) for xi, m, e in zip(x, self._framings, self._k0e))
-        s += 2 * sum(x[a] * x[b] for a, b in self._edges)
+        s = sum(
+            xi * (sum(map(mul, row, x)) + e)
+            for xi, row, e in zip(x, self.form.matrix, self._k0e)
+        )
         if s % 2:
             raise ParityViolation("orbit representative is not characteristic")
         return -s // 2
@@ -67,10 +69,9 @@ def unit_neighbors(x: Point):
 
 def reference_grading(table: _GradedOrbitTable, rep: CharVector) -> OrbitGrading:
     """The orbit of ``rep`` (forest's own convention), minima solved one by one."""
-    k0 = table.to_plus(rep)
-    grading = OrbitGrading(table.plus, table.form, k0)
-    for i in table.orbits.get(table.indexer.key(k0), ()):
-        x = lattice_coordinates(table.indexer, table.box.evals(i), k0).coords
+    grading = OrbitGrading(table.form, rep)
+    for i in table.orbits.get(table.indexer.key(rep), ()):
+        x = lattice_coordinates(table.indexer, table.box.evals(i), rep).coords
         grading.minima[x] = grading.weight(x)
     if not grading.minima:
         raise InternalInvariantViolation("an orbit lost all its box vectors")
@@ -239,7 +240,7 @@ def sublevel_complex(
     every flooded point is checked against the radius bound.
     """
     rep = orbit.representative if isinstance(orbit, SpinCOrbit) else orbit
-    grading = reference_grading(_GradedOrbitTable(forest, box_cap), rep)
+    grading = reference_grading(_GradedOrbitTable.of(forest, box_cap), rep)
     radius_sq = weight_radius_sq_bound(grading.form, grading.k0, level)
     points: dict[Point, int] = {}
     sets = UnionFind()
@@ -273,3 +274,22 @@ def sublevel_complex(
     return SublevelComplex(
         level=level, points=frozenset(points), components=components
     )
+
+
+def rational_via_hplus(
+    forest: PlumbingForest, *, box_cap: int = DEFAULT_BOX_CAP
+) -> bool:
+    """Whether every orbit shows the single-tower shape.
+
+    True iff each orbit has kernel rank one; since every component of every
+    sublevel set contains a newborn core, a single birth already forces rank
+    one at every level, which is the single-tower shape at the component
+    level.  A cross-check against the direct definition-based rationality
+    test, not the primary test; deliberately shares nothing with either the
+    quotient engine or the chi ellipsoid (orbits come from the box scan).
+    """
+    table = _GradedOrbitTable.of(forest, box_cap)
+    for idxs in table.orbits.values():
+        if sum(table.births(CharVector(table.box.evals(idxs[0]))).values()) != 1:
+            return False
+    return True

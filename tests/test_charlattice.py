@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import random
+from itertools import product
+
 import pytest
 
 from conftest import e8, lens, random_forest
 from oracle_charlattice import (
     char_to_lattice,
     coercivity_bounds,
+    enumerate_box,
     is_local_minimum,
     lattice_to_char,
+    orbit_decompose,
     pd_dual,
     weight,
     weight_radius_sq_bound,
@@ -20,13 +25,11 @@ from plumblat import (
     LatticeVector,
     canonical_class,
     chi,
-    enumerate_box,
     intersection_form,
     is_characteristic,
-    orbit_decompose,
     validate_forest,
 )
-from plumblat.charlattice import in_box
+from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, box_ranges, in_box
 from plumblat.errors import BoxTooLarge, ParityViolation
 
 
@@ -166,3 +169,35 @@ def test_coercivity_and_radius_bounds(rng):
             norm_sq = sum(v * v for v in x.coords)
             assert w >= c * norm_sq - big_c
             assert norm_sq <= weight_radius_sq_bound(form, k0, w)
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_box_keys_and_orbits_agree_with_the_indexer(edge_sign):
+    """On seeded random forests and a chain whose head and tail tables both
+    hold several entries: every index decodes to its evaluations and its
+    box key is the indexer's key of them; ``orbits()`` groups every index by
+    that key, lists sorted, in order of least member; and
+    ``orbits(members=False)`` keeps the first members in the same order."""
+    rng = random.Random(0xB0C5)
+    forests = [random_forest(rng, 6, lo=-4, edge_sign=edge_sign) for _ in range(30)]
+    names = [f"v{i}" for i in range(5)]
+    chain = list(zip(names, (-3, -2, -2, -2, -3))), list(zip(names, names[1:]))
+    forests.append(validate_forest(*chain, edge_sign))
+    split = 0
+    for forest in forests:
+        form = intersection_form(forest)
+        box = BoxIndex(form, DEFAULT_BOX_CAP)
+        split += len(box.heads) > 1 and len(box.tails) > 1
+        evals = [box.evals(a) for a in range(box.size)]
+        assert evals == list(product(*box_ranges(form)))
+        grouped: dict[tuple[int, ...], list[int]] = {}
+        for a in range(box.size):
+            key = box.key(a)
+            assert key == box.indexer.key(box.evals(a))
+            grouped.setdefault(key, []).append(a)
+        orbits = box.orbits()
+        assert list(orbits.items()) == list(grouped.items())
+        assert len(orbits) == abs(form.determinant)
+        least = box.orbits(members=False)
+        assert list(least.items()) == [(key, m[:1]) for key, m in grouped.items()]
+    assert split >= 2

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import e8, elliptic_a, elliptic_b, lens, random_forest, random_zero_bad_forest
 from oracle_classify import reference_almost_rational
+from oracle_hplus import rational_via_hplus
 from plumblat import (
     canonical_class,
     chi,
@@ -17,7 +18,6 @@ from plumblat import (
     intersection_form,
     is_almost_rational,
     is_rational,
-    rational_via_hplus,
     validate_forest,
 )
 from plumblat import intlinalg

@@ -80,7 +80,8 @@ def write_inputs(directory: Path) -> list[str]:
     rng = random.Random(0xD16E57)
     for i in range(40):
         name = f"random_{i:02d}.plumb"
-        (directory / name).write_text(random_plumbing(rng, i % 2 == 1), encoding="utf-8")
+        text = random_plumbing(rng, i % 2 == 1)
+        (directory / name).write_text(text, encoding="utf-8")
         names.append(name)
     return names
 
@@ -103,7 +104,8 @@ def corpus(directory: Path) -> list[list[str]]:
                 runs.append([move, name, "--vertex", vertex, "--json"])
     for text in SFS:
         for action in ACTIONS:
-            runs += [["sfs", "--sfs", text, action], ["sfs", "--sfs", text, action, "--json"]]
+            argv = ["sfs", "--sfs", text, action]
+            runs += [argv, argv + ["--json"]]
     return runs
 
 
@@ -129,7 +131,9 @@ def test_cli_digest_matches_golden(tmp_path):
     expected = json.loads(GOLDEN.read_text(encoding="utf-8"))
     got = digest(tmp_path)
     assert len(got) > 900
-    changed = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+    changed = sorted(
+        k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k)
+    )
     assert not changed, f"{len(changed)} runs changed, first: {changed[:5]}"
 
 
@@ -138,5 +142,6 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as scratch:
         table = digest(Path(scratch))
-    GOLDEN.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    text = json.dumps(table, indent=1, sort_keys=True) + "\n"
+    GOLDEN.write_text(text, encoding="utf-8")
     sys.stdout.write(f"wrote {len(table)} digests to {GOLDEN}\n")

@@ -10,7 +10,9 @@ from math import prod
 import pytest
 
 from conftest import e8, elliptic_a, elliptic_b, lens, random_forest
+from oracle_charlattice import enumerate_box
 from oracle_homology import reference_homology
+from oracle_hplus import rational_via_hplus
 from plumblat import (
     CharVector,
     EdgeSign,
@@ -27,10 +29,9 @@ from plumblat.charlattice import (
     BoxIndex,
     OrbitIndexer,
     box_ranges,
-    enumerate_box,
 )
 from plumblat.errors import BoxTooLarge, NegativeOddDimension, NotNegativeDefinite
-from plumblat.hplus import ker_u_cross_check, rational_via_hplus
+from plumblat.hplus import ker_u_cross_check
 
 
 def test_lens_dimensions():
@@ -152,6 +153,7 @@ def test_negative_odd_dimension_guard():
         per_orbit=result.per_orbit,
         classes=result.classes[:1],
         zero_class=result.zero_class,
+        box=result.box,
         _lookup=result._lookup,
     )
     with pytest.raises(NegativeOddDimension):
@@ -339,7 +341,8 @@ def _assert_orbits_match_keys(forest):
     """Every class sits in the orbit whose representative shares its
     OrbitIndexer key, and the box splits into a head and a tail table."""
     result = compute_homology(forest)
-    low, heads, tails = BoxIndex(result.form, DEFAULT_BOX_CAP).halves()
+    box = BoxIndex(result.form, DEFAULT_BOX_CAP)
+    low, heads, tails = box.low, box.heads, box.tails
     assert low > 1 and len(heads) > 1
     indexer = OrbitIndexer(result.form)
     orbit_of = {indexer.key(oh.orbit.representative): oh.orbit.index for oh in result.per_orbit}

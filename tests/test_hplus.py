@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -15,6 +14,7 @@ import oracle_hplus
 from conftest import FIXTURES, e8, elliptic_a, elliptic_b, lens, random_forest
 from oracle_charlattice import lattice_to_char, weight_radius_sq_bound
 from oracle_hplus import (
+    rational_via_hplus,
     reference_birth_counts,
     reference_grading,
     reference_hplus,
@@ -34,7 +34,6 @@ from plumblat import (
     intlinalg,
     ker_u_cross_check,
     parse_sfs,
-    rational_via_hplus,
     seifert_to_plumbing,
     validate_forest,
 )
@@ -134,7 +133,7 @@ def test_stabilization_is_stable(rng):
 def _brute_levels(forest, rep, up_to):
     """Independent oracle: enumerate sublevel sets by scanning a certified
     window, then count components and births with a fresh union-find."""
-    grading = reference_grading(_GradedOrbitTable(forest, 10**8), rep)
+    grading = reference_grading(_GradedOrbitTable.of(forest, 10**8), rep)
     form = grading.form
     radius_sq = weight_radius_sq_bound(form, grading.k0, up_to)
     bound = 1
@@ -208,16 +207,17 @@ def test_birth_counts_equal_homology_dim_per_orbit(rng):
     for _ in range(8):
         forest = random_forest(rng, max_vertices=4)
         result = compute_homology(forest)
-        table = _GradedOrbitTable(forest, 10**8)
+        table = _GradedOrbitTable.of(forest, 10**8)
         for oh in result.per_orbit:
-            births = table.births(table.to_plus(oh.orbit.representative))
+            births = table.births(oh.orbit.representative)
             assert sum(births.values()) == oh.dim
 
 
 def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys):
-    """One indexer and one box scan each for the quotient and the graded
-    engine, and one birth count per orbit, whatever |det| is."""
-    calls = {"indexer": 0, "box_orbits": 0, "births": 0}
+    """One box and one indexer, shared by the quotient and the graded
+    engine, one orbit scan for each engine, and one birth count per orbit,
+    whatever |det| is."""
+    calls = {"box": 0, "indexer": 0, "orbits": 0, "births": 0}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -231,18 +231,20 @@ def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys):
         "__init__",
         counting("indexer", charlattice.OrbitIndexer.__init__),
     )
-    original = charlattice.box_orbits
-    scan = counting("box_orbits", original)
-    for name, module in list(sys.modules.items()):
-        if name.startswith("plumblat") and vars(module).get("box_orbits") is original:
-            monkeypatch.setattr(module, "box_orbits", scan)
+    monkeypatch.setattr(
+        charlattice.BoxIndex, "__init__", counting("box", charlattice.BoxIndex.__init__)
+    )
+    monkeypatch.setattr(
+        charlattice.BoxIndex, "orbits", counting("orbits", charlattice.BoxIndex.orbits)
+    )
     monkeypatch.setattr(
         _GradedOrbitTable, "births", counting("births", _GradedOrbitTable.births)
     )
     assert main(["hplus", str(FIXTURES / "elliptic_b.plumb")]) == 0
     assert "cross-check vs homology engine: OK" in capsys.readouterr().out
-    assert calls["indexer"] <= 2
-    assert calls["box_orbits"] <= 2
+    assert calls["box"] == 1
+    assert calls["indexer"] == 1
+    assert calls["orbits"] <= 2
     assert calls["births"] == 13  # |det| orbits, each counted once
 
 
@@ -290,7 +292,7 @@ def test_sublevel_complex_checks_every_flooded_point(monkeypatch):
     """A radius that admits the starting minima but not a point the flood
     reaches later must trip the ellipsoid check."""
     forest, rep, level = lens(2), CharVector((2,)), 2
-    grading = reference_grading(_GradedOrbitTable(forest, 10**8), rep)
+    grading = reference_grading(_GradedOrbitTable.of(forest, 10**8), rep)
     radius_sq = max(
         sum(c * c for c in x) for x, w in grading.minima.items() if w <= level
     )
@@ -348,13 +350,13 @@ def test_graded_engine_matches_all_neighbour_oracle():
     assert {f.edge_sign for f in cases} == set(EdgeSign)
     flooded = 0
     for forest in cases:
-        table = _GradedOrbitTable(forest, 10**8)
+        table = _GradedOrbitTable.of(forest, 10**8)
         for oh in compute_homology(forest).per_orbit:
             rep = oh.orbit.representative
             reference = reference_grading(table, rep)
             # the flood's seeds: every box vector of the orbit, at the weight
             # of its lattice point
-            k0 = table.to_plus(rep)
+            k0 = rep
             q0 = hplus._quadratic(table.indexer.adjugate, k0.evals)
             idxs = table.orbits[table.indexer.key(k0)]
             assert [table.weight(a, q0) for a in idxs] == list(reference.minima.values())
@@ -369,7 +371,7 @@ def test_graded_engine_matches_all_neighbour_oracle():
 def test_sublevel_complex_ranks_match_level_tables():
     """The one-level flood agrees with every level of the sweep's table."""
     for forest in (elliptic_a(), elliptic_b(), _chain_m1()):
-        table = _GradedOrbitTable(forest, 10**8)
+        table = _GradedOrbitTable.of(forest, 10**8)
         for oh in compute_homology(forest).per_orbit:
             for lvl in reference_hplus(table, oh.orbit, 10**7, 1).levels:
                 snapshot = sublevel_complex(forest, oh.orbit, lvl.level)
@@ -386,7 +388,7 @@ def _orbit_signature(forest):
     """
     form = intersection_form(forest)
     adj = intlinalg.adjugate(form.matrix) if len(form) else []
-    table = _GradedOrbitTable(forest, 10**8)
+    table = _GradedOrbitTable.of(forest, 10**8)
     out = []
     for oh in compute_homology(forest).per_orbit:
         k0 = oh.orbit.representative.evals
@@ -444,12 +446,12 @@ def test_index_births_match_oracle_on_a_split_box(edge_sign):
     """The (-3,-2^6,-3) chain: 11,664 box vectors decoded from prefix and
     suffix tables of several entries each, with faces crossing the split."""
     forest = _chain([-3] + [-2] * 6 + [-3], edge_sign)
-    table = _GradedOrbitTable(forest, 10**8)
-    low, heads, tails = table.box.halves()
+    table = _GradedOrbitTable.of(forest, 10**8)
+    low, heads, tails = table.box.low, table.box.heads, table.box.tails
     assert len(heads) > 1 and len(tails) > 1 and low == len(tails)
     total = 0
     for oh in compute_homology(forest).per_orbit:
-        k0 = table.to_plus(oh.orbit.representative)
+        k0 = oh.orbit.representative
         births = table.births(k0)
         assert births == reference_birth_counts(reference_grading(table, oh.orbit.representative))
         assert sum(births.values()) == oh.dim
@@ -497,14 +499,14 @@ def test_long_star_hplus_cross_check(capsys):
 def test_births_and_coordinates_check_every_member_orbit():
     """A box index moved into a foreign orbit's list trips the per-vector
     orbit check, both of the births and of the flood that starts after them."""
-    table = _GradedOrbitTable(elliptic_b(), 10**8)
+    table = _GradedOrbitTable.of(elliptic_b(), 10**8)
     (key, idxs), (_, other) = list(table.orbits.items())[:2]
     k0 = CharVector(table.box.evals(idxs[0]))
     table.orbits[key] = sorted(idxs + [other[-1]])
     with pytest.raises(InternalInvariantViolation, match="left its orbit"):
         table.births(k0)
     with pytest.raises(InternalInvariantViolation, match="left its orbit"):
-        table.hplus(SpinCOrbit(table.to_plus(k0), -1), 10**7, 0)
+        table.hplus(SpinCOrbit(k0, -1), 10**7, 0)
 
 
 def _flooding_orbits(forest):
@@ -516,7 +518,7 @@ def test_wrong_flood_steps_trip_at_once(forest):
     """Step columns with their framing entries negated send the flood off
     the orbit; the births check and the integer bound stop it within a few
     points, long before the default point cap, in well under 1 MiB."""
-    table = _GradedOrbitTable(forest, 10**8)
+    table = _GradedOrbitTable.of(forest, 10**8)
     table.columns = [
         tuple(-c if u == v else c for u, c in enumerate(column))
         for v, column in enumerate(table.columns)
@@ -541,9 +543,9 @@ def test_integer_bound_holds_on_sublevel_sets_and_checks_every_point(monkeypatch
     the vectors beyond it trip the check."""
     reached_off_box = False
     for forest in (elliptic_a(), elliptic_b(), _chain_m1()):
-        table = _GradedOrbitTable(forest, 10**8)
+        table = _GradedOrbitTable.of(forest, 10**8)
         for orbit in _flooding_orbits(forest):
-            k0 = table.to_plus(orbit.representative)
+            k0 = orbit.representative
             q0 = hplus._quadratic(table.indexer.adjugate, k0.evals)
             for lvl in table.hplus(orbit, 10**7, 1).levels:
                 limits = table.limits(q0, lvl.level)
