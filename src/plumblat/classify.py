@@ -211,7 +211,7 @@ def full_report(
     forest: PlumbingForest,
     *,
     nmax: int = DEFAULT_NMAX,
-    box_cap: int | None = None,
+    box_cap: int = DEFAULT_BOX_CAP,
     point_cap: int = DEFAULT_RATIONALITY_POINT_CAP,
 ) -> ClassificationReport:
     """Assemble the whole classification; homology fields absent off-negdef.
@@ -222,7 +222,6 @@ def full_report(
     certificate (decrementing the bad vertex until it stops being bad lands
     in the zero-bad-vertex class).
     """
-    box_cap = DEFAULT_BOX_CAP if box_cap is None else box_cap
     form = intersection_form(forest)
     bad = tuple(bad_vertices(forest))
     if not form.is_negative_definite:

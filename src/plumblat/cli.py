@@ -55,6 +55,8 @@ def _load(path: str) -> PlumbingForest:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         byte = exc.object[exc.start]
         raise DslSyntaxError(line, f"byte {byte:#04x} is not UTF-8") from None
+    except OSError as exc:  # a missing file, a directory, no permission
+        raise PlumblatError(str(exc)) from None
     return parse_plumbing(text)
 
 
@@ -419,9 +421,6 @@ def main(argv: list[str] | None = None) -> int:
     except PlumblatError as exc:
         sys.stderr.write(f"plumblat: error: {exc}\n")
         return exc.exit_code
-    except FileNotFoundError as exc:
-        sys.stderr.write(f"plumblat: error: {exc}\n")
-        return 2
 
 
 if __name__ == "__main__":

@@ -6,9 +6,11 @@ Line-oriented grammar, ``#`` starts a comment:
     vertex <id> <framing:int>
     edge <id> <id>
 
-Parsing performs the structural validation inline so every rejection carries
-the offending line number; the result round-trips through the serializer up
-to whitespace.  A JSON document of the same shape the CLI emits
+Parsing reads only the grammar; :func:`plumbing.validate_forest` checks the
+forest, and a structural rejection carries the line of the vertex or edge
+that failed.  Edge lines may come before the vertex lines they name.  The
+result round-trips through the serializer up to whitespace.  A JSON
+document of the same shape the CLI emits
 (``{"vertices": [{"id", "framing"}], "edges": [[a, b]], "convention"}``)
 is accepted interchangeably: :func:`parse_plumbing` sniffs the first
 character.
@@ -19,15 +21,8 @@ from __future__ import annotations
 import json
 import re
 
-from .errors import (
-    CycleDetected,
-    DanglingEdge,
-    DslSyntaxError,
-    DuplicateEdge,
-    DuplicateVertexId,
-    SelfLoop,
-)
-from .plumbing import EdgeSign, PlumbingForest, UnionFind, validate_forest
+from .errors import DslSyntaxError, ForestValidationError
+from .plumbing import EdgeSign, PlumbingForest, validate_forest
 
 _CONVENTIONS = {
     "minus_one": EdgeSign.MINUS_ONE,
@@ -53,12 +48,9 @@ def parse_int(token: str) -> int | None:
 
 def parse_dsl(text: str) -> PlumbingForest:
     vertices: list[tuple[str, int]] = []
-    seen: dict[str, int] = {}
     edges: list[tuple[str, str]] = []
-    edge_keys: set[tuple[str, str]] = set()
+    lines: dict[str, list[int]] = {"vertex": [], "edge": []}  # of each entry
     convention = EdgeSign.MINUS_ONE
-    index: dict[str, int] = {}
-    sets = UnionFind()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -69,41 +61,27 @@ def parse_dsl(text: str) -> PlumbingForest:
         if keyword == "vertex":
             if len(tokens) != 3:
                 raise DslSyntaxError(lineno, "expected: vertex <id> <framing>")
-            vid = tokens[1]
             framing = parse_int(tokens[2])
             if framing is None:
                 raise DslSyntaxError(lineno, f"framing {tokens[2]!r} is not an integer")
-            if vid in seen:
-                raise DuplicateVertexId(
-                    f"line {lineno}: vertex id {vid!r} already defined on line {seen[vid]}"
-                )
-            seen[vid] = lineno
-            index[vid] = sets.add()
-            vertices.append((vid, framing))
+            vertices.append((tokens[1], framing))
+            lines[keyword].append(lineno)
         elif keyword == "edge":
             if len(tokens) != 3:
                 raise DslSyntaxError(lineno, "expected: edge <id> <id>")
-            a, b = tokens[1], tokens[2]
-            if a == b:
-                raise SelfLoop(f"line {lineno}: edge ({a!r}, {b!r}) is a self-loop")
-            if a not in seen or b not in seen:
-                raise DanglingEdge(
-                    f"line {lineno}: edge references an undefined vertex"
-                )
-            key = (min(a, b), max(a, b))
-            if key in edge_keys:
-                raise DuplicateEdge(f"line {lineno}: edge ({a!r}, {b!r}) appears twice")
-            edge_keys.add(key)
-            if sets.union(index[a], index[b]) is None:
-                raise CycleDetected(f"line {lineno}: edge ({a!r}, {b!r}) closes a cycle")
-            edges.append((a, b))
+            edges.append((tokens[1], tokens[2]))
+            lines[keyword].append(lineno)
         elif keyword == "convention":
             if len(tokens) != 2 or tokens[1] not in _CONVENTIONS:
                 raise DslSyntaxError(lineno, "expected: convention minus_one|plus_one")
             convention = _CONVENTIONS[tokens[1]]
         else:
             raise DslSyntaxError(lineno, f"unknown directive {keyword!r}")
-    return validate_forest(vertices, edges, convention)
+    try:
+        return validate_forest(vertices, edges, convention)
+    except ForestValidationError as exc:
+        kind, position = exc.entry
+        raise type(exc)(f"line {lines[kind][position]}: {exc}", exc.entry) from None
 
 
 def parse_json_plumbing(text: str) -> PlumbingForest:

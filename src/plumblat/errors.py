@@ -27,7 +27,15 @@ class PlumblatError(Exception):
 # --- forest validation -------------------------------------------------
 
 class ForestValidationError(PlumblatError):
-    """Structural problem with the vertex/edge description of a forest."""
+    """Structural problem with the vertex/edge description of a forest.
+
+    ``entry`` names the input entry that failed, as ``("vertex", i)`` or
+    ``("edge", i)`` with i its position among the vertices or the edges.
+    """
+
+    def __init__(self, message: str, entry: tuple[str, int]):
+        super().__init__(message)
+        self.entry = entry
 
 
 class DuplicateVertexId(ForestValidationError):

@@ -125,17 +125,9 @@ def _set_bits(bits: int) -> list[int]:
 
 
 def compute_homology(
-    forest: PlumbingForest,
-    *,
-    box_cap: int = DEFAULT_BOX_CAP,
-    signed: bool = True,
+    forest: PlumbingForest, *, box_cap: int = DEFAULT_BOX_CAP
 ) -> HomologyResult:
-    """Quotient of the box by the reflection relations, per orbit.
-
-    ``signed=False`` drops the (-1)^{v^2} factor from the reflections; the
-    dimensions agree with the signed version, which is asserted structurally
-    elsewhere rather than assumed here.
-    """
+    """Quotient of the box by the signed reflection relations, per orbit."""
     form = intersection_form(forest)
     if not form.is_negative_definite:
         raise NotNegativeDefinite(
@@ -162,8 +154,7 @@ def compute_homology(
         # an extremal vector at v_i that is neither end of a pair escapes;
         # the pair ends starts + offset are the mirror images of the starts
         dead |= box.bitset(extremal) & ~(starts | _shift(starts, offset))
-        rel = 1 if (signed and forest.framings[i] % 2) else 0
-        pairs.append((starts, offset, rel))
+        pairs.append((starts, offset, forest.framings[i] % 2))
 
     # a pair with one flagged end flags the other; sweep every reflection at
     # once until no flag moves, so each pair is flagged at both ends or neither

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationBudgetExceeded
 
 Matrix = Sequence[Sequence[int]]
-Row = Sequence[Fraction | int] | Mapping[int, Fraction | int]
 
 
 class GaussJordan(NamedTuple):
@@ -79,31 +78,19 @@ def _positive_definite(rows: Matrix) -> GaussJordan:
     return elimination
 
 
-def _integer_row(row: Row) -> Mapping[int, int]:
-    """Nonzero entries of a dense or ``{column: value}`` row, times the lcm of
-    their denominators, so every entry is an integer.  A mapping whose
-    entries are all nonzero ints is returned as it is: :func:`rank_rational`
-    never writes to the row it is given."""
-    if isinstance(row, Mapping) and all(type(v) is int and v for v in row.values()):
-        return row
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    entries = {j: v for j, v in items if v}
-    scale = lcm(*(v.denominator for v in entries.values()))
-    return {j: v.numerator * (scale // v.denominator) for j, v in entries.items()}
+def rank_rational(rows: Sequence[Mapping[int, int]]) -> int:
+    """Rank over the rationals of integer ``{column: value}`` rows.
 
-
-def rank_rational(rows: Sequence[Row]) -> int:
-    """Rank over the rationals of dense rows or ``{column: value}`` rows.
-
-    One fraction-free echelon over the integers: each row is cleared of
-    denominators and reduced against the stored pivot rows, keyed by their
+    One fraction-free echelon over the integers: each row, stored zeros
+    dropped, is reduced against the stored pivot rows, keyed by their
     leading column, by integer row operations that cancel its leading
     entry.  A row that reaches a new leading column is divided by its
-    content and stored; the rank is the number of pivot rows.
+    content and stored; the rank is the number of pivot rows.  The rows
+    given are never written to.
     """
     pivots: dict[int, dict[int, int]] = {}
     for row in rows:
-        vec = _integer_row(row)
+        vec = {j: v for j, v in row.items() if v}
         while vec:
             lead = min(vec)
             pivot = pivots.get(lead)

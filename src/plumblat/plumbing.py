@@ -210,20 +210,25 @@ def validate_forest(
     vertex ids, self-loops, dangling or duplicate edges and cycles, and
     raises :class:`TooManyVertices` past :data:`MAX_VERTICES` vertices.
     Duplicate edges are an error rather than being deduplicated: silently
-    merging them would hide a likely mistake in the input.
+    merging them would hide a likely mistake in the input.  Every vertex is
+    checked before any edge, and each :class:`ForestValidationError` names
+    the failing entry by its position (``exc.entry``).
     """
     ids: list[str] = []
     framings: list[int] = []
     index: dict[str, int] = {}
-    for vid, m in vertices:
-        if len(ids) == MAX_VERTICES:
+    for pos, (vid, m) in enumerate(vertices):
+        entry = ("vertex", pos)
+        if pos == MAX_VERTICES:
             raise TooManyVertices(f"a forest holds at most {MAX_VERTICES} vertices")
         if not isinstance(vid, str):
-            raise MistypedForestData(f"vertex id {vid!r} is not a string")
+            raise MistypedForestData(f"vertex id {vid!r} is not a string", entry)
         if type(m) is not int:  # bool is an int subclass, and not a framing
-            raise MistypedForestData(f"framing {m!r} of vertex {vid!r} is not an integer")
+            raise MistypedForestData(
+                f"framing {m!r} of vertex {vid!r} is not an integer", entry
+            )
         if vid in index:
-            raise DuplicateVertexId(f"vertex id {vid!r} appears twice")
+            raise DuplicateVertexId(f"vertex id {vid!r} appears twice", entry)
         index[vid] = len(ids)
         ids.append(vid)
         framings.append(m)
@@ -231,19 +236,20 @@ def validate_forest(
     sets = UnionFind(len(ids))
     seen: set[tuple[int, int]] = set()
     out_edges: list[tuple[int, int]] = []
-    for a, b in edges:
+    for pos, (a, b) in enumerate(edges):
+        entry = ("edge", pos)
         if not (isinstance(a, str) and isinstance(b, str)):
-            raise MistypedForestData(f"edge ({a!r}, {b!r}) must name vertex ids")
+            raise MistypedForestData(f"edge ({a!r}, {b!r}) must name vertex ids", entry)
         if a == b:
-            raise SelfLoop(f"edge ({a!r}, {b!r}) is a self-loop")
+            raise SelfLoop(f"edge ({a!r}, {b!r}) is a self-loop", entry)
         if a not in index or b not in index:
-            raise DanglingEdge(f"edge ({a!r}, {b!r}) references a missing vertex")
+            raise DanglingEdge(f"edge ({a!r}, {b!r}) references a missing vertex", entry)
         i, j = sorted((index[a], index[b]))
         if (i, j) in seen:
-            raise DuplicateEdge(f"edge ({a!r}, {b!r}) appears twice")
+            raise DuplicateEdge(f"edge ({a!r}, {b!r}) appears twice", entry)
         seen.add((i, j))
         if sets.union(i, j) is None:
-            raise CycleDetected(f"edge ({a!r}, {b!r}) closes a cycle")
+            raise CycleDetected(f"edge ({a!r}, {b!r}) closes a cycle", entry)
         out_edges.append((i, j))
     return PlumbingForest(tuple(ids), tuple(framings), tuple(out_edges), edge_sign)
 

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .plumbing import (
     MAX_VERTICES,
-    EdgeSign,
     PlumbingForest,
     intersection_form,
     validate_forest,
@@ -134,7 +133,7 @@ def euler_number(normalized: SeifertData) -> Fraction:
     )
 
 
-def _build_star(normalized: SeifertData, edge_sign: EdgeSign) -> PlumbingForest:
+def _build_star(normalized: SeifertData) -> PlumbingForest:
     vertices = [("c", normalized.e0)]
     edges = []
     for j, (alpha, beta) in enumerate(normalized.legs, start=1):
@@ -146,7 +145,7 @@ def _build_star(normalized: SeifertData, edge_sign: EdgeSign) -> PlumbingForest:
             previous = vid
         if len(vertices) > MAX_VERTICES:  # before the next leg adds more
             raise TooManyVertices(f"a forest holds at most {MAX_VERTICES} vertices")
-    return validate_forest(vertices, edges, edge_sign)
+    return validate_forest(vertices, edges)
 
 
 @dataclass(frozen=True)
@@ -159,10 +158,8 @@ class SeifertConversion:
     h1_order: int
 
 
-def seifert_to_plumbing(
-    data: SeifertData, *, edge_sign: EdgeSign = EdgeSign.MINUS_ONE
-) -> SeifertConversion:
-    """Star-shaped negative-definite plumbing of the Seifert data.
+def seifert_to_plumbing(data: SeifertData) -> SeifertConversion:
+    """Star-shaped negative-definite plumbing of the Seifert data, with -1 edges.
 
     Tries the orientation as given first, then the reverse; raises when
     neither bounds a negative-definite star (e.g. Euler number zero).  The
@@ -174,7 +171,7 @@ def seifert_to_plumbing(
         (False, normalized),
         (True, reverse_orientation(normalized)),
     ):
-        forest = _build_star(candidate, edge_sign)
+        forest = _build_star(candidate)
         form = intersection_form(forest)
         if not form.is_negative_definite:
             continue

@@ -35,9 +35,36 @@ from plumblat.hplus import (
     HPlusLevel,
     _GradedOrbitTable,
 )
-from plumblat.plumbing import UnionFind
 
 Point = tuple[int, ...]  # lattice coordinates
+
+
+class UnionFind:
+    """Plain disjoint sets over 0, 1, ...: the reference engines share none
+    of :class:`plumblat.plumbing.UnionFind`, so a fault there cannot hide."""
+
+    def __init__(self, size: int = 0):
+        self.parent = list(range(size))
+
+    def add(self) -> int:
+        self.parent.append(len(self.parent))
+        return len(self.parent) - 1
+
+    def find(self, a: int) -> int:
+        root = a
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[a] != root:  # point the path at the root
+            self.parent[a], a = root, self.parent[a]
+        return root
+
+    def union(self, a: int, b: int) -> int | None:
+        """Put a's root under b's; the absorbed root, or None if joined."""
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return None
+        self.parent[ra] = rb
+        return ra
 
 
 class OrbitGrading:

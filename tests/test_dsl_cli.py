@@ -33,6 +33,7 @@ from plumblat.errors import (
     DuplicateEdge,
     DuplicateVertexId,
     InternalInvariantViolation,
+    SelfLoop,
 )
 from plumblat.plumbing import MAX_VERTICES
 
@@ -209,6 +210,100 @@ def test_cli_rejects_mistyped_json(capsys, tmp_path, doc):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("plumblat: error: line 1: ")
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": [{"id": "a", "framing": -2.7}]}, "framing -2.7 is not an integer"),
+        ({"vertices": [{"id": "a", "framing": True}]}, "framing true is not an integer"),
+        ({"vertices": [{"id": "a", "framing": "-2"}]}, 'framing "-2" is not an integer'),
+        ({"vertices": [{"id": "a", "framing": None}]}, "framing null is not an integer"),
+        ({"vertices": [{"id": ["a"], "framing": -2}]}, 'vertex id ["a"] is not a string'),
+        ({"vertices": [{"id": 7, "framing": -2}]}, "vertex id 7 is not a string"),
+        ({"vertices": [{"id": "a", "framing": -2}], "edges": [["a", 3]]},
+         'edge ["a", 3] must name vertex ids'),
+        ({"vertices": [{"id": "a", "framing": -2}, {"id": "b", "framing": -2}],
+          "edges": [["a", ["b"]]]},
+         'edge ["a", ["b"]] must name vertex ids'),
+        ({"vertices": [], "convention": 5}, "unknown convention 5"),
+        ({"vertices": [], "convention": "zero"}, "unknown convention 'zero'"),
+    ],
+)
+def test_cli_json_type_errors_print_json_values(tmp_path, doc, message):
+    """The JSON reader's own type checks quote the values as JSON."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert _cli("info", str(path)) == (2, "", f"plumblat: error: line 1: {message}\n")
+
+
+# blank, comment and convention lines keep each entry's line apart from its
+# position among the vertices or the edges, and most failing entries have
+# entries of their kind after them
+_STRUCTURAL_ERRORS = [
+    ("vertex a -2\nvertex a -3\n", DuplicateVertexId,
+     "line 2: vertex id 'a' appears twice"),
+    ("# chain\nvertex a -2\n\nvertex b -2\nvertex c -2\nvertex b -1\nvertex b -3\n",
+     DuplicateVertexId, "line 6: vertex id 'b' appears twice"),
+    ("vertex a -2\nvertex b -2\nedge a b\nedge b b\nedge a a\n", SelfLoop,
+     "line 4: edge ('b', 'b') is a self-loop"),
+    ("vertex a -2\nedge a b\n", DanglingEdge,
+     "line 2: edge ('a', 'b') references a missing vertex"),
+    ("vertex a -2\nvertex b -2\nedge a b\n# both ends\nedge c d\nedge a e\n", DanglingEdge,
+     "line 5: edge ('c', 'd') references a missing vertex"),
+    ("edge a b\n", DanglingEdge, "line 1: edge ('a', 'b') references a missing vertex"),
+    ("convention plus_one\nvertex a -2\nvertex b -2\nedge a b\n\nedge b a\nedge a b\n",
+     DuplicateEdge, "line 6: edge ('b', 'a') appears twice"),
+    ("vertex a -1\nvertex b -1\nvertex c -1\nedge a b\nedge b c\nedge c a\n", CycleDetected,
+     "line 6: edge ('c', 'a') closes a cycle"),
+    ("vertex a -1\nvertex b -1\nedge a b\nedge b a\nvertex c -1\nedge b c\n", DuplicateEdge,
+     "line 4: edge ('b', 'a') appears twice"),
+    # the edge error on line 4 comes first in the file; vertices are checked first
+    ("vertex a -2\nvertex b -2\nedge a b\nedge a b\nvertex a -3\n", DuplicateVertexId,
+     "line 5: vertex id 'a' appears twice"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", _STRUCTURAL_ERRORS)
+def test_dsl_structural_errors_carry_the_line_of_the_entry(tmp_path, text, error, message):
+    with pytest.raises(error) as err:
+        parse_dsl(text)
+    assert str(err.value) == message
+    path = tmp_path / "bad.plumb"
+    path.write_text(text)
+    assert _cli("info", str(path)) == (2, "", f"plumblat: error: {message}\n")
+
+
+def test_dsl_edges_may_precede_their_vertices(tmp_path):
+    vertices = "vertex a -2\nvertex b -3\nvertex c -2\n"
+    edges = "edge a b\nedge c b\n"
+    ordered = "convention plus_one\n" + vertices + edges
+    edges_first = edges + "convention plus_one\n" + vertices
+    forest = parse_dsl(edges_first)
+    assert forest == parse_dsl(ordered)
+    assert forest.edges == ((0, 1), (1, 2))
+    outputs = []
+    for name, text in (("ordered", ordered), ("edges_first", edges_first)):
+        path = tmp_path / f"{name}.plumb"
+        path.write_text(text)
+        outputs.append(_cli("info", str(path), "--json")[:2])
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
+def test_cli_file_read_errors_exit_2(tmp_path):
+    missing = tmp_path / "missing.plumb"
+    assert _cli("info", str(missing)) == (
+        2, "", f"plumblat: error: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "plumblat.cli", "info", str(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("plumblat: error: [Errno ")
+    assert "Traceback" not in proc.stderr
 
 
 def test_cli_rejects_non_utf8_file(capsys, tmp_path):

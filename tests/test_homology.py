@@ -231,11 +231,11 @@ def test_unsigned_engine_agrees_on_dimensions(rng):
     """Dropping the framing-parity sign does not change any dimension."""
     for _ in range(25):
         forest = random_forest(rng, max_vertices=5)
-        signed = compute_homology(forest, signed=True)
-        unsigned = compute_homology(forest, signed=False)
-        assert signed.total_dim == unsigned.total_dim
+        signed = compute_homology(forest)
+        unsigned = reference_homology(forest, signed=False)
+        assert signed.total_dim == sum(dim for _, dim, _ in unsigned.per_orbit)
         assert [oh.dim for oh in signed.per_orbit] == [
-            oh.dim for oh in unsigned.per_orbit
+            dim for _, dim, _ in unsigned.per_orbit
         ]
 
 
@@ -247,9 +247,9 @@ def test_zero_class_collects_escaping_vectors():
     assert result.zero_class.is_zero
 
 
-def _assert_matches_reference(forest, signed):
-    result = compute_homology(forest, signed=signed)
-    ref = reference_homology(forest, signed=signed)
+def _assert_matches_reference(forest):
+    result = compute_homology(forest)
+    ref = reference_homology(forest)
     assert [
         (cls.representative.evals, tuple((k.evals, s) for k, s in cls.members))
         for cls in result.classes
@@ -265,17 +265,14 @@ def _assert_matches_reference(forest, signed):
 
 
 @pytest.mark.parametrize("edge_sign", list(EdgeSign))
-@pytest.mark.parametrize("signed", [True, False])
-def test_engine_matches_reference_engine(rng, edge_sign, signed):
+def test_engine_matches_reference_engine(rng, edge_sign):
     """The index engine reproduces the tuple-and-dict engine class by class."""
     for _ in range(30):
-        _assert_matches_reference(
-            random_forest(rng, max_vertices=5, edge_sign=edge_sign), signed
-        )
+        _assert_matches_reference(random_forest(rng, max_vertices=5, edge_sign=edge_sign))
     for forest in (e8(), elliptic_a(), elliptic_b(), lens(1), lens(4)):
         if edge_sign is EdgeSign.PLUS_ONE:
             forest = convert_convention(forest).forest
-        _assert_matches_reference(forest, signed)
+        _assert_matches_reference(forest)
 
 
 def _flag_sweeps(forest):
@@ -333,8 +330,7 @@ def test_engine_matches_reference_where_flags_take_several_sweeps(edge_sign):
     negative = any(min(_offsets(f)) < 0 for f in forests)
     assert negative == (edge_sign is EdgeSign.PLUS_ONE)
     for forest in forests:
-        for signed in (True, False):
-            _assert_matches_reference(forest, signed)
+        _assert_matches_reference(forest)
 
 
 def _assert_orbits_match_keys(forest):

@@ -8,6 +8,7 @@ against that module, and the one Gauss-Jordan pass is checked against it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -196,10 +197,17 @@ def test_min_eigenvalue_bound_is_a_lower_bound(rng):
             assert q >= lam * norm_sq
 
 
+def _integer_row(row):
+    """A dense rational row times the lcm of its denominators, as an integer
+    ``{column: value}`` row that keeps its zeros."""
+    scale = lcm(*(Fraction(v).denominator for v in row))
+    return {j: int(v * scale) for j, v in enumerate(row)}
+
+
 def test_rank_rational():
-    assert intlinalg.rank_rational([[1, 2], [2, 4]]) == 1
-    assert intlinalg.rank_rational([[1, 0], [0, 1]]) == 2
-    assert intlinalg.rank_rational([[0, 0], [0, 0]]) == 0
+    assert intlinalg.rank_rational([{0: 1, 1: 2}, {0: 2, 1: 4}]) == 1
+    assert intlinalg.rank_rational([{0: 1, 1: 0}, {0: 0, 1: 1}]) == 2
+    assert intlinalg.rank_rational([{0: 0, 1: 0}, {0: 0, 1: 0}]) == 0
     assert intlinalg.rank_rational([]) == 0
 
 
@@ -223,8 +231,9 @@ def _planted_rank_matrix(rng):
 
 
 def test_rank_matches_reference(rng):
-    """The integer echelon agrees with Gauss-Jordan over Q on dense and
-    mapping rows; planted dependencies cap the rank."""
+    """The integer echelon agrees with Gauss-Jordan over Q on the rows
+    scaled to integers, with and without their zeros; planted dependencies
+    cap the rank."""
     fixed = [
         ([], 0),
         ([[0, 0, 0], [Fraction(0), 0, 0]], 0),
@@ -238,11 +247,10 @@ def test_rank_matches_reference(rng):
         expected = reference_rank(rows)
         assert expected <= bound
         reached += 0 < expected == bound
-        assert intlinalg.rank_rational(rows) == expected
-        sparse = [{j: v for j, v in enumerate(row) if v} for row in rows]
-        assert intlinalg.rank_rational(sparse) == expected
-        with_zeros = [dict(enumerate(row)) for row in rows]
+        with_zeros = [_integer_row(row) for row in rows]
         assert intlinalg.rank_rational(with_zeros) == expected
+        sparse = [{j: v for j, v in row.items() if v} for row in with_zeros]
+        assert intlinalg.rank_rational(sparse) == expected
     assert reached > 100
 
 
