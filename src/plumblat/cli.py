@@ -15,6 +15,7 @@ Exit codes: 0 success, 1 usage, 2 parse/validation, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -346,7 +347,9 @@ def _budget(token: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argparse tree, built on the first call and reused after it."""
     parser = _Parser(prog="plumblat", description=__doc__)
     parser.add_argument("--version", action="version", version=f"plumblat {__version__}")
     common = argparse.ArgumentParser(add_help=False)

@@ -109,7 +109,7 @@ def parse_json_plumbing(text: str) -> PlumbingForest:
             raise DslSyntaxError(1, f"edge {json.dumps([a, b])} must name vertex ids")
     name = doc.get("convention", "minus_one")
     if not isinstance(name, str) or name not in _CONVENTIONS:
-        raise DslSyntaxError(1, f"unknown convention {name!r}")
+        raise DslSyntaxError(1, f"unknown convention {json.dumps(name)}")
     return validate_forest(vertices, edges, _CONVENTIONS[name])
 
 

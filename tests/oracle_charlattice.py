@@ -17,14 +17,13 @@ from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence
 
-from oracle_intlinalg import reference_min_eigenvalue_lower_bound
+from oracle_intlinalg import reference_min_eigenvalue_lower_bound, sqrt_upper_bound
 from plumblat import (
     CharVector,
     EdgeSign,
     IntersectionForm,
     LatticeVector,
     SpinCOrbit,
-    intlinalg,
 )
 from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, OrbitIndexer, box_ranges
 from plumblat.errors import NotNegativeDefinite, ParityViolation
@@ -215,7 +214,7 @@ def weight_radius_sq_bound(
     disc = norm_sq + 8 * level * lam
     if disc < 0:
         return Fraction(-1)
-    b_up = intlinalg.sqrt_upper_bound(norm_sq)
-    root_up = intlinalg.sqrt_upper_bound(disc)
+    b_up = sqrt_upper_bound(norm_sq)
+    root_up = sqrt_upper_bound(disc)
     t_up = (b_up + root_up) / (2 * lam)
     return t_up * t_up

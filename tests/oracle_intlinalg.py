@@ -5,14 +5,19 @@ LDL^T eliminations that ``plumblat.intlinalg`` and
 ``plumblat.plumbing.intersection_form`` replaced with a leaf-first pass over
 forest forms and one fraction-free Gauss-Jordan pass for definite matrices.
 They work on any square integer (or rational) matrix, so the tests run the
-new code against them.
+new code against them.  :func:`reference_sublevel_points` is the ellipsoid
+search on ``Fraction`` that the integer Fincke-Pohst walk replaced, with the
+rational square-root bound it rounds by.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from math import isqrt
+from typing import Iterator, Sequence
 
+from plumblat.errors import EnumerationBudgetExceeded
+from plumblat.intlinalg import GaussJordan, gauss_jordan
 from plumblat.plumbing import Definiteness
 
 Matrix = Sequence[Sequence[int]]
@@ -191,3 +196,105 @@ def reference_form_certificate(matrix: Matrix) -> tuple[int, Definiteness]:
     if kind == POSITIVE_DEFINITE:
         return det, Definiteness.NEGATIVE_DEFINITE
     return det, Definiteness.INDEFINITE
+
+
+def sqrt_upper_bound(value: Fraction) -> Fraction:
+    """Rational upper bound for sqrt(value), value >= 0."""
+    if value < 0:
+        raise ValueError("negative radicand")
+    num, den = value.numerator, value.denominator
+    root = isqrt(num * den)
+    if root * root < num * den:
+        root += 1
+    return Fraction(root, den)
+
+
+def ldl_of(elimination: GaussJordan) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """L and D of A = L D L^T read off one Gauss-Jordan pass: L[i][k] =
+    rows[k][i] / p_k below the diagonal and d_k = p_k / p_{k-1}."""
+    minors, rows = elimination.minors, elimination.rows
+    n = len(minors)
+    lower = [
+        [Fraction(rows[k][i], minors[k]) if i > k else Fraction(int(i == k)) for k in range(n)]
+        for i in range(n)
+    ]
+    return lower, [Fraction(minors[k], minors[k - 1] if k else 1) for k in range(n)]
+
+
+def reference_sublevel_points(
+    matrix: Matrix,
+    linear: Sequence[int],
+    constant: int | Fraction,
+    point_cap: int,
+    scanned: list[int] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """All integer x with x'Mx + b.x + c <= 0 for positive-definite M.
+
+    Completes the square around the center -adj(M) b / (2 det M) and walks a
+    Fincke-Pohst style recursion on the exact L D L^T of M, in the given
+    variable order; every emitted point is re-verified against the exact
+    inequality, so the rational square-root rounding can never admit or drop
+    a point.  Raises EnumerationBudgetExceeded past ``point_cap`` scanned
+    candidates; each scanned candidate appends 1 to ``scanned`` if given.
+    """
+    n = len(matrix)
+    constant = Fraction(constant)
+    if n == 0:
+        if constant <= 0:
+            yield ()
+        return
+    # the one pass, checked against ldl_decompose and adjugate above by
+    # test_gauss_jordan_matches_oracle_on_pd_matrices; O(n^3), where the
+    # dense adjugate took 40 s on the 63-vertex star (2 cores, CPython 3.11)
+    elimination = gauss_jordan(matrix)
+    minors, adj = elimination.minors, elimination.adjugate
+    lower, diag = ldl_of(elimination)
+    if any(d <= 0 for d in diag):
+        raise ValueError("matrix is not positive definite")
+    center = [
+        -sum(a * Fraction(b) for a, b in zip(row, linear)) / (2 * minors[-1])
+        for row in adj
+    ]
+    radius_sq = (
+        sum(
+            Fraction(matrix[i][j]) * center[i] * center[j]
+            for i in range(n)
+            for j in range(n)
+        )
+        - constant
+    )
+    if radius_sq < 0:
+        return
+    budget = [int(point_cap)]
+    coords = [0] * n
+
+    def spend() -> None:
+        if scanned is not None:
+            scanned.append(1)
+        budget[0] -= 1
+        if budget[0] < 0:
+            raise EnumerationBudgetExceeded(
+                f"quadratic sublevel enumeration exceeded {point_cap} candidates"
+            )
+
+    def recurse(i: int, remaining: Fraction) -> Iterator[tuple[int, ...]]:
+        # z_i = (x_i - center_i) + sum_{j>i} L[j][i] (x_j - center_j)
+        shift = sum(lower[j][i] * (coords[j] - center[j]) for j in range(i + 1, n))
+        target = center[i] - shift
+        half_width = sqrt_upper_bound(remaining / diag[i])
+        lo_f = target - half_width
+        lo = lo_f.numerator // lo_f.denominator  # floor; scan starts one below ceil
+        hi_f = target + half_width
+        hi = -((-hi_f.numerator) // hi_f.denominator)  # ceil
+        for x in range(lo, hi + 1):
+            spend()
+            used = diag[i] * (x - target) ** 2
+            if used > remaining:
+                continue
+            coords[i] = x
+            if i == 0:
+                yield tuple(coords)
+            else:
+                yield from recurse(i - 1, remaining - used)
+
+    yield from recurse(n - 1, radius_sq)

@@ -25,6 +25,7 @@ from plumblat import (
     seifert_to_plumbing,
     serialize_dsl,
 )
+from plumblat import cli
 from plumblat.cli import main
 from plumblat.errors import (
     CycleDetected,
@@ -149,6 +150,27 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_cli_builds_its_parser_once(capsys):
+    """Importing the CLI builds no parser; main builds one on its first call
+    and reuses it across usage errors, --version and successful runs."""
+    probe = "import plumblat.cli as c; print(c.build_parser.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "0\n"
+    cli.build_parser.cache_clear()
+    argvs = [
+        ["not-a-command"],
+        ["info", str(FIXTURES / "e8.plumb")],
+        ["homology"],
+        ["--version"],
+        ["info", "--json", str(FIXTURES / "lens_3.plumb")],
+    ]
+    assert [main(argv) for argv in argvs] == [1, 0, 1, 0, 0]
+    capsys.readouterr()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(argvs) - 1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -227,7 +249,9 @@ def test_cli_rejects_mistyped_json(capsys, tmp_path, doc):
           "edges": [["a", ["b"]]]},
          'edge ["a", ["b"]] must name vertex ids'),
         ({"vertices": [], "convention": 5}, "unknown convention 5"),
-        ({"vertices": [], "convention": "zero"}, "unknown convention 'zero'"),
+        ({"vertices": [], "convention": "zero"}, 'unknown convention "zero"'),
+        ({"vertices": [], "convention": True}, "unknown convention true"),
+        ({"vertices": [], "convention": {"a": None}}, 'unknown convention {"a": null}'),
     ],
 )
 def test_cli_json_type_errors_print_json_values(tmp_path, doc, message):

@@ -7,6 +7,7 @@ against that module, and the one Gauss-Jordan pass is checked against it.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import lcm
 
@@ -15,9 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_intlinalg as oracle
+from conftest import FIXTURES, e8, elliptic_a, elliptic_b
 from oracle_moves import reference_rank
-from plumblat import intlinalg
-from plumblat.errors import EnumerationBudgetExceeded
+from plumblat import (
+    intersection_form,
+    intlinalg,
+    parse_sfs,
+    seifert_to_plumbing,
+    validate_forest,
+)
+from plumblat.errors import EnumerationBudgetExceeded, InternalInvariantViolation
+from plumblat.plumbing import EdgeSign, canonical_class
 
 
 def det_gauss(rows):
@@ -151,8 +160,7 @@ def test_gauss_jordan_matches_oracle_on_pd_matrices(rng):
         elimination = intlinalg.gauss_jordan(m)
         lower, diag = oracle.ldl_decompose(m)
         assert elimination.minors == oracle.leading_principal_minors(m)
-        assert elimination.lower == lower
-        assert elimination.diag == diag
+        assert oracle.ldl_of(elimination) == (lower, diag)
         assert elimination.adjugate == oracle.adjugate(m)
         assert intlinalg.adjugate(m) == elimination.adjugate
 
@@ -174,7 +182,7 @@ def test_gauss_jordan_on_general_matrices(rng):
         assert elimination.minors == minors
         assert elimination.adjugate == oracle.adjugate(m)
     assert tried > 300
-    assert intlinalg.gauss_jordan([]) == ([], [], [], [])
+    assert intlinalg.gauss_jordan([]) == ([], [], [])
 
 
 def test_positive_definite_callers_reject_other_matrices():
@@ -257,7 +265,7 @@ def test_rank_matches_reference(rng):
 @given(st.fractions(min_value=0, max_value=1000))
 @settings(max_examples=100, deadline=None)
 def test_sqrt_upper_bound(value):
-    bound = intlinalg.sqrt_upper_bound(value)
+    bound = oracle.sqrt_upper_bound(value)
     assert bound * bound >= value
 
 
@@ -292,3 +300,92 @@ def test_quadratic_sublevel_points_match_brute_force(rng):
 def test_quadratic_sublevel_budget():
     with pytest.raises(EnumerationBudgetExceeded):
         list(intlinalg.quadratic_sublevel_points([[1]], [0], -10**6, 10))
+
+
+def _chi_ellipsoid(forest):
+    """The search ``classify.is_rational`` runs: {chi <= 0} as M, b, c."""
+    form = intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
+    negated = [[-x for x in row] for row in form.matrix]
+    return negated, [-e for e in canonical_class(forest).evals], 0
+
+
+def _classify_search_forests():
+    """The forests of the classify-search benchmark, each also lowered by one
+    at every vertex, and the stars -2; 2/1 3/1 p/(p-1) for p = 9..61."""
+    star = [("c", -1), ("p", -2), ("q", -3), ("r", -7)]
+    twice = validate_forest(
+        [(k + v, m) for k in "ab" for v, m in star],
+        [(k + "c", k + leg) for k in "ab" for leg in "pqr"],
+    )
+    forests = [twice, e8(), elliptic_a(), elliptic_b()]
+    forests += [
+        seifert_to_plumbing(parse_sfs((FIXTURES / name).read_text().strip())).forest
+        for name in ("m038_n1.sfs", "m038_n2.sfs")
+    ]
+    forests += [f.with_framing(i, f.framings[i] - 1) for f in list(forests) for i in range(len(f))]
+    forests += [
+        seifert_to_plumbing(parse_sfs(f"-2; 2/1 3/1 {p}/{p - 1}")).forest for p in range(9, 62)
+    ]
+    return forests
+
+
+def _sublevel_cases(rng):
+    """(M, b, c) triples: seeded random ellipsoids with int and rational
+    constants, empty ones, single points, and the classify-search inputs."""
+    cases = []
+    for trial in range(320):
+        n = 1 + trial % 8
+        m = _random_pd(rng, n)
+        linear = [rng.randint(-6, 6) for _ in range(n)]
+        kind = trial % 4
+        if kind == 0:
+            constant = rng.randint(-30, 3)
+        elif kind == 1:
+            constant = Fraction(rng.randint(-90, 9), rng.randint(2, 9))
+        elif kind == 2:  # empty: c beyond the least value of the quadratic
+            constant = rng.randint(10**4, 10**5)
+        else:  # radius 0: (x - y)'M(x - y) <= 0 holds at y alone
+            y = [rng.randint(-3, 3) for _ in range(n)]
+            my = [sum(a * b for a, b in zip(row, y)) for row in m]
+            linear = [-2 * v for v in my]
+            constant = sum(a * b for a, b in zip(y, my))
+        cases.append((m, linear, constant))
+    cases += [([], [], 0), ([], [], Fraction(1, 3)), ([], [], Fraction(-1, 3))]
+    cases += [_chi_ellipsoid(forest) for forest in _classify_search_forests()]
+    return cases
+
+
+def test_sublevel_points_match_fraction_reference(rng):
+    """The integer walk emits the points of the rational enumeration in the
+    same order, and scans no more candidates: it finishes under a cap equal
+    to the reference's count."""
+    singles = empties = 0
+    for m, linear, constant in _sublevel_cases(rng):
+        scanned = []
+        expected = list(oracle.reference_sublevel_points(m, linear, constant, 10**6, scanned))
+        got = list(intlinalg.quadratic_sublevel_points(m, linear, constant, len(scanned)))
+        assert got == expected, (m, linear, constant)
+        singles += len(got) == 1
+        empties += not got
+    assert singles >= 80 and empties >= 80, (singles, empties)
+
+
+@pytest.mark.parametrize("fault", ["last entry", "window"])
+def test_sublevel_walk_rejects_a_broken_invariant(monkeypatch, fault):
+    """x^2 - 3 <= 0 with the last entry of the elimination (det G) off by
+    one, or with a window one wider than the exact one: the integer walk
+    raises instead of emitting a wrong point."""
+    assert list(intlinalg.quadratic_sublevel_points([[1]], [0], -3, 100)) == [(-1,), (0,), (1,)]
+    if fault == "last entry":
+        bareiss = intlinalg._bareiss
+
+        def broken(aug, steps, *, above):
+            out = bareiss(aug, steps, above=above)
+            aug[-1][-1] -= 1
+            return out
+
+        monkeypatch.setattr(intlinalg, "_bareiss", broken)
+    else:
+        monkeypatch.setattr(intlinalg, "isqrt", lambda v: math.isqrt(v) + 1)
+    with pytest.raises(InternalInvariantViolation):
+        list(intlinalg.quadratic_sublevel_points([[1]], [0], -3, 100))
