@@ -5,27 +5,28 @@ least 1 for every nonzero x with nonnegative coordinates, where K is the
 canonical class and the pairing is taken in the standard +1 edge convention
 (the convention of the singularity-theoretic definition; in the -1 convention
 the inequality degenerates and holds for almost every forest, so it would not
-discriminate anything).  The test is a certified finite search: the region
-chi <= 0 is a compact ellipsoid, and its lattice points are enumerated
-exactly, so the verdict either carries an explicit witness or an exhaustive
-bound.
+discriminate anything).  The verdict is Laufer's walk to Artin's fundamental
+cycle (Amer. J. Math. 94, 1972): on each component, start at x = E_v0 and add
+E_v while p_v = (x, E_v) > 0.  As chi(x + E_v) = chi(x) + 1 - p_v, chi never
+rises from chi(E_v0) = 1 and ends at chi(Z_min), so by Artin's criterion
+(Amer. J. Math. 88, 1966) the forest is rational iff no step has p_v >= 2.
+Only a non-rational forest has its ellipsoid {chi <= 0} enumerated, exactly,
+for the lexicographically least witness that the report prints.
 
 Almost-rationality asks for one framing m_i whose lowering by some N >= 1
 makes the forest rational.  That lowering turns chi into
-chi(x) + N x_i (x_i - 1)/2 >= chi(x), so the lowered forest's witnesses are
-among the forest's own, and the search reads each vertex's least decrement
-off them instead of enumerating again; a real enumeration confirms the
-chosen lowered forest, and every vertex's blocking witness is re-checked on
-its own lowered forest.  Past the cutoff the verdict is an honest "unknown"
--- there is no finite certificate of impossibility to report.
+chi(x) + N x_i (x_i - 1)/2 >= chi(x), so a decrement that cures vertex i
+cures it from then on, and bisection over walks finds the least one.  Past
+the cutoff the verdict is an honest "unknown" -- there is no finite
+certificate of impossibility to report.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .charlattice import DEFAULT_BOX_CAP, LatticeVector, chi
-from .errors import InternalInvariantViolation, NotNegativeDefinite
+from .charlattice import DEFAULT_BOX_CAP, LatticeVector
+from .errors import EnumerationBudgetExceeded, InternalInvariantViolation, NotNegativeDefinite
 from .homology import DerivedDimensions, HomologyResult, compute_homology, derived_dimensions
 from .intlinalg import quadratic_sublevel_points
 from .plumbing import (
@@ -42,13 +43,11 @@ DEFAULT_RATIONALITY_POINT_CAP = 10**7
 
 @dataclass(frozen=True)
 class RationalityVerdict:
-    """``witnesses``: every nonnegative nonzero (point, chi) with chi <= 0."""
+    """``witness``: the lexicographically least nonnegative nonzero x with
+    chi(x) <= 0, or None on a rational forest."""
 
     rational: bool
     witness: LatticeVector | None = None
-    witnesses: tuple[tuple[tuple[int, ...], int], ...] = field(
-        default=(), compare=False, repr=False
-    )
 
 
 @dataclass(frozen=True)
@@ -71,8 +70,35 @@ class ARVerdict:
         return self.status == "yes"
 
 
-def _plus_form(forest: PlumbingForest):
-    return intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
+def _laufer_rational(forest: PlumbingForest, point_cap: int) -> bool:
+    """Whether no step of Laufer's walk meets p_v >= 2, on every component.
+
+    Adding E_v adds m_v to p_v and 1 to p_u at each neighbour u, O(deg v) per
+    step; u is stacked when p_u turns positive, and only its own step lowers
+    it.  The forest must be negative definite.  Every step, each component's
+    first included, counts against ``point_cap``.
+    """
+    neighbours: list[list[int]] = [[] for _ in forest.ids]
+    for a, b in forest.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    pairing = [0] * len(forest)
+    steps = 0
+    for component in forest.components():
+        stack = [component[0]]
+        while stack:
+            v = stack.pop()
+            if pairing[v] >= 2:
+                return False
+            steps += 1
+            if steps > point_cap:
+                raise EnumerationBudgetExceeded(f"rationality walk exceeded {point_cap} steps")
+            pairing[v] += forest.framings[v]
+            for u in neighbours[v]:
+                pairing[u] += 1
+                if pairing[u] == 1:
+                    stack.append(u)
+    return True
 
 
 def is_rational(
@@ -80,34 +106,24 @@ def is_rational(
     *,
     point_cap: int = DEFAULT_RATIONALITY_POINT_CAP,
 ) -> RationalityVerdict:
-    """Definition-based rationality test with explicit witness.
-
-    Enumerates the lattice points of the ellipsoid {chi <= 0}; any nonzero
-    one with nonnegative coordinates disproves rationality.  The witness
-    reported is the lexicographically least one, for reproducibility.
+    """Rationality by Laufer's walk; past a failed walk, the witness is the
+    lexicographically least nonzero nonnegative point of the ellipsoid
+    {chi <= 0}, where every point emitted has 2 chi(x) = W_0 <= 0 checked.
     """
-    form = _plus_form(forest)
+    form = intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
     if not form.is_negative_definite:
         raise NotNegativeDefinite("rationality is defined for negative-definite forests")
-    n = len(form)
-    if n == 0:
+    if _laufer_rational(forest, point_cap):
         return RationalityVerdict(rational=True)
-    canonical = canonical_class(forest)
     negated = [[-x for x in row] for row in form.matrix]
-    linear = [-e for e in canonical.evals]
-    witnesses = []
+    linear = [-e for e in canonical_class(forest).evals]
+    least = None
     for pt in quadratic_sublevel_points(negated, linear, 0, point_cap):
-        if any(c < 0 for c in pt) or not any(pt):
-            continue
-        value = chi(LatticeVector(pt), canonical, form)
-        if value <= 0:
-            witnesses.append((pt, value))
-    if witnesses:
-        least = min(pt for pt, _ in witnesses)
-        return RationalityVerdict(
-            rational=False, witness=LatticeVector(least), witnesses=tuple(witnesses)
-        )
-    return RationalityVerdict(rational=True)
+        if min(pt) >= 0 and any(pt) and (least is None or pt < least):
+            least = pt
+    if least is None:
+        raise InternalInvariantViolation("the rationality walk failed on a forest with no witness")
+    return RationalityVerdict(rational=False, witness=LatticeVector(least))
 
 
 def is_almost_rational(
@@ -122,8 +138,9 @@ def is_almost_rational(
     where it works; rational inputs are reported as witnesses with decrement
     zero.
     """
-    rationality = is_rational(forest, point_cap=point_cap)
-    return _decrement_search(forest, rationality, nmax, point_cap)
+    if not intersection_form(forest).is_negative_definite:
+        raise NotNegativeDefinite("rationality is defined for negative-definite forests")
+    return _decrement_search(forest, nmax, point_cap)
 
 
 def certify_almost_rational(
@@ -141,55 +158,33 @@ def certify_almost_rational(
     )
 
 
-def _decrement_search(
-    forest: PlumbingForest, rationality: RationalityVerdict, nmax: int, point_cap: int
-) -> ARVerdict:
-    """The almost-rational verdict, read off the forest's own witnesses W.
-
-    A rational forest is its own witness at decrement zero.  Otherwise a w in
-    W with w_i in {0, 1} blocks vertex i at every decrement, and else vertex
-    i needs N > -chi(w) / (w_i (w_i - 1)/2) for every w; the least (N_i, i)
-    with N_i <= nmax is the verdict, in the order a loop over decrements and
-    then vertices would meet it.  Certificates: the chosen lowered forest is
-    confirmed by a real :func:`is_rational`, and each vertex's blocking
-    witness is re-evaluated on the forest lowered by min(N_i - 1, nmax) at i;
-    a failure of either raises :class:`InternalInvariantViolation`.
+def _decrement_search(forest: PlumbingForest, nmax: int, point_cap: int) -> ARVerdict:
+    """The least (N, i), N <= nmax, whose lowering at i passes the walk, as a
+    loop over decrements and then vertices meets it; a rational forest is
+    its own witness at N = 0.  A vertex that the top decrement cures is
+    bisected for its least one.
     """
-    if rationality.rational:
-        vertex = forest.ids[0] if forest.ids else None
-        return ARVerdict(status="yes", vertex=vertex, decrement=0)
-    # least[i] is N_i (None: never cured); blocking[i] is the witness setting it
-    least: list[int | None] = [0] * len(forest)
-    blocking: list[tuple[int, ...] | None] = [None] * len(forest)
-    for pt, value in rationality.witnesses:
-        for i, floor in enumerate(least):
-            if floor is None:
-                continue
-            if pt[i] < 2:
-                least[i], blocking[i] = None, pt
-                continue
-            needed = -value // (pt[i] * (pt[i] - 1) // 2) + 1
-            if needed > floor:
-                least[i], blocking[i] = needed, pt
+    if _laufer_rational(forest, point_cap):
+        return ARVerdict(status="yes", vertex=forest.ids[0] if forest.ids else None, decrement=0)
 
-    for i, pt in enumerate(blocking):
-        short = nmax if least[i] is None else min(least[i] - 1, nmax)
-        lowered = forest.with_framing(i, forest.framings[i] - short)
-        form = _plus_form(lowered)
-        if pt is None or chi(LatticeVector(pt), canonical_class(lowered), form) > 0:
-            raise InternalInvariantViolation(
-                f"vertex {forest.ids[i]!r} lowered by {short} lost its blocking witness {pt}"
-            )
+    def cured(i: int, decrement: int) -> bool:
+        return _laufer_rational(forest.with_framing(i, forest.framings[i] - decrement), point_cap)
 
-    cured = [(need, i) for i, need in enumerate(least) if need is not None and need <= nmax]
-    if not cured:
+    least = []
+    for i in range(len(forest)):
+        lo, hi = 0, nmax
+        if hi <= lo or not cured(i, hi):
+            continue
+        while hi - lo > 1:  # lo fails and hi cures
+            mid = (lo + hi) // 2
+            if cured(i, mid):
+                hi = mid
+            else:
+                lo = mid
+        least.append((hi, i))
+    if not least:
         return ARVerdict(status="unknown", cutoff=nmax)
-    decrement, i = min(cured)
-    lowered = forest.with_framing(i, forest.framings[i] - decrement)
-    if not is_rational(lowered, point_cap=point_cap).rational:
-        raise InternalInvariantViolation(
-            f"vertex {forest.ids[i]!r} lowered by {decrement} tested non-rational"
-        )
+    decrement, i = min(least)
     return ARVerdict(status="yes", vertex=forest.ids[i], decrement=decrement)
 
 
@@ -240,14 +235,14 @@ def full_report(
 
     homology = compute_homology(forest, box_cap=box_cap)
     rationality = is_rational(forest, point_cap=point_cap)
-    ar = _decrement_search(forest, rationality, nmax, point_cap)
+    ar = _decrement_search(forest, nmax, point_cap)
     if ar.status == "unknown" and len(bad) == 1:
         # certified fallback: lowering the bad vertex until -m(v) >= d(v)
         # reaches a zero-bad-vertex forest, and those are always rational
         i = forest.index_of(bad[0])
         needed = forest.degree(i) + forest.framings[i]
         lowered = forest.with_framing(i, forest.framings[i] - needed)
-        if not is_rational(lowered, point_cap=point_cap).rational:
+        if not _laufer_rational(lowered, point_cap):
             raise InternalInvariantViolation(
                 "a zero-bad-vertex forest tested non-rational"
             )

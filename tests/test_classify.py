@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import replace
+import time
+import tracemalloc
 
 import pytest
 
 from conftest import e8, elliptic_a, elliptic_b, lens, random_forest, random_zero_bad_forest
-from oracle_classify import reference_almost_rational
+from oracle_classify import reference_almost_rational, reference_is_rational
 from oracle_hplus import rational_via_hplus
 from plumblat import (
+    bad_vertices,
     canonical_class,
     chi,
     compute_homology,
@@ -18,11 +20,13 @@ from plumblat import (
     intersection_form,
     is_almost_rational,
     is_rational,
+    parse_sfs,
+    seifert_to_plumbing,
     validate_forest,
 )
 from plumblat import intlinalg
-from plumblat.classify import DEFAULT_RATIONALITY_POINT_CAP, _decrement_search
-from plumblat.errors import InternalInvariantViolation
+from plumblat.classify import certify_almost_rational
+from plumblat.errors import EnumerationBudgetExceeded
 from plumblat.plumbing import EdgeSign, PlumbingForest
 
 
@@ -38,6 +42,17 @@ def _star(center: int, legs: list[int]) -> PlumbingForest:
     """Center with one-vertex legs; (-1; -2, -3, -7) bounds Sigma(2,3,7)."""
     vertices = [("c", center)] + [(f"l{j}", m) for j, m in enumerate(legs)]
     return validate_forest(vertices, [("c", f"l{j}") for j in range(len(legs))])
+
+
+def _f10() -> PlumbingForest:
+    """A seeded random forest (10 vertices, |det| 144, one bad vertex v1)
+    whose ellipsoid {chi <= 0} outgrows the default point cap."""
+    framings = [-3, -2, -4, -2, -2, -3, -2, -4, -4, -2]
+    edges = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (1, 7), (7, 8), (1, 9)]
+    return validate_forest(
+        [(f"v{i}", m) for i, m in enumerate(framings)],
+        [(f"v{a}", f"v{b}") for a, b in edges],
+    )
 
 
 def test_single_vertices_rational():
@@ -107,7 +122,9 @@ def test_rational_iff_minimal_dimension(rng):
 def test_decrement_monotonicity(rng):
     """Once a decrement reaches rationality, one step more keeps it."""
     checked = 0
-    while checked < 8:
+    for _ in range(10_000):  # 8 are found in about 4,000 draws
+        if checked == 8:
+            break
         forest = random_forest(rng, max_vertices=4)
         if is_rational(forest).rational:
             continue
@@ -118,6 +135,7 @@ def test_decrement_monotonicity(rng):
         deeper = forest.with_framing(i, forest.framings[i] - ar.decrement - 1)
         assert is_rational(deeper).rational
         checked += 1
+    assert checked == 8
 
 
 def test_full_report_lens7():
@@ -199,12 +217,18 @@ def test_report_invariant_rational_implies_minimal(rng):
             assert report.almost_rational.status == "yes"
 
 
+REFERENCE_POINT_CAP = 2 * 10**4
+
+
 def test_decrement_search_matches_reference(rng):
-    """The read-off search gives the per-decrement loop's verdict exactly:
-    on random forests, on Sigma(2,3,7)-type stars, and on disjoint unions of
-    two non-rational forests, which no single decrement cures (unknown).
-    The loop costs nmax * n enumerations on an unknown, so only the
-    cheapest union goes up to nmax = 16."""
+    """The walk gives the definition's verdict, and the bisection the
+    per-decrement loop's verdict, exactly: on random forests, on
+    Sigma(2,3,7)-type stars, on disjoint unions of two non-rational forests,
+    which no single decrement cures (unknown), and on 2,000 seeded forests
+    in both conventions, half of them trees with framings -3 and -2.  The
+    loop costs nmax * n enumerations on an unknown, so only the cheapest
+    union goes up to nmax = 16; a seeded forest whose reference enumeration
+    passes REFERENCE_POINT_CAP candidates is skipped and counted."""
     sigma237 = _star(-1, [-2, -3, -7])
     stars = [sigma237]
     stars += [_star(-1, legs) for legs in ([-2, -3, -11], [-2, -5, -5], [-3, -3, -4])]
@@ -218,30 +242,41 @@ def test_decrement_search_matches_reference(rng):
         (_disjoint(stars[2], stars[3]), (1, 3, 16)),
         (_disjoint(elliptic_a(), stars[3]), (1, 3)),
     ]
+    for k in range(2000):
+        trees = k % 4 >= 2
+        forest = random_forest(
+            rng,
+            max_vertices=10,
+            lo=-3,
+            hi=-2 if trees else -1,
+            edge_probability=1.0 if trees else 0.7,
+            edge_sign=EdgeSign.PLUS_ONE if k % 2 else EdgeSign.MINUS_ONE,
+        )
+        cases.append((forest, (1, 3, 16)))
     statuses = set()
+    skips = non_rational = two_bad = 0
     for forest, nmaxes in cases:
-        for nmax in nmaxes:
-            verdict = is_almost_rational(forest, nmax=nmax)
-            assert verdict == reference_almost_rational(forest, nmax), (forest, nmax)
+        try:
+            expected = reference_is_rational(forest, REFERENCE_POINT_CAP)
+            verdicts = {
+                nmax: reference_almost_rational(forest, nmax, REFERENCE_POINT_CAP)
+                for nmax in (nmaxes if not expected.rational else nmaxes[:1])
+            }
+        except EnumerationBudgetExceeded:
+            skips += 1
+            continue
+        assert is_rational(forest) == expected, forest
+        for nmax, verdict in verdicts.items():
+            assert is_almost_rational(forest, nmax=nmax) == verdict, (forest, nmax)
             statuses.add((verdict.status, verdict.decrement))
+        non_rational += not expected.rational
+        two_bad += not expected.rational and len(bad_vertices(forest)) >= 2
     assert {("yes", 0), ("yes", 1), ("yes", 2), ("yes", 3), ("unknown", None)} <= statuses
+    assert non_rational >= 100 and two_bad >= 50 and skips <= 20, (non_rational, two_bad, skips)
 
 
-@pytest.mark.parametrize(
-    "forest, nmax, enumerations",
-    [
-        # no single decrement cures two disjoint stars: only the forest's own
-        (_disjoint(_star(-1, [-2, -3, -7]), _star(-1, [-2, -3, -7])), 16, 1),
-        # the forest's own, and the confirmation of the chosen lowered forest
-        (elliptic_a(), 64, 2),
-        # the same when the cure is two decrements deep
-        (_star(-2, [-3] * 5), 64, 2),
-    ],
-)
-def test_full_report_enumerates_the_forest_once(monkeypatch, forest, nmax, enumerations):
-    """The decrement search reads lowered forests off the forest's own
-    enumeration; only a yes costs one more, to confirm it."""
-    calls = []
+def _count_enumerations(monkeypatch) -> list[int]:
+    calls: list[int] = []
     original = intlinalg.quadratic_sublevel_points
 
     def counting(*args, **kwargs):
@@ -251,19 +286,93 @@ def test_full_report_enumerates_the_forest_once(monkeypatch, forest, nmax, enume
     for name, module in list(sys.modules.items()):
         if name.startswith("plumblat") and vars(module).get("quadratic_sublevel_points") is original:
             monkeypatch.setattr(module, "quadratic_sublevel_points", counting)
+    return calls
+
+
+_TWO_SIGMA237 = _disjoint(_star(-1, [-2, -3, -7]), _star(-1, [-2, -3, -7]))
+
+
+@pytest.mark.parametrize(
+    "forest, nmax, enumerations",
+    [
+        (_TWO_SIGMA237, 16, 1),  # no single decrement cures two stars: unknown
+        (elliptic_a(), 64, 1),
+        (_star(-2, [-3] * 5), 64, 1),  # cured two decrements deep
+        (e8(), 64, 0),  # rational
+        (lens(5), 64, 0),  # rational
+    ],
+)
+def test_full_report_enumerates_the_forest_once(monkeypatch, forest, nmax, enumerations):
+    """The ellipsoid is enumerated only by ``is_rational`` on a forest that
+    its walk finds non-rational, for the printed witness: once in a
+    non-rational report, never in a rational one."""
+    calls = _count_enumerations(monkeypatch)
     report = full_report(forest, nmax=nmax)
-    assert report.almost_rational.status == ("unknown" if enumerations == 1 else "yes")
     assert len(calls) == enumerations
+    assert report.rational.rational == (enumerations == 0)
+    assert report.almost_rational == is_almost_rational(forest, nmax=nmax)
 
 
-@pytest.mark.parametrize("shift", [1, -100])
-def test_decrement_search_certificates_catch_wrong_chi(shift):
-    """A witness table whose chi values are off picks a wrong decrement: too
-    small fails the confirming enumeration, too large fails the blocking
-    witness re-evaluated on its lowered forest."""
-    forest = _star(-2, [-3] * 5)  # cured at the center by 2
-    rationality = is_rational(forest)
-    wrong = [(pt, min(value + shift, 0)) for pt, value in rationality.witnesses]
-    tampered = replace(rationality, witnesses=tuple(wrong))
-    with pytest.raises(InternalInvariantViolation):
-        _decrement_search(forest, tampered, 16, DEFAULT_RATIONALITY_POINT_CAP)
+@pytest.mark.parametrize(
+    "forest", [_TWO_SIGMA237, elliptic_a(), _star(-2, [-3] * 5), _f10(), e8()]
+)
+def test_almost_rational_verdicts_never_enumerate(monkeypatch, forest):
+    """Neither the almost-rational verdict nor the homology it certifies
+    enumerates the ellipsoid, rational or not."""
+    calls = _count_enumerations(monkeypatch)
+    is_almost_rational(forest, nmax=16)
+    certify_almost_rational(forest, nmax=16)
+    compute_homology(forest)
+    assert not calls
+
+
+def test_f10_almost_rational_without_enumerating():
+    """F10's ellipsoid held 1.3 GiB before the default cap stopped it; the
+    walk cures it at v1 by 2 in milliseconds."""
+    start = time.perf_counter()
+    verdict = is_almost_rational(_f10(), nmax=64)
+    assert time.perf_counter() - start < 1.0
+    assert (verdict.status, verdict.vertex, verdict.decrement) == ("yes", "v1", 2)
+
+
+def test_f10_witness_search_streams_in_bounded_memory():
+    """Past the walk, the witness search keeps one running minimum, not the
+    list of every witness: its peak stays under 1 MiB until the cap trips."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(EnumerationBudgetExceeded):
+            is_rational(_f10(), point_cap=5 * 10**4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+
+
+def test_e8_walk_counts_each_step_against_the_cap():
+    """The walk to Z_min of E8, the highest root (2, 3, 4, 6, 5, 4, 3, 2 up to
+    order), takes sum Z_min = 29 steps, the start included."""
+    with pytest.raises(EnumerationBudgetExceeded):
+        is_rational(e8(), point_cap=28)
+    assert is_rational(e8(), point_cap=29).rational
+    twice = _disjoint(e8(), e8())
+    with pytest.raises(EnumerationBudgetExceeded):
+        is_rational(twice, point_cap=57)
+    assert is_rational(twice, point_cap=58).rational
+
+
+def test_walk_checks_every_component():
+    """A rational component first, then a non-rational one."""
+    assert not is_rational(_disjoint(e8(), elliptic_a())).rational
+    assert not is_rational(_disjoint(lens(2), _star(-1, [-2, -3, -7]))).rational
+
+
+def test_long_star_rationality_takes_milliseconds():
+    """The 203-vertex star -2; 2/1 3/1 201/200 is rational by a walk of
+    linear length; the ellipsoid route took 0.44 s on it."""
+    star = seifert_to_plumbing(parse_sfs("-2; 2/1 3/1 201/200")).forest
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        assert is_rational(star).rational
+        best = min(best, time.perf_counter() - start)
+    assert best < 0.05, best
