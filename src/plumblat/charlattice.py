@@ -24,11 +24,12 @@ k + 2s A e_v moves d_v by s m_v and each neighbour digit by s times the
 edge sign, so from the face s k_v = -m_v it lands at index a + s up_v,
 up_v = m_v stride_v + sign sum_{u ~ v} stride_u, and is in the box iff no
 neighbour digit already sits at the end it moves past.  The graded engine
-(:mod:`plumblat.hplus`) reads its births off these offsets.
+(:mod:`plumblat.hplus`) builds its whole-box face bitsets from these.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -45,6 +46,10 @@ from .plumbing import CanonicalClass, IntersectionForm
 # the cap (5.8 at 1.9e7 vectors, 15 vertices; 13 at 9.4e5, where the classes
 # weigh more), so the default box stays near 0.12 GiB
 DEFAULT_BOX_CAP = 2 * 10**7
+
+_BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
+_NONZERO = bytes([0] + [1] * 255)  # a translation table: 1 per nonzero byte
+_ONE = re.compile(b"\x01")
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,21 @@ class BoxIndex:
                 grown |= bits << d * stride
             bits = grown
         return bits
+
+    @staticmethod
+    def shift(bits: int, offset: int) -> int:
+        """Move every bit a of the bitset to a + offset."""
+        return bits << offset if offset >= 0 else bits >> -offset
+
+    @staticmethod
+    def set_bits(bits: int) -> list[int]:
+        """The indices in a bitset, in increasing order: the nonzero bytes
+        are found by a scan in C, and only they are expanded into bits."""
+        data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+        flags = data.translate(_NONZERO)
+        starts = [8 * m.start() for m in _ONE.finditer(flags)]
+        nonzero = data.translate(None, b"\0")
+        return [a + j for a, byte in zip(starts, nonzero) for j in _BYTE_BITS[byte]]
 
 
 class OrbitIndexer:

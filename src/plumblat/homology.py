@@ -35,7 +35,6 @@ minimum index, and each orbit's representative is its least member from
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -112,18 +111,6 @@ class HomologyResult:
         return abs(self.form.determinant)
 
 
-def _shift(bits: int, offset: int) -> int:
-    """Move every bit a of the bitset to a + offset."""
-    return bits << offset if offset >= 0 else bits >> -offset
-
-
-def _set_bits(bits: int) -> list[int]:
-    """The members of a bitset, in increasing order."""
-    digits = bin(bits)
-    top = len(digits) - 1  # the last binary digit is bit 0
-    return [top - m.start() for m in re.finditer("1", digits)][::-1]
-
-
 def compute_homology(
     forest: PlumbingForest, *, box_cap: int = DEFAULT_BOX_CAP
 ) -> HomologyResult:
@@ -153,7 +140,7 @@ def compute_homology(
         starts = box.bitset(stays)
         # an extremal vector at v_i that is neither end of a pair escapes;
         # the pair ends starts + offset are the mirror images of the starts
-        dead |= box.bitset(extremal) & ~(starts | _shift(starts, offset))
+        dead |= box.bitset(extremal) & ~(starts | box.shift(starts, offset))
         pairs.append((starts, offset, forest.framings[i] % 2))
 
     # a pair with one flagged end flags the other; sweep every reflection at
@@ -161,8 +148,8 @@ def compute_homology(
     while True:
         before = dead
         for starts, offset, _ in pairs:
-            ends = (dead | _shift(dead, -offset)) & starts
-            dead |= ends | _shift(ends, offset)
+            ends = (dead | box.shift(dead, -offset)) & starts
+            dead |= ends | box.shift(ends, offset)
         if dead == before:
             break
 
@@ -187,7 +174,7 @@ def compute_homology(
 
     conflicts = []
     for starts, offset, rel in pairs:
-        for a in _set_bits(starts & ~dead):
+        for a in box.set_bits(starts & ~dead):
             b = a + offset
             ra, pa = find(a)
             rb, pb = find(b)
@@ -201,7 +188,7 @@ def compute_homology(
     killed = {find(a)[0] for a in conflicts}
 
     members_of: dict[int, list[tuple[int, int]]] = {}
-    for a in _set_bits(dead ^ ((1 << box.size) - 1)):
+    for a in box.set_bits(dead ^ ((1 << box.size) - 1)):
         root, s = find(a)
         if root not in killed:
             members_of.setdefault(root, []).append((a, s))

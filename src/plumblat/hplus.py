@@ -27,18 +27,20 @@ strictly lighter neighbor, or a same-weight neighbor that is not itself a
 local minimum (such a neighbor has a lighter neighbor of its own, linking
 the plateau to the previous level either way).  By the step identity the
 local minima are exactly the orbit's box vectors (every step is >= 0 iff
-|k_v| <= -m_v), hence finite and enumerated up front; a step from a box
-vector is zero exactly on the face +-k_v = -m_v, so births scan only face
-directions, at most one per vertex.
+|k_v| <= -m_v), and a step from a box vector is zero exactly on the face
++-k_v = -m_v: at most one tied direction per vertex.
 
-Births are read off box digits: the face k + 2A e_v is tied exactly when
-the digit d_v is at its top, and then sits the index offset
-up_v = m_v stride_v + sign sum_{u ~ v} stride_u away; k - 2A e_v is tied
-exactly when d_v = 0.  A face is in the box iff no neighbour digit sits at
-the end it moves past: with sign +1 a top face is blocked by a neighbour
-digit at its top and a zero face by one at 0; with sign -1 a top face is
-blocked by a neighbour digit at 0 and a zero face by one at its top.
-Weights come from q split over the box halves,
+Births are read off whole-box bitsets, once per table.  The face
+k + 2A e_v is tied iff the digit d_v is at its top (k - 2A e_v iff
+d_v = 0), sits up_v = m_v stride_v + sign sum_{u ~ v} stride_u index steps
+away (-up_v), and is in the box iff no neighbour digit sits at the end it
+moves past.  So T_v and Z_v, the vectors with an in-box top or zero face
+at v, are products of digit sets, and Z_v is T_v moved by up_v.  Tops and
+zeros outside them drain their plateaus; drains cross whole faces as
+shifts by +-up_v until nothing moves, and only the undrained vectors enter
+a union-find over their faces, each root one birth.  up_v is the index
+offset of the step column 2A e_v, which keeps every face in its vector's
+orbit.  Weights come from q split over the box halves,
 q(h) + q(t) + 2 h adj[head, tail] t, with the head and tail parts
 tabulated once: O(n) per box vector.
 
@@ -71,8 +73,9 @@ forest, built on the :class:`~plumblat.charlattice.BoxIndex` that
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add, mul, sub
 
 from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector, SpinCOrbit
@@ -82,7 +85,7 @@ from .errors import (
     NotNegativeDefinite,
 )
 from .homology import compute_homology
-from .plumbing import EdgeSign, PlumbingForest, UnionFind, intersection_form
+from .plumbing import PlumbingForest, UnionFind, intersection_form
 
 DEFAULT_POINT_CAP = 10**7
 
@@ -113,55 +116,22 @@ class GradedHPlus:
 
 
 class _GradedOrbitTable:
-    """The graded engine's per-forest setup, built once on a box.
-
-    Holds the box with its form and orbit indexer, the box split into
-    orbits with their members, the flood's step columns 2A e_v, and the
-    per-half tables that :meth:`births` reads box faces and weights from.
-    """
+    """The graded engine's setup on a box: step columns 2A e_v, face offsets
+    up_v, the parts of q; whole-box births and orbit members on first use."""
 
     def __init__(self, box: BoxIndex):
         self.box, self.form, self.indexer = box, box.form, box.indexer
-        self.orbits = box.orbits()
         self.columns = [tuple(2 * a for a in row) for row in self.form.matrix]
 
-        # the face k + 2A e_v of a vector with d_v at its top sets d_v to 0
-        # and moves each neighbour digit by the edge sign a: offset up_v
-        framings, strides = box.framings, box.strides
-        neighbours = [0] * len(framings)
-        up = [m * stride for m, stride in zip(framings, strides)]
-        for v, row in enumerate(self.form.matrix):
-            for u, a in enumerate(row):
-                if a and u != v:
-                    neighbours[v] |= 1 << u
-                    up[v] += a * strides[u]
-        plus = self.form.edge_sign is EdgeSign.PLUS_ONE
-
-        def half(table, offset):
-            """Per half-vector: the masks of digits that block a top face
-            and a zero face of a neighbour (its top and its zero digits with
-            sign +1, the other way round with -1), the neighbours of its top
-            and of its zero digits, and (neighbours, up_v) per top digit v."""
-            out = []
-            for evals in table:
-                top = zero = top_reach = zero_reach = 0
-                ups = []
-                for v, e in enumerate(evals, offset):
-                    if e == -framings[v]:
-                        top |= 1 << v
-                        top_reach |= neighbours[v]
-                        ups.append((neighbours[v], up[v]))
-                    elif e == framings[v]:
-                        zero |= 1 << v
-                        zero_reach |= neighbours[v]
-                blockers = (top, zero) if plus else (zero, top)
-                out.append((*blockers, top_reach, zero_reach, ups))
-            return out
-
-        heads, tails, split = box.heads, box.tails, len(box.heads[0])
-        self._heads, self._tails = half(heads, 0), half(tails, split)
+        # the top face k + 2A e_v: d_v to 0, each neighbour digit moved by a
+        strides = box.strides
+        self._up = [
+            m * strides[v] + sum(a * strides[u] for u, a in enumerate(row) if u != v)
+            for v, (m, row) in enumerate(zip(box.framings, self.form.matrix))
+        ]
         # q(k) = q(h) + q(t) + 2 h adj[head, tail] t: per head its q and its
         # cross row adj[tail, head] h, per tail its q
+        heads, tails, split = box.heads, box.tails, len(box.heads[0])
         adj = self.indexer.adjugate
         self._head_q = [
             (_quadratic(adj, h), [sum(map(mul, row, h)) for row in adj[split:]])
@@ -178,6 +148,11 @@ class _GradedOrbitTable:
         if not form.is_negative_definite:
             raise NotNegativeDefinite("graded engine needs a negative-definite forest")
         return cls(BoxIndex(form, box_cap))
+
+    @cached_property
+    def orbits(self) -> dict[tuple[int, ...], list[int]]:
+        """The members of each orbit by key, in increasing index order."""
+        return self.box.orbits()
 
     def weight(self, a: int, q0: int) -> int:
         """The weight (q(k0) - q(k)) / (8 det) of box index a, q0 = q(k0)."""
@@ -197,46 +172,60 @@ class _GradedOrbitTable:
         bound = 8 * level * det - (q0 if self.indexer.determinant > 0 else -q0)
         return [-m * bound // det for m in self.box.framings]
 
+    @cached_property
+    def _birth_roots(self) -> dict[tuple[int, ...], list[int]]:
+        """One box index per birth of the whole box, by orbit key."""
+        box, shift, matrix = self.box, self.box.shift, self.form.matrix
+        faces, drained = [], 0
+        for v, (row, up, col) in enumerate(zip(matrix, self._up, self.columns)):
+            if up != sum(c // 2 * stride for c, stride in zip(col, box.strides)):
+                raise InternalInvariantViolation("a box face left its orbit")
+            tops = [range(r) for r in box.radices]
+            zeros = list(tops)
+            tops[v], zeros[v] = (box.radices[v] - 1,), (0,)
+            top_faces, zero_faces = list(tops), list(zeros)
+            for u, a in enumerate(row):  # a moved digit must not pass its end
+                if a and u != v:
+                    ends = range(box.radices[u] - 1), range(1, box.radices[u])
+                    top_faces[u], zero_faces[u] = ends if a > 0 else ends[::-1]
+            top_bits, zero_bits = box.bitset(top_faces), box.bitset(zero_faces)
+            if zero_bits != shift(top_bits, up):
+                raise InternalInvariantViolation("zero faces are not top faces moved")
+            drained |= box.bitset(tops) & ~top_bits | box.bitset(zeros) & ~zero_bits
+            faces.append((top_bits, up))
+        while True:  # then each plateau is drained in full or not at all
+            before = drained
+            for top_bits, up in faces:  # a face with either end drained
+                ends = (drained | shift(drained, -up)) & top_bits
+                drained |= ends | shift(ends, up)
+            if drained == before:
+                break
+        alive = ((1 << box.size) - 1) & ~drained
+        if any(shift(top_bits & alive, up) & drained for top_bits, up in faces):
+            raise InternalInvariantViolation("a plateau drained in part")
+        members = box.set_bits(alive)
+        position = {a: i for i, a in enumerate(members)}
+        sets = UnionFind(len(members))
+        for top_bits, up in faces:
+            for a in box.set_bits(top_bits & alive):
+                sets.union(position[a], position[a + up])
+        keys = {i: box.key(members[i]) for i, p in enumerate(sets.parent) if p == i}
+        roots: dict[tuple[int, ...], list[int]] = {}
+        for i, a in enumerate(members):
+            if i in keys:
+                roots.setdefault(keys[i], []).append(a)
+            elif box.key(a) != keys[sets.find(i)]:
+                raise InternalInvariantViolation("a plateau member left its orbit")
+        return roots
+
     def births(self, k0: CharVector) -> dict[int, int]:
         """Births per level of the orbit of ``k0``, in increasing level
-        order, read off the box digits of its members.
-
-        A member with d_v at its top ties its face k + 2A e_v, which sits at
-        index a + up_v; a member with d_v = 0 ties k - 2A e_v, the same pair
-        seen from its other end.  Either is in the box iff no blocking
-        neighbour digit stops it.  In-box faces unite plateaus; a member
-        with an out-of-box face drains its plateau.  Each undrained plateau
-        is a birth at its weight.
-        """
-        idxs = self.orbits.get(self.indexer.key(k0), ())
-        if not idxs:
-            raise InternalInvariantViolation("an orbit lost all its box vectors")
-        low, heads, tails = self.box.low, self._heads, self._tails
-        position = {a: i for i, a in enumerate(idxs)}
-        sets = UnionFind(len(idxs))
-        drained = []
-        for i, a in enumerate(idxs):
-            high, rest = divmod(a, low)
-            htop, hzero, hreach, hzreach, hups = heads[high]
-            ttop, tzero, treach, tzreach, tups = tails[rest]
-            # digits that block a top face, and a zero face, of a neighbour
-            top, zero = htop | ttop, hzero | tzero
-            if top & (hreach | treach) or zero & (hzreach | tzreach):
-                drained.append(i)  # a tie off the box is no minimum: it drains
-            for nbrs, up in hups + tups:
-                if not top & nbrs:
-                    j = position.get(a + up)
-                    if j is None:
-                        raise InternalInvariantViolation("a box face left its orbit")
-                    sets.union(i, j)
-        gone = {sets.find(i) for i in drained}
+        order: the birth roots of its key, each at its weight."""
+        roots = self._birth_roots.get(self.indexer.key(k0))
+        if not roots:
+            raise InternalInvariantViolation("an orbit has no birth")
         q0 = _quadratic(self.indexer.adjugate, k0.evals)
-        births: dict[int, int] = {}
-        for root, parent in enumerate(sets.parent):
-            if parent == root and root not in gone:
-                level = self.weight(idxs[root], q0)
-                births[level] = births.get(level, 0) + 1
-        return dict(sorted(births.items()))
+        return dict(sorted(Counter(self.weight(a, q0) for a in roots).items()))
 
     def hplus(
         self, orbit: SpinCOrbit, point_cap: int, extra_levels: int
@@ -281,8 +270,11 @@ def _sweep_levels(
     ``k0``, with births re-derived independently and compared against the
     plateau counts."""
     q0 = _quadratic(table.indexer.adjugate, k0.evals)
+    key = table.indexer.key(k0)
     seeds: dict[int, list[int]] = {}
-    for a in table.orbits[table.indexer.key(k0)]:
+    for a in table.orbits[key]:
+        if table.box.key(a) != key:
+            raise InternalInvariantViolation("a flood seed left its orbit")
         seeds.setdefault(table.weight(a, q0), []).append(a)
     steps = list(zip(table.columns, table.box.framings))
     last_birth = max(births)
@@ -413,11 +405,9 @@ def ker_u_cross_check(
 
     The two engines share nothing past the box: one quotients characteristic
     vectors by signed reflections, the other counts component births of the
-    weight filtration, so agreement is a genuine two-route check.  The
-    graded engine reads the box the quotient engine built, grouped into
-    orbits once, not once per orbit.  Each row carries its
-    orbit's level table; ``point_cap`` bounds the sweeps of orbits with more
-    than one birth.
+    weight filtration, so agreement is a genuine two-route check.  Each row
+    carries its orbit's level table; ``point_cap`` bounds the sweeps of
+    orbits with more than one birth.
     """
     homology = compute_homology(forest, box_cap=box_cap)
     table = _GradedOrbitTable(homology.box)

@@ -63,8 +63,8 @@ class UnionFind:
     """Disjoint sets over the indices 0, 1, ..., with path halving.
 
     Shared by forest components, cycle checks and the graded engine's
-    floods; the quotient engine keeps its signed union-find in a dict keyed
-    by box index.
+    births and floods; the quotient engine keeps its signed union-find in a
+    dict keyed by box index.
     """
 
     def __init__(self, size: int = 0):

@@ -6,9 +6,9 @@ births scan all 2n unit neighbours of every minimum and weigh each one with
 the full quadratic form, and the flood weighs every new neighbour the same
 way, checking each point against the ball of
 :func:`oracle_charlattice.weight_radius_sq_bound`.  The production engine
-in :mod:`plumblat.hplus` reads births off box digits, floods characteristic
-vectors from every box vector of the orbit and weighs flood steps by the
-step identity; it must agree with this one exactly.
+in :mod:`plumblat.hplus` reads births off whole-box face bitsets, floods
+characteristic vectors from every box vector of the orbit and weighs flood
+steps by the step identity; it must agree with this one exactly.
 
 :func:`sublevel_complex` materializes a single sublevel set in coordinates,
 for inspection and for testing the level tables, and

@@ -201,3 +201,21 @@ def test_box_keys_and_orbits_agree_with_the_indexer(edge_sign):
         least = box.orbits(members=False)
         assert list(least.items()) == [(key, m[:1]) for key, m in grouped.items()]
     assert split >= 2
+
+
+def test_set_bits_lists_every_index_in_order():
+    """The bit-lister and the shift against sets of known indices: empty,
+    single, byte-edge, a run of whole 0xff bytes, long sparse and random
+    dense sets."""
+    rng = random.Random(0x5E7B)
+    cases = [[], [0], [7], [8], list(range(64)), [3, 10**5]]
+    cases += [sorted(rng.sample(range(2 * 10**5), 50)) for _ in range(5)]
+    for _ in range(200):
+        size = rng.randrange(1, 3000)
+        cases.append([a for a in range(size) if rng.random() < 0.5])
+    for indices in cases:
+        bits = sum(1 << a for a in indices)
+        assert BoxIndex.set_bits(bits) == indices
+        for offset in (5, -3):
+            moved = [a + offset for a in indices if a + offset >= 0]
+            assert BoxIndex.set_bits(BoxIndex.shift(bits, offset)) == moved

@@ -25,7 +25,6 @@ from plumblat import (
     CharVector,
     EdgeSign,
     LatticeVector,
-    SpinCOrbit,
     charlattice,
     compute_homology,
     compute_hplus,
@@ -213,11 +212,13 @@ def test_birth_counts_equal_homology_dim_per_orbit(rng):
             assert sum(births.values()) == oh.dim
 
 
-def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys):
+def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys, tmp_path):
     """One box and one indexer, shared by the quotient and the graded
-    engine, one orbit scan for each engine, and one birth count per orbit,
-    whatever |det| is."""
-    calls = {"box": 0, "indexer": 0, "orbits": 0, "births": 0}
+    engine, and one birth count per orbit, whatever |det| is.  The quotient
+    engine scans the box for orbits once; the graded engine lists orbit
+    members only for a flood, so an L-space scans once and elliptic_b,
+    which floods one orbit, twice."""
+    calls = {}
 
     def counting(key, fn):
         def wrapper(*args, **kwargs):
@@ -240,12 +241,20 @@ def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys):
     monkeypatch.setattr(
         _GradedOrbitTable, "births", counting("births", _GradedOrbitTable.births)
     )
-    assert main(["hplus", str(FIXTURES / "elliptic_b.plumb")]) == 0
-    assert "cross-check vs homology engine: OK" in capsys.readouterr().out
-    assert calls["box"] == 1
-    assert calls["indexer"] == 1
-    assert calls["orbits"] <= 2
-    assert calls["births"] == 13  # |det| orbits, each counted once
+    chain = tmp_path / "chain3x5.plumb"  # the lens chain (-3)^5, |det| 144
+    chain.write_text(
+        "".join(f"vertex v{i} -3\n" for i in range(5))
+        + "".join(f"edge v{i} v{i + 1}\n" for i in range(4))
+    )
+    for path, orbits, births in (
+        (FIXTURES / "e8.plumb", 1, 1),
+        (chain, 1, 144),
+        (FIXTURES / "elliptic_b.plumb", 2, 13),  # |det| orbits, each counted once
+    ):
+        calls.update(box=0, indexer=0, orbits=0, births=0)
+        assert main(["hplus", str(path)]) == 0
+        assert "cross-check vs homology engine: OK" in capsys.readouterr().out
+        assert calls == {"box": 1, "indexer": 1, "orbits": orbits, "births": births}
 
 
 def test_point_budget():
@@ -368,6 +377,32 @@ def test_graded_engine_matches_all_neighbour_oracle():
     assert flooded >= 30
 
 
+def test_births_match_reference_on_random_forests():
+    """Whole-box births against the all-neighbour reference, orbit by orbit,
+    on 300 seeded random forests in both conventions (a third with framings
+    down to -4, many with -1 framings) and the multi-birth stars in both
+    conventions."""
+    rng = random.Random(0xB175)
+    cases = []
+    for i in range(300):
+        sign = EdgeSign.PLUS_ONE if i % 2 else EdgeSign.MINUS_ONE
+        lo = -4 if i % 3 == 0 else -3
+        cases.append(random_forest(rng, max_vertices=5, lo=lo, edge_sign=sign))
+    for text in FLOODING_STARS:
+        star = seifert_to_plumbing(parse_sfs(text)).forest
+        cases += [star, convert_convention(star).forest]
+    assert sum(1 for f in cases if -1 in f.framings) >= 50
+    multi = 0
+    for forest in cases:
+        table = _GradedOrbitTable.of(forest, 10**8)
+        for idxs in table.orbits.values():
+            k0 = CharVector(table.box.evals(idxs[0]))
+            births = table.births(k0)
+            assert births == reference_birth_counts(reference_grading(table, k0))
+            multi += sum(births.values()) > 1
+    assert multi >= 30
+
+
 def test_sublevel_complex_ranks_match_level_tables():
     """The one-level flood agrees with every level of the sweep's table."""
     for forest in (elliptic_a(), elliptic_b(), _chain_m1()):
@@ -487,8 +522,8 @@ def test_cli_hplus_solves_coordinates_only_for_floods(monkeypatch, capsys, tmp_p
 
 
 def test_long_star_hplus_cross_check(capsys):
-    """A Seifert star of 11 vertices (box 1,119,744) through sfs ... hplus."""
-    assert main(["sfs", "--sfs", "-2; 2/1 3/1 9/8", "hplus", "--json"]) == 0
+    """A Seifert star of 13 vertices (box 2,125,764) through sfs ... hplus."""
+    assert main(["sfs", "--sfs", "-2; 2/1 3/1 11/10", "hplus", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["cross_check_ok"] is True
     assert len(payload["per_orbit"]) == payload["seifert"]["h1_order"]
@@ -497,16 +532,32 @@ def test_long_star_hplus_cross_check(capsys):
 
 
 def test_births_and_coordinates_check_every_member_orbit():
-    """A box index moved into a foreign orbit's list trips the per-vector
-    orbit check, both of the births and of the flood that starts after them."""
-    table = _GradedOrbitTable.of(elliptic_b(), 10**8)
-    (key, idxs), (_, other) = list(table.orbits.items())[:2]
-    k0 = CharVector(table.box.evals(idxs[0]))
-    table.orbits[key] = sorted(idxs + [other[-1]])
+    """Births certify every face's orbit at once: an offset up_v or a step
+    column that no longer match trips them.  The flood checks the orbit key
+    of each seed: a box index moved into a flooding orbit's member list
+    trips it, although the births, already counted, still hold."""
+    forest = elliptic_b()
+    (orbit,) = _flooding_orbits(forest)
+    k0 = orbit.representative
+    for tamper in ("up", "column"):
+        table = _GradedOrbitTable.of(forest, 10**8)
+        stride = table.box.strides[-1]
+        if tamper == "up":
+            table._up[1] += stride
+        else:
+            column = list(table.columns[1])
+            column[-1] += 2
+            table.columns[1] = tuple(column)
+        with pytest.raises(InternalInvariantViolation, match="left its orbit"):
+            table.births(k0)
+    table = _GradedOrbitTable.of(forest, 10**8)
+    births = table.births(k0)
+    key = table.indexer.key(k0)
+    foreign = next(idxs for other, idxs in table.orbits.items() if other != key)
+    table.orbits[key] = sorted(table.orbits[key] + foreign[-1:])
+    assert table.births(k0) == births
     with pytest.raises(InternalInvariantViolation, match="left its orbit"):
-        table.births(k0)
-    with pytest.raises(InternalInvariantViolation, match="left its orbit"):
-        table.hplus(SpinCOrbit(k0, -1), 10**7, 0)
+        table.hplus(orbit, 10**7, 0)
 
 
 def _flooding_orbits(forest):
@@ -516,15 +567,19 @@ def _flooding_orbits(forest):
 @pytest.mark.parametrize("forest", [elliptic_a(), elliptic_b()], ids=["a", "b"])
 def test_wrong_flood_steps_trip_at_once(forest):
     """Step columns with their framing entries negated send the flood off
-    the orbit; the births check and the integer bound stop it within a few
-    points, long before the default point cap, in well under 1 MiB."""
+    the orbit; the flood's births check and the integer bound stop it within
+    a few points, long before the default point cap, in well under 1 MiB.
+    The births are counted before the tamper, whose column check would stop
+    them first."""
     table = _GradedOrbitTable.of(forest, 10**8)
+    orbits = _flooding_orbits(forest)
+    assert orbits
+    for orbit in orbits:  # births count on the true columns, before the tamper
+        table.births(orbit.representative)
     table.columns = [
         tuple(-c if u == v else c for u, c in enumerate(column))
         for v, column in enumerate(table.columns)
     ]
-    orbits = _flooding_orbits(forest)
-    assert orbits
     tracemalloc.start()
     try:
         for orbit in orbits:
