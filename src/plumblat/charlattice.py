@@ -42,9 +42,9 @@ from .errors import (
 )
 from .plumbing import CanonicalClass, IntersectionForm
 
-# compute_homology peaks at about 6 bytes of RSS per box vector on a box near
-# the cap (5.8 at 1.9e7 vectors, 15 vertices; 13 at 9.4e5, where the classes
-# weigh more), so the default box stays near 0.12 GiB
+# compute_homology raises peak RSS by about 4.3 bytes per box vector on a box
+# near the cap (4.3 at 1.9e7 vectors, 15 vertices; 5.4 at 9.4e5, where the
+# fixed costs weigh more), so the default box stays near 0.09 GiB
 DEFAULT_BOX_CAP = 2 * 10**7
 
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
@@ -98,13 +98,6 @@ def is_characteristic(k: CharVector | Sequence[int], form: IntersectionForm) -> 
 def box_ranges(form: IntersectionForm) -> list[range]:
     """Per-vertex evaluation ranges {m, m+2, ..., -m} of the box."""
     return [range(m, -m + 1, 2) for m in (row[i] for i, row in enumerate(form.matrix))]
-
-
-def in_box(evals: Sequence[int], form: IntersectionForm) -> bool:
-    return all(
-        form.matrix[i][i] <= evals[i] <= -form.matrix[i][i]
-        for i in range(len(form))
-    )
 
 
 class BoxIndex:

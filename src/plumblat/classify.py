@@ -30,10 +30,12 @@ from .errors import EnumerationBudgetExceeded, InternalInvariantViolation, NotNe
 from .homology import DerivedDimensions, HomologyResult, compute_homology, derived_dimensions
 from .intlinalg import quadratic_sublevel_points
 from .plumbing import (
+    Definiteness,
     EdgeSign,
     PlumbingForest,
     bad_vertices,
     canonical_class,
+    definiteness,
     intersection_form,
 )
 
@@ -110,11 +112,11 @@ def is_rational(
     lexicographically least nonzero nonnegative point of the ellipsoid
     {chi <= 0}, where every point emitted has 2 chi(x) = W_0 <= 0 checked.
     """
-    form = intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
-    if not form.is_negative_definite:
+    if definiteness(forest)[1] is not Definiteness.NEGATIVE_DEFINITE:
         raise NotNegativeDefinite("rationality is defined for negative-definite forests")
     if _laufer_rational(forest, point_cap):
         return RationalityVerdict(rational=True)
+    form = intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
     negated = [[-x for x in row] for row in form.matrix]
     linear = [-e for e in canonical_class(forest).evals]
     least = None
@@ -138,7 +140,7 @@ def is_almost_rational(
     where it works; rational inputs are reported as witnesses with decrement
     zero.
     """
-    if not intersection_form(forest).is_negative_definite:
+    if definiteness(forest)[1] is not Definiteness.NEGATIVE_DEFINITE:
         raise NotNegativeDefinite("rationality is defined for negative-definite forests")
     return _decrement_search(forest, nmax, point_cap)
 

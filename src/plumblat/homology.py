@@ -25,12 +25,13 @@ repeat until nothing moves.  After that every pair has both ends flagged or
 neither, so a class is zero iff all its members are flagged, and only the
 pairs with both ends alive -- a few percent of the box -- enter a union-find
 keyed by index, whose links carry a sign parity and whose roots are class
-minima.  A sign conflict (k ~ -k) kills its class.  Only members of nonzero
-classes become :class:`CharVector` objects.  The box decodes every index,
-orbit keys included, from its head and tail tables: a member's
-evaluations are ``box.evals(a)``, a class's orbit is ``box.key`` of its
-minimum index, and each orbit's representative is its least member from
-``box.orbits``.
+minima.  A sign conflict (k ~ -k) kills its class.  That union-find is the
+one class table: the classes are the alive roots that are not killed, in
+index order, and :func:`class_of` finds a vector's root by its box index.
+The box decodes every index, orbit keys included, from its head and tail
+tables: a class's orbit is ``box.key`` of its root, its representative is
+``box.evals`` of its root, and each orbit's representative is its least
+member from ``box.orbits``.
 """
 
 from __future__ import annotations
@@ -38,14 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .charlattice import (
-    DEFAULT_BOX_CAP,
-    BoxIndex,
-    CharVector,
-    SpinCOrbit,
-    in_box,
-    is_characteristic,
-)
+from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector, SpinCOrbit
 from .errors import (
     InternalInvariantViolation,
     NegativeOddDimension,
@@ -71,7 +65,8 @@ ZERO = ClassRef(index=None, sign=1)
 
 @dataclass(frozen=True)
 class SignedClass:
-    """A quotient class: members carry signs relative to the representative."""
+    """A quotient class, named by its representative.  ``members`` is empty:
+    :func:`class_of` gives each vector's class and sign."""
 
     representative: CharVector | None
     members: tuple[tuple[CharVector, int], ...]
@@ -87,13 +82,14 @@ class OrbitHomology:
 
 @dataclass(frozen=True, eq=False)
 class HomologyResult:
-    """Quotient dimensions per spin^c orbit, with class lookup tables.
+    """Quotient dimensions per spin^c orbit, with the class table.
 
     ``classes`` lists the nonzero classes in order of their lex-least
     members.  ``zero_class`` stands for every box vector that dies; it does
-    not list them.  ``_lookup`` maps the evaluations of each nonzero-class
-    member to its :class:`ClassRef`; :func:`class_of` reads it.  ``box`` is
-    the box the classes were found in, with its orbit keys.
+    not list them.  ``links`` is the signed union-find over box indices (see
+    :func:`_find`), and ``root_refs`` maps the root of each nonzero class to
+    its two :class:`ClassRef`, sign +1 and sign -1; :func:`class_of` reads
+    both.  ``box`` is the box the classes were found in, with its orbit keys.
     """
 
     forest: PlumbingForest
@@ -104,11 +100,32 @@ class HomologyResult:
     classes: tuple[SignedClass, ...]
     zero_class: SignedClass
     box: BoxIndex = field(repr=False)
-    _lookup: dict = field(repr=False)
+    links: dict[int, int] = field(repr=False)
+    root_refs: dict[int, tuple[ClassRef, ClassRef]] = field(repr=False)
 
     @property
     def det_abs(self) -> int:
         return abs(self.form.determinant)
+
+
+def _find(links: dict[int, int], a: int) -> tuple[int, int]:
+    """Root of a and the parity s with val(a) = (-1)^s val(root), pointing
+    each node on the way at its grandparent.
+
+    ``links`` holds non-roots only: link = 2 * parent + s with
+    val(a) = (-1)^s val(parent), and parent < a, so roots are class minima.
+    """
+    s = 0
+    link = links.get(a)
+    while link is not None:
+        up = links.get(link >> 1)
+        if up is None:
+            return link >> 1, s ^ link & 1
+        link = links[a] = up ^ link & 1
+        s ^= link & 1
+        a = link >> 1
+        link = links.get(a)
+    return a, s
 
 
 def compute_homology(
@@ -153,31 +170,13 @@ def compute_homology(
         if dead == before:
             break
 
-    # non-roots only: link = 2 * parent + s with val(a) = (-1)^s val(parent),
-    # and parent < a, so roots are class minima
     links: dict[int, int] = {}
-
-    def find(a: int) -> tuple[int, int]:
-        """Root of a and the parity s with val(a) = (-1)^s val(root),
-        pointing each node on the way at its grandparent."""
-        s = 0
-        link = links.get(a)
-        while link is not None:
-            up = links.get(link >> 1)
-            if up is None:
-                return link >> 1, s ^ link & 1
-            link = links[a] = up ^ link & 1
-            s ^= link & 1
-            a = link >> 1
-            link = links.get(a)
-        return a, s
-
     conflicts = []
     for starts, offset, rel in pairs:
         for a in box.set_bits(starts & ~dead):
             b = a + offset
-            ra, pa = find(a)
-            rb, pb = find(b)
+            ra, pa = _find(links, a)
+            rb, pb = _find(links, b)
             if ra == rb:
                 if pa ^ pb != rel:
                     conflicts.append(ra)  # k ~ -k: zero over a field of char != 2
@@ -185,32 +184,22 @@ def compute_homology(
                 links[rb] = ra << 1 | pa ^ pb ^ rel
             else:
                 links[ra] = rb << 1 | pa ^ pb ^ rel
-    killed = {find(a)[0] for a in conflicts}
+    killed = {_find(links, a)[0] for a in conflicts}
 
-    members_of: dict[int, list[tuple[int, int]]] = {}
+    # the classes: alive roots, less the killed ones, in index order
+    root_refs: dict[int, tuple[ClassRef, ClassRef]] = {}
     for a in box.set_bits(dead ^ ((1 << box.size) - 1)):
-        root, s = find(a)
-        if root not in killed:
-            members_of.setdefault(root, []).append((a, s))
+        if a not in links and a not in killed:
+            cls_id = len(root_refs)
+            root_refs[a] = ClassRef(index=cls_id, sign=1), ClassRef(index=cls_id, sign=-1)
 
     # orbits are read off the whole box so empty orbits cannot hide
     orbits = box.orbits(members=False)
     classes_of: dict[tuple[int, ...], list[int]] = {key: [] for key in orbits}
     classes: list[SignedClass] = []
-    lookup: dict[tuple[int, ...], ClassRef] = {}
-    for cls_id, (root, members) in enumerate(members_of.items()):
+    for cls_id, root in enumerate(root_refs):
         classes_of.setdefault(box.key(root), []).append(cls_id)
-        refs = (ClassRef(index=cls_id, sign=1), ClassRef(index=cls_id, sign=-1))
-        signed_members = []
-        for a, s in members:
-            evals = box.evals(a)
-            signed_members.append((CharVector(evals), -1 if s else 1))
-            lookup[evals] = refs[s]
-        classes.append(
-            SignedClass(
-                representative=signed_members[0][0], members=tuple(signed_members)
-            )
-        )
+        classes.append(SignedClass(representative=CharVector(box.evals(root)), members=()))
     zero_class = SignedClass(representative=None, members=(), is_zero=True)
 
     det_abs = abs(form.determinant)
@@ -247,25 +236,36 @@ def compute_homology(
         classes=tuple(classes),
         zero_class=zero_class,
         box=box,
-        _lookup=lookup,
+        links=links,
+        root_refs=root_refs,
     )
 
 
 def class_of(k: CharVector | Sequence[int], result: HomologyResult) -> ClassRef:
     """Class and relative sign of a characteristic vector; ZERO off the box.
 
-    A vector of the box that is not characteristic raises KeyError.
+    A vector of the wrong length, or of the box but not characteristic,
+    raises KeyError; an off-box coordinate gives ZERO before parity is
+    looked at.  Dead vectors are roots of no class, so they give ZERO too.
     """
-    evals = k.evals if isinstance(k, CharVector) else tuple(k)
-    ref = result._lookup.get(evals)
-    if ref is not None:
-        return ref
-    form = result.form
-    if len(evals) != len(form) or (
-        in_box(evals, form) and not is_characteristic(evals, form)
-    ):
-        raise KeyError(f"{evals} is not a box vector of this forest")
-    return ZERO
+    evals = k.evals if isinstance(k, CharVector) else k
+    box = result.box
+    if len(evals) != len(box.framings):
+        raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
+    # e - m is 2 d_v on a characteristic vector: sum the doubled index,
+    # collecting the parities to check once
+    doubled = odd = 0
+    for e, m, stride in zip(evals, box.framings, box.strides):
+        if not m <= e <= -m:
+            return ZERO
+        e -= m
+        doubled += e * stride
+        odd |= e
+    if odd & 1:
+        raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
+    root, s = _find(result.links, doubled >> 1)
+    refs = result.root_refs.get(root)
+    return ZERO if refs is None else refs[s]
 
 
 @dataclass(frozen=True)

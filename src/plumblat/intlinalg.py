@@ -2,7 +2,7 @@
 
 Two eliminations serve the package.  Forest forms never reach this module:
 their determinant and definiteness come from the leaf-first pass of
-:func:`plumbing.intersection_form` (Neumann's plumbing calculus, Trans.
+:func:`plumbing.definiteness` (Neumann's plumbing calculus, Trans.
 AMS 268, 1981), with no matrix and no leading minors.  Definite matrices go
 through one fraction-free (Bareiss) elimination in the given order: on
 [A | I] as a Gauss-Jordan pass it yields the leading minors, the pivot rows

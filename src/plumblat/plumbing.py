@@ -254,8 +254,9 @@ def validate_forest(
     return PlumbingForest(tuple(ids), tuple(framings), tuple(out_edges), edge_sign)
 
 
-def _leaf_first(forest: PlumbingForest) -> tuple[int, Definiteness]:
-    """Determinant and definiteness from one leaf-first pass over the edges.
+def definiteness(forest: PlumbingForest) -> tuple[int, Definiteness]:
+    """Determinant and definiteness from one leaf-first pass over the edges,
+    with no matrix built; both are the same in the two edge conventions.
 
     A leaf v with pivot d != 0 leaves with d; its neighbour's pivot gains
     -e^2/d = -1/d.  A leaf with pivot 0 leaves with its neighbour u as the
@@ -308,8 +309,8 @@ def intersection_form(forest: PlumbingForest) -> IntersectionForm:
         rows[i][i] = m
     for a, b in forest.edges:
         rows[a][b] = rows[b][a] = forest.edge_sign.value
-    det, definiteness = _leaf_first(forest)
-    return IntersectionForm(tuple(map(tuple, rows)), det, definiteness, forest.edge_sign)
+    det, kind = definiteness(forest)
+    return IntersectionForm(tuple(map(tuple, rows)), det, kind, forest.edge_sign)
 
 
 def bad_vertices(forest: PlumbingForest) -> list[str]:

@@ -49,6 +49,14 @@ def enumerate_box(
     return [CharVector(evals) for evals in product(*box_ranges(form))]
 
 
+def in_box(evals: Sequence[int], form: IntersectionForm) -> bool:
+    """Whether every evaluation lies in its vertex's range [m, -m]."""
+    return all(
+        form.matrix[i][i] <= evals[i] <= -form.matrix[i][i]
+        for i in range(len(form))
+    )
+
+
 def orbit_decompose(
     box: Iterable[CharVector], form: IntersectionForm
 ) -> list[OrbitMembers]:

@@ -3,7 +3,8 @@
 Every box vector is a tuple, found through a dict; each extremal reflection
 is built as a target tuple in O(n); escapes and sign conflicts are unions
 with one global zero node; orbit keys are taken for every box vector.  The
-production engine in :mod:`plumblat.homology` must agree with it exactly.
+production engine in :mod:`plumblat.homology` must agree with it exactly;
+:func:`class_members` lists its classes member by member for the comparison.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from plumblat import PlumbingForest, intersection_form
+from oracle_charlattice import enumerate_box
+from plumblat import PlumbingForest, class_of, intersection_form
 from plumblat.charlattice import OrbitIndexer, box_ranges
+from plumblat.homology import HomologyResult
 
 
 class SignedUnionFind:
@@ -124,3 +127,18 @@ def reference_homology(forest: PlumbingForest, *, signed: bool = True) -> Refere
         for key, rep in sorted(orbit_rep.items(), key=lambda kv: kv[1])
     )
     return ReferenceHomology(classes=tuple(classes), per_orbit=per_orbit, lookup=lookup)
+
+
+def class_members(result: HomologyResult) -> list[tuple]:
+    """Each nonzero class of ``result`` as (representative, ((member, sign),
+    ...)), members in lex order, as :class:`ReferenceHomology` lists them:
+    read off :func:`class_of` on every box vector."""
+    members: list[list] = [[] for _ in result.classes]
+    for k in enumerate_box(result.form, result.box.size):
+        ref = class_of(k, result)
+        if not ref.is_zero:
+            members[ref.index].append((k.evals, ref.sign))
+    return [
+        (cls.representative.evals, tuple(found))
+        for cls, found in zip(result.classes, members)
+    ]

@@ -18,8 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
+from oracle_charlattice import in_box
 from plumblat import CharVector, PlumbingForest, compute_homology
-from plumblat.charlattice import OrbitIndexer, in_box
+from plumblat.charlattice import OrbitIndexer
 from plumblat.errors import InvalidTriple, NotBlowdownable
 from plumblat.homology import HomologyResult, class_of
 from plumblat.moves import (

@@ -12,6 +12,7 @@ from oracle_charlattice import (
     char_to_lattice,
     coercivity_bounds,
     enumerate_box,
+    in_box,
     is_local_minimum,
     lattice_to_char,
     orbit_decompose,
@@ -29,7 +30,7 @@ from plumblat import (
     is_characteristic,
     validate_forest,
 )
-from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, box_ranges, in_box
+from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, box_ranges
 from plumblat.errors import BoxTooLarge, ParityViolation
 
 

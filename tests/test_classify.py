@@ -376,3 +376,19 @@ def test_long_star_rationality_takes_milliseconds():
         assert is_rational(star).rational
         best = min(best, time.perf_counter() - start)
     assert best < 0.05, best
+
+
+def test_rational_verdict_builds_no_matrix(monkeypatch):
+    """A rational forest passes the definiteness check and the walk without
+    an intersection form; only a failed walk builds the +1 form."""
+    from plumblat import classify
+
+    def refuse(forest):
+        raise AssertionError("intersection_form called")
+
+    star = seifert_to_plumbing(parse_sfs("-2; 2/1 3/1 201/200")).forest
+    monkeypatch.setattr(classify, "intersection_form", refuse)
+    assert is_rational(star).rational
+    assert is_almost_rational(star).decrement == 0
+    with pytest.raises(AssertionError, match="intersection_form called"):
+        is_rational(elliptic_a())

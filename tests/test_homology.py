@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import tracemalloc
 from itertools import product
@@ -11,9 +12,10 @@ import pytest
 
 from conftest import e8, elliptic_a, elliptic_b, lens, random_forest
 from oracle_charlattice import enumerate_box
-from oracle_homology import reference_homology
+from oracle_homology import class_members, reference_homology
 from oracle_hplus import rational_via_hplus
 from plumblat import (
+    ZERO,
     CharVector,
     EdgeSign,
     class_of,
@@ -49,7 +51,7 @@ def test_lens4_class_structure():
     for v in (-2, 0, 2):
         ref = class_of(CharVector((v,)), result)
         assert not ref.is_zero
-        assert len(result.classes[ref.index].members) == 1
+        assert len(class_members(result)[ref.index][1]) == 1
 
 
 def test_e8_dimension_one_generated_by_zero_vector():
@@ -79,6 +81,31 @@ def test_class_of_examples():
     a = class_of(CharVector((-1,)), r1)
     b = class_of(CharVector((1,)), r1)
     assert a.index == b.index and a.sign * b.sign == -1
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_class_of_edge_cases(edge_sign):
+    """Wrong length and odd in-box vectors raise; an off-box coordinate
+    beats an odd one; dead vectors give ZERO; and the answers do not depend
+    on the order of the lookups, which path compression reorders."""
+    forest = e8() if edge_sign is EdgeSign.MINUS_ONE else convert_convention(e8()).forest
+    result = compute_homology(forest)
+    box = result.box
+    with pytest.raises(KeyError):
+        class_of((0,) * 7, result)
+    with pytest.raises(KeyError):
+        class_of((0,) * 9, result)
+    with pytest.raises(KeyError):
+        class_of((1,) + (0,) * 7, result)
+    assert class_of((1,) + (0,) * 6 + (4,), result) is ZERO
+    dead = CharVector((0, 0, 0, 0, -2, 0, 0, 2))
+    assert dead.evals in {box.evals(a) for a in range(box.size)}
+    assert class_of(dead, result) is ZERO
+    vectors = enumerate_box(result.form)
+    forward = [class_of(k, result) for k in vectors]
+    backward = [class_of(k, result) for k in reversed(vectors)][::-1]
+    assert forward == backward
+    assert sum(not ref.is_zero for ref in forward) >= result.total_dim
 
 
 def test_sign_relation_all_p():
@@ -145,16 +172,8 @@ def test_derived_dimensions_elliptic_links():
 
 def test_negative_odd_dimension_guard():
     result = compute_homology(lens(3))
-    broken = type(result)(
-        forest=result.forest,
-        form=result.form,
-        convention=result.convention,
-        total_dim=1,  # below |det| = 3
-        per_orbit=result.per_orbit,
-        classes=result.classes[:1],
-        zero_class=result.zero_class,
-        box=result.box,
-        _lookup=result._lookup,
+    broken = dataclasses.replace(
+        result, total_dim=1, classes=result.classes[:1]  # below |det| = 3
     )
     with pytest.raises(NegativeOddDimension):
         derived_dimensions(broken)
@@ -242,7 +261,7 @@ def test_unsigned_engine_agrees_on_dimensions(rng):
 def test_zero_class_collects_escaping_vectors():
     result = compute_homology(lens(1))
     assert result.total_dim == 1
-    members = {k.evals for k, _ in result.classes[0].members}
+    members = {evals for evals, _ in class_members(result)[0][1]}
     assert members == {(-1,), (1,)}
     assert result.zero_class.is_zero
 
@@ -250,10 +269,7 @@ def test_zero_class_collects_escaping_vectors():
 def _assert_matches_reference(forest):
     result = compute_homology(forest)
     ref = reference_homology(forest)
-    assert [
-        (cls.representative.evals, tuple((k.evals, s) for k, s in cls.members))
-        for cls in result.classes
-    ] == list(ref.classes)
+    assert class_members(result) == list(ref.classes)
     assert [
         (oh.orbit.representative.evals, oh.dim, tuple(r.evals for r in oh.representatives))
         for oh in result.per_orbit
