@@ -17,6 +17,8 @@ the hot path.
 vectors by mixed-radix indices, decodes each index and its orbit key from
 a head and a tail table of about sqrt(size) entries each, and
 :meth:`BoxIndex.orbits` is the one scan that splits the box into orbits.
+:meth:`BoxIndex.splice` carries indices between boxes that differ at one
+vertex, as the three boxes of a surgery triple do.
 
 In box digits (k_v = m_v + 2 d_v) the faces of the box read: k_v = -m_v
 iff d_v = -m_v, its top, and k_v = m_v iff d_v = 0.  The vector
@@ -166,6 +168,23 @@ class BoxIndex:
         return tuple(
             [(a + b) % mod for a, b in zip(self.head_keys[high], self.tail_keys[rest])]
         )
+
+    def splice(self, index: int, v: int, radix: int) -> tuple[int, range]:
+        """Carry an index of a box that differs from this one only at vertex
+        v, where it has radix ``radix`` (1 for a box without vertex v).
+
+        Returns the digit of v in ``index`` and the indices of this box
+        that agree with ``index`` off v, in order of their digit of v.  The
+        strides after v are the same in both boxes, so with s the stride of
+        v here and (high, low) = divmod(index, s), the digit is high mod
+        ``radix`` and the indices are (high // radix) r_v s + e s + low for
+        e in 0..r_v - 1.
+        """
+        stride = self.strides[v]
+        high, low = divmod(index, stride)
+        high, digit = divmod(high, radix)
+        start = high * self.radices[v] * stride + low
+        return digit, range(start, start + self.radices[v] * stride, stride)
 
     def orbits(self, *, members: bool = True) -> dict[tuple[int, ...], list[int]]:
         """Split the whole box into spin^c orbits.

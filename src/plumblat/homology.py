@@ -25,18 +25,21 @@ repeat until nothing moves.  After that every pair has both ends flagged or
 neither, so a class is zero iff all its members are flagged, and only the
 pairs with both ends alive -- a few percent of the box -- enter a union-find
 keyed by index, whose links carry a sign parity and whose roots are class
-minima.  A sign conflict (k ~ -k) kills its class.  That union-find is the
-one class table: the classes are the alive roots that are not killed, in
-index order, and :func:`class_of` finds a vector's root by its box index.
-The box decodes every index, orbit keys included, from its head and tail
-tables: a class's orbit is ``box.key`` of its root, its representative is
-``box.evals`` of its root, and each orbit's representative is its least
-member from ``box.orbits``.
+minima.  No pair can close a cycle of odd parity (see
+:func:`compute_homology`), so no class is killed by k ~ -k.  That
+union-find is the one class table: the classes are the alive roots in
+index order, :meth:`HomologyResult.class_at` reads a box index's class and
+parity off it, and :func:`class_of` finds a vector's box index first.
+Each class's orbit key is ``box.key`` of its root.  The object views --
+``classes``, with each representative ``box.evals`` of its root, and
+``per_orbit``, with each orbit's representative its least member from
+``box.orbits`` -- are built the first time they are read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector, SpinCOrbit
@@ -73,6 +76,9 @@ class SignedClass:
     is_zero: bool = False
 
 
+_ZERO_CLASS = SignedClass(representative=None, members=(), is_zero=True)
+
+
 @dataclass(frozen=True)
 class OrbitHomology:
     orbit: SpinCOrbit
@@ -84,28 +90,73 @@ class OrbitHomology:
 class HomologyResult:
     """Quotient dimensions per spin^c orbit, with the class table.
 
-    ``classes`` lists the nonzero classes in order of their lex-least
-    members.  ``zero_class`` stands for every box vector that dies; it does
-    not list them.  ``links`` is the signed union-find over box indices (see
-    :func:`_find`), and ``root_refs`` maps the root of each nonzero class to
-    its two :class:`ClassRef`, sign +1 and sign -1; :func:`class_of` reads
-    both.  ``box`` is the box the classes were found in, with its orbit keys.
+    The class table is integers only.  ``links`` is the signed union-find
+    over box indices (see :func:`_find`), ``root_refs`` maps the root of
+    each nonzero class to its class index, and ``orbit_classes`` maps each
+    orbit key to the indices of its classes; :meth:`class_at` reads the
+    first two.  ``box`` is the box the classes were found in, with its
+    orbit keys.
+
+    ``classes`` (the nonzero classes in order of their lex-least members)
+    and ``per_orbit`` are object views of that table, built the first time
+    they are read; a caller that needs only dimensions and class indices
+    never builds them.  ``zero_class`` stands for every box vector that
+    dies; it does not list them.
     """
 
     forest: PlumbingForest
     form: IntersectionForm
     convention: EdgeSign
     total_dim: int
-    per_orbit: tuple[OrbitHomology, ...]
-    classes: tuple[SignedClass, ...]
-    zero_class: SignedClass
     box: BoxIndex = field(repr=False)
     links: dict[int, int] = field(repr=False)
-    root_refs: dict[int, tuple[ClassRef, ClassRef]] = field(repr=False)
+    root_refs: dict[int, int] = field(repr=False)
+    orbit_classes: dict[tuple[int, ...], list[int]] = field(repr=False)
 
     @property
     def det_abs(self) -> int:
         return abs(self.form.determinant)
+
+    @property
+    def zero_class(self) -> SignedClass:
+        return _ZERO_CLASS
+
+    def class_at(self, index: int) -> tuple[int | None, int]:
+        """The class index of box index ``index`` (None if it dies) and the
+        parity s with val(index) = (-1)^s val(class representative)."""
+        root, s = _find(self.links, index)
+        return self.root_refs.get(root), s
+
+    @cached_property
+    def classes(self) -> tuple[SignedClass, ...]:
+        evals = self.box.evals
+        return tuple(
+            SignedClass(representative=CharVector(evals(root)), members=())
+            for root in self.root_refs
+        )
+
+    @cached_property
+    def per_orbit(self) -> tuple[OrbitHomology, ...]:
+        """Per-orbit dimensions and class representatives, orbits in order
+        of their least box members; read off the whole box, so an orbit
+        without a class cannot hide."""
+        classes = self.classes
+        per_orbit = []
+        orbits = self.box.orbits(members=False)
+        for orbit_index, (key, (least,)) in enumerate(orbits.items()):
+            cls_ids = self.orbit_classes.get(key, ())
+            per_orbit.append(
+                OrbitHomology(
+                    orbit=SpinCOrbit(
+                        representative=CharVector(self.box.evals(least)), index=orbit_index
+                    ),
+                    dim=len(cls_ids),
+                    representatives=tuple(classes[c].representative for c in cls_ids),
+                )
+            )
+        if self.total_dim != sum(o.dim for o in per_orbit):
+            raise InternalInvariantViolation("per-orbit dimensions do not add up")
+        return tuple(per_orbit)
 
 
 def _find(links: dict[int, int], a: int) -> tuple[int, int]:
@@ -131,7 +182,17 @@ def _find(links: dict[int, int], a: int) -> tuple[int, int]:
 def compute_homology(
     forest: PlumbingForest, *, box_cap: int = DEFAULT_BOX_CAP
 ) -> HomologyResult:
-    """Quotient of the box by the signed reflection relations, per orbit."""
+    """Quotient of the box by the signed reflection relations, per orbit.
+
+    No relation can identify a vector with its own negative.  A pair at
+    vertex i joins digit vectors d and d - A e_i with sign (-1)^{a_ii}.
+    Over F_2 a symmetric A has a vector c with A c = diag(A): for x in
+    ker A, diag(A) . x = x^T A x = 0 mod 2, so diag(A) is orthogonal to
+    ker A, which is the orthogonal complement of the image.  Then
+    c . (d - A e_i) = c . d - a_ii mod 2, so every pair keeps
+    val(a) = (-1)^{c . d(a)} val(root), and no cycle of pairs has odd
+    parity.  A pair that closes one is an internal error.
+    """
     form = intersection_form(forest)
     if not form.is_negative_definite:
         raise NotNegativeDefinite(
@@ -171,7 +232,6 @@ def compute_homology(
             break
 
     links: dict[int, int] = {}
-    conflicts = []
     for starts, offset, rel in pairs:
         for a in box.set_bits(starts & ~dead):
             b = a + offset
@@ -179,71 +239,54 @@ def compute_homology(
             rb, pb = _find(links, b)
             if ra == rb:
                 if pa ^ pb != rel:
-                    conflicts.append(ra)  # k ~ -k: zero over a field of char != 2
+                    raise InternalInvariantViolation(
+                        f"box vectors {box.evals(a)} and {box.evals(b)} close a "
+                        "cycle of odd sign parity"
+                    )
             elif ra < rb:
                 links[rb] = ra << 1 | pa ^ pb ^ rel
             else:
                 links[ra] = rb << 1 | pa ^ pb ^ rel
-    killed = {_find(links, a)[0] for a in conflicts}
 
-    # the classes: alive roots, less the killed ones, in index order
-    root_refs: dict[int, tuple[ClassRef, ClassRef]] = {}
+    # the classes: alive roots in index order, grouped by orbit key
+    root_refs: dict[int, int] = {}
+    orbit_classes: dict[tuple[int, ...], list[int]] = {}
     for a in box.set_bits(dead ^ ((1 << box.size) - 1)):
-        if a not in links and a not in killed:
-            cls_id = len(root_refs)
-            root_refs[a] = ClassRef(index=cls_id, sign=1), ClassRef(index=cls_id, sign=-1)
+        if a not in links:
+            orbit_classes.setdefault(box.key(a), []).append(len(root_refs))
+            root_refs[a] = len(root_refs)
 
-    # orbits are read off the whole box so empty orbits cannot hide
-    orbits = box.orbits(members=False)
-    classes_of: dict[tuple[int, ...], list[int]] = {key: [] for key in orbits}
-    classes: list[SignedClass] = []
-    for cls_id, root in enumerate(root_refs):
-        classes_of.setdefault(box.key(root), []).append(cls_id)
-        classes.append(SignedClass(representative=CharVector(box.evals(root)), members=()))
-    zero_class = SignedClass(representative=None, members=(), is_zero=True)
-
+    # keys take |det| values on the box, so this says every orbit has a class
     det_abs = abs(form.determinant)
-    per_orbit = []
-    for orbit_index, (key, (least,)) in enumerate(orbits.items()):
-        rep = box.evals(least)
-        cls_ids = classes_of[key]
-        if not cls_ids:
-            raise InternalInvariantViolation(
-                f"orbit of {rep} has dimension 0; every orbit carries a generator"
-            )
-        per_orbit.append(
-            OrbitHomology(
-                orbit=SpinCOrbit(representative=CharVector(rep), index=orbit_index),
-                dim=len(cls_ids),
-                representatives=tuple(classes[c].representative for c in cls_ids),
-            )
+    if len(orbit_classes) != det_abs:
+        raise InternalInvariantViolation(
+            f"classes meet {len(orbit_classes)} of |det| = {det_abs} orbits; "
+            "every orbit carries a generator"
         )
-
-    total_dim = len(classes)
+    total_dim = len(root_refs)
     if total_dim < det_abs:
         raise InternalInvariantViolation(
             f"total dimension {total_dim} fell below |det| = {det_abs}"
         )
-    if total_dim != sum(o.dim for o in per_orbit):
-        raise InternalInvariantViolation("per-orbit dimensions do not add up")
 
     return HomologyResult(
         forest=forest,
         form=form,
         convention=forest.edge_sign,
         total_dim=total_dim,
-        per_orbit=tuple(per_orbit),
-        classes=tuple(classes),
-        zero_class=zero_class,
         box=box,
         links=links,
         root_refs=root_refs,
+        orbit_classes=orbit_classes,
     )
 
 
 def class_of(k: CharVector | Sequence[int], result: HomologyResult) -> ClassRef:
     """Class and relative sign of a characteristic vector; ZERO off the box.
 
+    The vector-level lookup, which the index columns of
+    :func:`~plumblat.moves.check_exactness` are tested against: it
+    computes the box index of ``k`` and reads :meth:`HomologyResult.class_at`.
     A vector of the wrong length, or of the box but not characteristic,
     raises KeyError; an off-box coordinate gives ZERO before parity is
     looked at.  Dead vectors are roots of no class, so they give ZERO too.
@@ -263,9 +306,8 @@ def class_of(k: CharVector | Sequence[int], result: HomologyResult) -> ClassRef:
         odd |= e
     if odd & 1:
         raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
-    root, s = _find(result.links, doubled >> 1)
-    refs = result.root_refs.get(root)
-    return ZERO if refs is None else refs[s]
+    index, s = result.class_at(doubled >> 1)
+    return ZERO if index is None else ClassRef(index=index, sign=-1 if s else 1)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,19 @@ Three families live here:
   conventions without changing any dimension.
 
 All induced maps are materialized over the class bases of the quotient
-engine as sparse integer columns (an extension sum has at most p + 1 terms,
-a half-shift two).  Extension-sum and section coefficients are +-1 and +-2
-times a class sign; the half-shift's are +-1/2, so the check runs on 2B,
-whose columns are doubled exactly (an odd remainder is an internal error,
-never truncated): BA = 0 iff (2B)A = 0, BS = I iff each column of (2B)S is
-2 e_j, and rank(2B) = rank(B).  Ranks come from one fraction-free integer
-echelon, so the exactness report carries no tolerances.
+engine as sparse integer columns, straight from box indices: the three boxes
+of a triple differ only at v, so :meth:`~plumblat.charlattice.BoxIndex.splice`
+carries a class root's index to the indices of its extensions across v, or
+of its half-shifts, and :meth:`~plumblat.homology.HomologyResult.class_at`
+reads each term's class and sign off the union-find.  An extension sum has
+p + 1 terms of coefficient +1 and a section at most p of coefficient 2.  The
+half-shift B has coefficients -+1/2, so the check runs on 2B, whose two
+terms are -1 on k^+ and +1 on k^-: BA = 0 iff (2B)A = 0, BS = I iff each
+column of (2B)S is 2 e_j, and rank(2B) = rank(B).  Ranks come from one
+fraction-free integer echelon, so the exactness report carries no
+tolerances.  The vector-level definitions -- :class:`FormalSum`, the three
+formula maps and :func:`project_to_classes` -- are what the columns are
+tested against.
 """
 
 from __future__ import annotations
@@ -31,12 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .charlattice import CharVector, DEFAULT_BOX_CAP
-from .errors import (
-    InternalInvariantViolation,
-    InvalidTriple,
-    NotBlowdownable,
-)
+from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector
+from .errors import InternalInvariantViolation, InvalidTriple, NotBlowdownable
 from .homology import HomologyResult, class_of, compute_homology
 from .intlinalg import rank_rational
 from .plumbing import EdgeSign, PlumbingForest, intersection_form
@@ -52,7 +54,9 @@ def _exact(coeff) -> Fraction | int:
 
 @dataclass(frozen=True)
 class FormalSum:
-    """Finite rational combination of characteristic vectors.
+    """Finite rational combination of characteristic vectors: the
+    vector-level form of the surgery maps, which the index columns of
+    :func:`check_exactness` are tested against.
 
     Integer coefficients stay ``int``; any other coefficient becomes a
     ``Fraction``, so the terms never hold a float.
@@ -122,7 +126,8 @@ def add_vertex_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
     """Sum of all extensions of k across the new vertex, |value| <= -v^2.
 
     Extensions with larger evaluation at v vanish in the quotient, so the
-    truncation loses nothing.
+    truncation loses nothing.  This is the definition of A, which
+    :func:`_extension_terms` builds by box index.
     """
     vi = triple.vertex_index
     p = -triple.base.framings[vi]
@@ -139,7 +144,8 @@ _HALF = Fraction(1, 2)
 
 
 def bump_framing_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
-    """(-1/2) k^+ + (1/2) k^- on the framing-bumped graph."""
+    """(-1/2) k^+ + (1/2) k^- on the framing-bumped graph: the definition
+    of B, which :func:`_half_shift_terms` builds doubled by box index."""
     vi = triple.vertex_index
     evals = k.evals
     up = evals[:vi] + (evals[vi] + 1,) + evals[vi + 1 :]
@@ -149,7 +155,8 @@ def bump_framing_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
 
 def bump_framing_section(k: CharVector, triple: SurgeryTriple) -> FormalSum:
     """2 * (sum of extensions with values above <k, v>), a section of the
-    half-shift map modulo the image of the extension sum."""
+    half-shift map modulo the image of the extension sum: the definition of
+    S, which :func:`_section_terms` builds by box index."""
     vi = triple.vertex_index
     p = -triple.base.framings[vi]
     evals = k.evals
@@ -164,7 +171,9 @@ SparseColumn = dict[int, Fraction | int]
 
 
 def project_to_classes(fs: FormalSum, result: HomologyResult) -> SparseColumn:
-    """Nonzero coordinates of a formal sum in the nonzero class basis."""
+    """Nonzero coordinates of a formal sum in the nonzero class basis, one
+    :func:`~plumblat.homology.class_of` per term: the vector-level
+    projection that the index columns are tested against."""
     coords: SparseColumn = {}
     for coeff, vec in fs.terms:
         ref = class_of(vec, result)
@@ -174,23 +183,67 @@ def project_to_classes(fs: FormalSum, result: HomologyResult) -> SparseColumn:
     return {i: c for i, c in coords.items() if c}
 
 
-def _doubled(col: SparseColumn) -> dict[int, int]:
-    """2 col as integers; a coefficient that does not double to an integer
-    is an internal error, never truncated."""
-    out = {}
-    for i, c in col.items():
-        q, r = divmod(2 * c.numerator, c.denominator)
-        if r:
-            raise InternalInvariantViolation(
-                f"half-shift coordinate {c} is not a multiple of 1/2"
-            )
-        out[i] = q
-    return out
+# --- the maps by box index ----------------------------------------------
+# Each takes the root index of a class in the source box of the map and
+# gives (coefficient, index) terms in ``box``, the target box, in the order
+# of the formula map's terms; terms off the box are left out.
+
+Terms = list[tuple[int, int]]
+Column = dict[int, int]
 
 
-def _apply(cols: Sequence[SparseColumn], col: SparseColumn) -> SparseColumn:
+def _extension_terms(box: BoxIndex, root: int, vi: int, p: int) -> Terms:
+    """A: +1 on every extension across v of a removed-box index."""
+    _, extensions = box.splice(root, vi, 1)
+    return [(1, a) for a in extensions]
+
+
+def _half_shift_terms(box: BoxIndex, root: int, vi: int, p: int) -> Terms:
+    """2B: k^- (bumped digit d - 1) with +1 and k^+ (bumped digit d) with
+    -1, for base digit d of v."""
+    d, shifted = box.splice(root, vi, p + 1)
+    terms = [(1, shifted[d - 1])] if d else []
+    if d < p:
+        terms.append((-1, shifted[d]))
+    return terms
+
+
+def _section_terms(box: BoxIndex, root: int, vi: int, p: int) -> Terms:
+    """S: 2 on each base index with digit of v above the bumped digit."""
+    d, lifted = box.splice(root, vi, p)
+    return [(2, a) for a in lifted[d + 1 :]]
+
+
+def _column(terms: Terms, result: HomologyResult) -> Column:
+    """Nonzero coordinates of index terms in the class basis of ``result``."""
+    coords: Column = {}
+    class_at = result.class_at
+    for coeff, a in terms:
+        i, s = class_at(a)
+        if i is not None:
+            coords[i] = coords.get(i, 0) + (-coeff if s else coeff)
+    return {i: c for i, c in coords.items() if c}
+
+
+def _exactness_columns(
+    triple: SurgeryTriple,
+    h_removed: HomologyResult,
+    h_base: HomologyResult,
+    h_bumped: HomologyResult,
+) -> tuple[list[Column], list[Column], list[Column]]:
+    """The columns of A, 2B and S, one per source class, from class roots."""
+    vi = triple.vertex_index
+    p = -triple.base.framings[vi]
+    base, bumped = h_base.box, h_bumped.box
+    cols_a = [_column(_extension_terms(base, r, vi, p), h_base) for r in h_removed.root_refs]
+    cols_2b = [_column(_half_shift_terms(bumped, r, vi, p), h_bumped) for r in h_base.root_refs]
+    cols_s = [_column(_section_terms(base, r, vi, p), h_base) for r in h_bumped.root_refs]
+    return cols_a, cols_2b, cols_s
+
+
+def _apply(cols: Sequence[Column], col: Column) -> Column:
     """The matrix with sparse columns ``cols`` applied to a sparse column."""
-    out: SparseColumn = {}
+    out: Column = {}
     for j, coeff in col.items():
         for i, v in cols[j].items():
             out[i] = out.get(i, 0) + coeff * v
@@ -221,9 +274,10 @@ def check_exactness(
     """Verify exactness of the quotient sequence through the triple.
 
     Builds the three quotients, materializes the two maps (and the section)
-    as sparse integer columns over class bases, the half-shift B doubled,
-    and checks surjectivity, that the composite vanishes, that the section
-    inverts the half-shift, and the rank identity ker = image.
+    as sparse integer columns over class bases straight from box indices,
+    the half-shift B doubled, and checks surjectivity, that the composite
+    vanishes, that the section inverts the half-shift, and the rank
+    identity ker = image.
     """
     if not triple.valid:
         raise InvalidTriple(
@@ -232,21 +286,7 @@ def check_exactness(
     h_removed = compute_homology(triple.removed, box_cap=box_cap)
     h_base = compute_homology(triple.base, box_cap=box_cap)
     h_bumped = compute_homology(triple.bumped, box_cap=box_cap)
-
-    cols_a = [
-        project_to_classes(add_vertex_map(cls.representative, triple), h_base)
-        for cls in h_removed.classes
-    ]
-    cols_2b = [
-        _doubled(
-            project_to_classes(bump_framing_map(cls.representative, triple), h_bumped)
-        )
-        for cls in h_base.classes
-    ]
-    cols_s = [
-        project_to_classes(bump_framing_section(cls.representative, triple), h_base)
-        for cls in h_bumped.classes
-    ]
+    cols_a, cols_2b, cols_s = _exactness_columns(triple, h_removed, h_base, h_bumped)
 
     ba_zero = all(not _apply(cols_2b, col) for col in cols_a)
     section_ok = all(_apply(cols_2b, col) == {j: 2} for j, col in enumerate(cols_s))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+import threading
 import tracemalloc
 from itertools import product
 from math import prod
@@ -172,11 +174,94 @@ def test_derived_dimensions_elliptic_links():
 
 def test_negative_odd_dimension_guard():
     result = compute_homology(lens(3))
-    broken = dataclasses.replace(
-        result, total_dim=1, classes=result.classes[:1]  # below |det| = 3
+    root = min(result.root_refs)
+    broken = dataclasses.replace(  # one class, below |det| = 3
+        result, total_dim=1, root_refs={root: 0}, orbit_classes={result.box.key(root): [0]}
     )
     with pytest.raises(NegativeOddDimension):
         derived_dimensions(broken)
+
+
+def _parity_witness(matrix) -> list[int]:
+    """A 0/1 vector c with A c = diag(A) mod 2, by elimination over F_2;
+    it exists for every symmetric A, since diag(A) is orthogonal to ker A."""
+    n = len(matrix)
+    rows = [
+        sum((matrix[i][j] & 1) << j for j in range(n)) | (matrix[i][i] & 1) << n
+        for i in range(n)
+    ]
+    pivots = []
+    for col in range(n):
+        found = next((r for r in rows if r >> col & 1), None)
+        if found is None:
+            continue
+        rows.remove(found)
+        rows = [r ^ found if r >> col & 1 else r for r in rows]
+        pivots = [(c, r ^ found if r >> col & 1 else r) for c, r in pivots]
+        pivots.append((col, found))
+    assert all(r == 0 for r in rows), "A c = diag(A) has no solution mod 2"
+    c = [0] * n
+    for col, row in pivots:
+        c[col] = row >> n & 1
+    return c
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_class_signs_follow_a_parity_witness(rng, edge_sign):
+    """Every sign class_of gives is (-1)^{c . (d(k) - d(rep))} for a c with
+    A c = diag(A) mod 2, d the box digits (k - m) / 2: the sign is a function
+    of the vector alone, so no class can meet its own negative, which is why
+    compute_homology treats a sign conflict as an internal error."""
+    odd = 0
+    for _ in range(1000):
+        forest = random_forest(rng, max_vertices=4, edge_sign=edge_sign)
+        odd += any(m % 2 for m in forest.framings)
+        result = compute_homology(forest)
+        c, framings = _parity_witness(result.form.matrix), forest.framings
+
+        def parity(evals):
+            return sum(ci * (e - m) // 2 for ci, e, m in zip(c, evals, framings)) & 1
+
+        reps = [parity(cls.representative.evals) for cls in result.classes]
+        for k in enumerate_box(result.form):
+            ref = class_of(k, result)
+            if not ref.is_zero:
+                assert ref.sign == (-1) ** (parity(k.evals) ^ reps[ref.index])
+    assert odd >= 500
+
+
+def test_views_and_lookups_agree_across_threads():
+    """Threads that read the lazy views and call class_of on one shared
+    result, with path compression and view builds racing under a short
+    switch interval, all see what a serial pass over a fresh result sees."""
+    forest = validate_forest(
+        [(f"v{i}", -4) for i in range(4)], [(f"v{i}", f"v{i + 1}") for i in range(3)]
+    )
+    fresh = compute_homology(forest)
+    vectors = enumerate_box(fresh.form)
+    expected = (fresh.classes, fresh.per_orbit, [class_of(k, fresh) for k in vectors])
+    shared = compute_homology(forest)
+    seen = [None] * 6
+
+    def read(slot):
+        order = vectors if slot % 2 else vectors[::-1]  # odd slots walk forward
+        lookups = [class_of(k, shared) for k in order]
+        if not slot % 2:
+            lookups.reverse()
+        seen[slot] = (shared.classes, shared.per_orbit, lookups)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(slot,)) for slot in range(len(seen))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == expected for result in seen)
 
 
 def _reflection(k, i, matrix, framings):

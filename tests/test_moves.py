@@ -31,8 +31,8 @@ from plumblat import (
     surgery_triple,
     validate_forest,
 )
-from plumblat import moves
-from plumblat.errors import InternalInvariantViolation, InvalidTriple, NotBlowdownable
+from plumblat import homology, moves
+from plumblat.errors import InvalidTriple, NotBlowdownable
 from plumblat.moves import FormalSum, project_to_classes
 
 
@@ -103,19 +103,6 @@ def test_formal_sum_equality_and_scale():
     assert halves.scale(0).is_zero()
     assert (halves + halves.scale(-1)).is_zero()
     assert FormalSum.of([(2, k2), (1, k)]).terms == ((1, k), (2, k2))
-
-
-def test_half_shift_off_the_half_integers_raises(monkeypatch):
-    """A half-shift coordinate that does not double to an integer is an
-    internal error, not a truncated column or a report."""
-    def third(k, triple):
-        vi = triple.vertex_index
-        up = k.evals[:vi] + (k.evals[vi] + 1,) + k.evals[vi + 1:]
-        return FormalSum.of([(Fraction(1, 3), CharVector(up))])
-
-    monkeypatch.setattr(moves, "bump_framing_map", third)
-    with pytest.raises(InternalInvariantViolation, match="1/3"):
-        check_exactness(surgery_triple(lens(4), "v"))
 
 
 def test_invalid_triple_still_computes_but_is_flagged():
@@ -263,6 +250,37 @@ def _vanish(fn):
     return lambda k, triple: FormalSum(())
 
 
+def _drop_first_index(fn):
+    return lambda box, root, vi, p: fn(box, root, vi, p)[1:]
+
+
+def _shift_first_index(fn):
+    """The first term moved one digit up at v (its evaluation up by 2); off
+    the top of the box it is dropped, as ``class_of`` reads it as zero."""
+    def shifted(box, root, vi, p):
+        (coeff, a), *rest = fn(box, root, vi, p)
+        d, same = box.splice(a, vi, box.radices[vi])
+        return ([(coeff, same[d + 1])] if d + 1 < len(same) else []) + rest
+    return shifted
+
+
+def _vanish_index(fn):
+    return lambda box, root, vi, p: []
+
+
+# each formula map, its index-term function, and each mutant's index form
+_INDEX_TERMS = {
+    "add_vertex_map": "_extension_terms",
+    "bump_framing_map": "_half_shift_terms",
+    "bump_framing_section": "_section_terms",
+}
+_INDEX_BREAKERS = {
+    _drop_first_term: _drop_first_index,
+    _shift_first_term: _shift_first_index,
+    _vanish: _vanish_index,
+}
+
+
 @pytest.mark.parametrize(
     "name, breaker, failing",
     [
@@ -277,10 +295,12 @@ def _vanish(fn):
 )
 def test_check_exactness_flags_broken_maps(monkeypatch, name, breaker, failing):
     """A map with a term dropped, shifted or lost makes exactly the checks it
-    breaks go False, in both engines, so no check is a constant True."""
-    broken = breaker(getattr(moves, name))
-    monkeypatch.setattr(moves, name, broken)
-    monkeypatch.setattr(oracle_moves, name, broken)
+    breaks go False, so no check is a constant True: the index columns take
+    the mutant by box index, the dense reference engine the same mutant of
+    the formula map, and the two reports agree."""
+    terms = _INDEX_TERMS[name]
+    monkeypatch.setattr(moves, terms, _INDEX_BREAKERS[breaker](getattr(moves, terms)))
+    monkeypatch.setattr(oracle_moves, name, breaker(getattr(oracle_moves, name)))
     chain = validate_forest(
         [("a", -3), ("b", -2), ("c", -3)], [("a", "b"), ("b", "c")]
     )
@@ -289,6 +309,66 @@ def test_check_exactness_flags_broken_maps(monkeypatch, name, breaker, failing):
         fields = {"b_surjective", "ba_zero", "ker_b_equals_im_a", "section_inverts_b"}
         assert {f for f in fields if not getattr(report, f)} == failing
         assert report == reference_exactness(triple)
+
+
+def _valid_triples(rng, count, edge_sign):
+    """Seeded valid triples, cycling v over the first digit, the last digit
+    and an interior digit of forests with at least three vertices."""
+    found = 0
+    while found < count:
+        forest = random_forest(rng, max_vertices=5, edge_sign=edge_sign)
+        n = len(forest)
+        if n < 3:
+            continue
+        vi = (0, n - 1, rng.randrange(1, n - 1))[found % 3]
+        triple = surgery_triple(forest, forest.ids[vi])
+        if not triple.valid or compute_homology(forest).total_dim > 200:
+            continue
+        found += 1
+        yield triple
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_index_columns_match_formula_maps(rng, edge_sign):
+    """Every column of A, 2B and S built by box index is the projection of
+    the formula map on the class representative (the half-shift doubled), so
+    a wrong column cannot hide behind an exact sequence."""
+    for triple in _valid_triples(rng, 24, edge_sign):
+        h_removed, h_base, h_bumped = (
+            compute_homology(g) for g in (triple.removed, triple.base, triple.bumped)
+        )
+        cols_a, cols_2b, cols_s = moves._exactness_columns(triple, h_removed, h_base, h_bumped)
+        assert cols_a == [
+            project_to_classes(add_vertex_map(cls.representative, triple), h_base)
+            for cls in h_removed.classes
+        ]
+        assert cols_2b == [
+            project_to_classes(bump_framing_map(cls.representative, triple).scale(2), h_bumped)
+            for cls in h_base.classes
+        ]
+        assert cols_s == [
+            project_to_classes(bump_framing_section(cls.representative, triple), h_base)
+            for cls in h_bumped.classes
+        ]
+        assert all(type(c) is int for col in cols_2b for c in col.values())
+
+
+def test_check_exactness_builds_no_vectors(monkeypatch):
+    """The exactness check reads the class table by box index: it builds no
+    CharVector or FormalSum and makes no class_of or project_to_classes call."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_exactness left the index path")
+
+    monkeypatch.setattr(homology, "class_of", refuse)
+    monkeypatch.setattr(moves, "class_of", refuse)
+    monkeypatch.setattr(moves, "project_to_classes", refuse)
+    monkeypatch.setattr(FormalSum, "of", refuse)
+    monkeypatch.setattr(CharVector, "__init__", refuse)
+    chain = validate_forest(
+        [("a", -3), ("b", -2), ("c", -3)], [("a", "b"), ("b", "c")]
+    )
+    for triple in (surgery_triple(lens(4), "v"), surgery_triple(chain, "b")):
+        assert check_exactness(triple).exact
 
 
 def test_blow_down_leaf():
