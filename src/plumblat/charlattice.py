@@ -233,6 +233,55 @@ class BoxIndex:
             bits = grown
         return bits
 
+    def square_free(self, starts: list[int]) -> None:
+        """Drop from each pair family the pairs that close a commuting square.
+
+        ``starts[v]`` holds the alive starts P_v of the pairs a, a + o_v at
+        vertex v, where one sign s = +-1 serves every v and o_v moves the
+        digit vector by -s A e_v; "alive" is a set of whole pairs.  Both
+        union-finds walk such families: the reflection pairs of
+        :func:`~plumblat.homology.compute_homology` start at d_v = 0 (s = 1),
+        and the births' faces at d_v at its top (s = -1), the same pairs
+        read from their other ends.  Each entry is replaced, in place, by
+        P_v & ~U{P_u : u < v, u not adjacent to v}.  Over the kept pairs a
+        union-find finds the same classes, with the same parities.
+
+        The square: for u and v not adjacent, a in P_u and P_v puts a + o_u
+        in P_v and a + o_v in P_u, so the v-pair at a is replaced by the
+        path a, a + o_u, a + o_u + o_v, a + o_v.  Read from d_v = 0 (the
+        negation a -> size - 1 - a maps each family and the alive set onto
+        themselves with ends swapped, which gives s = -1):
+
+        * Distance >= 3, or separate components.  The u-move touches
+          neither v's digit nor the digits of v's neighbours.  The alive
+          set is a union of whole pairs.  So a in P_u and P_v implies
+          a + o_u in P_v and a + o_v in P_u.
+        * Distance 2, shared neighbour w.  Suppose a + o_u leaves v's range
+          at w.  Then a + o_u sits at an end of w, yet with v's digit still
+          0 it is neither a w-start nor a w-end (the w-pair at that end
+          needs v's digit off 0).  So it escapes, and its partner a is
+          dead, which is a contradiction.
+        * Adjacent vertices stay out of the union.  With -1 edges they
+          share starts, and those close no square.
+
+        Parity: the path crosses family u twice and v once, so it carries
+        the dropped pair's parity, and the odd-cycle check loses nothing.
+        Connectivity, by induction on v: the kept pairs below v join what
+        all pairs below v join, and a dropped v-pair at a is replaced by
+        two u-pairs (u < v) and the v-pair at a + o_u; if that one was
+        dropped too, repeat from a + o_u.  The starts so visited move by
+        sums of the translations -s A e_u with nonnegative coefficients,
+        which cannot close a cycle because A is nonsingular, so in the
+        finite box the walk ends at a kept pair.
+        """
+        matrix = self.form.matrix
+        for v in reversed(range(len(starts))):  # P_u, u < v, still original
+            closing = 0
+            for u in range(v):
+                if not matrix[u][v]:
+                    closing |= starts[u]
+            starts[v] ^= starts[v] & closing
+
     @staticmethod
     def shift(bits: int, offset: int) -> int:
         """Move every bit a of the bitset to a + offset."""

@@ -22,10 +22,12 @@ once, as integer shifts by the offset: the flagged pairs are
 ends = (dead | dead shifted by -offset) & starts, and
 dead |= ends | ends shifted by +offset.  The sweeps over all reflections
 repeat until nothing moves.  After that every pair has both ends flagged or
-neither, so a class is zero iff all its members are flagged, and only the
-pairs with both ends alive -- a few percent of the box -- enter a union-find
-keyed by index, whose links carry a sign parity and whose roots are class
-minima.  No pair can close a cycle of odd parity (see
+neither, so a class is zero iff all its members are flagged.  Of the
+pairs with both ends alive -- a few percent of the box -- those that close
+a commuting square with two others are dropped
+(:meth:`~plumblat.charlattice.BoxIndex.square_free`), and the rest enter a
+union-find keyed by index, whose links carry a sign parity and whose roots
+are class minima.  No pair can close a cycle of odd parity (see
 :func:`compute_homology`), so no class is killed by k ~ -k.  That
 union-find is the one class table: the classes are the alive roots in
 index order, :meth:`HomologyResult.class_at` reads a box index's class and
@@ -185,13 +187,13 @@ def compute_homology(
     """Quotient of the box by the signed reflection relations, per orbit.
 
     No relation can identify a vector with its own negative.  A pair at
-    vertex i joins digit vectors d and d - A e_i with sign (-1)^{a_ii}.
-    Over F_2 a symmetric A has a vector c with A c = diag(A): for x in
-    ker A, diag(A) . x = x^T A x = 0 mod 2, so diag(A) is orthogonal to
-    ker A, which is the orthogonal complement of the image.  Then
-    c . (d - A e_i) = c . d - a_ii mod 2, so every pair keeps
-    val(a) = (-1)^{c . d(a)} val(root), and no cycle of pairs has odd
-    parity.  A pair that closes one is an internal error.
+    vertex i joins digit vectors d and d - A e_i with sign (-1)^{a_ii}.  A
+    cycle of pairs returns to its start, so if it crosses the pairs of
+    vertex i c_i times forward (d to d - A e_i) net of the times back, then
+    A c = 0, and c = 0 because A is nonsingular.  So each family is crossed
+    as often forward as back, an even number of times, and the cycle's
+    parity, the sum of a_ii over its pairs, is even.  A pair that closes an
+    odd cycle is an internal error.
     """
     form = intersection_form(forest)
     if not form.is_negative_definite:
@@ -202,7 +204,7 @@ def compute_homology(
     n = len(forest)
     radices, strides = box.radices, box.strides
 
-    pairs, dead = [], 0
+    starts, offsets, dead = [], [], 0
     for i in range(n):
         # from <k, v_i> = m_i (digit i at 0) the reflection sets digit i to
         # its top and moves each neighbour digit j by -a_ij
@@ -215,43 +217,66 @@ def compute_homology(
             if j != i and a_ij:
                 stays[j] = range(max(0, a_ij), radices[j] + min(0, a_ij))
                 offset -= a_ij * strides[j]
-        starts = box.bitset(stays)
+        bits = box.bitset(stays)
         # an extremal vector at v_i that is neither end of a pair escapes;
         # the pair ends starts + offset are the mirror images of the starts
-        dead |= box.bitset(extremal) & ~(starts | box.shift(starts, offset))
-        pairs.append((starts, offset, forest.framings[i] % 2))
+        dead |= box.bitset(extremal) & ~(bits | box.shift(bits, offset))
+        starts.append(bits)
+        offsets.append(offset)
 
     # a pair with one flagged end flags the other; sweep every reflection at
     # once until no flag moves, so each pair is flagged at both ends or neither
     while True:
         before = dead
-        for starts, offset, _ in pairs:
-            ends = (dead | box.shift(dead, -offset)) & starts
+        for bits, offset in zip(starts, offsets):
+            ends = (dead | box.shift(dead, -offset)) & bits
             dead |= ends | box.shift(ends, offset)
         if dead == before:
             break
 
+    # only alive pairs that close no commuting square enter the union-find;
+    # the kept starts replace the starts in place
+    alive = dead ^ ((1 << box.size) - 1)
+    for i, bits in enumerate(starts):
+        starts[i] = bits & alive
+    box.square_free(starts)
+
+    # each pair links the roots of its ends, found as by _find, inlined; a
+    # family's bitset is popped, so it is freed once its starts are listed
     links: dict[int, int] = {}
-    for starts, offset, rel in pairs:
-        for a in box.set_bits(starts & ~dead):
-            b = a + offset
-            ra, pa = _find(links, a)
-            rb, pb = _find(links, b)
+    get = links.get
+    rels = [m % 2 for m in forest.framings]
+    while starts:
+        offset, rel = offsets.pop(), rels.pop()
+        for a in box.set_bits(starts.pop()):
+            ra, rb, s = a, a + offset, rel
+            while (link := get(ra)) is not None:
+                up = get(link >> 1)
+                if up is not None:  # point ra at its grandparent
+                    link = links[ra] = up ^ link & 1
+                s ^= link & 1
+                ra = link >> 1
+            while (link := get(rb)) is not None:
+                up = get(link >> 1)
+                if up is not None:
+                    link = links[rb] = up ^ link & 1
+                s ^= link & 1
+                rb = link >> 1
             if ra == rb:
-                if pa ^ pb != rel:
+                if s:
                     raise InternalInvariantViolation(
-                        f"box vectors {box.evals(a)} and {box.evals(b)} close a "
-                        "cycle of odd sign parity"
+                        f"box vectors {box.evals(a)} and {box.evals(a + offset)} "
+                        "close a cycle of odd sign parity"
                     )
             elif ra < rb:
-                links[rb] = ra << 1 | pa ^ pb ^ rel
+                links[rb] = ra << 1 | s
             else:
-                links[ra] = rb << 1 | pa ^ pb ^ rel
+                links[ra] = rb << 1 | s
 
     # the classes: alive roots in index order, grouped by orbit key
     root_refs: dict[int, int] = {}
     orbit_classes: dict[tuple[int, ...], list[int]] = {}
-    for a in box.set_bits(dead ^ ((1 << box.size) - 1)):
+    for a in box.set_bits(alive):
         if a not in links:
             orbit_classes.setdefault(box.key(a), []).append(len(root_refs))
             root_refs[a] = len(root_refs)

@@ -37,10 +37,12 @@ away (-up_v), and is in the box iff no neighbour digit sits at the end it
 moves past.  So T_v and Z_v, the vectors with an in-box top or zero face
 at v, are products of digit sets, and Z_v is T_v moved by up_v.  Tops and
 zeros outside them drain their plateaus; drains cross whole faces as
-shifts by +-up_v until nothing moves, and only the undrained vectors enter
-a union-find over their faces, each root one birth.  up_v is the index
-offset of the step column 2A e_v, which keeps every face in its vector's
-orbit.  Weights come from q split over the box halves,
+shifts by +-up_v until nothing moves.  Of the undrained faces, those that
+close a commuting square with two others are dropped
+(:meth:`~plumblat.charlattice.BoxIndex.square_free`), and the rest enter a
+union-find over the undrained vectors, each root one birth.  up_v is the
+index offset of the step column 2A e_v, which keeps every face in its
+vector's orbit.  Weights come from q split over the box halves,
 q(h) + q(t) + 2 h adj[head, tail] t, with the head and tail parts
 tabulated once: O(n) per box vector.
 
@@ -69,6 +71,13 @@ and Cauchy-Schwarz in P^{-1} gives k_v^2 = (k P^{-1} P e_v)^2
 Every entry point reads its orbits from one :class:`_GradedOrbitTable` per
 forest, built on the :class:`~plumblat.charlattice.BoxIndex` that
 :func:`~plumblat.homology.compute_homology` built, or on one of its own.
+
+The faces are the quotient engine's reflection pairs read from their other
+ends, and the drains reach its alive set, so the births count the
+components of the same graph.  What the cross-check against the quotient
+(:func:`ker_u_cross_check`) has of its own is its code -- the face
+bitsets, drains and union-find -- and the flood, which re-derives the
+births of every orbit with more than one from sublevel sets.
 """
 
 from __future__ import annotations
@@ -192,22 +201,25 @@ class _GradedOrbitTable:
             if zero_bits != shift(top_bits, up):
                 raise InternalInvariantViolation("zero faces are not top faces moved")
             drained |= box.bitset(tops) & ~top_bits | box.bitset(zeros) & ~zero_bits
-            faces.append((top_bits, up))
+            faces.append(top_bits)
         while True:  # then each plateau is drained in full or not at all
             before = drained
-            for top_bits, up in faces:  # a face with either end drained
+            for top_bits, up in zip(faces, self._up):  # a face with either end drained
                 ends = (drained | shift(drained, -up)) & top_bits
                 drained |= ends | shift(ends, up)
             if drained == before:
                 break
-        alive = ((1 << box.size) - 1) & ~drained
-        if any(shift(top_bits & alive, up) & drained for top_bits, up in faces):
+        alive = ((1 << box.size) - 1) ^ drained
+        for v, top_bits in enumerate(faces):  # the undrained faces, in place
+            faces[v] = top_bits & alive
+        if any(shift(top_bits, up) & drained for top_bits, up in zip(faces, self._up)):
             raise InternalInvariantViolation("a plateau drained in part")
+        box.square_free(faces)  # faces that close a commuting square link nothing new
         members = box.set_bits(alive)
         position = {a: i for i, a in enumerate(members)}
         sets = UnionFind(len(members))
-        for top_bits, up in faces:
-            for a in box.set_bits(top_bits & alive):
+        for top_bits, up in zip(faces, self._up):
+            for a in box.set_bits(top_bits):
                 sets.union(position[a], position[a + up])
         keys = {i: box.key(members[i]) for i, p in enumerate(sets.parent) if p == i}
         roots: dict[tuple[int, ...], list[int]] = {}
@@ -403,11 +415,14 @@ def ker_u_cross_check(
 ) -> CrossCheckReport:
     """Compare per-orbit quotient dimensions against kernel-of-U ranks.
 
-    The two engines share nothing past the box: one quotients characteristic
-    vectors by signed reflections, the other counts component births of the
-    weight filtration, so agreement is a genuine two-route check.  Each row
-    carries its orbit's level table; ``point_cap`` bounds the sweeps of
-    orbits with more than one birth.
+    Both counts rest on one box and one graph: the births' faces are the
+    reflection pairs read from their other ends, both engines reach the
+    same alive set, and :meth:`~plumblat.charlattice.BoxIndex.square_free`
+    thins both pair families alike (what the births keep is the negation
+    of what the quotient keeps).  What is independent is the code that
+    builds each count and the flood, which re-derives from sublevel sets
+    the births of every orbit with more than one.  Each row carries its orbit's level table; ``point_cap`` bounds the
+    sweeps of orbits with more than one birth.
     """
     homology = compute_homology(forest, box_cap=box_cap)
     table = _GradedOrbitTable(homology.box)

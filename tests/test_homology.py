@@ -8,7 +8,7 @@ import sys
 import threading
 import tracemalloc
 from itertools import product
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -34,8 +34,14 @@ from plumblat.charlattice import (
     OrbitIndexer,
     box_ranges,
 )
-from plumblat.errors import BoxTooLarge, NegativeOddDimension, NotNegativeDefinite
-from plumblat.hplus import ker_u_cross_check
+from plumblat.errors import (
+    BoxTooLarge,
+    NegativeOddDimension,
+    NotNegativeDefinite,
+    NotNegativeDefiniteEitherOrientation,
+)
+from plumblat.hplus import _GradedOrbitTable, ker_u_cross_check
+from plumblat.seifert import SeifertData, seifert_to_plumbing
 
 
 def test_lens_dimensions():
@@ -316,6 +322,65 @@ def test_dimension_invariant_under_reordering(rng):
         )
 
 
+def _chain_forest(framings, order, edge_sign):
+    """The chain v0 - v1 - ... with its vertex lines written in ``order``."""
+    names = [f"v{i}" for i in range(len(framings))]
+    return validate_forest(
+        [(names[i], framings[i]) for i in order], list(zip(names, names[1:])), edge_sign
+    )
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_chains_are_lens_spaces_in_any_vertex_order(edge_sign):
+    """A linear chain with framings <= -2 bounds a lens space, an L-space:
+    total dimension |det| and dimension 1 on every orbit, whatever order
+    its vertex lines come in.  Boxes above 2 * 10^5 vectors are redrawn to
+    keep the run short."""
+    rng = random.Random(0x1E25)
+    count = 0
+    while count < 40:
+        framings = [rng.randint(-5, -2) for _ in range(rng.randint(1, 9))]
+        if prod(1 - m for m in framings) > 2 * 10**5:
+            continue
+        order = list(range(len(framings)))
+        rng.shuffle(order)
+        result = compute_homology(_chain_forest(framings, order, edge_sign))
+        assert result.total_dim == result.det_abs
+        assert [oh.dim for oh in result.per_orbit] == [1] * result.det_abs
+        count += 1
+
+
+def test_star_orbit_dims_do_not_depend_on_the_leg_order():
+    """Seifert stars with their legs permuted give one multiset of per-orbit
+    dimensions.  Stars of at most 3 * 10^5 box vectors are drawn until 12
+    of them, 4 of which are not L-spaces, have been compared."""
+    rng = random.Random(0x57A2)
+    count = non_lspaces = 0
+    while count < 12 or non_lspaces < 4:
+        assert count < 200
+        legs = []
+        for _ in range(3):
+            alpha = rng.randint(2, 9)
+            legs.append((alpha, rng.choice([b for b in range(1, alpha) if gcd(alpha, b) == 1])))
+        e0 = rng.choice([-1, -1, -2])
+        try:
+            forest = seifert_to_plumbing(SeifertData(e0=e0, legs=tuple(legs))).forest
+        except NotNegativeDefiniteEitherOrientation:
+            continue
+        if prod(1 - m for m in forest.framings) > 3 * 10**5:
+            continue
+        dims = None
+        for _ in range(3):
+            rng.shuffle(legs)
+            data = SeifertData(e0=e0, legs=tuple(legs))
+            result = compute_homology(seifert_to_plumbing(data).forest)
+            got = sorted(oh.dim for oh in result.per_orbit)
+            assert dims is None or got == dims
+            dims = got
+        non_lspaces += sum(dims) > len(dims)
+        count += 1
+
+
 def test_disjoint_union_multiplies_dimensions(rng):
     for _ in range(12):
         left = random_forest(rng, max_vertices=3)
@@ -434,6 +499,74 @@ def test_engine_matches_reference_where_flags_take_several_sweeps(edge_sign):
         _assert_matches_reference(forest)
 
 
+def _square_free_families(monkeypatch, run):
+    """The families one engine hands to BoxIndex.square_free, as (before,
+    after) bit lists."""
+    seen = []
+    square_free = BoxIndex.square_free
+
+    def recording(box, starts):
+        before = list(starts)
+        square_free(box, starts)
+        seen.append((before, list(starts)))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(BoxIndex, "square_free", recording)
+        run()
+    (families,) = seen
+    return families
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_square_free_drops_only_pairs_that_close_a_square(monkeypatch, edge_sign):
+    """Both union-finds skip a pair only where it closes a commuting square:
+    every dropped start a of family v lies in some family u with a + o_u in
+    family v and a + o_v in family u, all three pairs alive.  The births'
+    faces are the reflection pairs read from their other ends, and what
+    each engine keeps is the other's image under negation."""
+    rng = random.Random(0x5A0A2E)
+    dropped = {"homology": 0, "births": 0}
+    disconnected = 0
+    for _ in range(150):
+        forest = random_forest(rng, max_vertices=6, edge_probability=0.6, edge_sign=edge_sign)
+        disconnected += len(forest.edges) < len(forest) - 1
+        form = intersection_form(forest)
+        table = _GradedOrbitTable(BoxIndex(form, DEFAULT_BOX_CAP))
+        box = table.box
+        engines = {
+            "homology": (
+                _square_free_families(monkeypatch, lambda: compute_homology(forest)),
+                _offsets(forest),
+            ),
+            "births": (
+                _square_free_families(monkeypatch, lambda: table._birth_roots),
+                table._up,
+            ),
+        }
+        for name, ((before, after), offsets) in engines.items():
+            for v, (alive, kept) in enumerate(zip(before, after)):
+                assert kept & ~alive == 0
+                for a in box.set_bits(alive ^ kept):
+                    dropped[name] += 1
+                    assert any(
+                        alive_u >> a & 1
+                        and alive >> a + offsets[u] & 1
+                        and alive_u >> a + offsets[v] & 1
+                        for u, alive_u in enumerate(before)
+                        if u != v
+                    ), (name, v, box.evals(a))
+        (before, after), offsets = engines["homology"]
+        (faces, face_kept), _ = engines["births"]
+        top = box.size - 1
+        for v, offset in enumerate(offsets):
+            assert faces[v] == box.shift(before[v], offset)
+            assert set(box.set_bits(face_kept[v])) == {
+                top - a for a in box.set_bits(after[v])
+            }
+    assert disconnected >= 20
+    assert min(dropped.values()) >= 1000
+
+
 def _assert_orbits_match_keys(forest):
     """Every class sits in the orbit whose representative shares its
     OrbitIndexer key, and the box splits into a head and a tail table."""
@@ -490,3 +623,22 @@ def test_engine_peak_memory_on_a_long_chain():
         tracemalloc.stop()
     assert result.total_dim == result.det_abs == 48
     assert peak < 16 * 2**20
+
+
+def test_births_peak_memory_on_a_long_chain():
+    """The births of the same chain hold its twelve face bitsets (115 KiB
+    each) once: a second list of them would pass the bound."""
+    framings = [-3] + [-2] * 10 + [-3]
+    chain = validate_forest(
+        [(f"v{i}", m) for i, m in enumerate(framings)],
+        [(f"v{i}", f"v{i + 1}") for i in range(len(framings) - 1)],
+    )
+    table = _GradedOrbitTable(BoxIndex(intersection_form(chain), DEFAULT_BOX_CAP))
+    tracemalloc.start()
+    try:
+        roots = table._birth_roots
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, roots.values())) == 48
+    assert peak < 6 * 2**20
