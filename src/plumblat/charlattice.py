@@ -9,9 +9,10 @@ the finite "box" of such evaluations carries all generators.
 Orbits of the translation action k -> k + 2x* partition the characteristic
 vectors; distinct orbits correspond to spin^c structures on the boundary and
 there are exactly |det| of them, each meeting the box.  Orbit membership is
-decided exactly: k and k' lie in the same orbit iff A^{-1}(k' - k)/2 is an
-integer vector, tested with the integer adjugate so no rationals appear in
-the hot path.
+decided exactly: k and k' lie in the same orbit iff their digit vectors
+(k - m)/2 differ by a vector of A Z^n, tested through one integer Smith
+normal form U A V = D, so an orbit key is r residues, r the number of
+invariant factors above 1, and no rationals appear in the hot path.
 
 :class:`BoxIndex` is the one box layer both engines read: it addresses box
 vectors by mixed-radix indices, decodes each index and its orbit key from
@@ -33,7 +34,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
+from math import prod
 from typing import Sequence
 
 from . import intlinalg
@@ -41,6 +44,7 @@ from .errors import (
     BoxTooLarge,
     InternalInvariantViolation,
     NotNegativeDefinite,
+    ParityViolation,
 )
 from .plumbing import CanonicalClass, IntersectionForm
 
@@ -114,7 +118,8 @@ class BoxIndex:
     Index a = high * low + rest decodes as ``heads[high] + tails[rest]``:
     the evaluation tuples of a prefix and a suffix of the vertices, split so
     that each table holds about sqrt(size) entries.  ``head_keys`` and
-    ``tail_keys`` hold their orbit key parts, which add to the key of a.
+    ``tail_keys`` hold their orbit key parts, which add to the key of a
+    mod the invariant factors ``indexer.moduli``.
     """
 
     def __init__(self, form: IntersectionForm, box_cap: int):
@@ -141,20 +146,19 @@ class BoxIndex:
 
     def _key_table(self, start: int, stop: int) -> list[tuple[int, ...]]:
         """Key parts of the half-vectors on vertices start..stop-1, in table
-        order: from all digits 0, raising d_v by one adds 2 adj(A)[:, v]."""
-        indexer = self.indexer
-        mod = indexer.modulus
-        keys = [indexer.key(self.framings[start:stop], start)]
+        order: from the zero key of all digits 0, digit d_v adds d_v times
+        column v of U, one list per residue, zipped into keys."""
+        indexer, moduli = self.indexer, self.indexer.moduli
+        if any(indexer.key(self.framings[start:stop], start)):
+            raise InternalInvariantViolation("the zero digits have a nonzero key")
+        parts = [[0] for _ in moduli]
         for v in range(start, stop):
-            column = [2 * c % mod for c in indexer.adjugate[v]]  # adj(A) is symmetric
-            grown = []
-            for key in keys:
-                grown.append(key)
-                for _ in range(1, self.radices[v]):
-                    key = tuple([(a + b) % mod for a, b in zip(key, column)])
-                    grown.append(key)
-            keys = grown
-        return keys
+            digits = range(self.radices[v])
+            parts = [
+                [(x + c * e) % d for x in part for e in digits]
+                for part, c, d in zip(parts, indexer.columns[v], moduli)
+            ]
+        return list(zip(*parts)) if moduli else [()] * prod(self.radices[start:stop])
 
     def evals(self, index: int) -> tuple[int, ...]:
         high, rest = divmod(index, self.low)
@@ -164,10 +168,8 @@ class BoxIndex:
         """The orbit key of box index ``index``, as :meth:`OrbitIndexer.key`
         gives it for ``evals(index)``."""
         high, rest = divmod(index, self.low)
-        mod = self.indexer.modulus
-        return tuple(
-            [(a + b) % mod for a, b in zip(self.head_keys[high], self.tail_keys[rest])]
-        )
+        parts = zip(self.head_keys[high], self.tail_keys[rest], self.indexer.moduli)
+        return tuple([(a + b) % d for a, b, d in parts])
 
     def splice(self, index: int, v: int, radix: int) -> tuple[int, range]:
         """Carry an index of a box that differs from this one only at vertex
@@ -196,8 +198,7 @@ class BoxIndex:
         member lists grow in index order.  Least members are all found once
         |det| orbits have been seen.
         """
-        mod = self.indexer.modulus
-        expected = abs(self.indexer.determinant)
+        moduli, expected = self.indexer.moduli, abs(self.indexer.determinant)
         tail_groups: dict[tuple[int, ...], list[int]] = {}
         for rest, key in enumerate(self.tail_keys):
             tail_groups.setdefault(key, []).append(rest)
@@ -205,7 +206,7 @@ class BoxIndex:
         for high, head_key in enumerate(self.head_keys):
             base = high * self.low
             for tail_key, rests in tail_groups.items():
-                key = tuple([(a + b) % mod for a, b in zip(head_key, tail_key)])
+                key = tuple([(a + b) % d for a, b, d in zip(head_key, tail_key, moduli)])
                 if members:
                     groups.setdefault(key, []).extend([base + r for r in rests])
                 elif key not in groups:
@@ -213,9 +214,7 @@ class BoxIndex:
             if not members and len(groups) >= expected:
                 break
         if len(groups) != expected:
-            raise InternalInvariantViolation(
-                f"box met {len(groups)} orbits, |det| = {expected}"
-            )
+            raise InternalInvariantViolation(f"box met {len(groups)} orbits, |det| = {expected}")
         return groups
 
     def bitset(self, digits: Sequence[Sequence[int]]) -> int:
@@ -299,32 +298,36 @@ class BoxIndex:
 
 
 class OrbitIndexer:
-    """Exact orbit keys for characteristic vectors of a fixed form.
-
-    k and k' share an orbit iff adj(A)(k' - k) vanishes mod 2 det(A), so the
-    residue tuple of adj(A) k is a complete orbit invariant over the integers.
+    """Exact orbit keys: k = m + 2d and k' = m + 2d' (m the framings) share
+    an orbit iff d' - d is in A Z^n, iff U(d' - d) is in D Z^n for the Smith
+    form U A V = D.  So U d mod the invariant factors above 1, ``moduli``,
+    is a complete invariant; ``columns[v]`` is column v of those rows of U.
     """
 
     def __init__(self, form: IntersectionForm):
         if not form.is_negative_definite:
             raise NotNegativeDefinite("orbit decomposition requires negative definiteness")
-        self.form = form
-        self.n = len(form)
-        self.adjugate = intlinalg.adjugate(form.matrix)
-        self.determinant = form.determinant
-        self.modulus = 2 * abs(form.determinant)
+        self.form, self.n, self.determinant = form, len(form), form.determinant
+        self.framings = tuple(row[i] for i, row in enumerate(form.matrix))
+        factors = [f for f in zip(*intlinalg.smith_form(form.matrix)) if f[0] > 1]
+        self.moduli = tuple(d for d, _ in factors)
+        self.columns = [tuple(row[v] % d for d, row in factors) for v in range(self.n)]
+
+    @cached_property
+    def adjugate(self) -> list[list[int]]:  # read by hplus alone, for q(k) = k adj(A) k
+        return intlinalg.adjugate(self.form.matrix)
 
     def key(self, k: CharVector | Sequence[int], start: int = 0) -> tuple[int, ...]:
-        """adj(A) k mod 2|det|, for the k with evaluations ``k`` on vertices
-        start, start + 1, ... and 0 elsewhere.  Keys are additive, so the key
-        of a whole vector is the sum of the keys of a prefix and the
-        following suffix, mod 2|det|."""
+        """U d mod the d_i for the k with evaluations ``k`` on vertices start,
+        start + 1, ... and digits 0 elsewhere, so the keys of a prefix and the
+        following suffix add; ParityViolation if k is not characteristic."""
         evals = k.evals if isinstance(k, CharVector) else k
-        cols = self.adjugate[start : start + len(evals)]  # adj(A) is symmetric
-        mod = self.modulus
-        return tuple(
-            [sum([c[r] * e for c, e in zip(cols, evals)]) % mod for r in range(self.n)]
-        )
+        doubled = [e - m for e, m in zip(evals, self.framings[start:])]  # 2 d
+        if any(x % 2 for x in doubled):
+            raise ParityViolation(f"{tuple(evals)} is not characteristic")
+        cols = self.columns[start : start + len(doubled)]
+        sums = [sum([c[r] * x for c, x in zip(cols, doubled)]) for r in range(len(self.moduli))]
+        return tuple([s // 2 % m for s, m in zip(sums, self.moduli)])
 
 
 def chi(x: LatticeVector, canonical: CanonicalClass, form: IntersectionForm) -> int:

@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -82,10 +82,41 @@ def _derived_json(dims: DerivedDimensions) -> dict:
     }
 
 
+def _json(value, pad: str = "\n") -> str:
+    """The bytes of ``json.dumps(value, indent=2, sort_keys=True)``, written
+    in one recursive pass (an ``indent`` sends ``json.dumps`` to its pure
+    Python encoder).  Takes dicts with ``str`` keys, lists, tuples, strings,
+    bools, None and ints; anything else, floats too, raises TypeError.
+    ``pad`` is the newline and indent of the enclosing line."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not all(isinstance(key, str) for key in value):
+            raise TypeError("JSON object keys must be str")
+        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)):
+        if all(type(v) is int for v in value):  # a vector: no call per entry
+            items = list(map(int.__repr__, value))
+        else:
+            items = [_json(v, inner) for v in value]
+        brackets = "[]"
+    else:
+        raise TypeError(f"{type(value).__name__} is not written as JSON")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + pad + brackets[1]
+
+
 def _emit(args, payload: dict, human: list[str]) -> None:
     if args.json:
         payload = {"schema_version": SCHEMA_VERSION, **payload}
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
     else:
         sys.stdout.write("\n".join(human) + "\n")
 

@@ -1,15 +1,17 @@
 """Exact integer linear algebra helpers.
 
-Two eliminations serve the package.  Forest forms never reach this module:
-their determinant and definiteness come from the leaf-first pass of
-:func:`plumbing.definiteness` (Neumann's plumbing calculus, Trans.
+Three eliminations serve the package.  Forest forms never reach this module
+for their determinant and definiteness: those come from the leaf-first pass
+of :func:`plumbing.definiteness` (Neumann's plumbing calculus, Trans.
 AMS 268, 1981), with no matrix and no leading minors.  Definite matrices go
 through one fraction-free (Bareiss) elimination in the given order: on
 [A | I] as a Gauss-Jordan pass it yields the leading minors, the pivot rows
 (A = L D L^T) and the adjugate; on a matrix bordered by the linear and
 constant terms of a quadratic, run forward only, it drives the ellipsoid
-search.  Ranks come from a fraction-free echelon over the integers.  The
-module uses integers only: no rationals and no floating point.
+search.  The Smith normal form, which the orbit keys read, comes from a
+sparse unimodular elimination.  Ranks come from a fraction-free echelon over
+the integers.  The module uses integers only: no rationals and no floating
+point.
 """
 
 from __future__ import annotations
@@ -78,6 +80,107 @@ def gauss_jordan(rows: Matrix) -> GaussJordan:
 def adjugate(rows: Matrix) -> list[list[int]]:
     """adj(A), with A adj(A) = det(A) I; A needs nonzero leading minors."""
     return gauss_jordan(rows).adjugate
+
+
+def smith_form(rows: Matrix) -> tuple[list[int], list[list[int]]]:
+    """Invariant factors d_1 | d_2 | ... of an integer matrix A, and the
+    rows of a unimodular U with U A V = D = diag(d_i) for some unimodular V.
+
+    One d_i and one row of U per row of A; a zero d_i stands for a free
+    summand of Z^m / A Z^n.  Rows of A are sparse ``{column: value}`` dicts
+    and only U is kept (Cohen, GTM 138, Alg. 2.4.14, without V).  Each step
+    pivots on an entry of least absolute value, on the shortest such row,
+    or on the first unit found on a row of at most two entries: on a tree
+    form that is a leaf's unit edge entry, whose elimination moves the
+    leaf's column onto its neighbour's rows and adds no entry.  Row
+    operations, applied to U as well, reduce the pivot's column mod the
+    pivot; once it is clear, the pivot's row meets no other live row in
+    that column, so column operations reduce that row alone.  A nonzero
+    remainder becomes the next pivot.  The cleared row leaves with its
+    pivot.  A last pass over the factors other than 1 turns each pair
+    (a, b) into (gcd, lcm) with the Bezout rows x a + y b = g:
+    [[x, y], [-b/g, a/g]] diag(a, b) [[1, -y b/g], [1, x a/g]]
+    = diag(g, ab/g).
+    """
+    a = [{j: x for j, x in enumerate(row) if x} for row in rows]
+    m = len(a)
+    u = [[int(i == j) for j in range(m)] for i in range(m)]
+    live, factors = set(range(m)), []
+    while live:
+        pick = _pivot(a, live)
+        if pick is None:  # the live rows are zero
+            factors += [(0, i) for i in sorted(live)]
+            break
+        i, j = pick
+        while True:
+            x, remainders = a[i][j], []
+            for k in live:  # clear column j by row operations
+                row = a[k]
+                if k != i and j in row:
+                    q = row[j] // x
+                    if q:  # row k -= q row i, in A and in U
+                        for c, y in a[i].items():
+                            z = row.get(c, 0) - q * y
+                            if z:
+                                row[c] = z
+                            else:
+                                del row[c]
+                        u[k] = [p - q * s for p, s in zip(u[k], u[i])]
+                    if j in row:
+                        remainders.append((abs(row[j]), k))
+            if remainders:
+                i = min(remainders)[1]
+                continue
+            row = a[i]  # column j is clear off row i: reduce row i alone
+            for c in [c for c in row if c != j]:
+                if row[c] % x:
+                    row[c] %= x
+                else:
+                    del row[c]
+            if len(row) > 1:
+                j = min((abs(y), c) for c, y in row.items() if c != j)[1]
+                continue
+            break
+        live.remove(i)
+        factors.append((abs(x), i))  # V takes the sign
+    units = [(d, u[i]) for d, i in factors if d == 1]
+    others = sorted(((d, u[i]) for d, i in factors if d != 1), key=lambda f: (f[0] == 0, f[0]))
+    for p in range(len(others)):
+        for q in range(p + 1, len(others)):
+            (d, r), (e, s) = others[p], others[q]
+            if d == 0 or e % d == 0:
+                continue
+            g, x, y = _bezout(d, e)
+            others[p] = g, [x * c + y * t for c, t in zip(r, s)]
+            others[q] = d // g * e, [d // g * t - e // g * c for c, t in zip(r, s)]
+    factors = units + others
+    return [d for d, _ in factors], [row for _, row in factors]
+
+
+def _pivot(a: list[dict[int, int]], live) -> tuple[int, int] | None:
+    """(row, column) of an entry of least absolute value, on the shortest
+    such row, or of the first unit on a row of at most two entries (a
+    leaf's, on a tree form); None if the live rows are zero."""
+    best = None
+    for i in live:
+        row = a[i]
+        for j, x in row.items():
+            rank = abs(x), len(row)
+            if best is None or rank < best[0]:
+                best = rank, i, j
+                if rank <= (1, 2):
+                    return i, j
+    return best and best[1:]
+
+
+def _bezout(a: int, b: int) -> tuple[int, int, int]:
+    """g = gcd(a, b) and x, y with x a + y b = g, for a, b > 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return a, x0, y0
 
 
 def rank_rational(rows: Sequence[Mapping[int, int]]) -> int:

@@ -3,11 +3,11 @@
 The package works on characteristic vectors and box indices alone; these
 helpers list the box as vectors split into orbits, and express the same
 objects in lattice coordinates x, with k = k0 + 2x*, as independent
-references in the tests: the weight w(x) = -((x, x) + <k0, x>)/2 from the
-full quadratic form, the coordinate solve through the integer adjugate, the
-unit-step local-minimum test, the framing-parity sign of a basis change,
-and the coercivity and radius bounds from the exact L D L^T eigenvalue
-bound.
+references in the tests: the orbit key adj(A) k mod 2|det|, the weight
+w(x) = -((x, x) + <k0, x>)/2 from the full quadratic form, the coordinate
+solve through the integer adjugate, the unit-step local-minimum test, the
+framing-parity sign of a basis change, and the coercivity and radius
+bounds from the exact L D L^T eigenvalue bound.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
+from oracle_intlinalg import adjugate as reference_adjugate
 from oracle_intlinalg import reference_min_eigenvalue_lower_bound, sqrt_upper_bound
 from plumblat import (
     CharVector,
@@ -77,6 +78,17 @@ def orbit_decompose(
             )
         )
     return out
+
+
+def adjugate_key(form: IntersectionForm) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The reference orbit key, k -> adj(A) k mod 2|det|: n residues.
+
+    k and k' share an orbit iff A^{-1}(k' - k)/2 is an integer vector,
+    that is iff adj(A)(k' - k) vanishes mod 2 det(A).  The adjugate is the
+    dense one of ``oracle_intlinalg``."""
+    adj = reference_adjugate(form.matrix)
+    mod = 2 * abs(form.determinant)
+    return lambda evals: tuple(sum(c * e for c, e in zip(row, evals)) % mod for row in adj)
 
 
 def pd_dual(x: LatticeVector, form: IntersectionForm) -> CharVector:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import product
 
@@ -9,6 +10,7 @@ import pytest
 
 from conftest import e8, lens, random_forest
 from oracle_charlattice import (
+    adjugate_key,
     char_to_lattice,
     coercivity_bounds,
     enumerate_box,
@@ -28,10 +30,17 @@ from plumblat import (
     chi,
     intersection_form,
     is_characteristic,
+    parse_sfs,
+    seifert_to_plumbing,
     validate_forest,
 )
 from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, box_ranges
 from plumblat.errors import BoxTooLarge, ParityViolation
+
+
+def chain_forest(framings):
+    names = [f"v{i}" for i in range(len(framings))]
+    return validate_forest(list(zip(names, framings)), list(zip(names, names[1:])))
 
 
 def two_isolated(framings=(-2, -2)):
@@ -220,3 +229,62 @@ def test_set_bits_lists_every_index_in_order():
         for offset in (5, -3):
             moved = [a + offset for a in indices if a + offset >= 0]
             assert BoxIndex.set_bits(BoxIndex.shift(bits, offset)) == moved
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_smith_keys_give_the_adjugate_partition(edge_sign):
+    """On every box vector of seeded forests, the Smith normal form key and
+    the reference key adj(A) k mod 2|det| split the box alike: each key of
+    one names exactly one key of the other.  Keys have one residue per
+    invariant factor above 1."""
+    rng = random.Random(0x5417)
+    for _ in range(40):
+        forest = random_forest(rng, 6, lo=-4, edge_sign=edge_sign)
+        form = intersection_form(forest)
+        box = BoxIndex(form, DEFAULT_BOX_CAP)
+        reference = adjugate_key(form)
+        pairs = {(box.key(a), reference(box.evals(a))) for a in range(box.size)}
+        assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
+        assert len(pairs) == abs(form.determinant)
+        assert all(len(k) == len(box.indexer.moduli) for k, _ in pairs)
+        assert math.prod(box.indexer.moduli) == abs(form.determinant)
+
+
+def test_key_rejects_a_vector_that_is_not_characteristic():
+    """A key is never rounded: an odd digit raises, whole or in part."""
+    indexer = BoxIndex(intersection_form(lens(5)), DEFAULT_BOX_CAP).indexer
+    assert indexer.key((-3,)) == indexer.key(CharVector((7,)))
+    for k in ((-4,), (0,), CharVector((2,))):
+        with pytest.raises(ParityViolation):
+            indexer.key(k)
+    chain = intersection_form(validate_forest([("a", -3), ("b", -2)], [("a", "b")]))
+    indexer = BoxIndex(chain, DEFAULT_BOX_CAP).indexer
+    assert indexer.moduli == (5,)
+    assert indexer.key((-3, -2)) == (0,)  # all digits 0
+    assert indexer.key((0,), 1) == indexer.key((-3, 0)) != (0,)  # a tail: digit 1 at b
+    with pytest.raises(ParityViolation):
+        indexer.key((1,), 1)
+
+
+def _star(text):
+    return seifert_to_plumbing(parse_sfs(text)).forest
+
+
+@pytest.mark.parametrize(
+    "forest, width",
+    [
+        (e8(), 0),
+        (_star("-1; 2/1 3/1 7/1"), 0),  # the Brieskorn sphere Sigma(2, 3, 7)
+        *((chain_forest([-3] + [-2] * k + [-3]), 1) for k in range(5)),
+        (_star("-3; 2/1 2/1 2/1 2/1"), 3),
+        (_star("-2; 3/1 3/1 3/1 3/1"), 3),
+    ],
+)
+def test_key_width_on_named_inputs(forest, width):
+    """Keys are () on the integer homology spheres, one residue on every
+    (-3, -2^k, -3) chain (a lens space), three on the stars with H_1 of
+    rank 3."""
+    box = BoxIndex(intersection_form(forest), DEFAULT_BOX_CAP)
+    assert len(box.indexer.moduli) == width
+    assert {len(box.key(a)) for a in range(0, box.size, 7)} == {width}
+    assert len(box.orbits(members=False)) == abs(box.indexer.determinant)

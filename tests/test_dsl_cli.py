@@ -680,3 +680,44 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "negative_definite" in proc.stdout
+
+
+def _random_payload(rng: random.Random, depth: int):
+    """A nested JSON value of the kinds the CLI prints, with the awkward
+    cases drawn often: empty containers, tuples, negative and huge ints,
+    bools next to 0 and 1, None, and strings with quotes, backslashes,
+    control characters and non-ASCII."""
+    letters = ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "é", "∂", "😀", "a", "Z", " ", "/"]
+    kind = rng.randrange(9 if depth else 6)
+    if kind == 0:
+        return rng.choice([0, 1, -1, 2**64 + 3, -(2**70), rng.randint(-10**6, 10**6)])
+    if kind == 1:
+        return rng.choice([True, False])
+    if kind == 2:
+        return None
+    if kind in (3, 4):
+        return "".join(rng.choice(letters) for _ in range(rng.randrange(6)))
+    if kind == 5:
+        return rng.choice([[], {}, ()])
+    items = [_random_payload(rng, depth - 1) for _ in range(rng.randrange(5))]
+    if kind == 6:
+        return items
+    if kind == 7:
+        return tuple(items)
+    keys = ["".join(rng.choice(letters) for _ in range(rng.randrange(4))) for _ in items]
+    return dict(zip(keys, items))
+
+
+def test_json_writer_matches_json_dumps():
+    """``cli._json`` writes the bytes of json.dumps(indent=2, sort_keys=True)
+    on seeded random payloads, and refuses floats and non-str keys rather
+    than fall back."""
+    rng = random.Random(0x15A0)
+    payloads = [_random_payload(rng, 4) for _ in range(2000)]
+    payloads += [{}, [], (), {"a": [1, True, 0, False, None]}, [[[]], {"": {}}], 2**64, -1]
+    for payload in payloads:
+        assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+    assert sum(isinstance(p, dict) and len(p) > 1 for p in payloads) > 100
+    for bad in (1.0, {"x": [0.5]}, {1: "a"}, {"a": 1, None: 2}, {True: 1}, [{(1,): 2}], {"s": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._json(bad)

@@ -8,6 +8,7 @@ against that module, and the one Gauss-Jordan pass is checked against it.
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracle_intlinalg as oracle
-from conftest import FIXTURES, e8, elliptic_a, elliptic_b
+from conftest import FIXTURES, e8, elliptic_a, elliptic_b, random_forest
 from oracle_moves import reference_rank
 from plumblat import (
     intersection_form,
@@ -389,3 +390,84 @@ def test_sublevel_walk_rejects_a_broken_invariant(monkeypatch, fault):
         monkeypatch.setattr(intlinalg, "isqrt", lambda v: math.isqrt(v) + 1)
     with pytest.raises(InternalInvariantViolation):
         list(intlinalg.quadratic_sublevel_points([[1]], [0], -3, 100))
+
+
+def _check_smith(rows, moduli, u):
+    """U A V = D for a unimodular V: every row i of U A is d_i times an
+    integer row, those rows form a unimodular W = V^{-1} (zero rows of D
+    aside), det U = +-1, d_1 | d_2 | ..., and the nonzero d_i multiply to
+    the gcd of the maximal minors (|det| for a square nonsingular A)."""
+    n = len(rows[0]) if rows else 0
+    ua = [[sum(c * rows[k][j] for k, c in enumerate(row)) for j in range(n)] for row in u]
+    assert all(d >= 0 for d in moduli)
+    assert all(e % d == 0 for d, e in zip(moduli, moduli[1:]) if d)
+    assert all(d == 0 for d in moduli[moduli.index(0):]) if 0 in moduli else True
+    assert all(x % d == 0 if d else x == 0 for d, row in zip(moduli, ua) for x in row)
+    assert abs(oracle.det_bareiss(u)) == 1
+    nonzero = [(d, row) for d, row in zip(moduli, ua) if d]
+    w = [[x // d for x in row] for d, row in nonzero]
+    if len(w) == n:  # full column rank: W is square
+        assert abs(oracle.det_bareiss(w)) == 1
+    return math.prod(d for d, _ in nonzero)
+
+
+def test_smith_form_on_forest_forms(rng):
+    """U A V = D on seeded forests in both conventions, and the invariant
+    factors multiply to |det|."""
+    for edge_sign in EdgeSign:
+        for _ in range(60):
+            forest = random_forest(rng, 7, edge_sign=edge_sign)
+            form = intersection_form(forest)
+            moduli, u = intlinalg.smith_form(form.matrix)
+            assert len(moduli) == len(u) == len(form)
+            assert _check_smith(form.matrix, moduli, u) == abs(form.determinant)
+
+
+def test_smith_form_on_general_matrices(rng):
+    """Unsymmetric, indefinite, singular and rectangular matrices: U A V = D,
+    one zero factor per missing rank, and the nonzero factors multiply to
+    the gcd of the maximal minors (|det| when A is square)."""
+    singular = 0
+    for _ in range(400):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        if rng.random() < 0.5:
+            n = m
+        rows = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m)]
+        if m == n and rng.random() < 0.2:  # a repeated row
+            rows[-1] = rows[0][:]
+        moduli, u = intlinalg.smith_form(rows)
+        assert len(moduli) == len(u) == m
+        product = _check_smith(rows, moduli, u)
+        assert m - moduli.count(0) == reference_rank(rows)
+        if m == n:
+            det = oracle.det_bareiss(rows)
+            singular += det == 0
+            assert (0 in moduli) == (det == 0)
+            assert product == abs(det) or det == 0
+    assert singular >= 20
+    assert intlinalg.smith_form([]) == ([], [])
+
+
+@pytest.mark.parametrize(
+    "text, factors",
+    [
+        ("-3; 2/1 2/1 2/1 2/1", (2, 2, 4)),
+        ("-2; 3/1 3/1 3/1 3/1", (3, 3, 6)),
+        ("-2; 2/1 3/1 201/200", (207,)),
+        ("-1; 2/1 3/1 7/1", ()),
+    ],
+)
+def test_smith_form_of_seifert_stars(text, factors):
+    """H_1 of the Seifert space is Z^n / A Z^n: its invariant factors above
+    1 on stars with non-cyclic and with cyclic H_1, and their product is
+    the Seifert |H_1|.  The 203-vertex star stays under 1 s."""
+    conversion = seifert_to_plumbing(parse_sfs(text))
+    form = intersection_form(conversion.forest)
+    start = time.perf_counter()
+    moduli, u = intlinalg.smith_form(form.matrix)
+    elapsed = time.perf_counter() - start
+    assert tuple(d for d in moduli if d > 1) == factors
+    assert math.prod(moduli) == abs(form.determinant) == conversion.h1_order
+    assert elapsed < 1.0
+    if len(form) < 20:
+        _check_smith(form.matrix, moduli, u)
