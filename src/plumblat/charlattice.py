@@ -17,7 +17,8 @@ invariant factors above 1, and no rationals appear in the hot path.
 :class:`BoxIndex` is the one box layer both engines read: it addresses box
 vectors by mixed-radix indices, decodes each index and its orbit key from
 a head and a tail table of about sqrt(size) entries each, and
-:meth:`BoxIndex.orbits` is the one scan that splits the box into orbits.
+:meth:`BoxIndex.orbits` is the one scan that splits the box into orbits;
+:meth:`BoxIndex.members` walks a single orbit from its key.
 :meth:`BoxIndex.splice` carries indices between boxes that differ at one
 vertex, as the three boxes of a surgery triple do.
 
@@ -199,13 +200,10 @@ class BoxIndex:
         |det| orbits have been seen.
         """
         moduli, expected = self.indexer.moduli, abs(self.indexer.determinant)
-        tail_groups: dict[tuple[int, ...], list[int]] = {}
-        for rest, key in enumerate(self.tail_keys):
-            tail_groups.setdefault(key, []).append(rest)
         groups: dict[tuple[int, ...], list[int]] = {}
         for high, head_key in enumerate(self.head_keys):
             base = high * self.low
-            for tail_key, rests in tail_groups.items():
+            for tail_key, rests in self._tail_groups.items():
                 key = tuple([(a + b) % d for a, b, d in zip(head_key, tail_key, moduli)])
                 if members:
                     groups.setdefault(key, []).extend([base + r for r in rests])
@@ -215,6 +213,26 @@ class BoxIndex:
                 break
         if len(groups) != expected:
             raise InternalInvariantViolation(f"box met {len(groups)} orbits, |det| = {expected}")
+        return groups
+
+    def members(self, key: tuple[int, ...]) -> list[int]:
+        """The members of the orbit with key ``key``, in increasing order:
+        each head meets the tails whose key part completes ``key``."""
+        moduli, groups = self.indexer.moduli, self._tail_groups
+        out: list[int] = []
+        for high, head_key in enumerate(self.head_keys):
+            rests = groups.get(tuple([(k - h) % d for k, h, d in zip(key, head_key, moduli)]))
+            if rests:
+                base = high * self.low
+                out.extend([base + r for r in rests])
+        return out
+
+    @cached_property
+    def _tail_groups(self) -> dict[tuple[int, ...], list[int]]:
+        """The tail table's positions by key part, each list increasing."""
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for rest, key in enumerate(self.tail_keys):
+            groups.setdefault(key, []).append(rest)
         return groups
 
     def bitset(self, digits: Sequence[Sequence[int]]) -> int:

@@ -44,14 +44,20 @@ union-find over the undrained vectors, each root one birth.  up_v is the
 index offset of the step column 2A e_v, which keeps every face in its
 vector's orbit.  Weights come from q split over the box halves,
 q(h) + q(t) + 2 h adj[head, tail] t, with the head and tail parts
-tabulated once: O(n) per box vector.
+tabulated once, digit by digit as the key parts are: each entry extends
+its parent by one evaluation and carries its pairing row against the
+later vertices, so an entry, and a box vector's q, cost O(n).  An orbit
+enters by its least box index a, whose key and q(k0) are ``box.key(a)``
+and ``q(a)``; only :func:`compute_hplus`, whose bare vector may lie off
+the box, evaluates them from the vector.
 
 Component counts for ranks do need sublevel sets, and come from a certified
 breadth-first flood of characteristic vectors.  It is seeded with every box
-vector of the orbit at its exact weight, so the components it finds newborn
-at each level must be exactly the plateau births, a check that fails in
-both directions.  Two facts keep the sweep short and certify the stopping
-level:
+vector of the orbit at its exact weight, walked from the orbit's key alone
+(tails grouped by key part, heads in order), so the components it finds
+newborn at each level must be exactly the plateau births, a check that
+fails in both directions.  Two facts keep the sweep short and certify the
+stopping level:
 
 * every component of every S_n contains some newborn core, so
   rank H^0(S_n) <= total births; in particular a kernel rank of one forces
@@ -67,6 +73,14 @@ Proof: with P = -A positive definite, w(k) <= n reads k P^{-1} k <= 8n - k0^2,
 and Cauchy-Schwarz in P^{-1} gives k_v^2 = (k P^{-1} P e_v)^2
 <= (k P^{-1} k)(e_v P e_v) = -m_v (k P^{-1} k); multiply by |det|, using
 |det| k0^2 = sign(det) q(k0).  A point cap guards runtime.
+
+A flood point is one int of fixed-width biased fields, k_v + 2^31 in 32
+bits per vertex, so a step is one addition of a packed column, and each
+new point is decoded once, for its bound check and its step weights.
+Packing is additive, and exact while every field stays in range: a step
+moves a field by at most 2 max|m_v| from a point within the bound, so
+each level checks isqrt(max limit) + 2 max|m_v| < 2^31 and otherwise
+stops with :class:`~plumblat.errors.EnumerationBudgetExceeded`.
 
 Every entry point reads its orbits from one :class:`_GradedOrbitTable` per
 forest, built on the :class:`~plumblat.charlattice.BoxIndex` that
@@ -85,9 +99,11 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, mul, sub
+from math import isqrt
+from operator import mul
+from struct import Struct
 
-from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector, SpinCOrbit
+from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector, SpinCOrbit, box_ranges
 from .errors import (
     EnumerationBudgetExceeded,
     InternalInvariantViolation,
@@ -96,9 +112,16 @@ from .errors import (
 from .homology import compute_homology
 from .plumbing import PlumbingForest, UnionFind, intersection_form
 
+# a flood holds about 400-530 bytes per point under tracemalloc, its
+# frontier included (397 B on 26,624 points of the 5-vertex star
+# "-1; 4/1 5/3 7/1", 525 B on 137,702 points of the 8-vertex
+# "-2; 2/1 5/2 7/3 4/1"), so a sweep at the default cap may reach ~5 GB;
+# nothing checks memory yet
 DEFAULT_POINT_CAP = 10**7
 
-Point = tuple[int, ...]  # the evaluations of a characteristic vector
+# bytes per vertex in a packed flood point, and their struct codes
+_FIELD_BYTES = 4
+_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -140,14 +163,9 @@ class _GradedOrbitTable:
         ]
         # q(k) = q(h) + q(t) + 2 h adj[head, tail] t: per head its q and its
         # cross row adj[tail, head] h, per tail its q
-        heads, tails, split = box.heads, box.tails, len(box.heads[0])
-        adj = self.indexer.adjugate
-        self._head_q = [
-            (_quadratic(adj, h), [sum(map(mul, row, h)) for row in adj[split:]])
-            for h in heads
-        ]
-        tail_block = [row[split:] for row in adj[split:]]
-        self._tail_q = [_quadratic(tail_block, t) for t in tails]
+        split = len(box.heads[0])
+        self._head_q = self._q_table(0, split)
+        self._tail_q = [q for q, _ in self._q_table(split, len(box.framings))]
         self._denom = 8 * self.indexer.determinant
 
     @classmethod
@@ -158,17 +176,42 @@ class _GradedOrbitTable:
             raise NotNegativeDefinite("graded engine needs a negative-definite forest")
         return cls(BoxIndex(form, box_cap))
 
-    @cached_property
-    def orbits(self) -> dict[tuple[int, ...], list[int]]:
-        """The members of each orbit by key, in increasing index order."""
-        return self.box.orbits()
+    def _q_table(self, start: int, stop: int) -> list[tuple[int, list[int]]]:
+        """q = x adj(A) x of the half-vectors x on vertices start..stop-1,
+        in table order, each with its pairing row adj[u, start:stop] x
+        against the vertices u >= stop.
+
+        Built digit by digit, as :meth:`BoxIndex._key_table` builds key
+        parts: from the empty half-vector, evaluation e at vertex v adds
+        e (2 r_v + adj[v][v] e) to q, r_v the entry of the row at v, and
+        e adj[v][u] to the entry at each later u, then drops v.  So each
+        entry costs O(n) over its parent's.
+        """
+        adj, table = self.indexer.adjugate, [(0, [0] * (len(self.box.framings) - start))]
+        for v, evals in enumerate(box_ranges(self.form)[start:stop], start):
+            diagonal, later = adj[v][v], adj[v][v + 1 :]
+            table = [
+                (q + e * (2 * row[0] + diagonal * e), [r + e * a for r, a in zip(row[1:], later)])
+                for q, row in table
+                for e in evals
+            ]
+        return table
+
+    def q(self, a: int) -> int:
+        """q(k) = k adj(A) k of the vector k at box index a, in O(n)."""
+        high, rest = divmod(a, self.box.low)
+        qh, cross = self._head_q[high]
+        return qh + self._tail_q[rest] + 2 * sum(map(mul, cross, self.box.tails[rest]))
+
+    def key_and_q(self, k0: CharVector) -> tuple[tuple[int, ...], int]:
+        """The orbit key and q(k0) of a characteristic vector on or off the
+        box, from its evaluations; a box vector's index gives both cheaper,
+        as ``box.key(a)`` and ``q(a)``."""
+        return self.indexer.key(k0), _quadratic(self.indexer.adjugate, k0.evals)
 
     def weight(self, a: int, q0: int) -> int:
         """The weight (q(k0) - q(k)) / (8 det) of box index a, q0 = q(k0)."""
-        high, rest = divmod(a, self.box.low)
-        qh, cross = self._head_q[high]
-        q = qh + self._tail_q[rest] + 2 * sum(map(mul, cross, self.box.tails[rest]))
-        level, rem = divmod(q0 - q, self._denom)
+        level, rem = divmod(q0 - self.q(a), self._denom)
         if rem:
             raise InternalInvariantViolation("a box vector weight is not integral")
         return level
@@ -215,39 +258,56 @@ class _GradedOrbitTable:
         if any(shift(top_bits, up) & drained for top_bits, up in zip(faces, self._up)):
             raise InternalInvariantViolation("a plateau drained in part")
         box.square_free(faces)  # faces that close a commuting square link nothing new
+        # a union-find over the undrained vectors, inlined: each root is the
+        # least member of its set, so one pass in order points all at roots
         members = box.set_bits(alive)
         position = {a: i for i, a in enumerate(members)}
-        sets = UnionFind(len(members))
+        parent = list(range(len(members)))
         for top_bits, up in zip(faces, self._up):
             for a in box.set_bits(top_bits):
-                sets.union(position[a], position[a + up])
-        keys = {i: box.key(members[i]) for i, p in enumerate(sets.parent) if p == i}
+                ra, rb = position[a], position[a + up]
+                while parent[ra] != ra:  # path halving
+                    parent[ra] = ra = parent[parent[ra]]
+                while parent[rb] != rb:
+                    parent[rb] = rb = parent[parent[rb]]
+                if ra < rb:
+                    parent[rb] = ra
+                elif rb < ra:
+                    parent[ra] = rb
         roots: dict[tuple[int, ...], list[int]] = {}
+        keys: list[tuple[int, ...] | None] = [None] * len(members)
         for i, a in enumerate(members):
-            if i in keys:
-                roots.setdefault(keys[i], []).append(a)
-            elif box.key(a) != keys[sets.find(i)]:
+            root = parent[i] = parent[parent[i]]
+            if root == i:
+                keys[i] = key = box.key(a)
+                roots.setdefault(key, []).append(a)
+            elif box.key(a) != keys[root]:
                 raise InternalInvariantViolation("a plateau member left its orbit")
         return roots
 
-    def births(self, k0: CharVector) -> dict[int, int]:
-        """Births per level of the orbit of ``k0``, in increasing level
-        order: the birth roots of its key, each at its weight."""
-        roots = self._birth_roots.get(self.indexer.key(k0))
+    def births(self, key: tuple[int, ...], q0: int) -> dict[int, int]:
+        """Births per level of the orbit with key ``key`` and representative
+        k0, q0 = q(k0), in increasing level order: the birth roots of its
+        key, each at its weight."""
+        roots = self._birth_roots.get(key)
         if not roots:
             raise InternalInvariantViolation("an orbit has no birth")
-        q0 = _quadratic(self.indexer.adjugate, k0.evals)
         return dict(sorted(Counter(self.weight(a, q0) for a in roots).items()))
 
     def hplus(
-        self, orbit: SpinCOrbit, point_cap: int, extra_levels: int
+        self,
+        orbit: SpinCOrbit,
+        key: tuple[int, ...],
+        q0: int,
+        point_cap: int,
+        extra_levels: int,
     ) -> GradedHPlus:
-        """Level table of one orbit, counting its births once.
+        """Level table of one orbit, with key ``key`` and q0 = q(k0) of its
+        representative k0, counting its births once.
 
         A single birth is the global minimum plateau and needs no flood;
         more births flood the orbit from its box vectors."""
-        k0 = orbit.representative
-        births = self.births(k0)
+        births = self.births(key, q0)
         ker_u_rank = sum(births.values())
         if ker_u_rank == 1:
             (stabilized_at,) = births
@@ -256,7 +316,7 @@ class _GradedOrbitTable:
                 levels.append(HPlusLevel(level=stabilized_at + j, rank=1, births=0))
         else:
             levels, stabilized_at = _sweep_levels(
-                self, k0, births, point_cap, extra_levels
+                self, key, q0, births, point_cap, extra_levels
             )
         return GradedHPlus(
             orbit=orbit,
@@ -273,28 +333,44 @@ def _quadratic(adj: list[list[int]], k) -> int:
 
 def _sweep_levels(
     table: _GradedOrbitTable,
-    k0: CharVector,
+    key: tuple[int, ...],
+    q0: int,
     births: dict[int, int],
     point_cap: int,
     extra_levels: int,
 ) -> tuple[list[HPlusLevel], int]:
-    """Exact per-level component counts by certified flood of the orbit of
-    ``k0``, with births re-derived independently and compared against the
-    plateau counts."""
-    q0 = _quadratic(table.indexer.adjugate, k0.evals)
-    key = table.indexer.key(k0)
+    """Exact per-level component counts by certified flood of the orbit with
+    key ``key`` (q0 = q(k0) of its representative), with births re-derived
+    independently and compared against the plateau counts.
+
+    A point k is one int, field v holding k_v + bias in ``_FIELD_BYTES``
+    bytes at byte v * _FIELD_BYTES; packing is additive, so a step is
+    p +- the packed column.  A step moves field v by at most 2 max|m| and
+    starts from a point that passed the bound |k_v| <= isqrt(limit_v), so
+    while isqrt(max limit) + 2 max|m| < bias at each level no field leaves
+    [0, 2 bias): the ints stay distinct and decode exactly."""
+    box = table.box
+    width = 8 * _FIELD_BYTES
+    bias, shifts = 1 << width - 1, range(0, width * len(box.framings), width)
+    unpack = Struct(f"<{len(shifts)}{_FIELD_CODES[_FIELD_BYTES]}").unpack
+    nbytes, reach = _FIELD_BYTES * len(shifts), 2 * max(map(abs, box.framings))
     seeds: dict[int, list[int]] = {}
-    for a in table.orbits[key]:
-        if table.box.key(a) != key:
+    for a in box.members(key):
+        if box.key(a) != key:
             raise InternalInvariantViolation("a flood seed left its orbit")
         seeds.setdefault(table.weight(a, q0), []).append(a)
-    steps = list(zip(table.columns, table.box.framings))
+    # per vertex: the packed column, and the biases that turn a field u of
+    # k into the step weights -(k_v + m_v)/2 and (k_v - m_v)/2
+    steps = [
+        (sum(c << s for c, s in zip(column, shifts)), m - bias, -m - bias)
+        for column, m in zip(table.columns, box.framings)
+    ]
     last_birth = max(births)
 
-    points: dict[Point, int] = {}
+    points: dict[int, int] = {}
     sets = UnionFind()
     birth_level: list[int] = []  # per root: the least level of its component
-    frontier: dict[Point, int] = {}
+    frontier: dict[int, int] = {}
 
     comp_count = 0
     levels: list[HPlusLevel] = []
@@ -303,15 +379,27 @@ def _sweep_levels(
     level = min(seeds)
     while True:
         limits = table.limits(q0, level)
-        queue = deque((table.box.evals(a), level) for a in seeds.pop(level, ()))
-        for pt in [pt for pt, w in frontier.items() if w <= level]:
-            queue.append((pt, frontier.pop(pt)))
+        if min(limits) < 0:
+            raise InternalInvariantViolation("a swept level lies below every weight")
+        if isqrt(max(limits)) + reach >= bias:
+            raise EnumerationBudgetExceeded(
+                f"sublevel sweep outgrew its {width}-bit point fields at level {level}"
+            )
+        # |k_v| <= isqrt(limit_v), read on the field u = k_v + bias
+        bounds = [(bias - r, bias + r) for r in map(isqrt, limits)]
+        queue = deque(
+            (sum((e + bias) << s for e, s in zip(box.evals(a), shifts)), level)
+            for a in seeds.pop(level, ())
+        )
+        for p in [p for p, w in frontier.items() if w <= level]:
+            queue.append((p, frontier.pop(p)))
         added: list[int] = []
         while queue:
-            pt, w = queue.popleft()
-            if pt in points:
+            p, w = queue.popleft()
+            if p in points:
                 continue
-            if any(e * e > lim for e, lim in zip(pt, limits)):
+            fields = unpack(p.to_bytes(nbytes, "little"))
+            if any(not lo <= u <= hi for u, (lo, hi) in zip(fields, bounds)):
                 raise InternalInvariantViolation(
                     "a sublevel point broke the exact weight bound"
                 )
@@ -320,16 +408,12 @@ def _sweep_levels(
                     f"sublevel sweep exceeded {point_cap} points"
                 )
             node = sets.add()
-            points[pt] = node
+            points[p] = node
             birth_level.append(level)
             comp_count += 1
             added.append(node)
-            for v, (column, m) in enumerate(steps):
-                kv = pt[v]
-                for q, wq in (
-                    (tuple(map(add, pt, column)), w - (kv + m) // 2),
-                    (tuple(map(sub, pt, column)), w + (kv - m) // 2),
-                ):
+            for u, (column, down, up) in zip(fields, steps):
+                for q, wq in ((p + column, w - (u + down) // 2), (p - column, w + (u + up) // 2)):
                     other = points.get(q)
                     if other is not None:
                         gone = sets.union(node, other)
@@ -383,7 +467,9 @@ def compute_hplus(
     """
     if not isinstance(orbit, SpinCOrbit):
         orbit = SpinCOrbit(representative=orbit, index=-1)
-    return _GradedOrbitTable.of(forest, box_cap).hplus(orbit, point_cap, extra_levels)
+    table = _GradedOrbitTable.of(forest, box_cap)
+    key, q0 = table.key_and_q(orbit.representative)
+    return table.hplus(orbit, key, q0, point_cap, extra_levels)
 
 
 @dataclass(frozen=True)
@@ -426,12 +512,15 @@ def ker_u_cross_check(
     """
     homology = compute_homology(forest, box_cap=box_cap)
     table = _GradedOrbitTable(homology.box)
-    rows = tuple(
-        CrossCheckRow(
-            orbit=oh.orbit,
-            homology_dim=oh.dim,
-            graded=table.hplus(oh.orbit, point_cap, 0),
+    box = table.box
+    rows = []
+    for oh in homology.per_orbit:
+        # the representative is the orbit's least box vector: its index
+        # gives the key and q(k0) from the tables
+        least = sum(
+            (e - m) // 2 * stride
+            for e, m, stride in zip(oh.orbit.representative.evals, box.framings, box.strides)
         )
-        for oh in homology.per_orbit
-    )
-    return CrossCheckReport(ok=all(r.matches for r in rows), rows=rows)
+        graded = table.hplus(oh.orbit, box.key(least), table.q(least), point_cap, 0)
+        rows.append(CrossCheckRow(orbit=oh.orbit, homology_dim=oh.dim, graded=graded))
+    return CrossCheckReport(ok=all(r.matches for r in rows), rows=tuple(rows))

@@ -97,7 +97,7 @@ def unit_neighbors(x: Point):
 def reference_grading(table: _GradedOrbitTable, rep: CharVector) -> OrbitGrading:
     """The orbit of ``rep`` (forest's own convention), minima solved one by one."""
     grading = OrbitGrading(table.form, rep)
-    for i in table.orbits.get(table.indexer.key(rep), ()):
+    for i in table.box.members(table.indexer.key(rep)):
         x = lattice_coordinates(table.indexer, table.box.evals(i), rep).coords
         grading.minima[x] = grading.weight(x)
     if not grading.minima:
@@ -316,7 +316,7 @@ def rational_via_hplus(
     quotient engine or the chi ellipsoid (orbits come from the box scan).
     """
     table = _GradedOrbitTable.of(forest, box_cap)
-    for idxs in table.orbits.values():
-        if sum(table.births(CharVector(table.box.evals(idxs[0]))).values()) != 1:
+    for key, (least,) in table.box.orbits(members=False).items():
+        if sum(table.births(key, table.q(least)).values()) != 1:
             return False
     return True

@@ -7,6 +7,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 
@@ -18,6 +19,7 @@ from oracle_hplus import (
     reference_birth_counts,
     reference_grading,
     reference_hplus,
+    reference_sweep_levels,
     sublevel_complex,
     unit_neighbors,
 )
@@ -208,16 +210,16 @@ def test_birth_counts_equal_homology_dim_per_orbit(rng):
         result = compute_homology(forest)
         table = _GradedOrbitTable.of(forest, 10**8)
         for oh in result.per_orbit:
-            births = table.births(oh.orbit.representative)
+            births = table.births(*table.key_and_q(oh.orbit.representative))
             assert sum(births.values()) == oh.dim
 
 
 def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys, tmp_path):
     """One box and one indexer, shared by the quotient and the graded
     engine, and one birth count per orbit, whatever |det| is.  The quotient
-    engine scans the box for orbits once; the graded engine lists orbit
-    members only for a flood, so an L-space scans once and elliptic_b,
-    which floods one orbit, twice."""
+    engine scans the box for orbits once; the graded engine never does,
+    since a flood walks its one orbit's members, so elliptic_b, which
+    floods one orbit, scans once too."""
     calls = {}
 
     def counting(key, fn):
@@ -249,7 +251,7 @@ def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys, tmp_path):
     for path, orbits, births in (
         (FIXTURES / "e8.plumb", 1, 1),
         (chain, 1, 144),
-        (FIXTURES / "elliptic_b.plumb", 2, 13),  # |det| orbits, each counted once
+        (FIXTURES / "elliptic_b.plumb", 1, 13),  # |det| orbits, each counted once
     ):
         calls.update(box=0, indexer=0, orbits=0, births=0)
         assert main(["hplus", str(path)]) == 0
@@ -365,13 +367,12 @@ def test_graded_engine_matches_all_neighbour_oracle():
             reference = reference_grading(table, rep)
             # the flood's seeds: every box vector of the orbit, at the weight
             # of its lattice point
-            k0 = rep
-            q0 = hplus._quadratic(table.indexer.adjugate, k0.evals)
-            idxs = table.orbits[table.indexer.key(k0)]
+            key, q0 = table.key_and_q(rep)
+            idxs = table.box.members(key)
             assert [table.weight(a, q0) for a in idxs] == list(reference.minima.values())
-            assert table.births(k0) == reference_birth_counts(reference)
+            assert table.births(key, q0) == reference_birth_counts(reference)
             # a small point cap stops a flood with wrong weights early
-            graded = table.hplus(oh.orbit, 10**5, 1)
+            graded = table.hplus(oh.orbit, key, q0, 10**5, 1)
             assert graded == reference_hplus(table, oh.orbit, 10**5, 1)
             flooded += graded.ker_u_rank > 1
     assert flooded >= 30
@@ -395,9 +396,9 @@ def test_births_match_reference_on_random_forests():
     multi = 0
     for forest in cases:
         table = _GradedOrbitTable.of(forest, 10**8)
-        for idxs in table.orbits.values():
-            k0 = CharVector(table.box.evals(idxs[0]))
-            births = table.births(k0)
+        for key, (least,) in table.box.orbits(members=False).items():
+            k0 = CharVector(table.box.evals(least))
+            births = table.births(key, table.q(least))
             assert births == reference_birth_counts(reference_grading(table, k0))
             multi += sum(births.values()) > 1
     assert multi >= 30
@@ -432,7 +433,7 @@ def _orbit_signature(forest):
             form.determinant,
         )
         shift = square / 8
-        graded = table.hplus(oh.orbit, 10**7, 0)
+        graded = table.hplus(oh.orbit, *table.key_and_q(oh.orbit.representative), 10**7, 0)
         levels = tuple((l.level - shift, l.rank, l.births) for l in graded.levels)
         out.append((graded.ker_u_rank, graded.stabilized_at - shift, levels))
     return sorted(out)
@@ -487,7 +488,7 @@ def test_index_births_match_oracle_on_a_split_box(edge_sign):
     total = 0
     for oh in compute_homology(forest).per_orbit:
         k0 = oh.orbit.representative
-        births = table.births(k0)
+        births = table.births(*table.key_and_q(k0))
         assert births == reference_birth_counts(reference_grading(table, oh.orbit.representative))
         assert sum(births.values()) == oh.dim
         total += oh.dim
@@ -531,11 +532,12 @@ def test_long_star_hplus_cross_check(capsys):
         assert row["ker_u_rank"] == row["homology_dim"]
 
 
-def test_births_and_coordinates_check_every_member_orbit():
+def test_births_and_coordinates_check_every_member_orbit(monkeypatch):
     """Births certify every face's orbit at once: an offset up_v or a step
     column that no longer match trips them.  The flood checks the orbit key
-    of each seed: a box index moved into a flooding orbit's member list
-    trips it, although the births, already counted, still hold."""
+    of each seed: a box index of another orbit injected into the member
+    walk that seeds a flooding orbit trips it, although the births, already
+    counted, still hold."""
     forest = elliptic_b()
     (orbit,) = _flooding_orbits(forest)
     k0 = orbit.representative
@@ -549,15 +551,17 @@ def test_births_and_coordinates_check_every_member_orbit():
             column[-1] += 2
             table.columns[1] = tuple(column)
         with pytest.raises(InternalInvariantViolation, match="left its orbit"):
-            table.births(k0)
+            table.births(*table.key_and_q(k0))
     table = _GradedOrbitTable.of(forest, 10**8)
-    births = table.births(k0)
-    key = table.indexer.key(k0)
-    foreign = next(idxs for other, idxs in table.orbits.items() if other != key)
-    table.orbits[key] = sorted(table.orbits[key] + foreign[-1:])
-    assert table.births(k0) == births
+    key, q0 = table.key_and_q(k0)
+    births = table.births(key, q0)
+    foreign = next(idxs for other, idxs in table.box.orbits().items() if other != key)
+    walk = table.box.members
+    monkeypatch.setattr(table.box, "members", lambda k: sorted(walk(k) + foreign[-1:]))
+    assert foreign[-1] in table.box.members(key)
+    assert table.births(key, q0) == births
     with pytest.raises(InternalInvariantViolation, match="left its orbit"):
-        table.hplus(orbit, 10**7, 0)
+        table.hplus(orbit, key, q0, 10**7, 0)
 
 
 def _flooding_orbits(forest):
@@ -575,7 +579,7 @@ def test_wrong_flood_steps_trip_at_once(forest):
     orbits = _flooding_orbits(forest)
     assert orbits
     for orbit in orbits:  # births count on the true columns, before the tamper
-        table.births(orbit.representative)
+        table.births(*table.key_and_q(orbit.representative))
     table.columns = [
         tuple(-c if u == v else c for u, c in enumerate(column))
         for v, column in enumerate(table.columns)
@@ -584,7 +588,9 @@ def test_wrong_flood_steps_trip_at_once(forest):
     try:
         for orbit in orbits:
             with pytest.raises(InternalInvariantViolation):
-                table.hplus(orbit, hplus.DEFAULT_POINT_CAP, 0)
+                table.hplus(
+                    orbit, *table.key_and_q(orbit.representative), hplus.DEFAULT_POINT_CAP, 0
+                )
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -601,8 +607,8 @@ def test_integer_bound_holds_on_sublevel_sets_and_checks_every_point(monkeypatch
         table = _GradedOrbitTable.of(forest, 10**8)
         for orbit in _flooding_orbits(forest):
             k0 = orbit.representative
-            q0 = hplus._quadratic(table.indexer.adjugate, k0.evals)
-            for lvl in table.hplus(orbit, 10**7, 1).levels:
+            key, q0 = table.key_and_q(k0)
+            for lvl in table.hplus(orbit, key, q0, 10**7, 1).levels:
                 limits = table.limits(q0, lvl.level)
                 for x in sublevel_complex(forest, orbit, lvl.level).points:
                     k = lattice_to_char(LatticeVector(x), k0, table.form).evals
@@ -615,3 +621,76 @@ def test_integer_bound_holds_on_sublevel_sets_and_checks_every_point(monkeypatch
     )
     with pytest.raises(InternalInvariantViolation, match="exact weight bound"):
         compute_hplus(forest, _flooding_orbits(forest)[0])
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_digit_built_q_tables_match_the_adjugate_quadratic(edge_sign):
+    """q(a) is k adj(A) k of box.evals(a) at every index of 120 seeded
+    forests and single vertices; and the tables built at every split, from
+    every vertex in the head to every vertex in the tail, combine to the
+    same q (a box's own split never puts every vertex in the tail)."""
+    rng = random.Random(0x9DA7 + (edge_sign is EdgeSign.PLUS_ONE))
+    cases = [validate_forest([("a", m)], [], edge_sign) for m in (-1, -2, -5)]
+    cases += [random_forest(rng, max_vertices=5, lo=-4, edge_sign=edge_sign) for _ in range(120)]
+    for forest in cases:
+        table = _GradedOrbitTable.of(forest, 10**8)
+        box, n = table.box, len(forest)
+        expected = [hplus._quadratic(table.indexer.adjugate, box.evals(a)) for a in range(box.size)]
+        assert [table.q(a) for a in range(box.size)] == expected
+        for split in range(n + 1):
+            heads, tails = table._q_table(0, split), table._q_table(split, n)
+            low = len(tails)
+            assert len(heads) * low == box.size
+            assert all(row == [] for _, row in tails)
+            got = []
+            for a in range(box.size):
+                (qh, cross), (qt, _) = heads[a // low], tails[a % low]
+                got.append(qh + qt + 2 * sum(map(mul, cross, box.evals(a)[split:])))
+            assert got == expected
+
+
+# multi-birth inputs of the packed flood test: two fixtures and two stars
+PACKED_FLOOD_STARS = ("-2; 3/1 3/1 3/1 3/1", "-2; 2/1 5/2 7/3 4/1")
+
+
+def test_packed_flood_matches_reference_sweep():
+    """The packed flood's level tables are the all-neighbour reference
+    sweep's, with one extra level, on every multi-birth orbit of
+    elliptic_a, elliptic_b and two stars, in both conventions."""
+    forests = [elliptic_a(), elliptic_b()]
+    forests += [seifert_to_plumbing(parse_sfs(text)).forest for text in PACKED_FLOOD_STARS]
+    forests += [convert_convention(f).forest for f in forests]
+    swept = 0
+    for forest in forests:
+        table = _GradedOrbitTable.of(forest, 10**8)
+        for key, (least,) in table.box.orbits(members=False).items():
+            q0 = table.q(least)
+            births = table.births(key, q0)
+            if sum(births.values()) == 1:
+                continue
+            grading = reference_grading(table, CharVector(table.box.evals(least)))
+            assert births == reference_birth_counts(grading)
+            assert hplus._sweep_levels(table, key, q0, births, 10**6, 1) == (
+                reference_sweep_levels(grading, births, 10**6, 1)
+            )
+            swept += 1
+    assert swept == 18  # 1, 1, 1 and 6 per convention
+
+
+def test_packed_flood_field_guard_raises_before_fields_overflow(monkeypatch):
+    """With one-byte fields (bias 128), the star with a -70 leg needs
+    isqrt(max limit) + 2 * 70 >= 128 at its first level: the guard raises,
+    in the library and as exit 3 in the CLI, instead of returning a table
+    from colliding points.  elliptic_a, whose fields stay below 16, still
+    sweeps to the same table in one-byte fields."""
+    text = "-1; 3/1 4/1 70/1"
+    forest = seifert_to_plumbing(parse_sfs(text)).forest
+    (orbit,) = _flooding_orbits(forest)
+    assert compute_hplus(forest, orbit).ker_u_rank > 1
+    small = elliptic_a()
+    tables = [compute_hplus(small, o) for o in _flooding_orbits(small)]
+    monkeypatch.setattr(hplus, "_FIELD_BYTES", 1)
+    with pytest.raises(EnumerationBudgetExceeded, match="8-bit point fields"):
+        compute_hplus(forest, orbit)
+    assert main(["sfs", "--sfs", text, "hplus"]) == 3
+    assert [compute_hplus(small, o) for o in _flooding_orbits(small)] == tables
