@@ -42,17 +42,13 @@ from typing import Sequence
 
 from . import intlinalg
 from .errors import (
+    DEFAULT_BOX_CAP,
     BoxTooLarge,
     InternalInvariantViolation,
     NotNegativeDefinite,
     ParityViolation,
 )
 from .plumbing import CanonicalClass, IntersectionForm
-
-# compute_homology raises peak RSS by about 4.3 bytes per box vector on a box
-# near the cap (4.3 at 1.9e7 vectors, 15 vertices; 5.4 at 9.4e5, where the
-# fixed costs weigh more), so the default box stays near 0.09 GiB
-DEFAULT_BOX_CAP = 2 * 10**7
 
 _BYTE_BITS = [tuple(j for j in range(8) if b >> j & 1) for b in range(256)]
 _NONZERO = bytes([0] + [1] * 255)  # a translation table: 1 per nonzero byte

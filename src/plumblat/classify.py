@@ -24,9 +24,11 @@ certificate of impossibility to report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, Sequence
 
-from .charlattice import DEFAULT_BOX_CAP, LatticeVector
-from .errors import EnumerationBudgetExceeded, InternalInvariantViolation, NotNegativeDefinite
+from .charlattice import LatticeVector
+from .errors import DEFAULT_BOX_CAP, DEFAULT_NMAX, EnumerationBudgetExceeded
+from .errors import InternalInvariantViolation, NotNegativeDefinite
 from .homology import DerivedDimensions, HomologyResult, compute_homology, derived_dimensions
 from .intlinalg import quadratic_sublevel_points
 from .plumbing import (
@@ -39,7 +41,6 @@ from .plumbing import (
     intersection_form,
 )
 
-DEFAULT_NMAX = 64
 DEFAULT_RATIONALITY_POINT_CAP = 10**7
 
 
@@ -72,8 +73,10 @@ class ARVerdict:
         return self.status == "yes"
 
 
-def _laufer_rational(forest: PlumbingForest, point_cap: int) -> bool:
-    """Whether no step of Laufer's walk meets p_v >= 2, on every component.
+def _laufer_walk(forest: PlumbingForest) -> Callable[[Sequence[int], int], bool]:
+    """Laufer's walk on the forest's graph, for any framings on it: whether
+    no step meets p_v >= 2, on every component.  The graph is read once, so
+    the decrement search walks all its probes on it.
 
     Adding E_v adds m_v to p_v and 1 to p_u at each neighbour u, O(deg v) per
     step; u is stacked when p_u turns positive, and only its own step lowers
@@ -84,23 +87,28 @@ def _laufer_rational(forest: PlumbingForest, point_cap: int) -> bool:
     for a, b in forest.edges:
         neighbours[a].append(b)
         neighbours[b].append(a)
-    pairing = [0] * len(forest)
-    steps = 0
-    for component in forest.components():
-        stack = [component[0]]
-        while stack:
-            v = stack.pop()
-            if pairing[v] >= 2:
-                return False
-            steps += 1
-            if steps > point_cap:
-                raise EnumerationBudgetExceeded(f"rationality walk exceeded {point_cap} steps")
-            pairing[v] += forest.framings[v]
-            for u in neighbours[v]:
-                pairing[u] += 1
-                if pairing[u] == 1:
-                    stack.append(u)
-    return True
+    starts = [component[0] for component in forest.components()]
+
+    def walk(framings: Sequence[int], point_cap: int) -> bool:
+        pairing = [0] * len(framings)
+        steps = 0
+        for start in starts:
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                if pairing[v] >= 2:
+                    return False
+                steps += 1
+                if steps > point_cap:
+                    raise EnumerationBudgetExceeded(f"rationality walk exceeded {point_cap} steps")
+                pairing[v] += framings[v]
+                for u in neighbours[v]:
+                    pairing[u] += 1
+                    if pairing[u] == 1:
+                        stack.append(u)
+        return True
+
+    return walk
 
 
 def is_rational(
@@ -114,7 +122,7 @@ def is_rational(
     """
     if definiteness(forest)[1] is not Definiteness.NEGATIVE_DEFINITE:
         raise NotNegativeDefinite("rationality is defined for negative-definite forests")
-    if _laufer_rational(forest, point_cap):
+    if _laufer_walk(forest)(forest.framings, point_cap):
         return RationalityVerdict(rational=True)
     form = intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
     negated = [[-x for x in row] for row in form.matrix]
@@ -166,11 +174,14 @@ def _decrement_search(forest: PlumbingForest, nmax: int, point_cap: int) -> ARVe
     its own witness at N = 0.  A vertex that the top decrement cures is
     bisected for its least one.
     """
-    if _laufer_rational(forest, point_cap):
+    walk = _laufer_walk(forest)
+    if walk(forest.framings, point_cap):
         return ARVerdict(status="yes", vertex=forest.ids[0] if forest.ids else None, decrement=0)
 
     def cured(i: int, decrement: int) -> bool:
-        return _laufer_rational(forest.with_framing(i, forest.framings[i] - decrement), point_cap)
+        framings = list(forest.framings)
+        framings[i] -= decrement
+        return walk(framings, point_cap)
 
     least = []
     for i in range(len(forest)):
@@ -244,7 +255,7 @@ def full_report(
         i = forest.index_of(bad[0])
         needed = forest.degree(i) + forest.framings[i]
         lowered = forest.with_framing(i, forest.framings[i] - needed)
-        if not _laufer_rational(lowered, point_cap):
+        if not _laufer_walk(lowered)(lowered.framings, point_cap):
             raise InternalInvariantViolation(
                 "a zero-bad-vertex forest tested non-rational"
             )

@@ -16,30 +16,39 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .charlattice import DEFAULT_BOX_CAP
-from .classify import DEFAULT_NMAX, certify_almost_rational, full_report
-from .classify import is_rational  # noqa: F401  (perfbench's span tests read cli.is_rational)
-from .dsl import parse_int, parse_plumbing, serialize_dsl
-from .errors import EXIT_INVALID_INPUT, EXIT_USAGE, DslSyntaxError, PlumblatError
-from .homology import DerivedDimensions, compute_homology, derived_dimensions
-from .hplus import DEFAULT_POINT_CAP, ker_u_cross_check
-from .moves import blow_down, check_exactness, surgery_triple
-from .plumbing import (
-    PlumbingForest,
-    bad_vertices,
-    canonical_class,
-    intersection_form,
-    semidefinite_classify,
-)
-from .seifert import parse_sfs, seifert_to_plumbing
+from .errors import DEFAULT_BOX_CAP, DEFAULT_NMAX, DEFAULT_POINT_CAP, EXIT_INVALID_INPUT
+from .errors import EXIT_USAGE, DslSyntaxError, PlumblatError
 
 SCHEMA_VERSION = 1
+
+# Each action imports the engines it runs in its own body, so a command loads
+# only those.  The engine names this module bound at load time up to 1.0.0
+# resolve here, read afresh from their defining module on each access.
+_ENGINE_NAMES = {
+    "classify": ("certify_almost_rational", "full_report", "is_rational"),
+    "dsl": ("parse_int", "parse_plumbing", "serialize_dsl"),
+    "homology": ("DerivedDimensions", "compute_homology", "derived_dimensions"),
+    "hplus": ("ker_u_cross_check",),
+    "moves": ("blow_down", "check_exactness", "surgery_triple"),
+    "plumbing": ("PlumbingForest", "bad_vertices", "canonical_class",
+                 "intersection_form", "semidefinite_classify"),
+    "seifert": ("parse_sfs", "seifert_to_plumbing"),
+}
+_ENGINE_HOME = {name: module for module, names in _ENGINE_NAMES.items() for name in names}
+
+
+def __getattr__(name: str):
+    module = _ENGINE_HOME.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load(path: str) -> PlumbingForest:
+    from .dsl import parse_plumbing
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -122,6 +132,7 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def _info(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    from .plumbing import bad_vertices, canonical_class, intersection_form, semidefinite_classify
     form = intersection_form(forest)
     bad = bad_vertices(forest)
     body = {
@@ -150,6 +161,8 @@ def _info(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
 
 
 def _homology(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    from .classify import certify_almost_rational
+    from .homology import compute_homology, derived_dimensions
     result = compute_homology(forest, box_cap=args.box_cap)
     certified = certify_almost_rational(forest, nmax=args.nmax, point_cap=args.point_cap)
     dims = derived_dimensions(result, almost_rational_certified=certified)
@@ -182,6 +195,7 @@ def _homology(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
 
 
 def _hplus(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    from .hplus import ker_u_cross_check
     report = ker_u_cross_check(forest, point_cap=args.point_cap, box_cap=args.box_cap)
     per_orbit = []
     human = []
@@ -208,6 +222,7 @@ def _hplus(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
 
 
 def _classify(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    from .classify import full_report
     report = full_report(
         forest, nmax=args.nmax, box_cap=args.box_cap, point_cap=args.point_cap
     )
@@ -261,6 +276,7 @@ def _classify(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
 
 
 def _triad(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    from .moves import check_exactness, surgery_triple
     triple = surgery_triple(forest, args.vertex)
     report = check_exactness(triple, box_cap=args.box_cap)
     body = {
@@ -285,6 +301,8 @@ def _triad(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
 
 
 def _blowdown(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
+    from .dsl import serialize_dsl
+    from .moves import blow_down
     result = blow_down(forest, args.vertex, box_cap=args.box_cap)
     body = {
         "vertex": args.vertex,
@@ -343,6 +361,8 @@ _SFS_PROJECTIONS = {
 
 
 def _cmd_sfs(args) -> int:
+    from .dsl import serialize_dsl
+    from .seifert import parse_sfs, seifert_to_plumbing
     data = parse_sfs(args.sfs)
     conversion = seifert_to_plumbing(data)
     forest = conversion.forest
@@ -372,6 +392,7 @@ def _cmd_sfs(args) -> int:
 
 def _budget(token: str) -> int:
     """A budget flag's value: an ASCII integer, as :func:`parse_int` reads it."""
+    from .dsl import parse_int
     value = parse_int(token)
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {token!r}")

@@ -113,6 +113,24 @@ class NotNegativeDefiniteEitherOrientation(PlumblatError):
 
 # --- budgets -------------------------------------------------------------
 
+# The CLI's budget defaults live here, beside the budget errors, so the
+# argument parser is built without loading an engine.
+
+# compute_homology raises peak RSS by about 4.3 bytes per box vector on a box
+# near the cap (4.3 at 1.9e7 vectors, 15 vertices; 5.4 at 9.4e5, where the
+# fixed costs weigh more), so the default box stays near 0.09 GiB
+DEFAULT_BOX_CAP = 2 * 10**7
+
+# a flood holds about 400-530 bytes per point under tracemalloc, its
+# frontier included (397 B on 26,624 points of the 5-vertex star
+# "-1; 4/1 5/3 7/1", 525 B on 137,702 points of the 8-vertex
+# "-2; 2/1 5/2 7/3 4/1"), so a sweep at the default cap may reach ~5 GB;
+# nothing checks memory yet
+DEFAULT_POINT_CAP = 10**7
+
+DEFAULT_NMAX = 64
+
+
 class BudgetExceeded(PlumblatError):
     exit_code = EXIT_BUDGET
 

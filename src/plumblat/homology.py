@@ -44,8 +44,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
-from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector, SpinCOrbit
+from .charlattice import BoxIndex, CharVector, SpinCOrbit
 from .errors import (
+    DEFAULT_BOX_CAP,
     InternalInvariantViolation,
     NegativeOddDimension,
     NotNegativeDefinite,

@@ -103,21 +103,16 @@ from math import isqrt
 from operator import mul
 from struct import Struct
 
-from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector, SpinCOrbit, box_ranges
+from .charlattice import BoxIndex, CharVector, SpinCOrbit, box_ranges
 from .errors import (
+    DEFAULT_BOX_CAP,
+    DEFAULT_POINT_CAP,
     EnumerationBudgetExceeded,
     InternalInvariantViolation,
     NotNegativeDefinite,
 )
 from .homology import compute_homology
 from .plumbing import PlumbingForest, UnionFind, intersection_form
-
-# a flood holds about 400-530 bytes per point under tracemalloc, its
-# frontier included (397 B on 26,624 points of the 5-vertex star
-# "-1; 4/1 5/3 7/1", 525 B on 137,702 points of the 8-vertex
-# "-2; 2/1 5/2 7/3 4/1"), so a sweep at the default cap may reach ~5 GB;
-# nothing checks memory yet
-DEFAULT_POINT_CAP = 10**7
 
 # bytes per vertex in a packed flood point, and their struct codes
 _FIELD_BYTES = 4

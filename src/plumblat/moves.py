@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .charlattice import DEFAULT_BOX_CAP, BoxIndex, CharVector
-from .errors import InternalInvariantViolation, InvalidTriple, NotBlowdownable
+from .charlattice import BoxIndex, CharVector
+from .errors import DEFAULT_BOX_CAP, InternalInvariantViolation, InvalidTriple, NotBlowdownable
 from .homology import HomologyResult, class_of, compute_homology
 from .intlinalg import rank_rational
 from .plumbing import EdgeSign, PlumbingForest, intersection_form

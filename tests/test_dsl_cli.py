@@ -476,12 +476,13 @@ def test_cli_fuzz_sfs_text(family, data, action):
 
 
 def test_cli_internal_violation_maps_to_4(capsys, monkeypatch):
-    import plumblat.cli as cli_mod
+    import plumblat.homology
 
     def explode(*args, **kwargs):
         raise InternalInvariantViolation("synthetic")
 
-    monkeypatch.setattr(cli_mod, "compute_homology", explode)
+    # the homology action reads compute_homology from its defining module
+    monkeypatch.setattr(plumblat.homology, "compute_homology", explode)
     code, _ = run_cli(capsys, "homology", str(FIXTURES / "e8.plumb"))
     assert code == 4
 
