@@ -185,31 +185,27 @@ class BoxIndex:
         start = high * self.radices[v] * stride + low
         return digit, range(start, start + self.radices[v] * stride, stride)
 
-    def orbits(self, *, members: bool = True) -> dict[tuple[int, ...], list[int]]:
-        """Split the whole box into spin^c orbits.
+    def orbits(self) -> dict[tuple[int, ...], int]:
+        """Split the whole box into spin^c orbits: each orbit key mapped to
+        its least member, in order of least member.
 
-        Maps each orbit key to the indices of its members in increasing
-        order, or with ``members=False`` to its least member alone, in order
-        of least member.  Tails are grouped by key part and heads walked in
-        index order: a head meets each tail group once, at one orbit key, so
-        member lists grow in index order.  Least members are all found once
-        |det| orbits have been seen.
+        Tails are grouped by key part and heads walked in index order, so a
+        key's first sighting is its least member; the scan stops once |det|
+        orbits have been seen.  :meth:`members` walks one orbit's members.
         """
         moduli, expected = self.indexer.moduli, abs(self.indexer.determinant)
-        groups: dict[tuple[int, ...], list[int]] = {}
+        least: dict[tuple[int, ...], int] = {}
         for high, head_key in enumerate(self.head_keys):
             base = high * self.low
             for tail_key, rests in self._tail_groups.items():
                 key = tuple([(a + b) % d for a, b, d in zip(head_key, tail_key, moduli)])
-                if members:
-                    groups.setdefault(key, []).extend([base + r for r in rests])
-                elif key not in groups:
-                    groups[key] = [base + rests[0]]
-            if not members and len(groups) >= expected:
+                if key not in least:
+                    least[key] = base + rests[0]
+            if len(least) >= expected:
                 break
-        if len(groups) != expected:
-            raise InternalInvariantViolation(f"box met {len(groups)} orbits, |det| = {expected}")
-        return groups
+        if len(least) != expected:
+            raise InternalInvariantViolation(f"box met {len(least)} orbits, |det| = {expected}")
+        return least
 
     def members(self, key: tuple[int, ...]) -> list[int]:
         """The members of the orbit with key ``key``, in increasing order:

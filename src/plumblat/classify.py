@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .charlattice import LatticeVector
-from .errors import DEFAULT_BOX_CAP, DEFAULT_NMAX, EnumerationBudgetExceeded
+from .errors import DEFAULT_BOX_CAP, DEFAULT_NMAX, DEFAULT_POINT_CAP, EnumerationBudgetExceeded
 from .errors import InternalInvariantViolation, NotNegativeDefinite
 from .homology import DerivedDimensions, HomologyResult, compute_homology, derived_dimensions
 from .intlinalg import quadratic_sublevel_points
@@ -40,8 +40,6 @@ from .plumbing import (
     definiteness,
     intersection_form,
 )
-
-DEFAULT_RATIONALITY_POINT_CAP = 10**7
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,7 @@ def _laufer_walk(forest: PlumbingForest) -> Callable[[Sequence[int], int], bool]
     it.  The forest must be negative definite.  Every step, each component's
     first included, counts against ``point_cap``.
     """
-    neighbours: list[list[int]] = [[] for _ in forest.ids]
-    for a, b in forest.edges:
-        neighbours[a].append(b)
-        neighbours[b].append(a)
+    neighbours = forest.adjacency
     starts = [component[0] for component in forest.components()]
 
     def walk(framings: Sequence[int], point_cap: int) -> bool:
@@ -114,7 +109,7 @@ def _laufer_walk(forest: PlumbingForest) -> Callable[[Sequence[int], int], bool]
 def is_rational(
     forest: PlumbingForest,
     *,
-    point_cap: int = DEFAULT_RATIONALITY_POINT_CAP,
+    point_cap: int = DEFAULT_POINT_CAP,
 ) -> RationalityVerdict:
     """Rationality by Laufer's walk; past a failed walk, the witness is the
     lexicographically least nonzero nonnegative point of the ellipsoid
@@ -140,7 +135,7 @@ def is_almost_rational(
     forest: PlumbingForest,
     *,
     nmax: int = DEFAULT_NMAX,
-    point_cap: int = DEFAULT_RATIONALITY_POINT_CAP,
+    point_cap: int = DEFAULT_POINT_CAP,
 ) -> ARVerdict:
     """Search for a single-vertex framing decrement that reaches rationality.
 
@@ -157,7 +152,7 @@ def certify_almost_rational(
     forest: PlumbingForest,
     *,
     nmax: int = DEFAULT_NMAX,
-    point_cap: int = DEFAULT_RATIONALITY_POINT_CAP,
+    point_cap: int = DEFAULT_POINT_CAP,
 ) -> bool:
     """Whether the forest is certified almost-rational, as :func:`full_report`
     decides it: at most one bad vertex (a theorem that report enforces), else
@@ -220,7 +215,7 @@ def full_report(
     *,
     nmax: int = DEFAULT_NMAX,
     box_cap: int = DEFAULT_BOX_CAP,
-    point_cap: int = DEFAULT_RATIONALITY_POINT_CAP,
+    point_cap: int = DEFAULT_POINT_CAP,
 ) -> ClassificationReport:
     """Assemble the whole classification; homology fields absent off-negdef.
 

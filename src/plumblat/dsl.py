@@ -94,23 +94,31 @@ def parse_json_plumbing(text: str) -> PlumbingForest:
         raise DslSyntaxError(1, f"bad JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise DslSyntaxError(1, "JSON plumbing must be an object")
-    try:
-        vertices = [(v["id"], v["framing"]) for v in doc["vertices"]]
-        edges = [(a, b) for a, b in doc.get("edges", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+    try:  # a KeyError names the missing key
+        listed = {"vertices": doc["vertices"], "edges": doc.get("edges", [])}
+        for key, value in listed.items():
+            if not isinstance(value, list):
+                raise DslSyntaxError(1, f"{key} {json.dumps(value)} must be a JSON array")
+        for v in listed["vertices"]:
+            if not isinstance(v, dict):
+                raise DslSyntaxError(1, f"vertex {json.dumps(v)} must be a JSON object")
+        vertices = [(v["id"], v["framing"]) for v in listed["vertices"]]
+    except KeyError as exc:
         raise DslSyntaxError(1, f"malformed JSON plumbing: {exc}") from None
     for vid, framing in vertices:
         if not isinstance(vid, str):
             raise DslSyntaxError(1, f"vertex id {json.dumps(vid)} is not a string")
         if type(framing) is not int:  # bool is an int subclass, and not a framing
             raise DslSyntaxError(1, f"framing {json.dumps(framing)} is not an integer")
-    for a, b in edges:
-        if not (isinstance(a, str) and isinstance(b, str)):
-            raise DslSyntaxError(1, f"edge {json.dumps([a, b])} must name vertex ids")
+    for edge in listed["edges"]:  # unpacking alone would take "ab" or {"a": 1, "b": 2}
+        if not (isinstance(edge, list) and len(edge) == 2):
+            raise DslSyntaxError(1, f"edge {json.dumps(edge)} must be an array of two vertex ids")
+        if not all(isinstance(end, str) for end in edge):
+            raise DslSyntaxError(1, f"edge {json.dumps(edge)} must name vertex ids")
     name = doc.get("convention", "minus_one")
     if not isinstance(name, str) or name not in _CONVENTIONS:
         raise DslSyntaxError(1, f"unknown convention {json.dumps(name)}")
-    return validate_forest(vertices, edges, _CONVENTIONS[name])
+    return validate_forest(vertices, listed["edges"], _CONVENTIONS[name])
 
 
 def parse_plumbing(text: str) -> PlumbingForest:

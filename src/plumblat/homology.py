@@ -145,8 +145,7 @@ class HomologyResult:
         without a class cannot hide."""
         classes = self.classes
         per_orbit = []
-        orbits = self.box.orbits(members=False)
-        for orbit_index, (key, (least,)) in enumerate(orbits.items()):
+        for orbit_index, (key, least) in enumerate(self.box.orbits().items()):
             cls_ids = self.orbit_classes.get(key, ())
             per_orbit.append(
                 OrbitHomology(

@@ -114,9 +114,8 @@ from .errors import (
 from .homology import compute_homology
 from .plumbing import PlumbingForest, UnionFind, intersection_form
 
-# bytes per vertex in a packed flood point, and their struct codes
+# bytes per vertex in a packed flood point, unpacked as struct code "I"
 _FIELD_BYTES = 4
-_FIELD_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
 @dataclass(frozen=True)
@@ -131,8 +130,8 @@ class GradedHPlus:
     """Graded component counts for one orbit.
 
     ``levels`` runs over consecutive weights from the least local-minimum
-    weight through ``stabilized_at`` (plus any requested extra levels); from
-    ``stabilized_at`` on, the complex stays connected and nothing is born.
+    weight through ``stabilized_at``; from there on, the complex stays
+    connected and nothing is born.
     ``ker_u_rank`` is the total number of births.
     """
 
@@ -290,12 +289,7 @@ class _GradedOrbitTable:
         return dict(sorted(Counter(self.weight(a, q0) for a in roots).items()))
 
     def hplus(
-        self,
-        orbit: SpinCOrbit,
-        key: tuple[int, ...],
-        q0: int,
-        point_cap: int,
-        extra_levels: int,
+        self, orbit: SpinCOrbit, key: tuple[int, ...], q0: int, point_cap: int
     ) -> GradedHPlus:
         """Level table of one orbit, with key ``key`` and q0 = q(k0) of its
         representative k0, counting its births once.
@@ -305,19 +299,14 @@ class _GradedOrbitTable:
         births = self.births(key, q0)
         ker_u_rank = sum(births.values())
         if ker_u_rank == 1:
-            (stabilized_at,) = births
-            levels = [HPlusLevel(level=stabilized_at, rank=1, births=1)]
-            for j in range(1, extra_levels + 1):
-                levels.append(HPlusLevel(level=stabilized_at + j, rank=1, births=0))
+            levels = [HPlusLevel(level=min(births), rank=1, births=1)]
         else:
-            levels, stabilized_at = _sweep_levels(
-                self, key, q0, births, point_cap, extra_levels
-            )
+            levels = _sweep_levels(self, key, q0, births, point_cap)
         return GradedHPlus(
             orbit=orbit,
             levels=tuple(levels),
             ker_u_rank=ker_u_rank,
-            stabilized_at=stabilized_at,
+            stabilized_at=levels[-1].level,
         )
 
 
@@ -332,11 +321,11 @@ def _sweep_levels(
     q0: int,
     births: dict[int, int],
     point_cap: int,
-    extra_levels: int,
-) -> tuple[list[HPlusLevel], int]:
+) -> list[HPlusLevel]:
     """Exact per-level component counts by certified flood of the orbit with
     key ``key`` (q0 = q(k0) of its representative), with births re-derived
-    independently and compared against the plateau counts.
+    independently and compared against the plateau counts, up to the
+    stabilization level, which is the last.
 
     A point k is one int, field v holding k_v + bias in ``_FIELD_BYTES``
     bytes at byte v * _FIELD_BYTES; packing is additive, so a step is
@@ -347,7 +336,7 @@ def _sweep_levels(
     box = table.box
     width = 8 * _FIELD_BYTES
     bias, shifts = 1 << width - 1, range(0, width * len(box.framings), width)
-    unpack = Struct(f"<{len(shifts)}{_FIELD_CODES[_FIELD_BYTES]}").unpack
+    unpack = Struct(f"<{len(shifts)}I").unpack
     nbytes, reach = _FIELD_BYTES * len(shifts), 2 * max(map(abs, box.framings))
     seeds: dict[int, list[int]] = {}
     for a in box.members(key):
@@ -369,8 +358,6 @@ def _sweep_levels(
 
     comp_count = 0
     levels: list[HPlusLevel] = []
-    stabilized_at: int | None = None
-    remaining_extra = extra_levels
     level = min(seeds)
     while True:
         limits = table.limits(q0, level)
@@ -430,17 +417,9 @@ def _sweep_levels(
                 f"plateau count says {births.get(level, 0)}"
             )
         levels.append(HPlusLevel(level=level, rank=comp_count, births=swept_births))
-        if stabilized_at is None:
-            if level >= last_birth and comp_count == 1:
-                stabilized_at = level
-                if remaining_extra == 0:
-                    break
-        else:
-            remaining_extra -= 1
-            if remaining_extra <= 0:
-                break
+        if level >= last_birth and comp_count == 1:
+            return levels
         level += 1
-    return levels, stabilized_at
 
 
 def compute_hplus(
@@ -449,7 +428,6 @@ def compute_hplus(
     *,
     point_cap: int = DEFAULT_POINT_CAP,
     box_cap: int = DEFAULT_BOX_CAP,
-    extra_levels: int = 0,
 ) -> GradedHPlus:
     """Component counts, births per level and the kernel-of-U rank.
 
@@ -464,7 +442,7 @@ def compute_hplus(
         orbit = SpinCOrbit(representative=orbit, index=-1)
     table = _GradedOrbitTable.of(forest, box_cap)
     key, q0 = table.key_and_q(orbit.representative)
-    return table.hplus(orbit, key, q0, point_cap, extra_levels)
+    return table.hplus(orbit, key, q0, point_cap)
 
 
 @dataclass(frozen=True)
@@ -502,20 +480,21 @@ def ker_u_cross_check(
     thins both pair families alike (what the births keep is the negation
     of what the quotient keeps).  What is independent is the code that
     builds each count and the flood, which re-derives from sublevel sets
-    the births of every orbit with more than one.  Each row carries its orbit's level table; ``point_cap`` bounds the
-    sweeps of orbits with more than one birth.
+    the births of every orbit with more than one.  Each row carries its
+    orbit's level table; ``point_cap`` bounds the sweeps of orbits with more
+    than one birth.
     """
     homology = compute_homology(forest, box_cap=box_cap)
     table = _GradedOrbitTable(homology.box)
     box = table.box
     rows = []
-    for oh in homology.per_orbit:
-        # the representative is the orbit's least box vector: its index
-        # gives the key and q(k0) from the tables
-        least = sum(
-            (e - m) // 2 * stride
-            for e, m, stride in zip(oh.orbit.representative.evals, box.framings, box.strides)
-        )
-        graded = table.hplus(oh.orbit, box.key(least), table.q(least), point_cap, 0)
-        rows.append(CrossCheckRow(orbit=oh.orbit, homology_dim=oh.dim, graded=graded))
+    # each orbit enters by its least box index, which gives its
+    # representative, its key and q(k0) from the tables
+    for index, (key, least) in enumerate(box.orbits().items()):
+        orbit = SpinCOrbit(representative=CharVector(box.evals(least)), index=index)
+        graded = table.hplus(orbit, key, table.q(least), point_cap)
+        dim = len(homology.orbit_classes[key])
+        rows.append(CrossCheckRow(orbit=orbit, homology_dim=dim, graded=graded))
+    if homology.total_dim != sum(row.homology_dim for row in rows):
+        raise InternalInvariantViolation("per-orbit dimensions do not add up")
     return CrossCheckReport(ok=all(r.matches for r in rows), rows=tuple(rows))

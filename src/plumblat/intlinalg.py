@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from math import gcd, isqrt
-from numbers import Rational
 from typing import Iterator, NamedTuple, Sequence
 
 from .errors import EnumerationBudgetExceeded, InternalInvariantViolation
@@ -218,29 +217,27 @@ def rank_rational(rows: Sequence[Mapping[int, int]]) -> int:
 def quadratic_sublevel_points(
     matrix: Matrix,
     linear: Sequence[int],
-    constant: Rational,
+    constant: int,
     point_cap: int,
 ) -> Iterator[tuple[int, ...]]:
     """All integer x with Q(x) = x'Mx + b.x + c <= 0 for positive-definite M.
 
-    An integer Fincke-Pohst search (Math. Comp. 44, 1985).  The constant c
-    is any rational (an ``int`` or a ``fractions`` value); with c = a/q,
-    2q Q(x) = [x;1]' G [x;1] for G = [[2qM, qb], [qb', 2a]]; one forward
+    An integer Fincke-Pohst search (Math. Comp. 44, 1985).  With
+    2 Q(x) = [x;1]' G [x;1] for G = [[2M, b], [b', 2c]], one forward
     Bareiss pass over the n variables of G gives pivots p_i > 0, pivot rows
     R_i and the last entry W_n = det G.  The walk fixes x_{n-1} first.  At
     level i, u_i = p_i x_i + R_i[n] + sum_{j>i} R_i[j] x_j must satisfy
     u_i^2 <= -p_{i-1} W_{i+1} (p_{-1} = 1), an exact integer window, and
     W_i = (u_i^2 + p_{i-1} W_{i+1}) / p_i is p_{i-1} times the completed
-    square left over, an integer.  W_0 = 2q Q(x), so every emitted point is
+    square left over, an integer.  W_0 = 2 Q(x), so every emitted point is
     re-verified; a remainder or a positive W_i raises
     InternalInvariantViolation.  Points come in lexicographic order of
     (x_{n-1}, ..., x_0).  Raises ValueError if M is not positive definite,
     and EnumerationBudgetExceeded past ``point_cap`` scanned candidates.
     """
     n = len(matrix)
-    a, q = constant.numerator, constant.denominator
-    bordered = [[2 * q * x for x in row] + [q * b] for row, b in zip(matrix, linear)]
-    bordered.append([q * b for b in linear] + [2 * a])
+    bordered = [[2 * x for x in row] + [b] for row, b in zip(matrix, linear)]
+    bordered.append([*linear, 2 * constant])
     pivots, rows = _bareiss(bordered, n, above=False)
     if any(p <= 0 for p in pivots):
         raise ValueError("matrix is not positive definite")

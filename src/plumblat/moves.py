@@ -316,10 +316,6 @@ def bipartition(forest: PlumbingForest) -> tuple[bool, ...]:
     """Deterministic 2-coloring; the smallest index of a component is False."""
     n = len(forest)
     color: list[bool | None] = [None] * n
-    adjacency: list[list[int]] = [[] for _ in range(n)]
-    for a, b in forest.edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
     for start in range(n):
         if color[start] is not None:
             continue
@@ -327,7 +323,7 @@ def bipartition(forest: PlumbingForest) -> tuple[bool, ...]:
         stack = [start]
         while stack:
             node = stack.pop()
-            for other in adjacency[node]:
+            for other in forest.adjacency[node]:
                 if color[other] is None:
                     color[other] = not color[node]
                     stack.append(other)

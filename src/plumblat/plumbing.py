@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Iterable
 
 from .errors import (
@@ -118,24 +119,23 @@ class PlumbingForest:
         except ValueError:
             raise UnknownVertexId(f"unknown vertex id {vertex_id!r}") from None
 
+    @cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours, in the order of ``edges``."""
+        near: list[list[int]] = [[] for _ in self.ids]
+        for a, b in self.edges:
+            near[a].append(b)
+            near[b].append(a)
+        return tuple(map(tuple, near))
+
     def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if a == i or b == i)
+        return len(self.adjacency[i])
 
     def degrees(self) -> list[int]:
-        degs = [0] * len(self.ids)
-        for a, b in self.edges:
-            degs[a] += 1
-            degs[b] += 1
-        return degs
+        return [len(near) for near in self.adjacency]
 
     def neighbors(self, i: int) -> list[int]:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return sorted(out)
+        return sorted(self.adjacency[i])
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted index lists, sorted by first vertex."""
@@ -265,10 +265,7 @@ def definiteness(forest: PlumbingForest) -> tuple[int, Definiteness]:
     form is negative definite iff every pivot is negative, semidefinite iff
     no pivot or pair is positive; e^2 = 1 in both edge conventions.
     """
-    adjacent: list[set[int]] = [set() for _ in forest.ids]
-    for a, b in forest.edges:
-        adjacent[a].add(b)
-        adjacent[b].add(a)
+    adjacent = [set(near) for near in forest.adjacency]
     # the pivot of v is num[v] / den[v], with den[v] > 0
     num, den = list(forest.framings), [1] * len(forest.ids)
     det_num, det_den, signs, done = 1, 1, set(), [False] * len(num)

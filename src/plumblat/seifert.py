@@ -13,11 +13,11 @@ The convention, fixed here once and documented in the README, is:
   homology of the boundary has order |alpha_1 ... alpha_n * e|, which is
   cross-checked exactly against the determinant of the star.
 
-When the star is not negative definite the orientation is reversed (negate
-the Euler number; on normalized data: e0 -> -e0 - #legs, beta' -> alpha -
-beta') and the conversion is flagged.  Base orbifold RP^2 has no plumbing
-pipeline here and is rejected up front: those fillings are not expressible
-as a star over S^2.
+The star is negative definite iff e < 0.  When e > 0 the orientation is
+reversed (negate the Euler number; on normalized data: e0 -> -e0 - #legs,
+beta' -> alpha - beta') and the conversion is flagged.  Base orbifold RP^2
+has no plumbing pipeline here and is rejected up front: those fillings are
+not expressible as a star over S^2.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from .errors import (
     SeifertInputError,
     TooManyVertices,
 )
-from .plumbing import (
-    MAX_VERTICES,
-    PlumbingForest,
-    intersection_form,
-    validate_forest,
-)
+from .plumbing import MAX_VERTICES, Definiteness, PlumbingForest, definiteness, validate_forest
 
 
 @dataclass(frozen=True)
@@ -103,14 +98,6 @@ def cont_frac_expand(alpha: int, beta: int) -> list[int]:
     return terms
 
 
-def evaluate_cont_frac(terms: list[int]) -> Fraction:
-    """Value of [a_1, ..., a_k] = a_1 - 1/(a_2 - ...)."""
-    value = Fraction(terms[-1])
-    for a in reversed(terms[:-1]):
-        value = a - 1 / value
-    return value
-
-
 def normalize(data: SeifertData) -> SeifertData:
     """Reduce every beta mod alpha into [0, alpha); drop trivial legs."""
     data.validate()
@@ -161,41 +148,40 @@ class SeifertConversion:
 def seifert_to_plumbing(data: SeifertData) -> SeifertConversion:
     """Star-shaped negative-definite plumbing of the Seifert data, with -1 edges.
 
-    Tries the orientation as given first, then the reverse; raises when
-    neither bounds a negative-definite star (e.g. Euler number zero).  The
-    order |H_1| from the Seifert data formula is checked exactly against the
+    The legs are negative definite and the centre's Schur complement is the
+    Euler number e, so the star is negative definite iff e < 0.  Only the
+    orientation with e < 0 is built (reversing negates e); e = 0 bounds no
+    negative-definite star.  The leaf-first pass of
+    :func:`~plumblat.plumbing.definiteness` certifies the star, and the
+    order |H_1| from the Seifert data formula is checked exactly against its
     determinant.
     """
     normalized = normalize(data)
-    for reversed_flag, candidate in (
-        (False, normalized),
-        (True, reverse_orientation(normalized)),
-    ):
-        forest = _build_star(candidate)
-        form = intersection_form(forest)
-        if not form.is_negative_definite:
-            continue
-        euler = euler_number(candidate)
-        order = euler
-        for alpha, _ in candidate.legs:
-            order *= alpha
-        if order.denominator != 1:
-            raise InternalInvariantViolation(
-                "alpha-product times Euler number is not an integer"
-            )
-        h1 = abs(int(order))
-        if h1 != abs(form.determinant):
-            raise InternalInvariantViolation(
-                f"det {form.determinant} disagrees with Seifert |H1| {h1}"
-            )
-        return SeifertConversion(
-            forest=forest,
-            given=data,
-            used=candidate,
-            reversed_orientation=reversed_flag,
-            euler=euler,
-            h1_order=h1,
+    euler = euler_number(normalized)
+    if not euler:
+        raise NotNegativeDefiniteEitherOrientation(
+            "neither orientation of the Seifert data bounds a negative-definite star"
         )
-    raise NotNegativeDefiniteEitherOrientation(
-        "neither orientation of the Seifert data bounds a negative-definite star"
+    reversed_flag = euler > 0
+    used = reverse_orientation(normalized) if reversed_flag else normalized
+    euler = euler_number(used)
+    forest = _build_star(used)
+    det, kind = definiteness(forest)
+    if kind is not Definiteness.NEGATIVE_DEFINITE:
+        raise InternalInvariantViolation(f"the star of Euler number {euler} is {kind.value}")
+    order = euler
+    for alpha, _ in used.legs:
+        order *= alpha
+    if order.denominator != 1:
+        raise InternalInvariantViolation("alpha-product times Euler number is not an integer")
+    h1 = abs(int(order))
+    if h1 != abs(det):
+        raise InternalInvariantViolation(f"det {det} disagrees with Seifert |H1| {h1}")
+    return SeifertConversion(
+        forest=forest,
+        given=data,
+        used=used,
+        reversed_orientation=reversed_flag,
+        euler=euler,
+        h1_order=h1,
     )

@@ -69,8 +69,8 @@ def orbit_decompose(
     by_evals = {k.evals: k for k in box}
     grid = BoxIndex(form, len(by_evals))
     out = []
-    for idx, members in enumerate(grid.orbits().values()):
-        vectors = tuple(by_evals[grid.evals(i)] for i in members)
+    for idx, key in enumerate(grid.orbits()):
+        vectors = tuple(by_evals[grid.evals(i)] for i in grid.members(key))
         out.append(
             OrbitMembers(
                 orbit=SpinCOrbit(representative=vectors[0], index=idx),

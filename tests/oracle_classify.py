@@ -22,13 +22,12 @@ from plumblat import (
     chi,
     intersection_form,
 )
-from plumblat.classify import DEFAULT_RATIONALITY_POINT_CAP
-from plumblat.errors import NotNegativeDefinite
+from plumblat.errors import DEFAULT_POINT_CAP, NotNegativeDefinite
 from plumblat.intlinalg import quadratic_sublevel_points
 
 
 def reference_is_rational(
-    forest: PlumbingForest, point_cap: int = DEFAULT_RATIONALITY_POINT_CAP
+    forest: PlumbingForest, point_cap: int = DEFAULT_POINT_CAP
 ) -> RationalityVerdict:
     """Rational iff no nonzero nonnegative lattice point has chi <= 0."""
     form = intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
@@ -50,7 +49,7 @@ def reference_is_rational(
 def reference_almost_rational(
     forest: PlumbingForest,
     nmax: int,
-    point_cap: int = DEFAULT_RATIONALITY_POINT_CAP,
+    point_cap: int = DEFAULT_POINT_CAP,
 ) -> ARVerdict:
     """The first (decrement, vertex) in scan order whose lowered forest is rational."""
     if reference_is_rational(forest, point_cap).rational:

@@ -316,7 +316,7 @@ def rational_via_hplus(
     quotient engine or the chi ellipsoid (orbits come from the box scan).
     """
     table = _GradedOrbitTable.of(forest, box_cap)
-    for key, (least,) in table.box.orbits(members=False).items():
+    for key, least in table.box.orbits().items():
         if sum(table.births(key, table.q(least)).values()) != 1:
             return False
     return True

@@ -185,9 +185,9 @@ def test_coercivity_and_radius_bounds(rng):
 def test_box_keys_and_orbits_agree_with_the_indexer(edge_sign):
     """On seeded random forests and a chain whose head and tail tables both
     hold several entries: every index decodes to its evaluations and its
-    box key is the indexer's key of them; ``orbits()`` groups every index by
-    that key, lists sorted, in order of least member; and
-    ``orbits(members=False)`` keeps the first members in the same order."""
+    box key is the indexer's key of them; ``orbits()`` maps every key to
+    its least index, in order of least member; and ``members(key)`` lists
+    every index of that key, sorted."""
     rng = random.Random(0xB0C5)
     forests = [random_forest(rng, 6, lo=-4, edge_sign=edge_sign) for _ in range(30)]
     names = [f"v{i}" for i in range(5)]
@@ -206,10 +206,9 @@ def test_box_keys_and_orbits_agree_with_the_indexer(edge_sign):
             assert key == box.indexer.key(box.evals(a))
             grouped.setdefault(key, []).append(a)
         orbits = box.orbits()
-        assert list(orbits.items()) == list(grouped.items())
+        assert [(key, box.members(key)) for key in orbits] == list(grouped.items())
         assert len(orbits) == abs(form.determinant)
-        least = box.orbits(members=False)
-        assert list(least.items()) == [(key, m[:1]) for key, m in grouped.items()]
+        assert list(orbits.items()) == [(key, m[0]) for key, m in grouped.items()]
     assert split >= 2
 
 
@@ -287,4 +286,4 @@ def test_key_width_on_named_inputs(forest, width):
     box = BoxIndex(intersection_form(forest), DEFAULT_BOX_CAP)
     assert len(box.indexer.moduli) == width
     assert {len(box.key(a)) for a in range(0, box.size, 7)} == {width}
-    assert len(box.orbits(members=False)) == abs(box.indexer.determinant)
+    assert len(box.orbits()) == abs(box.indexer.determinant)

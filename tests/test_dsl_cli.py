@@ -261,6 +261,33 @@ def test_cli_json_type_errors_print_json_values(tmp_path, doc, message):
     assert _cli("info", str(path)) == (2, "", f"plumblat: error: line 1: {message}\n")
 
 
+_TWO = [{"id": "a", "framing": -2}, {"id": "b", "framing": -2}]
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": _TWO, "edges": ["ab"]}, 'edge "ab" must be an array of two vertex ids'),
+        ({"vertices": _TWO, "edges": {"ab": 1}}, 'edges {"ab": 1} must be a JSON array'),
+        ({"vertices": _TWO, "edges": [["a", "b", "a"]]},
+         'edge ["a", "b", "a"] must be an array of two vertex ids'),
+        ({"vertices": _TWO, "edges": [{"a": 1, "b": 2}]},
+         'edge {"a": 1, "b": 2} must be an array of two vertex ids'),
+        ({"vertices": {}}, "vertices {} must be a JSON array"),
+        ({"vertices": ["a"]}, 'vertex "a" must be a JSON object'),
+    ],
+)
+def test_cli_json_shapes_are_arrays_of_objects_and_pairs(tmp_path, doc, message):
+    """``vertices`` and ``edges`` are arrays, each vertex an object and
+    each edge an array of two ids: unpacking alone read the string "ab" and
+    the keys of an object as edges a-b, and ``{}`` as no vertices."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DslSyntaxError):
+        parse_plumbing(json.dumps(doc))
+    assert _cli("info", str(path)) == (2, "", f"plumblat: error: line 1: {message}\n")
+
+
 # blank, comment and convention lines keep each entry's line apart from its
 # position among the vertices or the edges, and most failing entries have
 # entries of their kind after them

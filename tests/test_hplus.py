@@ -5,9 +5,11 @@ from __future__ import annotations
 import json
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from operator import mul
+from struct import Struct
 
 import pytest
 
@@ -34,21 +36,26 @@ from plumblat import (
     intersection_form,
     intlinalg,
     ker_u_cross_check,
+    parse_plumbing,
     parse_sfs,
     seifert_to_plumbing,
     validate_forest,
 )
 from plumblat.cli import main
 from plumblat.errors import EnumerationBudgetExceeded, InternalInvariantViolation
-from plumblat.hplus import _GradedOrbitTable
+from plumblat.homology import HomologyResult
+from plumblat.hplus import CrossCheckRow, _GradedOrbitTable
 from plumblat.moves import convert_convention
 
 
 def test_single_vertex_orbit_of_zero():
-    graded = compute_hplus(lens(2), CharVector((0,)), extra_levels=2)
+    """The table stops at stabilization; the oracle's levels past it stay
+    connected and birthless."""
+    graded = compute_hplus(lens(2), CharVector((0,)))
     assert graded.ker_u_rank == 1
     assert graded.stabilized_at == 0
-    assert [(l.level, l.rank, l.births) for l in graded.levels] == [
+    assert [(l.level, l.rank, l.births) for l in graded.levels] == [(0, 1, 1)]
+    assert _brute_levels(lens(2), CharVector((0,)), 2) == [
         (0, 1, 1),
         (1, 1, 0),
         (2, 1, 0),
@@ -101,6 +108,42 @@ def test_cross_check_rows_carry_level_tables_under_the_point_cap():
     assert main(["sfs", "--sfs", sfs, "hplus"]) == 0
 
 
+def test_cross_check_reads_no_object_view(monkeypatch):
+    """With ``classes`` and ``per_orbit`` patched to raise, the cross-check
+    gives the rows built from ``per_orbit`` (each orbit's dimension and
+    compute_hplus table), on every fixture and 30 seeded forests in both
+    conventions; and per-orbit dimensions that miss ``total_dim`` raise."""
+    rng = random.Random(0xC4EC)
+    forests = [parse_plumbing(path.read_text()) for path in sorted(FIXTURES.glob("*.plumb"))]
+    for path in sorted(FIXTURES.glob("*.sfs")):
+        forests.append(seifert_to_plumbing(parse_sfs(path.read_text().strip())).forest)
+    for i in range(30):
+        sign = EdgeSign.PLUS_ONE if i % 2 else EdgeSign.MINUS_ONE
+        forests.append(random_forest(rng, max_vertices=5, lo=-4, edge_sign=sign))
+    expected = [
+        tuple(
+            CrossCheckRow(orbit=oh.orbit, homology_dim=oh.dim, graded=compute_hplus(f, oh.orbit))
+            for oh in compute_homology(f).per_orbit
+        )
+        for f in forests
+    ]
+
+    def refuse(self):
+        raise AssertionError("an object view was built")
+
+    monkeypatch.setattr(HomologyResult, "classes", property(refuse))
+    monkeypatch.setattr(HomologyResult, "per_orbit", property(refuse))
+    assert [ker_u_cross_check(f).rows for f in forests] == expected
+
+    def off_by_one(forest, box_cap):
+        result = compute_homology(forest, box_cap=box_cap)
+        return replace(result, total_dim=result.total_dim + 1)
+
+    monkeypatch.setattr(hplus, "compute_homology", off_by_one)
+    with pytest.raises(InternalInvariantViolation, match="do not add up"):
+        ker_u_cross_check(elliptic_a())
+
+
 def test_cross_check_random_suite(rng):
     """Fifty random small forests: quotient dims equal kernel ranks."""
     for _ in range(50):
@@ -118,17 +161,37 @@ def test_rational_via_hplus():
 
 
 def test_stabilization_is_stable(rng):
-    """Extra levels past stabilization stay connected and birthless."""
+    """The table ends at its stabilization level, and the two levels past
+    it stay connected and birthless: built by the oracle's one-level floods,
+    and on forests of at most three vertices also by the brute-force
+    window, which grows too fast for more."""
     cases = [elliptic_a(), lens(4)]
     for _ in range(10):
         cases.append(random_forest(rng, max_vertices=4))
     for forest in cases:
         result = compute_homology(forest)
         for oh in result.per_orbit:
-            graded = compute_hplus(forest, oh.orbit, extra_levels=2)
-            tail = [l for l in graded.levels if l.level > graded.stabilized_at]
-            assert len(tail) == 2
-            assert all(l.rank == 1 and l.births == 0 for l in tail)
+            graded = compute_hplus(forest, oh.orbit)
+            stable = graded.stabilized_at
+            assert graded.levels[-1].level == stable
+            tail = _flooded_levels(forest, oh.orbit, stable, 2)
+            assert tail == [(stable + 1, 1, 0), (stable + 2, 1, 0)]
+            if len(forest) <= 3:
+                expected = _brute_levels(forest, oh.orbit.representative, stable + 2)
+                assert [level for level in expected if level[0] > stable] == tail
+
+
+def _flooded_levels(forest, orbit, level, count):
+    """(n, rank, births) for the ``count`` levels past ``level``, from the
+    oracle's one-level floods: a birth is a component that misses S_{n-1}."""
+    previous = sublevel_complex(forest, orbit, level).points
+    levels = []
+    for n in range(level + 1, level + count + 1):
+        snapshot = sublevel_complex(forest, orbit, n)
+        births = sum(1 for members in snapshot.components if previous.isdisjoint(members))
+        levels.append((n, snapshot.rank, births))
+        previous = snapshot.points
+    return levels
 
 
 def _brute_levels(forest, rep, up_to):
@@ -194,12 +257,11 @@ def test_sweep_matches_brute_force_oracle(rng):
     for forest in cases:
         result = compute_homology(forest)
         for oh in result.per_orbit:
-            graded = compute_hplus(forest, oh.orbit, extra_levels=1)
-            expected = _brute_levels(
-                forest, oh.orbit.representative, graded.levels[-1].level
-            )
+            graded = compute_hplus(forest, oh.orbit)
+            stable = graded.stabilized_at
+            expected = _brute_levels(forest, oh.orbit.representative, stable + 1)
             got = [(l.level, l.rank, l.births) for l in graded.levels]
-            assert got == expected[: len(got)]
+            assert got + [(stable + 1, 1, 0)] == expected
             assert sum(b for _, _, b in expected) == graded.ker_u_rank
 
 
@@ -216,10 +278,10 @@ def test_birth_counts_equal_homology_dim_per_orbit(rng):
 
 def test_cli_hplus_builds_one_graded_table(monkeypatch, capsys, tmp_path):
     """One box and one indexer, shared by the quotient and the graded
-    engine, and one birth count per orbit, whatever |det| is.  The quotient
-    engine scans the box for orbits once; the graded engine never does,
-    since a flood walks its one orbit's members, so elliptic_b, which
-    floods one orbit, scans once too."""
+    engine, and one birth count per orbit, whatever |det| is.  The
+    cross-check scans the box for orbits once and the quotient's object
+    views are not built; a flood walks its one orbit's members, so
+    elliptic_b, which floods one orbit, scans once too."""
     calls = {}
 
     def counting(key, fn):
@@ -371,9 +433,12 @@ def test_graded_engine_matches_all_neighbour_oracle():
             idxs = table.box.members(key)
             assert [table.weight(a, q0) for a in idxs] == list(reference.minima.values())
             assert table.births(key, q0) == reference_birth_counts(reference)
-            # a small point cap stops a flood with wrong weights early
-            graded = table.hplus(oh.orbit, key, q0, 10**5, 1)
-            assert graded == reference_hplus(table, oh.orbit, 10**5, 1)
+            # a small point cap stops a flood with wrong weights early; the
+            # reference's one level past stabilization is connected and birthless
+            graded = table.hplus(oh.orbit, key, q0, 10**5)
+            reference = reference_hplus(table, oh.orbit, 10**5, 1)
+            assert graded == replace(reference, levels=reference.levels[:-1])
+            assert reference.levels[-1] == hplus.HPlusLevel(graded.stabilized_at + 1, 1, 0)
             flooded += graded.ker_u_rank > 1
     assert flooded >= 30
 
@@ -396,7 +461,7 @@ def test_births_match_reference_on_random_forests():
     multi = 0
     for forest in cases:
         table = _GradedOrbitTable.of(forest, 10**8)
-        for key, (least,) in table.box.orbits(members=False).items():
+        for key, least in table.box.orbits().items():
             k0 = CharVector(table.box.evals(least))
             births = table.births(key, table.q(least))
             assert births == reference_birth_counts(reference_grading(table, k0))
@@ -433,7 +498,7 @@ def _orbit_signature(forest):
             form.determinant,
         )
         shift = square / 8
-        graded = table.hplus(oh.orbit, *table.key_and_q(oh.orbit.representative), 10**7, 0)
+        graded = table.hplus(oh.orbit, *table.key_and_q(oh.orbit.representative), 10**7)
         levels = tuple((l.level - shift, l.rank, l.births) for l in graded.levels)
         out.append((graded.ker_u_rank, graded.stabilized_at - shift, levels))
     return sorted(out)
@@ -555,13 +620,13 @@ def test_births_and_coordinates_check_every_member_orbit(monkeypatch):
     table = _GradedOrbitTable.of(forest, 10**8)
     key, q0 = table.key_and_q(k0)
     births = table.births(key, q0)
-    foreign = next(idxs for other, idxs in table.box.orbits().items() if other != key)
+    foreign = next(table.box.members(other) for other in table.box.orbits() if other != key)
     walk = table.box.members
     monkeypatch.setattr(table.box, "members", lambda k: sorted(walk(k) + foreign[-1:]))
     assert foreign[-1] in table.box.members(key)
     assert table.births(key, q0) == births
     with pytest.raises(InternalInvariantViolation, match="left its orbit"):
-        table.hplus(orbit, key, q0, 10**7, 0)
+        table.hplus(orbit, key, q0, 10**7)
 
 
 def _flooding_orbits(forest):
@@ -588,9 +653,7 @@ def test_wrong_flood_steps_trip_at_once(forest):
     try:
         for orbit in orbits:
             with pytest.raises(InternalInvariantViolation):
-                table.hplus(
-                    orbit, *table.key_and_q(orbit.representative), hplus.DEFAULT_POINT_CAP, 0
-                )
+                table.hplus(orbit, *table.key_and_q(orbit.representative), hplus.DEFAULT_POINT_CAP)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -608,9 +671,10 @@ def test_integer_bound_holds_on_sublevel_sets_and_checks_every_point(monkeypatch
         for orbit in _flooding_orbits(forest):
             k0 = orbit.representative
             key, q0 = table.key_and_q(k0)
-            for lvl in table.hplus(orbit, key, q0, 10**7, 1).levels:
-                limits = table.limits(q0, lvl.level)
-                for x in sublevel_complex(forest, orbit, lvl.level).points:
+            graded = table.hplus(orbit, key, q0, 10**7)
+            for level in range(graded.levels[0].level, graded.stabilized_at + 2):
+                limits = table.limits(q0, level)
+                for x in sublevel_complex(forest, orbit, level).points:
                     k = lattice_to_char(LatticeVector(x), k0, table.form).evals
                     assert all(e * e <= lim for e, lim in zip(k, limits))
                     reached_off_box |= any(e * e > m * m for e, m in zip(k, forest.framings))
@@ -655,24 +719,23 @@ PACKED_FLOOD_STARS = ("-2; 3/1 3/1 3/1 3/1", "-2; 2/1 5/2 7/3 4/1")
 
 def test_packed_flood_matches_reference_sweep():
     """The packed flood's level tables are the all-neighbour reference
-    sweep's, with one extra level, on every multi-birth orbit of
-    elliptic_a, elliptic_b and two stars, in both conventions."""
+    sweep's on every multi-birth orbit of elliptic_a, elliptic_b and two
+    stars, in both conventions."""
     forests = [elliptic_a(), elliptic_b()]
     forests += [seifert_to_plumbing(parse_sfs(text)).forest for text in PACKED_FLOOD_STARS]
     forests += [convert_convention(f).forest for f in forests]
     swept = 0
     for forest in forests:
         table = _GradedOrbitTable.of(forest, 10**8)
-        for key, (least,) in table.box.orbits(members=False).items():
+        for key, least in table.box.orbits().items():
             q0 = table.q(least)
             births = table.births(key, q0)
             if sum(births.values()) == 1:
                 continue
             grading = reference_grading(table, CharVector(table.box.evals(least)))
             assert births == reference_birth_counts(grading)
-            assert hplus._sweep_levels(table, key, q0, births, 10**6, 1) == (
-                reference_sweep_levels(grading, births, 10**6, 1)
-            )
+            levels = hplus._sweep_levels(table, key, q0, births, 10**6)
+            assert (levels, levels[-1].level) == reference_sweep_levels(grading, births, 10**6, 0)
             swept += 1
     assert swept == 18  # 1, 1, 1 and 6 per convention
 
@@ -682,7 +745,8 @@ def test_packed_flood_field_guard_raises_before_fields_overflow(monkeypatch):
     isqrt(max limit) + 2 * 70 >= 128 at its first level: the guard raises,
     in the library and as exit 3 in the CLI, instead of returning a table
     from colliding points.  elliptic_a, whose fields stay below 16, still
-    sweeps to the same table in one-byte fields."""
+    sweeps to the same table in one-byte fields.  The fields are narrowed
+    here by unpacking bytes ("B") where the flood unpacks 32-bit words."""
     text = "-1; 3/1 4/1 70/1"
     forest = seifert_to_plumbing(parse_sfs(text)).forest
     (orbit,) = _flooding_orbits(forest)
@@ -690,6 +754,7 @@ def test_packed_flood_field_guard_raises_before_fields_overflow(monkeypatch):
     small = elliptic_a()
     tables = [compute_hplus(small, o) for o in _flooding_orbits(small)]
     monkeypatch.setattr(hplus, "_FIELD_BYTES", 1)
+    monkeypatch.setattr(hplus, "Struct", lambda fmt: Struct(fmt.replace("I", "B")))
     with pytest.raises(EnumerationBudgetExceeded, match="8-bit point fields"):
         compute_hplus(forest, orbit)
     assert main(["sfs", "--sfs", text, "hplus"]) == 3

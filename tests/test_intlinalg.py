@@ -359,12 +359,15 @@ def _sublevel_cases(rng):
 def test_sublevel_points_match_fraction_reference(rng):
     """The integer walk emits the points of the rational enumeration in the
     same order, and scans no more candidates: it finishes under a cap equal
-    to the reference's count."""
+    to the reference's count.  The walk takes an integer constant: a
+    rational c = a/q is passed as the same ellipsoid q M, q b, a."""
     singles = empties = 0
     for m, linear, constant in _sublevel_cases(rng):
         scanned = []
         expected = list(oracle.reference_sublevel_points(m, linear, constant, 10**6, scanned))
-        got = list(intlinalg.quadratic_sublevel_points(m, linear, constant, len(scanned)))
+        a, q = Fraction(constant).numerator, Fraction(constant).denominator
+        scaled = [[q * x for x in row] for row in m], [q * b for b in linear], a
+        got = list(intlinalg.quadratic_sublevel_points(*scaled, len(scanned)))
         assert got == expected, (m, linear, constant)
         singles += len(got) == 1
         empties += not got

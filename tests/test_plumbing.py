@@ -236,3 +236,23 @@ def test_edge_sign_stored():
     form = intersection_form(forest)
     assert form.matrix[0][1] == 1
     assert form.edge_sign is EdgeSign.PLUS_ONE
+
+
+def test_adjacency_matches_a_scan_of_edges(rng):
+    """``adjacency`` lists each vertex's neighbours in edge order, built
+    once per forest; ``degree``, ``degrees`` and ``neighbors`` read it."""
+    forests = [validate_forest([]), lens(3), e8(), elliptic_a()]
+    for i in range(60):
+        sign = EdgeSign.PLUS_ONE if i % 2 else EdgeSign.MINUS_ONE
+        forests.append(random_forest(rng, max_vertices=9, require_negdef=False, edge_sign=sign))
+    for forest in forests:
+        scan = [
+            tuple(b if a == v else a for a, b in forest.edges if v in (a, b))
+            for v in range(len(forest))
+        ]
+        assert forest.adjacency == tuple(scan)
+        assert forest.adjacency is forest.adjacency
+        assert forest.degrees() == [len(near) for near in scan]
+        for v, near in enumerate(scan):
+            assert forest.degree(v) == len(near)
+            assert forest.neighbors(v) == sorted(near)

@@ -28,11 +28,11 @@ from plumblat.errors import (
     TooManyVertices,
 )
 from plumblat.plumbing import MAX_VERTICES
-from plumblat.seifert import SeifertData, evaluate_cont_frac, normalize
+from plumblat.seifert import SeifertData, normalize
 
 
 def eval_negative_cf(terms):
-    """Independent evaluation a1 - 1/(a2 - 1/(...)) over exact rationals."""
+    """Value of [a_1, ..., a_k] = a_1 - 1/(a_2 - 1/(...)), over exact rationals."""
     value = Fraction(terms[-1])
     for a in reversed(terms[:-1]):
         value = a - Fraction(1) / value
@@ -63,7 +63,6 @@ def test_expansion_reconstructs(alpha, beta):
     terms = cont_frac_expand(alpha, beta)
     assert all(a >= 2 for a in terms)
     assert eval_negative_cf(terms) == Fraction(alpha, beta)
-    assert evaluate_cont_frac(terms) == Fraction(alpha, beta)
 
 
 def test_parse_sfs():
@@ -123,9 +122,18 @@ def test_long_leg_trips_the_vertex_limit_before_allocating(capsys, p):
 
 
 def test_vertex_limit_counts_every_leg():
+    """At e0 = -3 the three 500/499 legs give e = -0.006, and the
+    negative-definite star is the given one, of 1 + 3 * 499 vertices."""
     legs = " ".join([f"{MAX_VERTICES // 2}/{MAX_VERTICES // 2 - 1}"] * 3)
     with pytest.raises(TooManyVertices, match=f"at most {MAX_VERTICES} vertices"):
-        seifert_to_plumbing(parse_sfs(f"-2; {legs}"))
+        seifert_to_plumbing(parse_sfs(f"-3; {legs}"))
+    # at e0 = -2, e = 0.994 > 0: only the reversed star is built, and it is
+    # the 4-vertex star of -1; 500/1 500/1 500/1
+    reversed_star = seifert_to_plumbing(parse_sfs(f"-2; {legs}"))
+    assert reversed_star.reversed_orientation
+    assert len(reversed_star.forest) == 4
+    assert reversed_star.forest == seifert_to_plumbing(parse_sfs("-1; 500/1 500/1 500/1")).forest
+    assert main(["sfs", "--sfs", f"-2; {legs}", "info"]) == 0
     assert len(cont_frac_expand(MAX_VERTICES + 1, MAX_VERTICES)) == MAX_VERTICES
     conversion = seifert_to_plumbing(parse_sfs("-2; 2/1 3/1 100/99"))
     assert len(conversion.forest) == 102
