@@ -11,7 +11,8 @@ E_v while p_v = (x, E_v) > 0.  As chi(x + E_v) = chi(x) + 1 - p_v, chi never
 rises from chi(E_v0) = 1 and ends at chi(Z_min), so by Artin's criterion
 (Amer. J. Math. 88, 1966) the forest is rational iff no step has p_v >= 2.
 Only a non-rational forest has its ellipsoid {chi <= 0} enumerated, exactly,
-for the lexicographically least witness that the report prints.
+on the vertices in reverse order, which meets the points in lexicographic
+order: the first nonzero nonnegative one is the witness the report prints.
 
 Almost-rationality asks for one framing m_i whose lowering by some N >= 1
 makes the forest rational.  That lowering turns chi into
@@ -112,23 +113,22 @@ def is_rational(
     point_cap: int = DEFAULT_POINT_CAP,
 ) -> RationalityVerdict:
     """Rationality by Laufer's walk; past a failed walk, the witness is the
-    lexicographically least nonzero nonnegative point of the ellipsoid
-    {chi <= 0}, where every point emitted has 2 chi(x) = W_0 <= 0 checked.
+    first nonzero nonnegative point of the ellipsoid {chi <= 0} set up on
+    the vertices in reverse order: its walk fixes x_0 first, so that point
+    is the lexicographically least.  Every point emitted has
+    2 chi(x) = W_0 <= 0 checked.
     """
     if definiteness(forest)[1] is not Definiteness.NEGATIVE_DEFINITE:
         raise NotNegativeDefinite("rationality is defined for negative-definite forests")
     if _laufer_walk(forest)(forest.framings, point_cap):
         return RationalityVerdict(rational=True)
     form = intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
-    negated = [[-x for x in row] for row in form.matrix]
-    linear = [-e for e in canonical_class(forest).evals]
-    least = None
+    negated = [[-x for x in row[::-1]] for row in form.matrix[::-1]]
+    linear = [-e for e in canonical_class(forest).evals[::-1]]
     for pt in quadratic_sublevel_points(negated, linear, 0, point_cap):
-        if min(pt) >= 0 and any(pt) and (least is None or pt < least):
-            least = pt
-    if least is None:
-        raise InternalInvariantViolation("the rationality walk failed on a forest with no witness")
-    return RationalityVerdict(rational=False, witness=LatticeVector(least))
+        if min(pt) >= 0 and any(pt):
+            return RationalityVerdict(rational=False, witness=LatticeVector(pt[::-1]))
+    raise InternalInvariantViolation("the rationality walk failed on a forest with no witness")
 
 
 def is_almost_rational(
@@ -225,14 +225,14 @@ def full_report(
     certificate (decrementing the bad vertex until it stops being bad lands
     in the zero-bad-vertex class).
     """
-    form = intersection_form(forest)
+    det, kind = definiteness(forest)
     bad = tuple(bad_vertices(forest))
-    if not form.is_negative_definite:
+    if kind is not Definiteness.NEGATIVE_DEFINITE:
         return ClassificationReport(
             negdef=False,
             bad_vertex_count=len(bad),
             bad_vertices=bad,
-            det=form.determinant,
+            det=det,
             rational=None,
             almost_rational=None,
             dim_h=None,
@@ -249,8 +249,9 @@ def full_report(
         # reaches a zero-bad-vertex forest, and those are always rational
         i = forest.index_of(bad[0])
         needed = forest.degree(i) + forest.framings[i]
-        lowered = forest.with_framing(i, forest.framings[i] - needed)
-        if not _laufer_walk(lowered)(lowered.framings, point_cap):
+        lowered = list(forest.framings)
+        lowered[i] -= needed
+        if not _laufer_walk(forest)(lowered, point_cap):
             raise InternalInvariantViolation(
                 "a zero-bad-vertex forest tested non-rational"
             )
@@ -270,7 +271,7 @@ def full_report(
         negdef=True,
         bad_vertex_count=len(bad),
         bad_vertices=bad,
-        det=form.determinant,
+        det=det,
         rational=rationality,
         almost_rational=ar,
         dim_h=homology.total_dim,

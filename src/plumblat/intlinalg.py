@@ -4,49 +4,38 @@ Three eliminations serve the package.  Forest forms never reach this module
 for their determinant and definiteness: those come from the leaf-first pass
 of :func:`plumbing.definiteness` (Neumann's plumbing calculus, Trans.
 AMS 268, 1981), with no matrix and no leading minors.  Definite matrices go
-through one fraction-free (Bareiss) elimination in the given order: on
-[A | I] as a Gauss-Jordan pass it yields the leading minors, the pivot rows
-(A = L D L^T) and the adjugate; on a matrix bordered by the linear and
-constant terms of a quadratic, run forward only, it drives the ellipsoid
-search.  The Smith normal form, which the orbit keys read, comes from a
-sparse unimodular elimination.  Ranks come from a fraction-free echelon over
-the integers.  The module uses integers only: no rationals and no floating
-point.
+through one fraction-free (Bareiss) Gauss-Jordan pass in the given order:
+on [A | I] it leaves the adjugate in the right block; on a matrix bordered
+by the linear and constant terms of a quadratic, the same pass gives the
+pivots and pivot rows that drive the ellipsoid search.  The Smith normal
+form, which the orbit keys read, comes from a sparse unimodular
+elimination.  Ranks come from a fraction-free echelon over the integers.
+The module uses integers only: no rationals and no floating point.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from math import gcd, isqrt
-from typing import Iterator, NamedTuple, Sequence
+from operator import mul
+from typing import Iterator, Sequence
 
 from .errors import EnumerationBudgetExceeded, InternalInvariantViolation
 
 Matrix = Sequence[Sequence[int]]
 
 
-class GaussJordan(NamedTuple):
-    """Leading minors p_k, pivot rows and adj(A).
+def _bareiss(aug: list[list[int]], steps: int) -> list[list[int]]:
+    """Fraction-free Gauss-Jordan elimination of the first ``steps``
+    columns, in place.
 
-    From column k on, ``rows[k]`` is p_{k-1} times row k of D L^T when A =
-    L D L^T is symmetric: L[i][k] = rows[k][i] / p_k and d_k = p_k / p_{k-1}.
-    """
-
-    minors: list[int]
-    rows: list[list[int]]
-    adjugate: list[list[int]]
-
-
-def _bareiss(aug: list[list[int]], steps: int, *, above: bool) -> tuple[list[int], list[list[int]]]:
-    """Bareiss elimination of the first ``steps`` columns, in place.
-
-    Step k replaces every row r below row k, and every row above it too if
-    ``above``, by (p_k r - r[k] a[k]) / p_{k-1}, an exact division (Bareiss),
-    with p_k = a[k][k] the k-th leading minor.  Returns the p_k and a copy of
-    row k as it stood at step k.  Raises ValueError if a leading minor
+    Step k replaces every other row r by (p_k r - r[k] a[k]) / p_{k-1}, an
+    exact division (Bareiss), with p_k = a[k][k] the k-th leading minor.
+    Row k at step k, and every row past ``steps``, have only been updated
+    as rows below a pivot.  Returns a copy of each row k as it stood at
+    step k, so p_k is its entry k.  Raises ValueError if a leading minor
     vanishes.
     """
-    minors: list[int] = []
     pivot_rows: list[list[int]] = []
     prev = 1
     for k in range(steps):
@@ -54,31 +43,23 @@ def _bareiss(aug: list[list[int]], steps: int, *, above: bool) -> tuple[list[int
         pivot = pivot_row[k]
         if pivot == 0:
             raise ValueError(f"leading minor {k + 1} vanishes")
-        minors.append(pivot)
         pivot_rows.append(pivot_row[:])
         tail = pivot_row[k + 1:]
-        for row in aug[:k] + aug[k + 1:] if above else aug[k + 1:]:
+        for row in aug[:k] + aug[k + 1:]:
             f = row[k]
             row[k + 1:] = [(pivot * x - f * y) // prev for x, y in zip(row[k + 1:], tail)]
         prev = pivot
-    return minors, pivot_rows
-
-
-def gauss_jordan(rows: Matrix) -> GaussJordan:
-    """One fraction-free Gauss-Jordan pass on [A | I] in row order.
-
-    At the end the right block is adj(A).  Raises ValueError if a leading
-    minor vanishes.
-    """
-    n = len(rows)
-    aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    minors, pivot_rows = _bareiss(aug, n, above=True)
-    return GaussJordan(minors, [row[:n] for row in pivot_rows], [row[n:] for row in aug])
+    return pivot_rows
 
 
 def adjugate(rows: Matrix) -> list[list[int]]:
-    """adj(A), with A adj(A) = det(A) I; A needs nonzero leading minors."""
-    return gauss_jordan(rows).adjugate
+    """adj(A), with A adj(A) = det(A) I: the right block of [A | I] after
+    one fraction-free Gauss-Jordan pass in row order.  Raises ValueError if
+    a leading minor vanishes."""
+    n = len(rows)
+    aug = [[int(x) for x in row] + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    _bareiss(aug, n)
+    return [row[n:] for row in aug]
 
 
 def smith_form(rows: Matrix) -> tuple[list[int], list[list[int]]]:
@@ -223,8 +204,8 @@ def quadratic_sublevel_points(
     """All integer x with Q(x) = x'Mx + b.x + c <= 0 for positive-definite M.
 
     An integer Fincke-Pohst search (Math. Comp. 44, 1985).  With
-    2 Q(x) = [x;1]' G [x;1] for G = [[2M, b], [b', 2c]], one forward
-    Bareiss pass over the n variables of G gives pivots p_i > 0, pivot rows
+    2 Q(x) = [x;1]' G [x;1] for G = [[2M, b], [b', 2c]], one Bareiss
+    pass over the n variables of G gives pivots p_i > 0, pivot rows
     R_i and the last entry W_n = det G.  The walk fixes x_{n-1} first.  At
     level i, u_i = p_i x_i + R_i[n] + sum_{j>i} R_i[j] x_j must satisfy
     u_i^2 <= -p_{i-1} W_{i+1} (p_{-1} = 1), an exact integer window, and
@@ -238,8 +219,9 @@ def quadratic_sublevel_points(
     n = len(matrix)
     bordered = [[2 * x for x in row] + [b] for row, b in zip(matrix, linear)]
     bordered.append([*linear, 2 * constant])
-    pivots, rows = _bareiss(bordered, n, above=False)
-    if any(p <= 0 for p in pivots):
+    rows = _bareiss(bordered, n)
+    prev = [1] + [row[k] for k, row in enumerate(rows)]  # prev[i] = p_{i-1}
+    if min(prev) <= 0:
         raise ValueError("matrix is not positive definite")
     top = bordered[n][n]
     if top > 0:
@@ -247,15 +229,14 @@ def quadratic_sublevel_points(
     if n == 0:
         yield ()
         return
-    prev = [1] + pivots  # prev[i] = p_{i-1}
     budget = int(point_cap)
     coords = [0] * n
 
     def walk(i: int, w: int) -> Iterator[tuple[int, ...]]:
         nonlocal budget
         room = -prev[i] * w
-        row, pivot = rows[i], pivots[i]
-        s = row[n] + sum(row[j] * coords[j] for j in range(i + 1, n))
+        row, pivot = rows[i], prev[i + 1]
+        s = row[n] + sum(map(mul, row[i + 1:n], coords[i + 1:]))
         r = isqrt(room)
         for x in range(-((r + s) // pivot), (r - s) // pivot + 1):
             budget -= 1

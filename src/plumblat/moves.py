@@ -394,12 +394,7 @@ def blow_down(
     if len(neighbors) > 1:
         raise NotBlowdownable(f"vertex {vertex_id!r} has degree {len(neighbors)} >= 2")
 
-    original_sign = forest.edge_sign
-    work = (
-        forest
-        if original_sign is EdgeSign.MINUS_ONE
-        else convert_convention(forest).forest
-    )
+    work = forest.with_edge_sign(EdgeSign.MINUS_ONE)
 
     if neighbors:
         vi = neighbors[0]
@@ -453,13 +448,8 @@ def blow_down(
         if by_src[src_orbit] != by_dst[dst_orbit]:
             raise InternalInvariantViolation("per-orbit dimension changed under blow-down")
 
-    result_forest = (
-        blown
-        if original_sign is EdgeSign.MINUS_ONE
-        else blown.with_edge_sign(EdgeSign.PLUS_ONE)
-    )
     return BlowdownResult(
-        forest=result_forest,
+        forest=blown.with_edge_sign(forest.edge_sign),
         class_map=tuple(mapping),
         orbit_map=tuple(sorted(orbit_pairs.items())),
         source=source,

@@ -64,8 +64,8 @@ class UnionFind:
     """Disjoint sets over the indices 0, 1, ..., with path halving.
 
     Shared by forest components, cycle checks and the graded engine's
-    births and floods; the quotient engine keeps its signed union-find in a
-    dict keyed by box index.
+    floods; the births inline their own union-find, and the quotient
+    engine keeps its signed union-find in a dict keyed by box index.
     """
 
     def __init__(self, size: int = 0):

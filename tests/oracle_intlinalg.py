@@ -7,7 +7,8 @@ forest forms and one fraction-free Gauss-Jordan pass for definite matrices.
 They work on any square integer (or rational) matrix, so the tests run the
 new code against them.  :func:`reference_sublevel_points` is the ellipsoid
 search on ``Fraction`` that the integer Fincke-Pohst walk replaced, with the
-rational square-root bound it rounds by.
+rational square-root bound it rounds by; it runs on :func:`ldl_decompose`
+and its own substitutions, not on the elimination it checks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from math import isqrt
 from typing import Iterator, Sequence
 
 from plumblat.errors import EnumerationBudgetExceeded
-from plumblat.intlinalg import GaussJordan, gauss_jordan
 from plumblat.plumbing import Definiteness
 
 Matrix = Sequence[Sequence[int]]
@@ -209,18 +209,6 @@ def sqrt_upper_bound(value: Fraction) -> Fraction:
     return Fraction(root, den)
 
 
-def ldl_of(elimination: GaussJordan) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """L and D of A = L D L^T read off one Gauss-Jordan pass: L[i][k] =
-    rows[k][i] / p_k below the diagonal and d_k = p_k / p_{k-1}."""
-    minors, rows = elimination.minors, elimination.rows
-    n = len(minors)
-    lower = [
-        [Fraction(rows[k][i], minors[k]) if i > k else Fraction(int(i == k)) for k in range(n)]
-        for i in range(n)
-    ]
-    return lower, [Fraction(minors[k], minors[k - 1] if k else 1) for k in range(n)]
-
-
 def reference_sublevel_points(
     matrix: Matrix,
     linear: Sequence[int],
@@ -230,11 +218,11 @@ def reference_sublevel_points(
 ) -> Iterator[tuple[int, ...]]:
     """All integer x with x'Mx + b.x + c <= 0 for positive-definite M.
 
-    Completes the square around the center -adj(M) b / (2 det M) and walks a
-    Fincke-Pohst style recursion on the exact L D L^T of M, in the given
-    variable order; every emitted point is re-verified against the exact
-    inequality, so the rational square-root rounding can never admit or drop
-    a point.  Raises EnumerationBudgetExceeded past ``point_cap`` scanned
+    Completes the square around the center -M^{-1} b / 2, solved through the
+    exact L D L^T of M, and walks a Fincke-Pohst style recursion on it, in
+    the given variable order; every emitted point is re-verified against the
+    exact inequality, so the rational square-root rounding can never admit
+    or drop a point.  Raises EnumerationBudgetExceeded past ``point_cap`` scanned
     candidates; each scanned candidate appends 1 to ``scanned`` if given.
     """
     n = len(matrix)
@@ -243,18 +231,16 @@ def reference_sublevel_points(
         if constant <= 0:
             yield ()
         return
-    # the one pass, checked against ldl_decompose and adjugate above by
-    # test_gauss_jordan_matches_oracle_on_pd_matrices; O(n^3), where the
-    # dense adjugate took 40 s on the 63-vertex star (2 cores, CPython 3.11)
-    elimination = gauss_jordan(matrix)
-    minors, adj = elimination.minors, elimination.adjugate
-    lower, diag = ldl_of(elimination)
-    if any(d <= 0 for d in diag):
-        raise ValueError("matrix is not positive definite")
-    center = [
-        -sum(a * Fraction(b) for a, b in zip(row, linear)) / (2 * minors[-1])
-        for row in adj
-    ]
+    # O(n^3), with no adjugate (the dense one took 40 s on the 63-vertex
+    # star, 2 cores, CPython 3.11); raises ValueError off positive definite
+    lower, diag = ldl_decompose(matrix)
+    # M center = -b/2 through L y = -b/2, D z = y and L' center = z
+    y: list[Fraction] = []
+    for i in range(n):
+        y.append(Fraction(-linear[i], 2) - sum(lower[i][j] * y[j] for j in range(i)))
+    center = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        center[i] = y[i] / diag[i] - sum(lower[j][i] * center[j] for j in range(i + 1, n))
     radius_sq = (
         sum(
             Fraction(matrix[i][j]) * center[i] * center[j]

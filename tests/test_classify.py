@@ -46,7 +46,8 @@ def _star(center: int, legs: list[int]) -> PlumbingForest:
 
 def _f10() -> PlumbingForest:
     """A seeded random forest (10 vertices, |det| 144, one bad vertex v1)
-    whose ellipsoid {chi <= 0} outgrows the default point cap."""
+    whose ellipsoid {chi <= 0} outgrows the default point cap, though its
+    least witness comes 65 candidates into the reversed walk."""
     framings = [-3, -2, -4, -2, -2, -3, -2, -4, -4, -2]
     edges = [(0, 1), (1, 2), (1, 3), (2, 4), (2, 5), (2, 6), (1, 7), (7, 8), (1, 9)]
     return validate_forest(
@@ -335,17 +336,35 @@ def test_f10_almost_rational_without_enumerating():
     assert (verdict.status, verdict.vertex, verdict.decrement) == ("yes", "v1", 2)
 
 
+_F10_WITNESS = (0, 2, 1, 1, 0, 0, 0, 1, 0, 1)
+
+
 def test_f10_witness_search_streams_in_bounded_memory():
-    """Past the walk, the witness search keeps one running minimum, not the
-    list of every witness: its peak stays under 1 MiB until the cap trips."""
+    """Past the walk, the witness search stops at the first nonzero
+    nonnegative point of the reversed walk, the lexicographically least:
+    on F10 within a cap of 100 candidates, with its peak under 1 MiB."""
     tracemalloc.start()
     try:
-        with pytest.raises(EnumerationBudgetExceeded):
-            is_rational(_f10(), point_cap=5 * 10**4)
+        verdict = is_rational(_f10(), point_cap=100)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert not verdict.rational
+    assert verdict.witness.coords == _F10_WITNESS
     assert peak < 2**20, peak
+
+
+def test_f10_full_report_answers_in_seconds():
+    """F10's report, which once stopped at the default point cap, prints the
+    least witness, the almost-rational cure at v1 by 2 and dim 710."""
+    start = time.perf_counter()
+    report = full_report(_f10())
+    assert time.perf_counter() - start < 2.0
+    assert not report.rational.rational
+    assert report.rational.witness.coords == _F10_WITNESS
+    ar = report.almost_rational
+    assert (ar.status, ar.vertex, ar.decrement) == ("yes", "v1", 2)
+    assert report.dim_h == 710
 
 
 def test_e8_walk_counts_each_step_against_the_cap():
@@ -379,8 +398,9 @@ def test_long_star_rationality_takes_milliseconds():
 
 
 def test_rational_verdict_builds_no_matrix(monkeypatch):
-    """A rational forest passes the definiteness check and the walk without
-    an intersection form; only a failed walk builds the +1 form."""
+    """A rational forest passes the definiteness check and the walk, and its
+    full report, without an intersection form; only a failed walk builds the
+    +1 form."""
     from plumblat import classify
 
     def refuse(forest):
@@ -390,5 +410,7 @@ def test_rational_verdict_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(classify, "intersection_form", refuse)
     assert is_rational(star).rational
     assert is_almost_rational(star).decrement == 0
+    report = full_report(e8())
+    assert report.rational.rational and report.det == 1
     with pytest.raises(AssertionError, match="intersection_form called"):
         is_rational(elliptic_a())

@@ -397,6 +397,29 @@ def test_blow_down_rejections():
         blow_down(interior, "x")
 
 
+def test_blow_up_then_blow_down_returns_the_input(rng):
+    """A (-1) leaf x hung at v, with m_v lowered by one, blows down to the
+    input exactly: ids, framings, edges and edge sign, in both conventions,
+    with x listed anywhere."""
+    for edge_sign in EdgeSign:
+        for _ in range(20):
+            forest = random_forest(rng, max_vertices=5, edge_sign=edge_sign)
+            v = rng.randrange(len(forest))
+            vertices = list(zip(forest.ids, forest.framings))
+            vertices[v] = (forest.ids[v], forest.framings[v] - 1)
+            at = rng.randrange(len(vertices) + 1)
+            edges = [(forest.ids[a], forest.ids[b]) for a, b in forest.edges]
+            blown_up = validate_forest(
+                vertices[:at] + [("x", -1)] + vertices[at:],
+                edges + [(forest.ids[v], "x")],
+                edge_sign,
+            )
+            down = blow_down(blown_up, "x").forest
+            assert (down.ids, down.framings, down.edges, down.edge_sign) == (
+                forest.ids, forest.framings, forest.edges, forest.edge_sign
+            )
+
+
 def test_blow_down_random_suite(rng):
     """The (-1) leaf is listed last, first or in between, in either edge
     convention.  Every blow-down seen keeps class i at index i (on the
