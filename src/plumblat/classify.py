@@ -242,8 +242,12 @@ def full_report(
         )
 
     homology = compute_homology(forest, box_cap=box_cap)
-    rationality = is_rational(forest, point_cap=point_cap)
     ar = _decrement_search(forest, nmax, point_cap)
+    # the search walks the given framings first: decrement 0 iff rational
+    if ar.decrement == 0:
+        rationality = RationalityVerdict(rational=True)
+    else:
+        rationality = is_rational(forest, point_cap=point_cap)
     if ar.status == "unknown" and len(bad) == 1:
         # certified fallback: lowering the bad vertex until -m(v) >= d(v)
         # reaches a zero-bad-vertex forest, and those are always rational

@@ -77,7 +77,7 @@ def _forest_json(forest: PlumbingForest) -> dict:
             {"id": vid, "framing": m} for vid, m in zip(forest.ids, forest.framings)
         ],
         "edges": [[forest.ids[a], forest.ids[b]] for a, b in forest.edges],
-        "convention": "minus_one" if forest.edge_sign.value == -1 else "plus_one",
+        "convention": forest.edge_sign.name.lower(),
     }
 
 
@@ -132,19 +132,19 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def _info(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
-    from .plumbing import bad_vertices, canonical_class, intersection_form, semidefinite_classify
-    form = intersection_form(forest)
+    from .plumbing import bad_vertices, canonical_class, definiteness, semidefinite_classify
+    det, kind = definiteness(forest)
     bad = bad_vertices(forest)
     body = {
-        "determinant": form.determinant,
-        "definiteness": form.definiteness.value,
+        "determinant": det,
+        "definiteness": kind.value,
         "bad_vertices": bad,
         "canonical_class": list(canonical_class(forest).evals),
     }
     human = [
         f"vertices: {len(forest)}, edges: {len(forest.edges)}, "
-        f"convention: {_forest_json(forest)['convention']}",
-        f"determinant: {form.determinant}  definiteness: {form.definiteness.value}",
+        f"convention: {forest.edge_sign.name.lower()}",
+        f"determinant: {det}  definiteness: {kind.value}",
         f"bad vertices ({len(bad)}): {', '.join(bad) if bad else '-'}",
     ]
     if not bad:

@@ -24,10 +24,7 @@ import re
 from .errors import DslSyntaxError, ForestValidationError
 from .plumbing import EdgeSign, PlumbingForest, validate_forest
 
-_CONVENTIONS = {
-    "minus_one": EdgeSign.MINUS_ONE,
-    "plus_one": EdgeSign.PLUS_ONE,
-}
+_CONVENTIONS = {sign.name.lower(): sign for sign in EdgeSign}
 
 _INTEGER = re.compile(r"[+-]?[0-9]+")
 
@@ -73,7 +70,7 @@ def parse_dsl(text: str) -> PlumbingForest:
             lines[keyword].append(lineno)
         elif keyword == "convention":
             if len(tokens) != 2 or tokens[1] not in _CONVENTIONS:
-                raise DslSyntaxError(lineno, "expected: convention minus_one|plus_one")
+                raise DslSyntaxError(lineno, f"expected: convention {'|'.join(_CONVENTIONS)}")
             convention = _CONVENTIONS[tokens[1]]
         else:
             raise DslSyntaxError(lineno, f"unknown directive {keyword!r}")
@@ -129,8 +126,7 @@ def parse_plumbing(text: str) -> PlumbingForest:
 
 
 def serialize_dsl(forest: PlumbingForest) -> str:
-    name = "minus_one" if forest.edge_sign is EdgeSign.MINUS_ONE else "plus_one"
-    lines = [f"convention {name}"]
+    lines = [f"convention {forest.edge_sign.name.lower()}"]
     for vid, framing in zip(forest.ids, forest.framings):
         lines.append(f"vertex {vid} {framing}")
     for a, b in forest.edges:

@@ -41,7 +41,7 @@ from .charlattice import BoxIndex, CharVector
 from .errors import DEFAULT_BOX_CAP, InternalInvariantViolation, InvalidTriple, NotBlowdownable
 from .homology import HomologyResult, class_of, compute_homology
 from .intlinalg import rank_rational
-from .plumbing import EdgeSign, PlumbingForest, intersection_form
+from .plumbing import Definiteness, EdgeSign, PlumbingForest, definiteness
 
 
 # --- formal sums ---------------------------------------------------------
@@ -109,7 +109,7 @@ def surgery_triple(forest: PlumbingForest, vertex_id: str) -> SurgeryTriple:
     removed = forest.delete_vertex(vi)
     bumped = forest.with_framing(vi, forest.framings[vi] + 1)
     valid = all(
-        intersection_form(g).is_negative_definite
+        definiteness(g)[1] is Definiteness.NEGATIVE_DEFINITE
         for g in (forest, removed, bumped)
     )
     return SurgeryTriple(
@@ -291,8 +291,8 @@ def check_exactness(
     ba_zero = all(not _apply(cols_2b, col) for col in cols_a)
     section_ok = all(_apply(cols_2b, col) == {j: 2} for j, col in enumerate(cols_s))
 
-    rank_b = rank_rational(cols_2b) if cols_2b else 0
-    rank_a = rank_rational(cols_a) if cols_a else 0
+    rank_b = rank_rational(cols_2b)
+    rank_a = rank_rational(cols_a)
     report = ExactnessReport(
         b_surjective=(rank_b == h_bumped.total_dim),
         ba_zero=ba_zero,

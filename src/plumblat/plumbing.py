@@ -342,8 +342,7 @@ def semidefinite_classify(forest: PlumbingForest) -> SemidefiniteVerdict:
                 kind="s1_x_s2_component",
                 component=tuple(forest.ids[i] for i in comp),
             )
-    form = intersection_form(forest)
-    if not form.is_negative_definite:
+    if definiteness(forest)[1] is not Definiteness.NEGATIVE_DEFINITE:
         # unreachable for valid inputs: a 0-bad-vertex forest without a
         # fully degenerate component is always negative definite
         return SemidefiniteVerdict(kind="indefinite")

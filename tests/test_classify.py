@@ -24,8 +24,8 @@ from plumblat import (
     seifert_to_plumbing,
     validate_forest,
 )
-from plumblat import intlinalg
-from plumblat.classify import certify_almost_rational
+from plumblat import classify, intlinalg
+from plumblat.classify import RationalityVerdict, certify_almost_rational
 from plumblat.errors import EnumerationBudgetExceeded
 from plumblat.plumbing import EdgeSign, PlumbingForest
 
@@ -212,10 +212,31 @@ def test_report_invariant_rational_implies_minimal(rng):
     for _ in range(10):
         forest = random_forest(rng, max_vertices=4)
         report = full_report(forest, nmax=8)
+        assert report.rational == is_rational(forest)
         if report.rational.rational:
             assert report.dim_h == abs(report.det)
         if report.bad_vertex_count <= 1:
             assert report.almost_rational.status == "yes"
+
+
+def test_rational_report_walks_once(monkeypatch):
+    """The decrement search walks the given framings first, so a rational
+    report takes its verdict from that walk: one walk, no ``is_rational``."""
+    walks = []
+    original = classify._laufer_walk
+
+    def counting(forest):
+        walks.append(forest)
+        return original(forest)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_rational called on a rational forest")
+
+    monkeypatch.setattr(classify, "_laufer_walk", counting)
+    monkeypatch.setattr(classify, "is_rational", refuse)
+    report = full_report(e8())
+    assert len(walks) == 1
+    assert report.rational == RationalityVerdict(rational=True)
 
 
 REFERENCE_POINT_CAP = 2 * 10**4

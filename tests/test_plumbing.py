@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import sys
+
 import pytest
 
 import oracle_intlinalg as oracle
-from conftest import e8, elliptic_a, lens, random_forest, random_zero_bad_forest
+from conftest import FIXTURES, e8, elliptic_a, lens, random_forest, random_zero_bad_forest
 from plumblat import (
     Definiteness,
     EdgeSign,
@@ -16,8 +19,10 @@ from plumblat import (
     parse_sfs,
     seifert_to_plumbing,
     semidefinite_classify,
+    surgery_triple,
     validate_forest,
 )
+from plumblat.cli import main
 from plumblat.errors import (
     CycleDetected,
     DanglingEdge,
@@ -211,6 +216,29 @@ def test_semidefinite_classify():
     assert semidefinite_classify(lens(2)).kind == "negative_definite"
     with pytest.raises(NotApplicable):
         semidefinite_classify(e8())
+
+
+def test_verdicts_build_no_dense_form(monkeypatch, capsys):
+    """A determinant or a definiteness verdict comes from the leaf-first
+    pass alone: with every binding of ``intersection_form`` made to raise,
+    ``info``, ``semidefinite_classify`` and ``surgery_triple`` still answer."""
+    import plumblat.moves  # noqa: F401  (bind its names before patching)
+    from plumblat import plumbing
+
+    original = plumbing.intersection_form
+
+    def refuse(forest):
+        raise AssertionError("a dense intersection form was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "plumblat" and vars(module).get("intersection_form") is original:
+            monkeypatch.setattr(module, "intersection_form", refuse)
+    assert main(["info", "--json", str(FIXTURES / "e8.plumb")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["determinant"], report["definiteness"]) == (1, "negative_definite")
+    assert semidefinite_classify(lens(2)).kind == "negative_definite"
+    assert surgery_triple(lens(3), "v").valid
+    assert not surgery_triple(e8(), "v1").valid
 
 
 def test_zero_bad_forests_never_indefinite(rng):
