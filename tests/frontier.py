@@ -1,17 +1,16 @@
 """Frontier ladder: the Seifert stars, chains and triad past the benchmark's
 workloads.  Run it as ``PYTHONPATH=src python tests/frontier.py``.
 
-Each CLI row runs ``python -m plumblat.cli`` under ``timeout 120``, reads
-that process's own wall time and peak RSS with ``os.wait4`` and gates on
-its JSON output; a row's input text goes to a temporary directory.  The
-Smith form and start-up checks are row functions.  Every row runs and
-prints one line; the exit status is 1 if any row failed.
+Each table row runs ``python`` with its arguments under ``timeout 120``, reads
+that process's wall time and peak RSS with ``os.wait4`` and gates on its JSON
+output; input text goes to a temporary directory.  The start-up row runs last,
+so its times are with a warm bytecode cache.  Every row runs and prints one
+line; the exit status is 1 if any row failed.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import statistics
 import subprocess
@@ -21,6 +20,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = ["-m", "plumblat.cli"]
 
 
 def chain(framings: list[int]) -> str:
@@ -41,30 +41,43 @@ def star(p: int) -> str:
 
 
 def sfs(text: str, command: str, facts, gate: dict) -> tuple:
-    return f'sfs "{text}" {command}', ["sfs", "--sfs", text, command, "--json"], None, facts, gate
+    argv = [*CLI, "sfs", "--sfs", text, command, "--json"]
+    return f'sfs "{text}" {command}', argv, None, facts, gate
 
 
-# (label, CLI argv with "{input}" for the text, text, facts, gate): each fact the
-# gate names must have the gate's value; facts None reports the gate's keys.
+SMITH = f"""import json, math, time
+from plumblat import intersection_form, intlinalg, parse_sfs, seifert_to_plumbing
+conversion = seifert_to_plumbing(parse_sfs("{star(201)}"))
+form = intersection_form(conversion.forest)
+start = time.perf_counter()
+moduli, _ = intlinalg.smith_form(form.matrix)
+print(json.dumps({{"vertices": len(form), "smith_s": round(time.perf_counter() - start, 3),
+                  "invariant_factors_above_1": [d for d in moduli if d > 1],
+                  "prod_d_is_det_is_h1": math.prod(moduli) == abs(form.determinant)
+                  == conversion.h1_order}}))
+"""
+
+# (label, python argv with "{input}" for the text, text, facts, gate): each fact
+# the gate names must have the gate's value; facts None reports the gate's keys.
 ROWS = [
     sfs(star(11), "hplus", hplus_facts, {"cross_check_ok": True}),
     sfs("-2; 2/1 5/2 7/3 4/1", "hplus", hplus_facts,
         {"cross_check_ok": True, "orbits": 118, "homology_dim": 124}),
     sfs(star(13), "hplus", hplus_facts, {"cross_check_ok": True, "homology_dim": 19}),
     sfs(star(13), "homology", None, {"total_dim": 19}),
-    *[(f"homology on (-3, -2^{k}, -3)", ["homology", "--json", "{input}"],
+    *[(f"homology on (-3, -2^{k}, -3)", [*CLI, "homology", "--json", "{input}"],
        chain([-3] + [-2] * k + [-3]), None, {"total_dim": 4 * k + 8}) for k in (10, 11, 12)],
-    ("triad on the (-4)^6 chain at v1", ["triad", "--json", "{input}", "--vertex", "v1"],
+    ("triad on the (-4)^6 chain at v1", [*CLI, "triad", "--json", "{input}", "--vertex", "v1"],
      chain([-4] * 6), None, {"exact": True, "dims": [836, 2911, 2075]}),
+    (f'smith_form on "{star(201)}"', ["-c", SMITH], None, dict, {"prod_d_is_det_is_h1": True}),
 ]
 
 
-def cli_row(tmp: str, argv: list[str], text: str | None, facts, gate: dict):
+def table_row(tmp: str, argv: list[str], text: str | None, facts, gate: dict):
     path = os.path.join(tmp, "input.plumb")
     if text is not None:
         Path(path).write_text(text)
-    argv = ["timeout", "120", sys.executable, "-m", "plumblat.cli",
-            *(path if arg == "{input}" else arg for arg in argv)]
+    argv = ["timeout", "120", sys.executable, *(path if arg == "{input}" else arg for arg in argv)]
     start = time.perf_counter()
     with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
         out = proc.stdout.read()
@@ -80,22 +93,9 @@ def cli_row(tmp: str, argv: list[str], text: str | None, facts, gate: dict):
     return ok, f"{wall:.2f} s, peak RSS {usage.ru_maxrss / 1024:.1f} MiB, exit {code}{shown}"
 
 
-def smith_row():
-    from plumblat import intersection_form, intlinalg, parse_sfs, seifert_to_plumbing
-    conversion = seifert_to_plumbing(parse_sfs(star(201)))
-    form = intersection_form(conversion.forest)
-    start = time.perf_counter()
-    moduli, _ = intlinalg.smith_form(form.matrix)
-    wall = time.perf_counter() - start
-    ok = math.prod(moduli) == abs(form.determinant) == conversion.h1_order
-    return ok, (f"{len(form)} vertices, {wall:.3f} s, "
-                f"invariant factors above 1: {[d for d in moduli if d > 1]}")
-
-
 def startup_row():
-    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     argv = [sys.executable, "-X", "importtime", "-c", "import plumblat.cli"]
-    err = subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stderr
+    err = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stderr
     rows = [line.split("|") for line in err.splitlines() if line.startswith("import time:")]
     cumulative = {name.strip(): int(us) for _, us, name in rows if us.strip().isdigit()}
     loaded = sorted(name for name in cumulative if name.split(".")[0] == "plumblat")
@@ -104,8 +104,8 @@ def startup_row():
         times = []
         for _ in range(5):
             start = time.perf_counter()
-            subprocess.run([sys.executable, "-m", "plumblat.cli", *command.split()], env=env,
-                           cwd=ROOT, stdout=subprocess.DEVNULL, check=True)
+            subprocess.run([sys.executable, *CLI, *command.split()], cwd=ROOT,
+                           stdout=subprocess.DEVNULL, check=True, timeout=120)
             times.append(time.perf_counter() - start)
         lines.append(f"plumblat {command} {statistics.median(times) * 1000:.0f} ms (median of 5)")
     return loaded == ["plumblat", "plumblat.cli", "plumblat.errors"], "; ".join(lines)
@@ -114,8 +114,8 @@ def startup_row():
 def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
-        checks = [(label, lambda row=row: cli_row(tmp, *row)) for label, *row in ROWS]
-        checks += [(f'smith_form on "{star(201)}"', smith_row), ("start-up", startup_row)]
+        checks = [(label, lambda row=row: table_row(tmp, *row)) for label, *row in ROWS]
+        checks.append(("start-up, warm bytecode cache", startup_row))
         for label, check in checks:
             try:
                 ok, facts = check()
