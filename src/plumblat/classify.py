@@ -10,15 +10,15 @@ cycle (Amer. J. Math. 94, 1972): on each component, start at x = E_v0 and add
 E_v while p_v = (x, E_v) > 0.  As chi(x + E_v) = chi(x) + 1 - p_v, chi never
 rises from chi(E_v0) = 1 and ends at chi(Z_min), so by Artin's criterion
 (Amer. J. Math. 88, 1966) the forest is rational iff no step has p_v >= 2.
-Only a non-rational forest has its ellipsoid {chi <= 0} enumerated, exactly,
-on the vertices in reverse order, which meets the points in lexicographic
-order: the first nonzero nonnegative one is the witness the report prints.
+Only a component whose walk fails has its ellipsoid {chi <= 0} enumerated,
+for the least witness the report prints (see :func:`_least_witness`).
 
 Almost-rationality asks for one framing m_i whose lowering by some N >= 1
 makes the forest rational.  That lowering turns chi into
 chi(x) + N x_i (x_i - 1)/2 >= chi(x), so a decrement that cures vertex i
-cures it from then on, and bisection over walks finds the least one.  Past
-the cutoff the verdict is an honest "unknown" -- there is no finite
+cures it from then on, and bisection over walks finds the least one.  Other
+components keep their chi, so only a lone failing component can be cured.
+Past the cutoff the verdict is an honest "unknown" -- there is no finite
 certificate of impossibility to report.
 """
 
@@ -32,15 +32,7 @@ from .errors import DEFAULT_BOX_CAP, DEFAULT_NMAX, DEFAULT_POINT_CAP, Enumeratio
 from .errors import InternalInvariantViolation, NotNegativeDefinite
 from .homology import DerivedDimensions, HomologyResult, compute_homology, derived_dimensions
 from .intlinalg import quadratic_sublevel_points
-from .plumbing import (
-    Definiteness,
-    EdgeSign,
-    PlumbingForest,
-    bad_vertices,
-    canonical_class,
-    definiteness,
-    intersection_form,
-)
+from .plumbing import Definiteness, PlumbingForest, bad_vertices, definiteness
 
 
 @dataclass(frozen=True)
@@ -72,28 +64,29 @@ class ARVerdict:
         return self.status == "yes"
 
 
-def _laufer_walk(forest: PlumbingForest) -> Callable[[Sequence[int], int], bool]:
-    """Laufer's walk on the forest's graph, for any framings on it: whether
-    no step meets p_v >= 2, on every component.  The graph is read once, so
-    the decrement search walks all its probes on it.
+def _laufer_walk(forest: PlumbingForest) -> Callable[..., list[list[int]]]:
+    """Laufer's walk on the forest's graph, for any framings on it: the
+    components (of all, or of those given) on which a step meets p_v >= 2.
+    The graph is read once, so the decrement search walks all its probes on it.
 
     Adding E_v adds m_v to p_v and 1 to p_u at each neighbour u, O(deg v) per
     step; u is stacked when p_u turns positive, and only its own step lowers
-    it.  The forest must be negative definite.  Every step, each component's
-    first included, counts against ``point_cap``.
+    it.  The forest must be negative definite.  Each component is walked to
+    its first failing step, and every step of one call counts against
+    ``point_cap``.
     """
     neighbours = forest.adjacency
-    starts = [component[0] for component in forest.components()]
+    everything = forest.components()
 
-    def walk(framings: Sequence[int], point_cap: int) -> bool:
-        pairing = [0] * len(framings)
-        steps = 0
-        for start in starts:
-            stack = [start]
+    def walk(framings: Sequence[int], point_cap: int, components=everything) -> list[list[int]]:
+        pairing, steps, failing = [0] * len(framings), 0, []
+        for component in components:
+            stack = [component[0]]
             while stack:
                 v = stack.pop()
                 if pairing[v] >= 2:
-                    return False
+                    failing.append(component)
+                    break
                 steps += 1
                 if steps > point_cap:
                     raise EnumerationBudgetExceeded(f"rationality walk exceeded {point_cap} steps")
@@ -102,33 +95,49 @@ def _laufer_walk(forest: PlumbingForest) -> Callable[[Sequence[int], int], bool]
                     pairing[u] += 1
                     if pairing[u] == 1:
                         stack.append(u)
-        return True
+        return failing
 
     return walk
 
 
 def is_rational(
-    forest: PlumbingForest,
-    *,
-    point_cap: int = DEFAULT_POINT_CAP,
+    forest: PlumbingForest, *, point_cap: int = DEFAULT_POINT_CAP
 ) -> RationalityVerdict:
-    """Rationality by Laufer's walk; past a failed walk, the witness is the
-    first nonzero nonnegative point of the ellipsoid {chi <= 0} set up on
-    the vertices in reverse order: its walk fixes x_0 first, so that point
-    is the lexicographically least.  Every point emitted has
-    2 chi(x) = W_0 <= 0 checked.
-    """
+    """Rationality by Laufer's walk, with :func:`_least_witness` past a failed one."""
     if definiteness(forest)[1] is not Definiteness.NEGATIVE_DEFINITE:
         raise NotNegativeDefinite("rationality is defined for negative-definite forests")
-    if _laufer_walk(forest)(forest.framings, point_cap):
+    return _least_witness(forest, _laufer_walk(forest)(forest.framings, point_cap), point_cap)
+
+
+def _least_witness(forest: PlumbingForest, failing: list, point_cap: int) -> RationalityVerdict:
+    """The lexicographically least witness, from the failing components alone.
+
+    chi is additive over components and at least 1 on every nonzero
+    nonnegative x of a rational one, so a witness x has a failing component
+    C with chi(x_C) <= 0, and x_C embedded with zeros is at most x: the
+    least witness is the least embedded witness of a failing component.
+    Each one's ellipsoid 2 chi = -x'Ax + sum (m_v + 2) x_v <= 0, A its +1
+    form, is set up on its vertices in reverse order, so the walk, fixing
+    the first vertex first, meets the component's least witness first.
+    Every point emitted has 2 chi(x) = W_0 <= 0 checked, and each
+    component's enumeration counts against ``point_cap`` alone.
+    """
+    m, near = forest.framings, forest.adjacency
+    witnesses = []
+    for component in failing:
+        order = component[::-1]
+        negated = [[-m[v] if u == v else -1 if u in near[v] else 0 for u in order] for v in order]
+        points = quadratic_sublevel_points(negated, [m[v] + 2 for v in order], 0, point_cap)
+        pt = next((pt for pt in points if min(pt) >= 0 and any(pt)), None)
+        if pt is None:
+            raise InternalInvariantViolation("a failing component has no rationality witness")
+        witness = [0] * len(m)
+        for v, x in zip(order, pt):
+            witness[v] = x
+        witnesses.append(witness)
+    if not witnesses:
         return RationalityVerdict(rational=True)
-    form = intersection_form(forest.with_edge_sign(EdgeSign.PLUS_ONE))
-    negated = [[-x for x in row[::-1]] for row in form.matrix[::-1]]
-    linear = [-e for e in canonical_class(forest).evals[::-1]]
-    for pt in quadratic_sublevel_points(negated, linear, 0, point_cap):
-        if min(pt) >= 0 and any(pt):
-            return RationalityVerdict(rational=False, witness=LatticeVector(pt[::-1]))
-    raise InternalInvariantViolation("the rationality walk failed on a forest with no witness")
+    return RationalityVerdict(rational=False, witness=LatticeVector(tuple(min(witnesses))))
 
 
 def is_almost_rational(
@@ -145,7 +154,8 @@ def is_almost_rational(
     """
     if definiteness(forest)[1] is not Definiteness.NEGATIVE_DEFINITE:
         raise NotNegativeDefinite("rationality is defined for negative-definite forests")
-    return _decrement_search(forest, nmax, point_cap)
+    walk = _laufer_walk(forest)
+    return _decrement_search(forest, walk, walk(forest.framings, point_cap), nmax, point_cap)
 
 
 def certify_almost_rational(
@@ -163,23 +173,28 @@ def certify_almost_rational(
     )
 
 
-def _decrement_search(forest: PlumbingForest, nmax: int, point_cap: int) -> ARVerdict:
+def _decrement_search(
+    forest: PlumbingForest, walk: Callable, failing: list, nmax: int, point_cap: int
+) -> ARVerdict:
     """The least (N, i), N <= nmax, whose lowering at i passes the walk, as a
-    loop over decrements and then vertices meets it; a rational forest is
-    its own witness at N = 0.  A vertex that the top decrement cures is
-    bisected for its least one.
+    loop over decrements and then vertices meets it; ``failing`` holds the
+    components on which the given framings fail, and a rational forest is
+    its own witness at N = 0.  Only the vertices of a lone failing component
+    are tried, each walked on that component alone; a vertex that the top
+    decrement cures is bisected for its least one.
     """
-    walk = _laufer_walk(forest)
-    if walk(forest.framings, point_cap):
+    if not failing:
         return ARVerdict(status="yes", vertex=forest.ids[0] if forest.ids else None, decrement=0)
+    if len(failing) > 1:
+        return ARVerdict(status="unknown", cutoff=nmax)
 
     def cured(i: int, decrement: int) -> bool:
         framings = list(forest.framings)
         framings[i] -= decrement
-        return walk(framings, point_cap)
+        return not walk(framings, point_cap, failing)
 
     least = []
-    for i in range(len(forest)):
+    for i in failing[0]:
         lo, hi = 0, nmax
         if hi <= lo or not cured(i, hi):
             continue
@@ -202,12 +217,12 @@ class ClassificationReport:
     bad_vertex_count: int
     bad_vertices: tuple[str, ...]
     det: int
-    rational: RationalityVerdict | None
-    almost_rational: ARVerdict | None
-    dim_h: int | None
-    dims: DerivedDimensions | None
-    floer_equivalence_certified: bool
-    homology: HomologyResult | None
+    rational: RationalityVerdict | None = None
+    almost_rational: ARVerdict | None = None
+    dim_h: int | None = None
+    dims: DerivedDimensions | None = None
+    floer_equivalence_certified: bool = False
+    homology: HomologyResult | None = None
 
 
 def full_report(
@@ -229,25 +244,14 @@ def full_report(
     bad = tuple(bad_vertices(forest))
     if kind is not Definiteness.NEGATIVE_DEFINITE:
         return ClassificationReport(
-            negdef=False,
-            bad_vertex_count=len(bad),
-            bad_vertices=bad,
-            det=det,
-            rational=None,
-            almost_rational=None,
-            dim_h=None,
-            dims=None,
-            floer_equivalence_certified=False,
-            homology=None,
+            negdef=False, bad_vertex_count=len(bad), bad_vertices=bad, det=det
         )
 
     homology = compute_homology(forest, box_cap=box_cap)
-    ar = _decrement_search(forest, nmax, point_cap)
-    # the search walks the given framings first: decrement 0 iff rational
-    if ar.decrement == 0:
-        rationality = RationalityVerdict(rational=True)
-    else:
-        rationality = is_rational(forest, point_cap=point_cap)
+    walk = _laufer_walk(forest)
+    failing = walk(forest.framings, point_cap)
+    ar = _decrement_search(forest, walk, failing, nmax, point_cap)
+    rationality = _least_witness(forest, failing, point_cap)
     if ar.status == "unknown" and len(bad) == 1:
         # certified fallback: lowering the bad vertex until -m(v) >= d(v)
         # reaches a zero-bad-vertex forest, and those are always rational
@@ -255,10 +259,8 @@ def full_report(
         needed = forest.degree(i) + forest.framings[i]
         lowered = list(forest.framings)
         lowered[i] -= needed
-        if not _laufer_walk(forest)(lowered, point_cap):
-            raise InternalInvariantViolation(
-                "a zero-bad-vertex forest tested non-rational"
-            )
+        if walk(lowered, point_cap):
+            raise InternalInvariantViolation("a zero-bad-vertex forest tested non-rational")
         ar = ARVerdict(status="yes", vertex=bad[0], decrement=needed)
 
     if len(bad) == 0 and not rationality.rational:
@@ -266,9 +268,7 @@ def full_report(
             f"zero-bad-vertex forest tested non-rational; witness {rationality.witness}"
         )
     if rationality.rational and homology.total_dim != homology.det_abs:
-        raise InternalInvariantViolation(
-            "rational forest with dimension above |det|"
-        )
+        raise InternalInvariantViolation("rational forest with dimension above |det|")
     certified = ar.certified
     dims = derived_dimensions(homology, almost_rational_certified=certified)
     return ClassificationReport(

@@ -3,15 +3,18 @@ workloads.  Run it as ``PYTHONPATH=src python tests/frontier.py``.
 
 Each table row runs ``python`` with its arguments under ``timeout 120``, reads
 that process's wall time and peak RSS with ``os.wait4`` and gates on its JSON
-output; input text goes to a temporary directory.  The start-up row runs last,
-so its times are with a warm bytecode cache.  Every row runs and prints one
-line; the exit status is 1 if any row failed.
+output; input text goes to a temporary directory.  The two start-up rows time
+a copy of ``src/plumblat`` in that directory: cold with
+``PYTHONDONTWRITEBYTECODE=1``, so nothing is cached, then warm, after one run
+without that variable has written the copy's bytecode.  Every row runs and
+prints one line; the exit status is 1 if any row failed.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -27,6 +30,12 @@ def chain(framings: list[int]) -> str:
     names = [f"v{i}" for i in range(len(framings))]
     return ("".join(f"vertex {v} {m}\n" for v, m in zip(names, framings))
             + "".join(f"edge {a} {b}\n" for a, b in zip(names, names[1:])))
+
+
+def sigma237_stars(count: int) -> str:
+    """``count`` disjoint (-1; -2, -3, -7) stars, each bounding Sigma(2,3,7)."""
+    return "".join(f"vertex c{j} -1\n" + "".join(f"vertex l{j}{-m} {m}\nedge c{j} l{j}{-m}\n"
+                                                for m in (-2, -3, -7)) for j in range(count))
 
 
 def hplus_facts(report: dict) -> dict:
@@ -70,6 +79,9 @@ ROWS = [
     ("triad on the (-4)^6 chain at v1", [*CLI, "triad", "--json", "{input}", "--vertex", "v1"],
      chain([-4] * 6), None, {"exact": True, "dims": [836, 2911, 2075]}),
     (f'smith_form on "{star(201)}"', ["-c", SMITH], None, dict, {"prod_d_is_det_is_h1": True}),
+    ("classify --point-cap 100 on three disjoint Sigma(2,3,7) stars",
+     [*CLI, "classify", "--json", "--point-cap", "100", "{input}"], sigma237_stars(3), None,
+     {"rational_witness": [0] * 8 + [2, 1, 1, 1]}),
 ]
 
 
@@ -93,29 +105,47 @@ def table_row(tmp: str, argv: list[str], text: str | None, facts, gate: dict):
     return ok, f"{wall:.2f} s, peak RSS {usage.ru_maxrss / 1024:.1f} MiB, exit {code}{shown}"
 
 
-def startup_row():
-    argv = [sys.executable, "-X", "importtime", "-c", "import plumblat.cli"]
-    err = subprocess.run(argv, capture_output=True, text=True, check=True, timeout=120).stderr
-    rows = [line.split("|") for line in err.splitlines() if line.startswith("import time:")]
-    cumulative = {name.strip(): int(us) for _, us, name in rows if us.strip().isdigit()}
+def startup_row(tmp: str, warm: bool):
+    """Import and e8 homology times of the copy of ``src/plumblat`` in ``tmp``."""
+    src = os.path.join(tmp, "src")
+    if not os.path.isdir(src):
+        shutil.copytree(ROOT / "src" / "plumblat", os.path.join(src, "plumblat"),
+                        ignore=shutil.ignore_patterns("__pycache__"))
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONDONTWRITEBYTECODE"}
+    env["PYTHONPATH"] = src
+    if not warm:
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+
+    def run(*argv: str) -> subprocess.CompletedProcess:
+        return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True,
+                              text=True, check=True, timeout=120)
+
+    homology = (*CLI, "homology", "fixtures/e8.plumb")
+    if warm:
+        run(*homology)  # this pass writes the copy's bytecode
+    imports, runs = [], []
+    for _ in range(5):
+        done = run("-X", "importtime", "-c", "import plumblat.cli; print(plumblat.cli.__file__)")
+        rows = [line.split("|") for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+        cumulative = {name.strip(): int(us) for _, us, name in rows if us.strip().isdigit()}
+        imports.append(cumulative["plumblat.cli"] / 1000)
+        start = time.perf_counter()
+        run(*homology)
+        runs.append(time.perf_counter() - start)
     loaded = sorted(name for name in cumulative if name.split(".")[0] == "plumblat")
-    lines = [f"import plumblat.cli {cumulative['plumblat.cli'] / 1000:.1f} ms, loads {loaded}"]
-    for command in ("--version", "info fixtures/e8.plumb", "homology fixtures/e8.plumb"):
-        times = []
-        for _ in range(5):
-            start = time.perf_counter()
-            subprocess.run([sys.executable, *CLI, *command.split()], cwd=ROOT,
-                           stdout=subprocess.DEVNULL, check=True, timeout=120)
-            times.append(time.perf_counter() - start)
-        lines.append(f"plumblat {command} {statistics.median(times) * 1000:.0f} ms (median of 5)")
-    return loaded == ["plumblat", "plumblat.cli", "plumblat.errors"], "; ".join(lines)
+    ok = loaded == ["plumblat", "plumblat.cli", "plumblat.errors"] and done.stdout.startswith(src)
+    return ok, (f"import plumblat.cli {statistics.median(imports):.1f} ms, loads {loaded}; "
+                f"plumblat homology fixtures/e8.plumb {statistics.median(runs) * 1000:.0f} ms"
+                " (medians of 5)")
 
 
 def main() -> int:
     failed = False
     with tempfile.TemporaryDirectory() as tmp:
         checks = [(label, lambda row=row: table_row(tmp, *row)) for label, *row in ROWS]
-        checks.append(("start-up, warm bytecode cache", startup_row))
+        checks.append(("start-up, cold: no cached bytecode", lambda: startup_row(tmp, False)))
+        checks.append(("start-up, warm bytecode cache", lambda: startup_row(tmp, True)))
         for label, check in checks:
             try:
                 ok, facts = check()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+import random
 import sys
 import time
 import tracemalloc
@@ -24,18 +26,28 @@ from plumblat import (
     seifert_to_plumbing,
     validate_forest,
 )
-from plumblat import classify, intlinalg
+from plumblat import classify, intlinalg, plumbing
 from plumblat.classify import RationalityVerdict, certify_almost_rational
-from plumblat.errors import EnumerationBudgetExceeded
+from plumblat.cli import main
+from plumblat.errors import EXIT_BUDGET, EnumerationBudgetExceeded
 from plumblat.plumbing import EdgeSign, PlumbingForest
 
 
-def _disjoint(*forests: PlumbingForest) -> PlumbingForest:
+def _disjoint(
+    *forests: PlumbingForest,
+    rng: random.Random | None = None,
+    edge_sign: EdgeSign = EdgeSign.MINUS_ONE,
+) -> PlumbingForest:
+    """The disjoint union; with ``rng``, its vertex and edge lines shuffled,
+    so that the components interleave in vertex order."""
     vertices, edges = [], []
     for j, forest in enumerate(forests):
         vertices += [(f"s{j}{vid}", m) for vid, m in zip(forest.ids, forest.framings)]
         edges += [(f"s{j}{forest.ids[a]}", f"s{j}{forest.ids[b]}") for a, b in forest.edges]
-    return validate_forest(vertices, edges)
+    if rng is not None:
+        rng.shuffle(vertices)
+        rng.shuffle(edges)
+    return validate_forest(vertices, edges, edge_sign)
 
 
 def _star(center: int, legs: list[int]) -> PlumbingForest:
@@ -239,6 +251,30 @@ def test_rational_report_walks_once(monkeypatch):
     assert report.rational == RationalityVerdict(rational=True)
 
 
+def test_decrement_search_walks_the_failing_component_alone(monkeypatch):
+    """Two failing components are unknown after the first walk, with no
+    probe; with one, every probe walks that component and no other."""
+    calls = []
+    original = classify._laufer_walk
+
+    def recording(forest):
+        walk = original(forest)
+
+        def probe(framings, point_cap, *components):
+            calls.append(components)
+            return walk(framings, point_cap, *components)
+
+        return probe
+
+    monkeypatch.setattr(classify, "_laufer_walk", recording)
+    assert is_almost_rational(_TWO_SIGMA237, nmax=16).status == "unknown"
+    assert calls == [()]
+    calls.clear()
+    assert is_almost_rational(_disjoint(e8(), elliptic_a()), nmax=16).certified
+    assert calls[0] == () and len(calls) > 1
+    assert all(components == ([list(range(8, 14))],) for components in calls[1:])
+
+
 REFERENCE_POINT_CAP = 2 * 10**4
 
 
@@ -317,7 +353,7 @@ _TWO_SIGMA237 = _disjoint(_star(-1, [-2, -3, -7]), _star(-1, [-2, -3, -7]))
 @pytest.mark.parametrize(
     "forest, nmax, enumerations",
     [
-        (_TWO_SIGMA237, 16, 1),  # no single decrement cures two stars: unknown
+        (_TWO_SIGMA237, 16, 2),  # one per star; no single decrement cures both: unknown
         (elliptic_a(), 64, 1),
         (_star(-2, [-3] * 5), 64, 1),  # cured two decrements deep
         (e8(), 64, 0),  # rational
@@ -325,9 +361,8 @@ _TWO_SIGMA237 = _disjoint(_star(-1, [-2, -3, -7]), _star(-1, [-2, -3, -7]))
     ],
 )
 def test_full_report_enumerates_the_forest_once(monkeypatch, forest, nmax, enumerations):
-    """The ellipsoid is enumerated only by ``is_rational`` on a forest that
-    its walk finds non-rational, for the printed witness: once in a
-    non-rational report, never in a rational one."""
+    """The ellipsoid is enumerated only for the printed witness, once per
+    component that the walk finds non-rational: never in a rational report."""
     calls = _count_enumerations(monkeypatch)
     report = full_report(forest, nmax=nmax)
     assert len(calls) == enumerations
@@ -419,19 +454,128 @@ def test_long_star_rationality_takes_milliseconds():
 
 
 def test_rational_verdict_builds_no_matrix(monkeypatch):
-    """A rational forest passes the definiteness check and the walk, and its
-    full report, without an intersection form; only a failed walk builds the
-    +1 form."""
-    from plumblat import classify
+    """Neither the verdicts nor the witness build an intersection form: a
+    failing component's +1 matrix is read off its framings and edges.  Only
+    the box engine of a full report builds the form."""
 
     def refuse(forest):
         raise AssertionError("intersection_form called")
 
+    original = plumbing.intersection_form
+    for name, module in list(sys.modules.items()):
+        if name.startswith("plumblat") and name != "plumblat.homology":
+            if vars(module).get("intersection_form") is original:
+                monkeypatch.setattr(module, "intersection_form", refuse)
     star = seifert_to_plumbing(parse_sfs("-2; 2/1 3/1 201/200")).forest
-    monkeypatch.setattr(classify, "intersection_form", refuse)
     assert is_rational(star).rational
     assert is_almost_rational(star).decrement == 0
     report = full_report(e8())
     assert report.rational.rational and report.det == 1
-    with pytest.raises(AssertionError, match="intersection_form called"):
-        is_rational(elliptic_a())
+    assert is_rational(elliptic_a()).witness.coords == (2, 2, 1, 1, 1, 1)
+    report = full_report(_TWO_SIGMA237, nmax=16)
+    assert report.rational.witness.coords == (0, 0, 0, 0, 2, 1, 1, 1)
+
+
+def test_full_report_derives_definiteness_twice(monkeypatch):
+    """One non-rational report reads det and definiteness once for itself
+    and once in the box engine; the witness search takes its verdict."""
+    calls = []
+    original = plumbing.definiteness
+
+    def counting(forest):
+        calls.append(forest)
+        return original(forest)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("plumblat") and vars(module).get("definiteness") is original:
+            monkeypatch.setattr(module, "definiteness", counting)
+    report = full_report(elliptic_a())
+    assert not report.rational.rational
+    assert len(calls) == 2
+
+
+def test_two_stars_answer_at_point_cap_36(tmp_path, capsys):
+    """Each star's ellipsoid is enumerated on its own and needs 36 candidates
+    for its least witness; the joint walk over both needed 500."""
+    path = tmp_path / "stars.plumb"
+    path.write_text(
+        "".join(f"vertex {vid} {m}\n" for vid, m in zip(_TWO_SIGMA237.ids, _TWO_SIGMA237.framings))
+        + "".join(f"edge {_TWO_SIGMA237.ids[a]} {_TWO_SIGMA237.ids[b]}\n" for a, b in _TWO_SIGMA237.edges)
+    )
+    assert main(["classify", "--json", "--point-cap", "36", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["rational_witness"] == [0, 0, 0, 0, 2, 1, 1, 1]
+    assert main(["classify", "--json", "--point-cap", "35", str(path)]) == EXIT_BUDGET
+    with pytest.raises(EnumerationBudgetExceeded):
+        full_report(_TWO_SIGMA237, nmax=16, point_cap=35)
+
+
+def _non_rational_pool(rng: random.Random, size: int) -> list[PlumbingForest]:
+    """Seeded random forests of at most 6 vertices that the reference finds
+    non-rational: trees with framings -3 and -2, and forests down to -1."""
+    pool: list[PlumbingForest] = []
+    while len(pool) < size:
+        if len(pool) % 2:
+            forest = random_forest(rng, max_vertices=6, lo=-3, hi=-2, edge_probability=1.0)
+        else:
+            forest = random_forest(rng, max_vertices=6, lo=-3, hi=-1)
+        if not reference_is_rational(forest).rational:
+            pool.append(forest)
+    return pool
+
+
+def test_interleaved_unions_match_reference(rng):
+    """On disjoint unions of 2-3 seeded negative-definite forests, with
+    their vertex lines shuffled so that components interleave, in both
+    conventions: the witness is the reference's least one, and the
+    decrement search (unknown on two failing components) the reference's
+    per-decrement loop.  Each part is drawn from a pool of non-rational
+    forests or at random, so unions with two or three failing parts occur."""
+    pool = _non_rational_pool(rng, 12)
+    counts = {"non_rational": 0, "two_failing": 0, "unknown": 0, "cured": 0, "skips": 0}
+    for k in range(160):
+        parts = [
+            rng.choice(pool) if rng.random() < 0.5 else random_forest(rng, max_vertices=4, lo=-3)
+            for _ in range(rng.choice((2, 3)))
+        ]
+        sign = EdgeSign.PLUS_ONE if k % 2 else EdgeSign.MINUS_ONE
+        union = _disjoint(*parts, rng=rng, edge_sign=sign)
+        try:
+            expected = reference_is_rational(union, REFERENCE_POINT_CAP)
+            nmaxes = (1,) if expected.rational else (1, 3)
+            verdicts = {n: reference_almost_rational(union, n, REFERENCE_POINT_CAP) for n in nmaxes}
+        except EnumerationBudgetExceeded:
+            counts["skips"] += 1
+            continue
+        assert is_rational(union) == expected, union
+        for nmax, verdict in verdicts.items():
+            assert is_almost_rational(union, nmax=nmax) == verdict, (union, nmax)
+        counts["non_rational"] += not expected.rational
+        counts["two_failing"] += sum(part in pool for part in parts) >= 2
+        counts["unknown"] += verdicts[nmaxes[-1]].status == "unknown"
+        counts["cured"] += not expected.rational and verdicts[nmaxes[-1]].certified
+    assert counts["non_rational"] >= 100 and counts["two_failing"] >= 40, counts
+    assert counts["unknown"] >= 40 and counts["cured"] >= 20 and counts["skips"] <= 10, counts
+
+
+def _chain(framings: list[int]) -> PlumbingForest:
+    return validate_forest(
+        [(f"v{i}", m) for i, m in enumerate(framings)],
+        [(f"v{i}", f"v{i + 1}") for i in range(len(framings) - 1)],
+    )
+
+
+def test_rational_parts_only_pad_the_witness(rng):
+    """Adding E8 or a lens chain before or after a non-rational forest, in
+    either convention, leaves its witness as it was, with zeros added on the
+    new vertices."""
+    forests = [elliptic_a(), elliptic_b(), _star(-1, [-2, -3, -7]), _f10()]
+    forests += _non_rational_pool(rng, 8)
+    for forest in forests:
+        coords = is_rational(forest).witness.coords
+        for extra in (e8(), _chain([-3, -2, -2, -4]), lens(5)):
+            pad = (0,) * len(extra)
+            for sign in EdgeSign:
+                before = is_rational(_disjoint(extra, forest, edge_sign=sign))
+                after = is_rational(_disjoint(forest, extra, edge_sign=sign))
+                assert before.witness.coords == pad + coords, (forest, extra)
+                assert after.witness.coords == coords + pad, (forest, extra)
