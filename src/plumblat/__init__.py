@@ -18,10 +18,8 @@ _EXPORTS = {
                  "class_of", "compute_homology", "derived_dimensions"),
     "hplus": ("CrossCheckReport", "GradedHPlus", "HPlusLevel", "compute_hplus",
               "ker_u_cross_check"),
-    "moves": ("BlowdownResult", "ConventionConversion", "ExactnessReport", "FormalSum",
-              "SurgeryTriple", "add_vertex_map", "blow_down", "bump_framing_map",
-              "bump_framing_section", "check_exactness", "convert_convention",
-              "surgery_triple"),
+    "moves": ("BlowdownResult", "ConventionConversion", "ExactnessReport", "SurgeryTriple",
+              "blow_down", "check_exactness", "convert_convention", "surgery_triple"),
     "plumbing": ("CanonicalClass", "Definiteness", "EdgeSign", "IntersectionForm",
                  "PlumbingForest", "SemidefiniteVerdict", "bad_vertices", "canonical_class",
                  "intersection_form", "semidefinite_classify", "validate_forest"),

@@ -26,63 +26,24 @@ half-shift B has coefficients -+1/2, so the check runs on 2B, whose two
 terms are -1 on k^+ and +1 on k^-: BA = 0 iff (2B)A = 0, BS = I iff each
 column of (2B)S is 2 e_j, and rank(2B) = rank(B).  Ranks come from one
 fraction-free integer echelon, so the exactness report carries no
-tolerances.  The vector-level definitions -- :class:`FormalSum`, the three
-formula maps and :func:`project_to_classes` -- are what the columns are
-tested against.
+tolerances.  The vector-level definitions of the three maps, on formal sums
+of characteristic vectors, live with the tests (``tests/oracle_moves.py``);
+:func:`project_to_classes` projects such a sum onto the class basis, and
+the columns are tested against it.  The blow-down reads the class table
+alone: class i goes to class i (proof at :func:`blow_down`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .charlattice import BoxIndex, CharVector
 from .errors import DEFAULT_BOX_CAP, InternalInvariantViolation, InvalidTriple, NotBlowdownable
 from .homology import HomologyResult, class_of, compute_homology
 from .intlinalg import rank_rational
 from .plumbing import Definiteness, EdgeSign, PlumbingForest, definiteness
-
-
-# --- formal sums ---------------------------------------------------------
-
-def _exact(coeff) -> Fraction | int:
-    """An ``int`` or ``Fraction`` coefficient as it is, anything else as a
-    ``Fraction``."""
-    return coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
-
-
-@dataclass(frozen=True)
-class FormalSum:
-    """Finite rational combination of characteristic vectors: the
-    vector-level form of the surgery maps, which the index columns of
-    :func:`check_exactness` are tested against.
-
-    Integer coefficients stay ``int``; any other coefficient becomes a
-    ``Fraction``, so the terms never hold a float.
-    """
-
-    terms: tuple[tuple[Fraction | int, CharVector], ...]
-
-    @staticmethod
-    def of(pairs: Iterable[tuple[Fraction | int, CharVector]]) -> "FormalSum":
-        combined: dict[tuple[int, ...], tuple[Fraction | int, CharVector]] = {}
-        for coeff, vec in pairs:
-            coeff, key = _exact(coeff), vec.evals
-            if key in combined:
-                coeff += combined[key][0]
-            combined[key] = (coeff, vec)
-        return FormalSum(tuple(term for _, term in sorted(combined.items()) if term[0]))
-
-    def scale(self, factor: Fraction | int) -> "FormalSum":
-        factor = _exact(factor)
-        return FormalSum.of((factor * c, v) for c, v in self.terms)
-
-    def __add__(self, other: "FormalSum") -> "FormalSum":
-        return FormalSum.of(list(self.terms) + list(other.terms))
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
 
 # --- surgery triples ------------------------------------------------------
@@ -122,57 +83,13 @@ def surgery_triple(forest: PlumbingForest, vertex_id: str) -> SurgeryTriple:
     )
 
 
-def add_vertex_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
-    """Sum of all extensions of k across the new vertex, |value| <= -v^2.
-
-    Extensions with larger evaluation at v vanish in the quotient, so the
-    truncation loses nothing.  This is the definition of A, which
-    :func:`_extension_terms` builds by box index.
-    """
-    vi = triple.vertex_index
-    p = -triple.base.framings[vi]
-    evals = k.evals
-    pairs = []
-    for value in range(-p, p + 1, 2):
-        extended = evals[:vi] + (value,) + evals[vi:]
-        pairs.append((1, CharVector(extended)))
-    return FormalSum.of(pairs)
-
-
-_MINUS_HALF = Fraction(-1, 2)
-_HALF = Fraction(1, 2)
-
-
-def bump_framing_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
-    """(-1/2) k^+ + (1/2) k^- on the framing-bumped graph: the definition
-    of B, which :func:`_half_shift_terms` builds doubled by box index."""
-    vi = triple.vertex_index
-    evals = k.evals
-    up = evals[:vi] + (evals[vi] + 1,) + evals[vi + 1 :]
-    down = evals[:vi] + (evals[vi] - 1,) + evals[vi + 1 :]
-    return FormalSum.of([(_MINUS_HALF, CharVector(up)), (_HALF, CharVector(down))])
-
-
-def bump_framing_section(k: CharVector, triple: SurgeryTriple) -> FormalSum:
-    """2 * (sum of extensions with values above <k, v>), a section of the
-    half-shift map modulo the image of the extension sum: the definition of
-    S, which :func:`_section_terms` builds by box index."""
-    vi = triple.vertex_index
-    p = -triple.base.framings[vi]
-    evals = k.evals
-    pairs = []
-    for value in range(evals[vi] + 1, p + 1, 2):
-        lifted = evals[:vi] + (value,) + evals[vi + 1 :]
-        pairs.append((2, CharVector(lifted)))
-    return FormalSum.of(pairs)
-
-
 SparseColumn = dict[int, Fraction | int]
 
 
-def project_to_classes(fs: FormalSum, result: HomologyResult) -> SparseColumn:
-    """Nonzero coordinates of a formal sum in the nonzero class basis, one
-    :func:`~plumblat.homology.class_of` per term: the vector-level
+def project_to_classes(fs, result: HomologyResult) -> SparseColumn:
+    """Nonzero coordinates of a formal sum -- anything whose ``terms`` are
+    (coefficient, :class:`CharVector`) pairs -- in the nonzero class basis,
+    one :func:`~plumblat.homology.class_of` per term: the vector-level
     projection that the index columns are tested against."""
     coords: SparseColumn = {}
     for coeff, vec in fs.terms:
@@ -353,12 +270,12 @@ def convert_convention(
 class BlowdownResult:
     """Blown-down forest plus the verified signed class bijection.
 
-    ``class_map`` sends each nonzero class index of the source quotient to
-    (target class index, sign), and ``orbit_map`` each source orbit index to
-    the target orbit index its classes land in, in source order.  The
-    attached homology results are computed in the -1 edge convention, where
-    the two elementary isomorphisms are defined; dimensions are
-    convention-independent.
+    ``class_map`` holds (i, i, sign) for each nonzero class index i of the
+    source quotient: class i goes to target class i (see :func:`blow_down`).
+    ``orbit_map`` sends each source orbit index to the target orbit index its
+    classes land in, in source order.  The attached homology results are
+    computed in the -1 edge convention, where the two elementary
+    isomorphisms are defined; dimensions are convention-independent.
     """
 
     forest: PlumbingForest
@@ -368,24 +285,39 @@ class BlowdownResult:
     target: HomologyResult
 
 
-def _orbit_of_classes(result: HomologyResult) -> list[int]:
-    """The orbit index of each nonzero class, read off ``result.per_orbit``."""
-    orbit_of = {
-        rep.evals: oh.orbit.index for oh in result.per_orbit for rep in oh.representatives
-    }
-    return [orbit_of[cls.representative.evals] for cls in result.classes]
-
-
 def blow_down(
     forest: PlumbingForest, vertex_id: str, *, box_cap: int = DEFAULT_BOX_CAP
 ) -> BlowdownResult:
-    """Remove a (-1)-framed leaf or isolated vertex, bumping its neighbor.
+    """Remove a (-1)-framed leaf or isolated vertex x, bumping its neighbour v.
 
     The induced map on quotients is the composite of the handleslide basis
-    change with the splitting-off of the isolated (-1) vertex; it is verified
-    here to be a signed bijection on nonzero classes preserving per-orbit
-    dimensions.  Interior (-1) vertices (degree >= 2) are refused: that move
-    changes the edge set and carries no elementary map of this shape.
+    change (v slides over the leaf, so k_v becomes k_v - k_x) with the
+    splitting-off of the isolated (-1) vertex (k_x is dropped).  On the
+    class table, both boxes in the -1 edge convention, it sends class i to
+    class i:
+
+    * Every class root has d_x = 0.  The radix of x is 2, so every box
+      vector is extremal at x, and an alive one is an end of an x-pair.
+      The pair runs from d_x = 0 to index a + stride_x + stride_v, or
+      a + stride_x when x is isolated, so the alive end with d_x = 1
+      always has the smaller partner and is no class minimum.
+    * A root's neighbour digit satisfies d_v <= -m_v - 1.  Otherwise the
+      root would be extremal at x with no pair, so it would be dead.  So
+      its image (x dropped, k_v + 1) lies in the target box, whose framing
+      at v is m_v + 1, with the same digits.
+    * Dropping the constant digit d_x = 0 keeps index order on that slice.
+      The induced map is a bijection of classes, so each root maps to the
+      least member of its image class, in the same order: class i goes to
+      class i, with sign -(sign of :func:`~plumblat.homology.class_of`),
+      as k_x = -1.
+
+    Each call checks this, with one ``class_of`` per class: every root has
+    k_x = -1 and its image lies in class i, and the totals agree.  The two
+    partitions of class indices into orbits (``orbit_classes``) must then
+    be equal, and ``orbit_map`` pairs the orbits through the two
+    ``box.orbits()`` orders.  Interior (-1) vertices (degree >= 2) are
+    refused: that move changes the edge set and carries no elementary map
+    of this shape.
     """
     xi = forest.index_of(vertex_id)
     if forest.framings[xi] != -1:
@@ -395,63 +327,44 @@ def blow_down(
         raise NotBlowdownable(f"vertex {vertex_id!r} has degree {len(neighbors)} >= 2")
 
     work = forest.with_edge_sign(EdgeSign.MINUS_ONE)
-
     if neighbors:
         vi = neighbors[0]
         blown = work.with_framing(vi, work.framings[vi] + 1).delete_vertex(xi)
     else:
-        vi = None
         blown = work.delete_vertex(xi)
 
     source = compute_homology(work, box_cap=box_cap)
     target = compute_homology(blown, box_cap=box_cap)
-
-    def image_of(k: CharVector) -> tuple[tuple[int, ...], int]:
-        evals = k.evals
-        kx = evals[xi]
-        if kx not in (1, -1):
-            raise InternalInvariantViolation("box value at a (-1) vertex must be +-1")
-        adjusted = list(evals)
-        if vi is not None:
-            adjusted[vi] = adjusted[vi] - kx  # slide the neighbor over the leaf
-        del adjusted[xi]
-        return tuple(adjusted), kx
-
-    mapping: list[tuple[int, int, int]] = []
-    seen_targets: dict[int, int] = {}
-    orbit_pairs: dict[int, int] = {}
-    src_orbit_of = _orbit_of_classes(source)
-    dst_orbit_of = _orbit_of_classes(target)
-    for cls_id, cls in enumerate(source.classes):
-        img_evals, coeff = image_of(cls.representative)
-        ref = class_of(img_evals, target)
-        if ref.is_zero:
-            raise InternalInvariantViolation(
-                "blow-down sent a nonzero class to zero"
-            )
-        if ref.index in seen_targets:
-            raise InternalInvariantViolation("blow-down map is not injective")
-        seen_targets[ref.index] = cls_id
-        mapping.append((cls_id, ref.index, coeff * ref.sign))
-        src_orbit, dst_orbit = src_orbit_of[cls_id], dst_orbit_of[ref.index]
-        if orbit_pairs.setdefault(src_orbit, dst_orbit) != dst_orbit:
-            raise InternalInvariantViolation(
-                "blow-down scattered one orbit across several targets"
-            )
-    if len(seen_targets) != target.total_dim:
+    if source.total_dim != target.total_dim:
         raise InternalInvariantViolation(
-            f"blow-down map hits {len(seen_targets)} of {target.total_dim} classes"
+            f"blow-down took dimension {source.total_dim} to {target.total_dim}"
         )
-    by_src = {oh.orbit.index: oh.dim for oh in source.per_orbit}
-    by_dst = {oh.orbit.index: oh.dim for oh in target.per_orbit}
-    for src_orbit, dst_orbit in orbit_pairs.items():
-        if by_src[src_orbit] != by_dst[dst_orbit]:
-            raise InternalInvariantViolation("per-orbit dimension changed under blow-down")
+
+    evals = source.box.evals
+    class_map = []
+    for root, i in source.root_refs.items():
+        image = list(evals(root))
+        if neighbors:
+            image[vi] -= image[xi]  # slide the neighbour over the leaf
+        if image.pop(xi) != -1:
+            raise InternalInvariantViolation(f"the root of class {i} has k_x != -1")
+        ref = class_of(image, target)
+        if ref.index != i:
+            raise InternalInvariantViolation(f"blow-down sent class {i} to class {ref.index}")
+        class_map.append((i, i, -ref.sign))
+
+    parts, target_parts = source.orbit_classes, target.orbit_classes
+    if sorted(parts.values()) != sorted(target_parts.values()):
+        raise InternalInvariantViolation("blow-down moved a class to another orbit")
+    orbit_of = {tuple(target_parts[key]): j for j, key in enumerate(target.box.orbits())}
+    orbit_map = tuple(
+        (j, orbit_of[tuple(parts[key])]) for j, key in enumerate(source.box.orbits())
+    )
 
     return BlowdownResult(
         forest=blown.with_edge_sign(forest.edge_sign),
-        class_map=tuple(mapping),
-        orbit_map=tuple(sorted(orbit_pairs.items())),
+        class_map=tuple(class_map),
+        orbit_map=orbit_map,
         source=source,
         target=target,
     )

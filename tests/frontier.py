@@ -1,5 +1,5 @@
-"""Frontier ladder: the Seifert stars, chains and triad past the benchmark's
-workloads.  Run it as ``PYTHONPATH=src python tests/frontier.py``.
+"""Frontier ladder: the Seifert stars, chains, triad and blow-down past the
+benchmark's workloads.  Run it as ``PYTHONPATH=src python tests/frontier.py``.
 
 Each table row runs ``python`` with its arguments under ``timeout 120``, reads
 that process's wall time and peak RSS with ``os.wait4`` and gates on its JSON
@@ -45,6 +45,11 @@ def hplus_facts(report: dict) -> dict:
             "flooded": sum(row["ker_u_rank"] > 1 for row in rows)}
 
 
+def blowdown_facts(report: dict) -> dict:
+    return {"dim_before": report["dim_before"], "dim_after": report["dim_after"],
+            "classes": len(report["class_map"])}
+
+
 def star(p: int) -> str:
     return f"-2; 2/1 3/1 {p}/{p - 1}"
 
@@ -78,6 +83,9 @@ ROWS = [
        chain([-3] + [-2] * k + [-3]), None, {"total_dim": 4 * k + 8}) for k in (10, 11, 12)],
     ("triad on the (-4)^6 chain at v1", [*CLI, "triad", "--json", "{input}", "--vertex", "v1"],
      chain([-4] * 6), None, {"exact": True, "dims": [836, 2911, 2075]}),
+    ("blowdown on the (-1, -5, -4^5, -3) chain at v0",
+     [*CLI, "blowdown", "--json", "{input}", "--vertex", "v0"], chain([-1, -5] + [-4] * 5 + [-3]),
+     blowdown_facts, {"dim_before": 7953, "dim_after": 7953}),
     (f'smith_form on "{star(201)}"', ["-c", SMITH], None, dict, {"prod_d_is_det_is_h1": True}),
     ("classify --point-cap 100 on three disjoint Sigma(2,3,7) stars",
      [*CLI, "classify", "--json", "--point-cap", "100", "{input}"], sigma237_stars(3), None,

@@ -6,33 +6,118 @@ products, and ranks come from Gauss-Jordan elimination over ``Fraction``.
 The production check in :mod:`plumblat.moves` works on sparse columns with
 an integer echelon and must agree with it on every report field.
 
-The formal-sum helpers and the leaf slide below are used only by tests: the
-slide is the basis change that :func:`plumblat.moves.blow_down` applies
-inline.  :func:`reference_blowdown_pairing` pairs a blow-down's classes and
-orbits through :class:`~plumblat.charlattice.OrbitIndexer` keys, where the
-production code reads orbits off the homology results.
+:class:`FormalSum` and the three formula maps on it -- :func:`add_vertex_map`
+(A), :func:`bump_framing_map` (B) and :func:`bump_framing_section` (S) -- are
+the vector-level definitions that the index columns of
+:func:`plumblat.moves.check_exactness` are tested against, through
+:func:`plumblat.moves.project_to_classes`.  The formal-sum helpers and the
+leaf slide below are used only by tests: the slide is the basis change that
+:func:`plumblat.moves.blow_down` applies inline.
+:func:`reference_blowdown_pairing` pairs a blow-down's classes and orbits
+through :class:`~plumblat.charlattice.OrbitIndexer` keys, where the
+production code reads orbits off the class tables.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from oracle_charlattice import in_box
 from plumblat import CharVector, PlumbingForest, compute_homology
 from plumblat.charlattice import OrbitIndexer
 from plumblat.errors import InvalidTriple, NotBlowdownable
 from plumblat.homology import HomologyResult, class_of
-from plumblat.moves import (
-    BlowdownResult,
-    ExactnessReport,
-    FormalSum,
-    SurgeryTriple,
-    add_vertex_map,
-    bump_framing_map,
-    bump_framing_section,
-)
+from plumblat.moves import BlowdownResult, ExactnessReport, SurgeryTriple
 from plumblat.plumbing import IntersectionForm
+
+
+# --- the surgery maps on formal sums ----------------------------------------
+
+def _exact(coeff) -> Fraction | int:
+    """An ``int`` or ``Fraction`` coefficient as it is, anything else as a
+    ``Fraction``."""
+    return coeff if type(coeff) in (int, Fraction) else Fraction(coeff)
+
+
+@dataclass(frozen=True)
+class FormalSum:
+    """Finite rational combination of characteristic vectors: the
+    vector-level form of the surgery maps, which the index columns of
+    :func:`plumblat.moves.check_exactness` are tested against.
+
+    Integer coefficients stay ``int``; any other coefficient becomes a
+    ``Fraction``, so the terms never hold a float.
+    """
+
+    terms: tuple[tuple[Fraction | int, CharVector], ...]
+
+    @staticmethod
+    def of(pairs: Iterable[tuple[Fraction | int, CharVector]]) -> "FormalSum":
+        combined: dict[tuple[int, ...], tuple[Fraction | int, CharVector]] = {}
+        for coeff, vec in pairs:
+            coeff, key = _exact(coeff), vec.evals
+            if key in combined:
+                coeff += combined[key][0]
+            combined[key] = (coeff, vec)
+        return FormalSum(tuple(term for _, term in sorted(combined.items()) if term[0]))
+
+    def scale(self, factor: Fraction | int) -> "FormalSum":
+        factor = _exact(factor)
+        return FormalSum.of((factor * c, v) for c, v in self.terms)
+
+    def __add__(self, other: "FormalSum") -> "FormalSum":
+        return FormalSum.of(list(self.terms) + list(other.terms))
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+
+def add_vertex_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
+    """Sum of all extensions of k across the new vertex, |value| <= -v^2.
+
+    Extensions with larger evaluation at v vanish in the quotient, so the
+    truncation loses nothing.  This is the definition of A, which
+    :func:`plumblat.moves._extension_terms` builds by box index.
+    """
+    vi = triple.vertex_index
+    p = -triple.base.framings[vi]
+    evals = k.evals
+    pairs = []
+    for value in range(-p, p + 1, 2):
+        extended = evals[:vi] + (value,) + evals[vi:]
+        pairs.append((1, CharVector(extended)))
+    return FormalSum.of(pairs)
+
+
+_MINUS_HALF = Fraction(-1, 2)
+_HALF = Fraction(1, 2)
+
+
+def bump_framing_map(k: CharVector, triple: SurgeryTriple) -> FormalSum:
+    """(-1/2) k^+ + (1/2) k^- on the framing-bumped graph: the definition
+    of B, which :func:`plumblat.moves._half_shift_terms` builds doubled by
+    box index."""
+    vi = triple.vertex_index
+    evals = k.evals
+    up = evals[:vi] + (evals[vi] + 1,) + evals[vi + 1 :]
+    down = evals[:vi] + (evals[vi] - 1,) + evals[vi + 1 :]
+    return FormalSum.of([(_MINUS_HALF, CharVector(up)), (_HALF, CharVector(down))])
+
+
+def bump_framing_section(k: CharVector, triple: SurgeryTriple) -> FormalSum:
+    """2 * (sum of extensions with values above <k, v>), a section of the
+    half-shift map modulo the image of the extension sum: the definition of
+    S, which :func:`plumblat.moves._section_terms` builds by box index."""
+    vi = triple.vertex_index
+    p = -triple.base.framings[vi]
+    evals = k.evals
+    pairs = []
+    for value in range(evals[vi] + 1, p + 1, 2):
+        lifted = evals[:vi] + (value,) + evals[vi + 1 :]
+        pairs.append((2, CharVector(lifted)))
+    return FormalSum.of(pairs)
 
 
 # --- reference engine -------------------------------------------------------

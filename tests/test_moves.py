@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from conftest import e8, lens, random_forest
+from conftest import FIXTURES, e8, lens, random_forest
 import oracle_moves
 from oracle_charlattice import sign_normalization
 from oracle_moves import (
+    FormalSum,
+    add_vertex_map,
     apply_linear,
+    bump_framing_map,
+    bump_framing_section,
     reference_exactness,
     slide_leaf_basis_change,
     reference_blowdown_pairing,
@@ -20,20 +25,18 @@ from oracle_moves import (
 from plumblat import (
     CharVector,
     EdgeSign,
-    add_vertex_map,
     blow_down,
-    bump_framing_map,
-    bump_framing_section,
     check_exactness,
     compute_homology,
     convert_convention,
     intersection_form,
+    parse_plumbing,
     surgery_triple,
     validate_forest,
 )
 from plumblat import homology, moves
-from plumblat.errors import InvalidTriple, NotBlowdownable
-from plumblat.moves import FormalSum, project_to_classes
+from plumblat.errors import InternalInvariantViolation, InvalidTriple, NotBlowdownable
+from plumblat.moves import project_to_classes
 
 
 def test_extension_sum_single_vertex():
@@ -371,18 +374,62 @@ def test_check_exactness_builds_no_vectors(monkeypatch):
         assert check_exactness(triple).exact
 
 
+def _checked_blow_down(forest, leaf_id="x"):
+    """``blow_down`` on ``forest``, checked against the reference pairing:
+    class i goes to class i, and the call built no object view (which the
+    reference then builds)."""
+    result = blow_down(forest, leaf_id)
+    for side in (result.source, result.target):
+        assert not {"classes", "per_orbit"} & set(vars(side))
+    assert result.source.total_dim == result.target.total_dim
+    class_map, orbit_pairs = reference_blowdown_pairing(result, leaf_id)
+    assert result.class_map == class_map
+    assert all(src == dst and sign in (1, -1) for src, dst, sign in result.class_map)
+    assert [src for src, _ in result.orbit_map] == list(range(len(result.source.per_orbit)))
+    assert {src: {dst} for src, dst in result.orbit_map} == orbit_pairs
+    return result
+
+
 def test_blow_down_leaf():
     forest = validate_forest([("v", -2), ("x", -1)], [("v", "x")])
-    result = blow_down(forest, "x")
+    result = _checked_blow_down(forest)
     assert result.forest.framings == (-1,)
     assert result.source.total_dim == result.target.total_dim == 1
 
 
 def test_blow_down_isolated():
     forest = validate_forest([("a", -3), ("x", -1)])
-    result = blow_down(forest, "x")
+    result = _checked_blow_down(forest)
     assert result.forest.ids == ("a",)
     assert result.source.total_dim == result.target.total_dim == 3
+    beside = validate_forest([("x", -1), ("a", -2), ("b", -5)], [("a", "b")])
+    assert _checked_blow_down(beside).class_map == tuple((i, i, -1) for i in range(9))
+
+
+def test_blow_down_alone_leaves_the_empty_forest():
+    """A (-1) vertex alone (the lens_1 fixture) blows down to the empty
+    forest: one class, sent to the empty box's one class."""
+    result = _checked_blow_down(parse_plumbing((FIXTURES / "lens_1.plumb").read_text()), "v")
+    assert len(result.forest) == 0
+    assert (result.class_map, result.orbit_map) == (((0, 0, -1),), ((0, 0),))
+
+
+def test_blow_down_refuses_a_forged_target_table(monkeypatch):
+    """A target class table with two class roots swapped breaks class i to
+    class i, and ``blow_down`` raises instead of reporting a permutation."""
+    forest = validate_forest([("v", -3), ("x", -1)], [("v", "x")])
+
+    def forged(f, **kwargs):
+        result = compute_homology(f, **kwargs)
+        if len(f) == len(forest):
+            return result
+        (r0, i0), (r1, i1), *rest = result.root_refs.items()
+        return dataclasses.replace(result, root_refs={r0: i1, r1: i0, **dict(rest)})
+
+    assert _checked_blow_down(forest).class_map == ((0, 0, -1), (1, 1, -1))
+    monkeypatch.setattr(moves, "compute_homology", forged)
+    with pytest.raises(InternalInvariantViolation, match="sent class 0 to class 1"):
+        blow_down(forest, "x")
 
 
 def test_blow_down_rejections():
@@ -422,10 +469,9 @@ def test_blow_up_then_blow_down_returns_the_input(rng):
 
 def test_blow_down_random_suite(rng):
     """The (-1) leaf is listed last, first or in between, in either edge
-    convention.  Every blow-down seen keeps class i at index i (on the
-    k_x = -1 slice the map drops a constant coordinate and adds one to
-    another, which keeps lex order), so the orbit map is what tells a source
-    index from a target one here: it must be checked on permuted orbits."""
+    convention.  Every ``class_map`` entry is (i, i, +-1), as
+    :func:`~plumblat.moves.blow_down` proves; the orbit map is checked on
+    permuted orbits, so a source orbit index is told from a target one."""
     count = permuted = 0
     while count < 40:
         base = random_forest(rng, max_vertices=5)
@@ -439,12 +485,7 @@ def test_blow_down_random_suite(rng):
         )
         if not intersection_form(candidate).is_negative_definite:
             continue
-        result = blow_down(candidate, "x")
-        assert result.source.total_dim == result.target.total_dim
-        class_map, orbit_pairs = reference_blowdown_pairing(result, "x")
-        assert result.class_map == class_map
-        assert {src: {dst} for src, dst in result.orbit_map} == orbit_pairs
-        assert [src for src, _ in result.orbit_map] == list(range(len(result.source.per_orbit)))
+        result = _checked_blow_down(candidate)
         permuted += any(src != dst for src, dst in result.orbit_map)
         count += 1
     assert permuted >= 5

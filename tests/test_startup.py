@@ -17,7 +17,9 @@ from plumblat import cli, homology
 
 SRC = Path(plumblat.__file__).resolve().parent.parent
 
-# The names of plumblat/__init__.py at 1.0.0, by defining module, in order.
+# The names of plumblat/__init__.py at 1.0.0, by defining module, in order,
+# less FormalSum and its three surgery maps (add_vertex_map, bump_framing_map,
+# bump_framing_section), which moved to tests/oracle_moves.py.
 PUBLIC = {
     "charlattice": ["CharVector", "LatticeVector", "SpinCOrbit", "chi", "is_characteristic"],
     "classify": ["ARVerdict", "ClassificationReport", "RationalityVerdict", "full_report",
@@ -27,10 +29,8 @@ PUBLIC = {
                  "class_of", "compute_homology", "derived_dimensions"],
     "hplus": ["CrossCheckReport", "GradedHPlus", "HPlusLevel", "compute_hplus",
               "ker_u_cross_check"],
-    "moves": ["BlowdownResult", "ConventionConversion", "ExactnessReport", "FormalSum",
-              "SurgeryTriple", "add_vertex_map", "blow_down", "bump_framing_map",
-              "bump_framing_section", "check_exactness", "convert_convention",
-              "surgery_triple"],
+    "moves": ["BlowdownResult", "ConventionConversion", "ExactnessReport", "SurgeryTriple",
+              "blow_down", "check_exactness", "convert_convention", "surgery_triple"],
     "plumbing": ["CanonicalClass", "Definiteness", "EdgeSign", "IntersectionForm",
                  "PlumbingForest", "SemidefiniteVerdict", "bad_vertices", "canonical_class",
                  "intersection_form", "semidefinite_classify", "validate_forest"],
