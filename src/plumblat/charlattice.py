@@ -253,7 +253,7 @@ class BoxIndex:
         and the births' faces at d_v at its top (s = -1), the same pairs
         read from their other ends.  Each entry is replaced, in place, by
         P_v & ~U{P_u : u < v, u not adjacent to v}.  Over the kept pairs a
-        union-find finds the same classes, with the same parities.
+        union-find finds the same classes.
 
         The square: for u and v not adjacent, a in P_u and P_v puts a + o_u
         in P_v and a + o_v in P_u, so the v-pair at a is replaced by the
@@ -273,8 +273,6 @@ class BoxIndex:
         * Adjacent vertices stay out of the union.  With -1 edges they
           share starts, and those close no square.
 
-        Parity: the path crosses family u twice and v once, so it carries
-        the dropped pair's parity, and the odd-cycle check loses nothing.
         Connectivity, by induction on v: the kept pairs below v join what
         all pairs below v join, and a dropped v-pair at a is replaced by
         two u-pairs (u < v) and the v-pair at a + o_u; if that one was

@@ -95,26 +95,33 @@ def _derived_json(dims: DerivedDimensions) -> dict:
 def _json(value, pad: str = "\n") -> str:
     """The bytes of ``json.dumps(value, indent=2, sort_keys=True)``, written
     in one recursive pass (an ``indent`` sends ``json.dumps`` to its pure
-    Python encoder).  Takes dicts with ``str`` keys, lists, tuples, strings,
-    bools, None and ints; anything else, floats too, raises TypeError.
-    ``pad`` is the newline and indent of the enclosing line."""
-    if isinstance(value, str):
+    Python encoder).  Takes dicts with ``str`` keys, lists, tuples, and
+    leaves of exact type ``str``, ``int``, ``bool`` or None; anything else,
+    floats and non-str keys too, raises TypeError.  Containers write their
+    int and str entries inline, dispatched on exact type.  ``pad`` is the
+    newline and indent of the enclosing line."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
         return encode_basestring_ascii(value)
     if value is None or value is True or value is False:
         return "null" if value is None else "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     inner = pad + "  "
     if isinstance(value, dict):
-        if not all(isinstance(key, str) for key in value):
-            raise TypeError("JSON object keys must be str")
-        items = [encode_basestring_ascii(k) + ": " + _json(v, inner) for k, v in sorted(value.items())]
+        items = [
+            encode_basestring_ascii(k) + ": "
+            + (int.__repr__(v) if (kind := type(v)) is int
+               else encode_basestring_ascii(v) if kind is str else _json(v, inner))
+            for k, v in sorted(value.items())
+        ]
         brackets = "{}"
     elif isinstance(value, (list, tuple)):
-        if all(type(v) is int for v in value):  # a vector: no call per entry
-            items = list(map(int.__repr__, value))
-        else:
-            items = [_json(v, inner) for v in value]
+        items = [
+            int.__repr__(v) if (kind := type(v)) is int
+            else encode_basestring_ascii(v) if kind is str else _json(v, inner)
+            for v in value
+        ]
         brackets = "[]"
     else:
         raise TypeError(f"{type(value).__name__} is not written as JSON")

@@ -26,12 +26,15 @@ neither, so a class is zero iff all its members are flagged.  Of the
 pairs with both ends alive -- a few percent of the box -- those that close
 a commuting square with two others are dropped
 (:meth:`~plumblat.charlattice.BoxIndex.square_free`), and the rest enter a
-union-find keyed by index, whose links carry a sign parity and whose roots
-are class minima.  No pair can close a cycle of odd parity (see
-:func:`compute_homology`), so no class is killed by k ~ -k.  That
-union-find is the one class table: the classes are the alive roots in
-index order, :meth:`HomologyResult.class_at` reads a box index's class and
-parity off it, and :func:`class_of` finds a vector's box index first.
+union-find keyed by index that stores only parents, its roots the class
+minima.  The signs need no bookkeeping: one 0/1 vector c with
+A c = diag(A) mod 2 gives val(k) = (-1)^{c . (d(k) - d(root))} val(root)
+on every class (proof at :func:`compute_homology`), so no class is killed
+by k ~ -k.  That union-find is the one class table: the classes are the
+alive roots in index order, :meth:`HomologyResult.columns` reads the
+class and sign of box indices off it and off c, a whole column of index
+terms at a time, and :func:`class_of` finds a vector's box index first and
+reads it as a one-term column.
 Each class's orbit key is ``box.key`` of its root.  The object views --
 ``classes``, with each representative ``box.evals`` of its root, and
 ``per_orbit``, with each orbit's representative its least member from
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .charlattice import BoxIndex, CharVector, SpinCOrbit
 from .errors import (
@@ -51,6 +54,7 @@ from .errors import (
     NegativeOddDimension,
     NotNegativeDefinite,
 )
+from .intlinalg import parity_vector
 from .plumbing import EdgeSign, IntersectionForm, PlumbingForest, intersection_form
 
 
@@ -93,12 +97,19 @@ class OrbitHomology:
 class HomologyResult:
     """Quotient dimensions per spin^c orbit, with the class table.
 
-    The class table is integers only.  ``links`` is the signed union-find
-    over box indices (see :func:`_find`), ``root_refs`` maps the root of
-    each nonzero class to its class index, and ``orbit_classes`` maps each
-    orbit key to the indices of its classes; :meth:`class_at` reads the
-    first two.  ``box`` is the box the classes were found in, with its
-    orbit keys.
+    The class table is integers only.  ``links`` is the union-find over
+    box indices, each non-root mapped to its parent, which is smaller, so
+    roots are class minima; ``root_refs`` maps the root of each nonzero
+    class to its class index, and ``orbit_classes`` maps each orbit key to
+    the indices of its classes.  ``parity`` is the 0/1 vector c with
+    A c = diag(A) mod 2 that carries the signs: val(a) = (-1)^{P(a) - P(r)}
+    val(r) for a in the class of root r, P(a) = c . d(a) mod 2 on the box
+    digits d (proof at :func:`compute_homology`).  :meth:`columns` reads
+    ``links``, ``root_refs`` and the P values, from tables built the first
+    time a sign is read: one per head and one per tail of the box, and one
+    per root, taken from ``root_refs``.  It only reads ``links``, so
+    threads may share a result.  ``box`` is the box the classes were found
+    in, with its orbit keys.
 
     ``classes`` (the nonzero classes in order of their lex-least members)
     and ``per_orbit`` are object views of that table, built the first time
@@ -115,6 +126,7 @@ class HomologyResult:
     links: dict[int, int] = field(repr=False)
     root_refs: dict[int, int] = field(repr=False)
     orbit_classes: dict[tuple[int, ...], list[int]] = field(repr=False)
+    parity: tuple[int, ...] = field(repr=False)
 
     @property
     def det_abs(self) -> int:
@@ -124,11 +136,47 @@ class HomologyResult:
     def zero_class(self) -> SignedClass:
         return _ZERO_CLASS
 
-    def class_at(self, index: int) -> tuple[int | None, int]:
-        """The class index of box index ``index`` (None if it dies) and the
-        parity s with val(index) = (-1)^s val(class representative)."""
-        root, s = _find(self.links, index)
-        return self.root_refs.get(root), s
+    @cached_property
+    def _signs(self) -> tuple[bytes, bytes, int, dict[int, tuple[int, int]]]:
+        """P per head and per tail of the box, built digit by digit like
+        the key parts, the tail table's length, and (class index, P(root))
+        per root: P(a) = heads[a // low] ^ tails[a % low]."""
+        box, c = self.box, self.parity
+        split = len(box.heads[0])
+        tables = []
+        for start, stop in ((0, split), (split, len(c))):
+            parts = b"\0"
+            for v in range(start, stop):
+                cv = c[v]
+                parts = bytes([x ^ d & cv for x in parts for d in range(box.radices[v])])
+            tables.append(parts)
+        heads, tails = tables
+        low = box.low
+        refs = {r: (i, heads[r // low] ^ tails[r % low]) for r, i in self.root_refs.items()}
+        return heads, tails, low, refs
+
+    def columns(self, term_lists: Iterable[Iterable[tuple[int, int]]]) -> list[dict[int, int]]:
+        """Per list of (coefficient, box index) terms, its nonzero
+        coordinates in the class basis.  Each term's index walks ``links``
+        up to its root; a dead root adds nothing, a class root r adds the
+        coefficient times (-1)^{P(a) - P(r)} to r's class."""
+        heads, tails, low, refs = self._signs
+        get, ref_of = self.links.get, refs.get
+        out = []
+        for terms in term_lists:
+            coords: dict[int, int] = {}
+            for coeff, a in terms:
+                root = a
+                while (up := get(root)) is not None:
+                    root = up
+                ref = ref_of(root)
+                if ref is not None:
+                    i, s = ref
+                    if s ^ heads[a // low] ^ tails[a % low]:
+                        coeff = -coeff
+                    coords[i] = coords.get(i, 0) + coeff
+            out.append({i: c for i, c in coords.items() if c})
+        return out
 
     @cached_property
     def classes(self) -> tuple[SignedClass, ...]:
@@ -161,39 +209,26 @@ class HomologyResult:
         return tuple(per_orbit)
 
 
-def _find(links: dict[int, int], a: int) -> tuple[int, int]:
-    """Root of a and the parity s with val(a) = (-1)^s val(root), pointing
-    each node on the way at its grandparent.
-
-    ``links`` holds non-roots only: link = 2 * parent + s with
-    val(a) = (-1)^s val(parent), and parent < a, so roots are class minima.
-    """
-    s = 0
-    link = links.get(a)
-    while link is not None:
-        up = links.get(link >> 1)
-        if up is None:
-            return link >> 1, s ^ link & 1
-        link = links[a] = up ^ link & 1
-        s ^= link & 1
-        a = link >> 1
-        link = links.get(a)
-    return a, s
-
-
 def compute_homology(
     forest: PlumbingForest, *, box_cap: int = DEFAULT_BOX_CAP
 ) -> HomologyResult:
     """Quotient of the box by the signed reflection relations, per orbit.
 
-    No relation can identify a vector with its own negative.  A pair at
-    vertex i joins digit vectors d and d - A e_i with sign (-1)^{a_ii}.  A
-    cycle of pairs returns to its start, so if it crosses the pairs of
-    vertex i c_i times forward (d to d - A e_i) net of the times back, then
-    A c = 0, and c = 0 because A is nonsingular.  So each family is crossed
-    as often forward as back, an even number of times, and the cycle's
-    parity, the sum of a_ii over its pairs, is even.  A pair that closes an
-    odd cycle is an internal error.
+    The union-find joins the two ends of each kept pair and stores no
+    sign; the signs come from one 0/1 vector c with A c = diag(A) mod 2
+    (:func:`~plumblat.intlinalg.parity_vector`).  A pair at vertex v joins
+    digit vectors d and d - A e_v with val(d - A e_v) = (-1)^{a_vv} val(d).
+    Its ends differ in P = c . d mod 2 by c . A e_v = (A c)_v = a_vv mod 2,
+    so the relation reads val(d') = (-1)^{P(d') - P(d)} val(d) on every
+    pair, and along any path from a root r, val(a) = (-1)^{P(a) - P(r)}
+    val(r).  Every relation is thus met by the nonzero assignment
+    val(a) = (-1)^{P(a)} on each class, so no relation identifies a vector
+    with its own negative and no class dies of a sign.  The proof rests on
+    two facts: c solves A c = diag(A) mod 2, and each kept pair's indices
+    differ by the digit move -A e_v with no carry, which the pair offsets
+    and starts guarantee (``test_engine_matches_reference_engine`` checks
+    every sign against the reference engine).  The first is checked once
+    per call, n row parities; a failure is an internal error.
     """
     form = intersection_form(forest)
     if not form.is_negative_definite:
@@ -201,6 +236,13 @@ def compute_homology(
             "lattice homology is defined for negative-definite forests only"
         )
     box = BoxIndex(form, box_cap)
+    parity = tuple(parity_vector(form.matrix))
+    ones = [j for j, x in enumerate(parity) if x]
+    for i, row in enumerate(form.matrix):
+        if (sum([row[j] for j in ones]) - row[i]) & 1:
+            raise InternalInvariantViolation(
+                f"the parity vector {parity} fails A c = diag(A) mod 2 at row {i}"
+            )
     n = len(forest)
     radices, strides = box.radices, box.strides
 
@@ -241,45 +283,35 @@ def compute_homology(
         starts[i] = bits & alive
     box.square_free(starts)
 
-    # each pair links the roots of its ends, found as by _find, inlined; a
-    # family's bitset is popped, so it is freed once its starts are listed
+    # each pair links the roots of its ends, walking up with path halving;
+    # the families run in vertex order, each bitset freed once its starts
+    # are listed
     links: dict[int, int] = {}
     get = links.get
-    rels = [m % 2 for m in forest.framings]
-    while starts:
-        offset, rel = offsets.pop(), rels.pop()
-        for a in box.set_bits(starts.pop()):
-            ra, rb, s = a, a + offset, rel
-            while (link := get(ra)) is not None:
-                up = get(link >> 1)
+    for offset in offsets:
+        for a in box.set_bits(starts.pop(0)):
+            ra, rb = a, a + offset
+            while (parent := get(ra)) is not None:
+                up = get(parent)
                 if up is not None:  # point ra at its grandparent
-                    link = links[ra] = up ^ link & 1
-                s ^= link & 1
-                ra = link >> 1
-            while (link := get(rb)) is not None:
-                up = get(link >> 1)
+                    parent = links[ra] = up
+                ra = parent
+            while (parent := get(rb)) is not None:
+                up = get(parent)
                 if up is not None:
-                    link = links[rb] = up ^ link & 1
-                s ^= link & 1
-                rb = link >> 1
-            if ra == rb:
-                if s:
-                    raise InternalInvariantViolation(
-                        f"box vectors {box.evals(a)} and {box.evals(a + offset)} "
-                        "close a cycle of odd sign parity"
-                    )
-            elif ra < rb:
-                links[rb] = ra << 1 | s
-            else:
-                links[ra] = rb << 1 | s
+                    parent = links[rb] = up
+                rb = parent
+            if ra < rb:
+                links[rb] = ra
+            elif rb < ra:
+                links[ra] = rb
 
     # the classes: alive roots in index order, grouped by orbit key
-    root_refs: dict[int, int] = {}
+    roots = sorted(set(box.set_bits(alive)).difference(links))
+    root_refs = {a: i for i, a in enumerate(roots)}
     orbit_classes: dict[tuple[int, ...], list[int]] = {}
-    for a in box.set_bits(alive):
-        if a not in links:
-            orbit_classes.setdefault(box.key(a), []).append(len(root_refs))
-            root_refs[a] = len(root_refs)
+    for i, a in enumerate(roots):
+        orbit_classes.setdefault(box.key(a), []).append(i)
 
     # keys take |det| values on the box, so this says every orbit has a class
     det_abs = abs(form.determinant)
@@ -303,6 +335,7 @@ def compute_homology(
         links=links,
         root_refs=root_refs,
         orbit_classes=orbit_classes,
+        parity=parity,
     )
 
 
@@ -311,7 +344,8 @@ def class_of(k: CharVector | Sequence[int], result: HomologyResult) -> ClassRef:
 
     The vector-level lookup, which the index columns of
     :func:`~plumblat.moves.check_exactness` are tested against: it
-    computes the box index of ``k`` and reads :meth:`HomologyResult.class_at`.
+    computes the box index of ``k`` and reads it as a one-term column of
+    :meth:`HomologyResult.columns`.
     A vector of the wrong length, or of the box but not characteristic,
     raises KeyError; an off-box coordinate gives ZERO before parity is
     looked at.  Dead vectors are roots of no class, so they give ZERO too.
@@ -331,8 +365,11 @@ def class_of(k: CharVector | Sequence[int], result: HomologyResult) -> ClassRef:
         odd |= e
     if odd & 1:
         raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
-    index, s = result.class_at(doubled >> 1)
-    return ZERO if index is None else ClassRef(index=index, sign=-1 if s else 1)
+    (column,) = result.columns([[(1, doubled >> 1)]])
+    if not column:
+        return ZERO
+    ((index, sign),) = column.items()
+    return ClassRef(index=index, sign=sign)
 
 
 @dataclass(frozen=True)

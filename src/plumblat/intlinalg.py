@@ -1,6 +1,6 @@
 """Exact integer linear algebra helpers.
 
-Three eliminations serve the package.  Forest forms never reach this module
+Four eliminations serve the package.  Forest forms never reach this module
 for their determinant and definiteness: those come from the leaf-first pass
 of :func:`plumbing.definiteness` (Neumann's plumbing calculus, Trans.
 AMS 268, 1981), with no matrix and no leading minors.  Definite matrices go
@@ -10,6 +10,8 @@ by the linear and constant terms of a quadratic, the same pass gives the
 pivots and pivot rows that drive the ellipsoid search.  The Smith normal
 form, which the orbit keys read, comes from a sparse unimodular
 elimination.  Ranks come from a fraction-free echelon over the integers.
+The parity vector that carries the quotient's signs comes from one
+Gauss-Jordan pass over F_2 on rows held as int bitmasks.
 The module uses integers only: no rationals and no floating point.
 """
 
@@ -161,6 +163,36 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
         a, b = b, r
         x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
     return a, x0, y0
+
+
+def parity_vector(rows: Matrix) -> list[int]:
+    """A 0/1 vector c with A c = diag(A) mod 2, for a symmetric integer A.
+
+    It exists: x . A x = sum a_ii x_i^2 = diag(A) . x mod 2, so diag(A)
+    is orthogonal to the kernel of A mod 2, which for symmetric A is the
+    orthogonal complement of its image.  Gauss-Jordan elimination over F_2
+    on rows held as int bitmasks, bit n the right-hand side; each pivot
+    row is kept clear of the other pivot columns, and free unknowns are 0.
+    Raises ValueError if there is no solution, which needs an unsymmetric A.
+    """
+    n = len(rows)
+    pivots: list[tuple[int, int]] = []  # (pivot column, its reduced row)
+    for i, row in enumerate(rows):
+        bits = sum([1 << j for j, x in enumerate(row) if x & 1]) | (row[i] & 1) << n
+        for col, pivot in pivots:
+            if bits >> col & 1:
+                bits ^= pivot
+        if not bits:
+            continue
+        col = (bits & -bits).bit_length() - 1  # no pivot column is left in bits
+        if col == n:
+            raise ValueError("A c = diag(A) has no solution mod 2")
+        pivots = [(c, p ^ bits if p >> col & 1 else p) for c, p in pivots]
+        pivots.append((col, bits))
+    c = [0] * n
+    for col, pivot in pivots:
+        c[col] = pivot >> n & 1
+    return c
 
 
 def rank_rational(rows: Sequence[Mapping[int, int]]) -> int:

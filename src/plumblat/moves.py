@@ -19,18 +19,19 @@ All induced maps are materialized over the class bases of the quotient
 engine as sparse integer columns, straight from box indices: the three boxes
 of a triple differ only at v, so :meth:`~plumblat.charlattice.BoxIndex.splice`
 carries a class root's index to the indices of its extensions across v, or
-of its half-shifts, and :meth:`~plumblat.homology.HomologyResult.class_at`
-reads each term's class and sign off the union-find.  An extension sum has
-p + 1 terms of coefficient +1 and a section at most p of coefficient 2.  The
-half-shift B has coefficients -+1/2, so the check runs on 2B, whose two
-terms are -1 on k^+ and +1 on k^-: BA = 0 iff (2B)A = 0, BS = I iff each
-column of (2B)S is 2 e_j, and rank(2B) = rank(B).  Ranks come from one
-fraction-free integer echelon, so the exactness report carries no
-tolerances.  The vector-level definitions of the three maps, on formal sums
-of characteristic vectors, live with the tests (``tests/oracle_moves.py``);
-:func:`project_to_classes` projects such a sum onto the class basis, and
-the columns are tested against it.  The blow-down reads the class table
-alone: class i goes to class i (proof at :func:`blow_down`).
+of its half-shifts, and :meth:`~plumblat.homology.HomologyResult.columns`
+reads each term's class and sign off the union-find and the parity vector.
+An extension sum has p + 1 terms of coefficient +1 and a section at most p
+of coefficient 2.  The half-shift B has coefficients -+1/2, so the check
+runs on 2B, whose two terms are -1 on k^+ and +1 on k^-: BA = 0 iff
+(2B)A = 0, BS = I iff each column of (2B)S is 2 e_j, and rank(2B) = rank(B).
+Ranks come from one fraction-free integer echelon, so the exactness report
+carries no tolerances.  The vector-level definitions of the three maps, on
+formal sums of characteristic vectors, live with the tests
+(``tests/oracle_moves.py``); :func:`project_to_classes` projects such a
+sum onto the class basis, and the columns are tested against it.  The
+blow-down reads the class table alone: class i goes to class i (proof at
+:func:`blow_down`).
 """
 
 from __future__ import annotations
@@ -131,17 +132,6 @@ def _section_terms(box: BoxIndex, root: int, vi: int, p: int) -> Terms:
     return [(2, a) for a in lifted[d + 1 :]]
 
 
-def _column(terms: Terms, result: HomologyResult) -> Column:
-    """Nonzero coordinates of index terms in the class basis of ``result``."""
-    coords: Column = {}
-    class_at = result.class_at
-    for coeff, a in terms:
-        i, s = class_at(a)
-        if i is not None:
-            coords[i] = coords.get(i, 0) + (-coeff if s else coeff)
-    return {i: c for i, c in coords.items() if c}
-
-
 def _exactness_columns(
     triple: SurgeryTriple,
     h_removed: HomologyResult,
@@ -152,9 +142,9 @@ def _exactness_columns(
     vi = triple.vertex_index
     p = -triple.base.framings[vi]
     base, bumped = h_base.box, h_bumped.box
-    cols_a = [_column(_extension_terms(base, r, vi, p), h_base) for r in h_removed.root_refs]
-    cols_2b = [_column(_half_shift_terms(bumped, r, vi, p), h_bumped) for r in h_base.root_refs]
-    cols_s = [_column(_section_terms(base, r, vi, p), h_base) for r in h_bumped.root_refs]
+    cols_a = h_base.columns(_extension_terms(base, r, vi, p) for r in h_removed.root_refs)
+    cols_2b = h_bumped.columns(_half_shift_terms(bumped, r, vi, p) for r in h_base.root_refs)
+    cols_s = h_base.columns(_section_terms(base, r, vi, p) for r in h_bumped.root_refs)
     return cols_a, cols_2b, cols_s
 
 

@@ -65,7 +65,8 @@ class UnionFind:
 
     Shared by forest components, cycle checks and the graded engine's
     floods; the births inline their own union-find, and the quotient
-    engine keeps its signed union-find in a dict keyed by box index.
+    engine keeps its union-find of plain parents in a dict keyed by box
+    index, with its signs read off a parity vector.
     """
 
     def __init__(self, size: int = 0):

@@ -81,6 +81,9 @@ ROWS = [
     sfs(star(13), "homology", None, {"total_dim": 19}),
     *[(f"homology on (-3, -2^{k}, -3)", [*CLI, "homology", "--json", "{input}"],
        chain([-3] + [-2] * k + [-3]), None, {"total_dim": 4 * k + 8}) for k in (10, 11, 12)],
+    ("homology on (-3, -2^13, -3), the largest chain under --box-cap 30000000",
+     [*CLI, "homology", "--json", "--box-cap", "30000000", "{input}"],
+     chain([-3] + [-2] * 13 + [-3]), None, {"total_dim": 60}),
     ("triad on the (-4)^6 chain at v1", [*CLI, "triad", "--json", "{input}", "--vertex", "v1"],
      chain([-4] * 6), None, {"exact": True, "dims": [836, 2911, 2075]}),
     ("blowdown on the (-1, -5, -4^5, -3) chain at v0",

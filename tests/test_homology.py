@@ -24,7 +24,9 @@ from plumblat import (
     compute_homology,
     convert_convention,
     derived_dimensions,
+    homology,
     intersection_form,
+    intlinalg,
     surgery_triple,
     validate_forest,
 )
@@ -36,6 +38,7 @@ from plumblat.charlattice import (
 )
 from plumblat.errors import (
     BoxTooLarge,
+    InternalInvariantViolation,
     NegativeOddDimension,
     NotNegativeDefinite,
     NotNegativeDefiniteEitherOrientation,
@@ -189,35 +192,24 @@ def test_negative_odd_dimension_guard():
 
 
 def _parity_witness(matrix) -> list[int]:
-    """A 0/1 vector c with A c = diag(A) mod 2, by elimination over F_2;
-    it exists for every symmetric A, since diag(A) is orthogonal to ker A."""
+    """The first 0/1 vector c, in lex order, with A c = diag(A) mod 2, by
+    trying all 2^n of them; one exists for every symmetric A, since
+    diag(A) is orthogonal to ker A mod 2."""
     n = len(matrix)
-    rows = [
-        sum((matrix[i][j] & 1) << j for j in range(n)) | (matrix[i][i] & 1) << n
-        for i in range(n)
-    ]
-    pivots = []
-    for col in range(n):
-        found = next((r for r in rows if r >> col & 1), None)
-        if found is None:
-            continue
-        rows.remove(found)
-        rows = [r ^ found if r >> col & 1 else r for r in rows]
-        pivots = [(c, r ^ found if r >> col & 1 else r) for c, r in pivots]
-        pivots.append((col, found))
-    assert all(r == 0 for r in rows), "A c = diag(A) has no solution mod 2"
-    c = [0] * n
-    for col, row in pivots:
-        c[col] = row >> n & 1
-    return c
+    for c in product((0, 1), repeat=n):
+        if all((sum(a * x for a, x in zip(row, c)) - row[i]) % 2 == 0
+               for i, row in enumerate(matrix)):
+            return list(c)
+    raise AssertionError("A c = diag(A) has no solution mod 2")
 
 
 @pytest.mark.parametrize("edge_sign", list(EdgeSign))
 def test_class_signs_follow_a_parity_witness(rng, edge_sign):
     """Every sign class_of gives is (-1)^{c . (d(k) - d(rep))} for a c with
-    A c = diag(A) mod 2, d the box digits (k - m) / 2: the sign is a function
-    of the vector alone, so no class can meet its own negative, which is why
-    compute_homology treats a sign conflict as an internal error."""
+    A c = diag(A) mod 2, d the box digits (k - m) / 2, c found here by brute
+    force: the sign is a function of the vector alone, so no class can meet
+    its own negative.  (The engine reads its signs off such a c; this
+    witness is found apart from it.)"""
     odd = 0
     for _ in range(1000):
         forest = random_forest(rng, max_vertices=4, edge_sign=edge_sign)
@@ -237,24 +229,30 @@ def test_class_signs_follow_a_parity_witness(rng, edge_sign):
 
 
 def test_views_and_lookups_agree_across_threads():
-    """Threads that read the lazy views and call class_of on one shared
-    result, with path compression and view builds racing under a short
-    switch interval, all see what a serial pass over a fresh result sees."""
+    """Threads that read the lazy views, call class_of and read bulk
+    columns on one shared result, with the builds of the views and sign
+    tables racing under a short switch interval, all see what a serial
+    pass over a fresh result sees."""
     forest = validate_forest(
         [(f"v{i}", -4) for i in range(4)], [(f"v{i}", f"v{i + 1}") for i in range(3)]
     )
     fresh = compute_homology(forest)
     vectors = enumerate_box(fresh.form)
-    expected = (fresh.classes, fresh.per_orbit, [class_of(k, fresh) for k in vectors])
+    columns = [[(1 + a % 3, a) for a in range(start, fresh.box.size, 7)] for start in range(7)]
+    expected = (fresh.classes, fresh.per_orbit, [class_of(k, fresh) for k in vectors],
+                fresh.columns(columns))
     shared = compute_homology(forest)
     seen = [None] * 6
 
     def read(slot):
         order = vectors if slot % 2 else vectors[::-1]  # odd slots walk forward
+        bulk = shared.columns(columns) if slot % 3 else None
         lookups = [class_of(k, shared) for k in order]
+        if bulk is None:  # slots 0 and 3 read the columns last
+            bulk = shared.columns(columns)
         if not slot % 2:
             lookups.reverse()
-        seen[slot] = (shared.classes, shared.per_orbit, lookups)
+        seen[slot] = (shared.classes, shared.per_orbit, lookups, bulk)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -268,6 +266,64 @@ def test_views_and_lookups_agree_across_threads():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == expected for result in seen)
+
+
+def test_a_wrong_parity_vector_raises(monkeypatch):
+    """The one check A c = diag(A) mod 2 stands in for a per-pair sign
+    check: a c with one bit flipped where that breaks the system makes
+    compute_homology raise, on every vertex of every forest tried."""
+    forests = [lens(5), e8(), elliptic_b(), *(random_forest(random.Random(seed), edge_sign=sign)
+                                           for seed in range(20) for sign in EdgeSign)]
+    tried = 0
+    for forest in forests:
+        matrix = intersection_form(forest).matrix
+        for v in range(len(forest)):
+            if not any(row[v] % 2 for row in matrix):
+                continue  # flipping c_v keeps A c = diag(A): still a witness
+            tried += 1
+
+            def flipped(rows, v=v):
+                c = intlinalg.parity_vector(rows)
+                c[v] ^= 1
+                return c
+
+            monkeypatch.setattr(homology, "parity_vector", flipped)
+            with pytest.raises(InternalInvariantViolation):
+                compute_homology(forest)
+            monkeypatch.undo()
+    assert tried >= 100
+
+
+def _box_index(evals, box):
+    return sum((e - m) // 2 * stride for e, m, stride in zip(evals, box.framings, box.strides))
+
+
+@pytest.mark.parametrize("edge_sign", list(EdgeSign))
+def test_links_point_down_and_roots_are_class_minima(rng, edge_sign):
+    """``links`` stores plain parents: each is smaller than its key, every
+    alive index is a root or linked, and each class's root, the index its
+    members' links lead to, is the least index of the reference engine's
+    class, in class order."""
+    for _ in range(150):
+        forest = random_forest(rng, max_vertices=5, edge_sign=edge_sign)
+        result = compute_homology(forest)
+        box, links = result.box, result.links
+        assert all(parent < child for child, parent in links.items())
+        ref = reference_homology(forest)
+        members = [sorted(_box_index(k, box) for k, _ in cls_members)
+                   for _, cls_members in ref.classes]
+        assert list(result.root_refs) == [m[0] for m in members]
+        assert list(result.root_refs.values()) == list(range(len(members)))
+        alive = {a for m in members for a in m}
+        assert set(links) == alive - set(result.root_refs)
+        for m in members:
+            assert {_root(links, a) for a in m} == {m[0]}
+
+
+def _root(links, a):
+    while a in links:
+        a = links[a]
+    return a
 
 
 def _reflection(k, i, matrix, framings):
