@@ -161,6 +161,24 @@ class BoxIndex:
         high, rest = divmod(index, self.low)
         return self.heads[high] + self.tails[rest]
 
+    def index(self, evals: Sequence[int]) -> int | None:
+        """The inverse of :meth:`evals`, None if a coordinate is off the box
+        (parity unread); KeyError on the wrong length or a non-characteristic
+        vector of the box."""
+        if len(evals) != len(self.framings):
+            raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
+        # e - m is 2 d_v: sum the doubled index, checking parities once
+        doubled = odd = 0
+        for e, m, stride in zip(evals, self.framings, self.strides):
+            if not m <= e <= -m:
+                return None
+            e -= m
+            doubled += e * stride
+            odd |= e
+        if odd & 1:
+            raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
+        return doubled >> 1
+
     def key(self, index: int) -> tuple[int, ...]:
         """The orbit key of box index ``index``, as :meth:`OrbitIndexer.key`
         gives it for ``evals(index)``."""

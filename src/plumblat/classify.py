@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 from .charlattice import LatticeVector
 from .errors import DEFAULT_BOX_CAP, DEFAULT_NMAX, DEFAULT_POINT_CAP, EnumerationBudgetExceeded
 from .errors import InternalInvariantViolation, NotNegativeDefinite
-from .homology import DerivedDimensions, HomologyResult, compute_homology, derived_dimensions
+from .homology import DerivedDimensions, compute_homology, derived_dimensions
 from .intlinalg import quadratic_sublevel_points
 from .plumbing import Definiteness, PlumbingForest, bad_vertices, definiteness
 
@@ -222,7 +222,6 @@ class ClassificationReport:
     dim_h: int | None = None
     dims: DerivedDimensions | None = None
     floer_equivalence_certified: bool = False
-    homology: HomologyResult | None = None
 
 
 def full_report(
@@ -234,11 +233,15 @@ def full_report(
 ) -> ClassificationReport:
     """Assemble the whole classification; homology fields absent off-negdef.
 
+    Laufer's walk runs first.  A rational forest has one class per orbit
+    (Nemethi, Geom. Topol. 9 (2005), section 6), so its ``dim_h`` is |det|
+    and no box is built; only a failing one reaches :func:`compute_homology`,
+    before the decrement search and the witness enumeration.
+
     Enforces the structural facts as internal invariants: a zero-bad-vertex
-    forest must test rational, a rational forest must have dimension |det|,
-    and a forest with at most one bad vertex always admits an almost-rational
-    certificate (decrementing the bad vertex until it stops being bad lands
-    in the zero-bad-vertex class).
+    forest must test rational, and a forest with at most one bad vertex
+    always admits an almost-rational certificate (decrementing the bad
+    vertex until it stops being bad lands in the zero-bad-vertex class).
     """
     det, kind = definiteness(forest)
     bad = tuple(bad_vertices(forest))
@@ -247,9 +250,9 @@ def full_report(
             negdef=False, bad_vertex_count=len(bad), bad_vertices=bad, det=det
         )
 
-    homology = compute_homology(forest, box_cap=box_cap)
     walk = _laufer_walk(forest)
     failing = walk(forest.framings, point_cap)
+    dim_h = compute_homology(forest, box_cap=box_cap).total_dim if failing else abs(det)
     ar = _decrement_search(forest, walk, failing, nmax, point_cap)
     rationality = _least_witness(forest, failing, point_cap)
     if ar.status == "unknown" and len(bad) == 1:
@@ -267,10 +270,6 @@ def full_report(
         raise InternalInvariantViolation(
             f"zero-bad-vertex forest tested non-rational; witness {rationality.witness}"
         )
-    if rationality.rational and homology.total_dim != homology.det_abs:
-        raise InternalInvariantViolation("rational forest with dimension above |det|")
-    certified = ar.certified
-    dims = derived_dimensions(homology, almost_rational_certified=certified)
     return ClassificationReport(
         negdef=True,
         bad_vertex_count=len(bad),
@@ -278,8 +277,7 @@ def full_report(
         det=det,
         rational=rationality,
         almost_rational=ar,
-        dim_h=homology.total_dim,
-        dims=dims,
-        floer_equivalence_certified=certified,
-        homology=homology,
+        dim_h=dim_h,
+        dims=derived_dimensions(dim_h, det, almost_rational_certified=ar.certified),
+        floer_equivalence_certified=ar.certified,
     )

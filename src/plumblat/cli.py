@@ -172,7 +172,8 @@ def _homology(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
     from .homology import compute_homology, derived_dimensions
     result = compute_homology(forest, box_cap=args.box_cap)
     certified = certify_almost_rational(forest, nmax=args.nmax, point_cap=args.point_cap)
-    dims = derived_dimensions(result, almost_rational_certified=certified)
+    dims = derived_dimensions(result.total_dim, result.det_abs,
+                              almost_rational_certified=certified)
     body = {
         "total_dim": result.total_dim,
         "det": result.form.determinant,

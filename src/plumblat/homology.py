@@ -33,8 +33,8 @@ on every class (proof at :func:`compute_homology`), so no class is killed
 by k ~ -k.  That union-find is the one class table: the classes are the
 alive roots in index order, :meth:`HomologyResult.columns` reads the
 class and sign of box indices off it and off c, a whole column of index
-terms at a time, and :func:`class_of` finds a vector's box index first and
-reads it as a one-term column.
+terms at a time, and :func:`class_of` reads a vector's box index
+(:meth:`~plumblat.charlattice.BoxIndex.index`) as a one-term column.
 Each class's orbit key is ``box.key`` of its root.  The object views --
 ``classes``, with each representative ``box.evals`` of its root, and
 ``per_orbit``, with each orbit's representative its least member from
@@ -55,7 +55,7 @@ from .errors import (
     NotNegativeDefinite,
 )
 from .intlinalg import parity_vector
-from .plumbing import EdgeSign, IntersectionForm, PlumbingForest, intersection_form
+from .plumbing import IntersectionForm, PlumbingForest, intersection_form
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,6 @@ class HomologyResult:
 
     forest: PlumbingForest
     form: IntersectionForm
-    convention: EdgeSign
     total_dim: int
     box: BoxIndex = field(repr=False)
     links: dict[int, int] = field(repr=False)
@@ -313,24 +312,18 @@ def compute_homology(
     for i, a in enumerate(roots):
         orbit_classes.setdefault(box.key(a), []).append(i)
 
-    # keys take |det| values on the box, so this says every orbit has a class
+    # keys take |det| values on the box: every orbit has a class, so total_dim >= |det|
     det_abs = abs(form.determinant)
     if len(orbit_classes) != det_abs:
         raise InternalInvariantViolation(
             f"classes meet {len(orbit_classes)} of |det| = {det_abs} orbits; "
             "every orbit carries a generator"
         )
-    total_dim = len(root_refs)
-    if total_dim < det_abs:
-        raise InternalInvariantViolation(
-            f"total dimension {total_dim} fell below |det| = {det_abs}"
-        )
 
     return HomologyResult(
         forest=forest,
         form=form,
-        convention=forest.edge_sign,
-        total_dim=total_dim,
+        total_dim=len(root_refs),
         box=box,
         links=links,
         root_refs=root_refs,
@@ -343,29 +336,15 @@ def class_of(k: CharVector | Sequence[int], result: HomologyResult) -> ClassRef:
     """Class and relative sign of a characteristic vector; ZERO off the box.
 
     The vector-level lookup, which the index columns of
-    :func:`~plumblat.moves.check_exactness` are tested against: it
-    computes the box index of ``k`` and reads it as a one-term column of
-    :meth:`HomologyResult.columns`.
+    :func:`~plumblat.moves.check_exactness` are tested against: it reads
+    the box index of ``k`` (:meth:`~plumblat.charlattice.BoxIndex.index`)
+    as a one-term column of :meth:`HomologyResult.columns`.
     A vector of the wrong length, or of the box but not characteristic,
     raises KeyError; an off-box coordinate gives ZERO before parity is
     looked at.  Dead vectors are roots of no class, so they give ZERO too.
     """
-    evals = k.evals if isinstance(k, CharVector) else k
-    box = result.box
-    if len(evals) != len(box.framings):
-        raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
-    # e - m is 2 d_v on a characteristic vector: sum the doubled index,
-    # collecting the parities to check once
-    doubled = odd = 0
-    for e, m, stride in zip(evals, box.framings, box.strides):
-        if not m <= e <= -m:
-            return ZERO
-        e -= m
-        doubled += e * stride
-        odd |= e
-    if odd & 1:
-        raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
-    (column,) = result.columns([[(1, doubled >> 1)]])
+    a = result.box.index(k.evals if isinstance(k, CharVector) else k)
+    column = {} if a is None else result.columns([[(1, a)]])[0]
     if not column:
         return ZERO
     ((index, sign),) = column.items()
@@ -392,12 +371,14 @@ class DerivedDimensions:
 
 
 def derived_dimensions(
-    result: HomologyResult,
+    total: int,
+    det: int,
     *,
     almost_rational_certified: bool | None = None,
 ) -> DerivedDimensions:
-    det = result.det_abs
-    total = result.total_dim
+    """The dimensions implied by a lattice homology dimension ``total`` and
+    the determinant ``det``, whichever engine gave ``total``."""
+    det = abs(det)
     if total < det:
         raise NegativeOddDimension(
             f"dimension {total} below |det| = {det}: lower-bound invariant broken"

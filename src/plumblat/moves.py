@@ -301,13 +301,13 @@ def blow_down(
       class i, with sign -(sign of :func:`~plumblat.homology.class_of`),
       as k_x = -1.
 
-    Each call checks this, with one ``class_of`` per class: every root has
-    k_x = -1 and its image lies in class i, and the totals agree.  The two
-    partitions of class indices into orbits (``orbit_classes``) must then
-    be equal, and ``orbit_map`` pairs the orbits through the two
-    ``box.orbits()`` orders.  Interior (-1) vertices (degree >= 2) are
-    refused: that move changes the edge set and carries no elementary map
-    of this shape.
+    Each call checks this: every root has k_x = -1, one ``columns`` call
+    over the box indices of all images puts each in class i, and the totals
+    agree.  The two partitions of class indices into orbits
+    (``orbit_classes``) must then be equal, and ``orbit_map`` pairs the
+    orbits through the two ``box.orbits()`` orders.  Interior (-1)
+    vertices (degree >= 2) are refused: that move changes the edge set and
+    carries no elementary map of this shape.
     """
     xi = forest.index_of(vertex_id)
     if forest.framings[xi] != -1:
@@ -330,18 +330,21 @@ def blow_down(
             f"blow-down took dimension {source.total_dim} to {target.total_dim}"
         )
 
-    evals = source.box.evals
-    class_map = []
+    evals, index, terms = source.box.evals, target.box.index, []
     for root, i in source.root_refs.items():
         image = list(evals(root))
         if neighbors:
             image[vi] -= image[xi]  # slide the neighbour over the leaf
         if image.pop(xi) != -1:
             raise InternalInvariantViolation(f"the root of class {i} has k_x != -1")
-        ref = class_of(image, target)
-        if ref.index != i:
-            raise InternalInvariantViolation(f"blow-down sent class {i} to class {ref.index}")
-        class_map.append((i, i, -ref.sign))
+        a = index(image)
+        terms.append([] if a is None else [(1, a)])
+    class_map = []
+    for i, column in zip(source.root_refs.values(), target.columns(terms)):
+        j = next(iter(column), None)  # a one-term column holds at most one class
+        if j != i:
+            raise InternalInvariantViolation(f"blow-down sent class {i} to class {j}")
+        class_map.append((i, i, -column[i]))
 
     parts, target_parts = source.orbit_classes, target.orbit_classes
     if sorted(parts.values()) != sorted(target_parts.values()):

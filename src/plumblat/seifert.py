@@ -138,7 +138,6 @@ def _build_star(normalized: SeifertData) -> PlumbingForest:
 @dataclass(frozen=True)
 class SeifertConversion:
     forest: PlumbingForest
-    given: SeifertData
     used: SeifertData  # normalized data of the orientation actually built
     reversed_orientation: bool
     euler: Fraction
@@ -179,7 +178,6 @@ def seifert_to_plumbing(data: SeifertData) -> SeifertConversion:
         raise InternalInvariantViolation(f"det {det} disagrees with Seifert |H1| {h1}")
     return SeifertConversion(
         forest=forest,
-        given=data,
         used=used,
         reversed_orientation=reversed_flag,
         euler=euler,

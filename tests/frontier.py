@@ -79,6 +79,8 @@ ROWS = [
         {"cross_check_ok": True, "orbits": 118, "homology_dim": 124}),
     sfs(star(13), "hplus", hplus_facts, {"cross_check_ok": True, "homology_dim": 19}),
     sfs(star(13), "homology", None, {"total_dim": 19}),
+    *[sfs(star(p), "classify", None, {"dim_h": p + 6, "is_instanton_lspace": True})
+      for p in (61, 201, 998)],
     *[(f"homology on (-3, -2^{k}, -3)", [*CLI, "homology", "--json", "{input}"],
        chain([-3] + [-2] * k + [-3]), None, {"total_dim": 4 * k + 8}) for k in (10, 11, 12)],
     ("homology on (-3, -2^13, -3), the largest chain under --box-cap 30000000",

@@ -73,7 +73,7 @@ def test_criterion_03_sign_relation():
 def test_criterion_04_elliptic_link_b():
     start = time.perf_counter()
     result = compute_homology(elliptic_b())
-    dims = derived_dimensions(result, almost_rational_certified=True)
+    dims = derived_dimensions(result.total_dim, result.det_abs, almost_rational_certified=True)
     elapsed = time.perf_counter() - start
     assert result.det_abs == 13
     assert result.total_dim == 14

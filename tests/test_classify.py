@@ -126,10 +126,18 @@ def test_rational_iff_hplus_shape(rng):
 
 
 def test_rational_iff_minimal_dimension(rng):
-    for _ in range(30):
-        forest = random_forest(rng, max_vertices=5)
+    """Seeded forests, drawn until 100 in each edge convention are rational:
+    the walk calls a forest rational iff the box engine gives dim |det|, and
+    then one class on every orbit, which lets ``full_report`` read |det|."""
+    rational = {EdgeSign.MINUS_ONE: 0, EdgeSign.PLUS_ONE: 0}
+    while min(rational.values()) < 100:
+        sign = rng.choice(list(rational))
+        forest = random_forest(rng, edge_sign=sign)
         result = compute_homology(forest)
         assert is_rational(forest).rational == (result.total_dim == result.det_abs)
+        if result.total_dim == result.det_abs:
+            assert [orbit.dim for orbit in result.per_orbit] == [1] * result.det_abs
+            rational[sign] += 1
 
 
 def test_decrement_monotonicity(rng):
@@ -249,6 +257,33 @@ def test_rational_report_walks_once(monkeypatch):
     report = full_report(e8())
     assert len(walks) == 1
     assert report.rational == RationalityVerdict(rational=True)
+
+
+class _BoxBuilt(Exception):
+    pass
+
+
+def test_rational_report_builds_no_box(monkeypatch):
+    """A rational forest's dim_h is |det|, read off the walk: the box
+    engine is never reached, even on a 203-vertex star whose box would
+    hold 10^96 vectors.  A failing forest reaches it once."""
+    calls = []
+
+    def stub(forest, **kwargs):
+        calls.append(forest)
+        raise _BoxBuilt
+
+    monkeypatch.setattr(classify, "compute_homology", stub)
+    star = seifert_to_plumbing(parse_sfs("-2; 2/1 3/1 201/200")).forest
+    for forest, dim in ((e8(), 1), (lens(5), 5), (star, 207)):
+        report = full_report(forest)
+        assert report.rational.rational
+        assert report.dim_h == abs(report.det) == dim
+        assert report.dims.is_instanton_lspace and not report.dims.conjectural
+    assert not calls
+    with pytest.raises(_BoxBuilt):
+        full_report(elliptic_a())
+    assert len(calls) == 1
 
 
 def test_decrement_search_walks_the_failing_component_alone(monkeypatch):

@@ -502,6 +502,30 @@ def test_cli_fuzz_sfs_text(family, data, action):
     assert "Traceback" not in err
 
 
+def test_cli_classify_needs_a_box_only_off_rational_forests():
+    """``--box-cap 0`` refuses every box.  ``classify`` on a rational forest
+    builds none and prints the bytes of a default run; on elliptic_a, which
+    the walk fails, it exits 3 on the box."""
+    code, out, _ = _cli("classify", "--json", "--box-cap", "0", str(FIXTURES / "e8.plumb"))
+    assert code == 0 and out == (GOLDEN / "e8_classify.json").read_text()
+    lens7 = str(FIXTURES / "lens_7.plumb")
+    capped = _cli("classify", "--json", "--box-cap", "0", lens7)
+    assert capped[0] == 0 and capped == _cli("classify", "--json", lens7)
+    elliptic_a = str(FIXTURES / "elliptic_a.plumb")
+    code, out, err = _cli("classify", "--json", "--box-cap", "0", elliptic_a)
+    assert (code, out) == (3, "") and "box holds 972 vectors, cap is 0" in err
+
+
+def test_cli_classify_answers_past_the_box_on_rational_stars():
+    """The rung p = 998 of -2; 2/1 3/1 p/(p-1) has 1,000 vertices, the most
+    a forest may have, and a box of about 10^477 vectors."""
+    code, out, _ = _cli("sfs", "--sfs", "-2; 2/1 3/1 998/997", "classify", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["seifert"]["h1_order"] == report["dim_h"] == report["dim_isharp"] == 1004
+    assert report["rational"] and report["is_instanton_lspace"]
+
+
 def test_cli_internal_violation_maps_to_4(capsys, monkeypatch):
     import plumblat.homology
 

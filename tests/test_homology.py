@@ -12,7 +12,7 @@ from math import gcd, prod
 
 import pytest
 
-from conftest import e8, elliptic_a, elliptic_b, lens, random_forest
+from conftest import FIXTURES, e8, elliptic_a, elliptic_b, lens, random_forest
 from oracle_charlattice import enumerate_box
 from oracle_homology import class_members, reference_homology
 from oracle_hplus import rational_via_hplus
@@ -27,6 +27,9 @@ from plumblat import (
     homology,
     intersection_form,
     intlinalg,
+    is_rational,
+    parse_plumbing,
+    parse_sfs,
     surgery_triple,
     validate_forest,
 )
@@ -157,9 +160,41 @@ def test_requires_negative_definite():
         compute_homology(validate_forest([("a", 0)]))
 
 
+def _one_class_per_orbit(forest) -> None:
+    """The box engine gives |det| classes, one on every orbit: the fact
+    that lets ``full_report`` read a rational forest's dimension off the
+    determinant without a box (Nemethi, Geom. Topol. 9 (2005), section 6)."""
+    result = compute_homology(forest)
+    assert result.total_dim == result.det_abs
+    assert [orbit.dim for orbit in result.per_orbit] == [1] * result.det_abs
+
+
+def test_rational_fixtures_have_one_class_per_orbit():
+    rational = []
+    for path in sorted(FIXTURES.iterdir()):
+        text = path.read_text()
+        if path.suffix == ".plumb":
+            forest = parse_plumbing(text)
+        else:
+            forest = seifert_to_plumbing(parse_sfs(text.strip())).forest
+        if is_rational(forest).rational:
+            rational.append(path.name)
+            _one_class_per_orbit(forest)
+    assert rational == ["e8.plumb"] + [f"lens_{p}.plumb" for p in range(1, 9)]
+
+
+@pytest.mark.parametrize("p", range(7, 13))
+def test_rational_star_ladder_has_one_class_per_orbit(p):
+    """Every rung of -2; 2/1 3/1 p/(p-1) is rational, with |det| = p + 6."""
+    forest = seifert_to_plumbing(parse_sfs(f"-2; 2/1 3/1 {p}/{p - 1}")).forest
+    assert is_rational(forest).rational
+    assert abs(intersection_form(forest).determinant) == p + 6
+    _one_class_per_orbit(forest)
+
+
 def test_derived_dimensions_lens3():
     result = compute_homology(lens(3))
-    dims = derived_dimensions(result, almost_rational_certified=True)
+    dims = derived_dimensions(result.total_dim, result.det_abs, almost_rational_certified=True)
     assert dims.dim_isharp == 3
     assert dims.dim_isharp_even == 3
     assert dims.dim_isharp_odd == 0
@@ -171,12 +206,12 @@ def test_derived_dimensions_elliptic_links():
     mod = compute_homology(elliptic_b())
     assert mod.det_abs == 13
     assert mod.total_dim == 14
-    dims = derived_dimensions(mod, almost_rational_certified=True)
+    dims = derived_dimensions(mod.total_dim, mod.det_abs, almost_rational_certified=True)
     assert dims.dim_isharp == 15
     assert dims.dim_hfhat == 15
 
     plain = compute_homology(elliptic_a())
-    dims = derived_dimensions(plain)
+    dims = derived_dimensions(plain.total_dim, plain.det_abs)
     assert not dims.is_instanton_lspace
     assert plain.total_dim > plain.det_abs
 
@@ -188,7 +223,7 @@ def test_negative_odd_dimension_guard():
         result, total_dim=1, root_refs={root: 0}, orbit_classes={result.box.key(root): [0]}
     )
     with pytest.raises(NegativeOddDimension):
-        derived_dimensions(broken)
+        derived_dimensions(broken.total_dim, broken.det_abs)
 
 
 def _parity_witness(matrix) -> list[int]:
