@@ -11,8 +11,9 @@ vectors; distinct orbits correspond to spin^c structures on the boundary and
 there are exactly |det| of them, each meeting the box.  Orbit membership is
 decided exactly: k and k' lie in the same orbit iff their digit vectors
 (k - m)/2 differ by a vector of A Z^n, tested through one integer Smith
-normal form U A V = D, so an orbit key is r residues, r the number of
-invariant factors above 1, and no rationals appear in the hot path.
+normal form U A V = D.  An orbit key is one int that packs the residues
+U d mod d_i, one field per invariant factor d_i above 1, so that two keys
+add with no carry between fields; no rationals appear in the hot path.
 
 :class:`BoxIndex` is the one box layer both engines read: it addresses box
 vectors by mixed-radix indices, decodes each index and its orbit key from
@@ -115,8 +116,8 @@ class BoxIndex:
     Index a = high * low + rest decodes as ``heads[high] + tails[rest]``:
     the evaluation tuples of a prefix and a suffix of the vertices, split so
     that each table holds about sqrt(size) entries.  ``head_keys`` and
-    ``tail_keys`` hold their orbit key parts, which add to the key of a
-    mod the invariant factors ``indexer.moduli``.
+    ``tail_keys`` hold their packed orbit key parts, which add to the key
+    of a under :meth:`OrbitIndexer.reduce`.
     """
 
     def __init__(self, form: IntersectionForm, box_cap: int):
@@ -141,21 +142,29 @@ class BoxIndex:
         self.head_keys = self._key_table(0, split)
         self.tail_keys = self._key_table(split, len(ranges))
 
-    def _key_table(self, start: int, stop: int) -> list[tuple[int, ...]]:
+    def _key_table(self, start: int, stop: int) -> list[int]:
         """Key parts of the half-vectors on vertices start..stop-1, in table
         order: from the zero key of all digits 0, digit d_v adds d_v times
-        column v of U, one list per residue, zipped into keys."""
-        indexer, moduli = self.indexer, self.indexer.moduli
-        if any(indexer.key(self.framings[start:stop], start)):
+        the packed column v of U, so each entry is its parent plus one of
+        the reduced multiples of that column."""
+        indexer = self.indexer
+        if indexer.key(self.framings[start:stop], start):
             raise InternalInvariantViolation("the zero digits have a nonzero key")
-        parts = [[0] for _ in moduli]
+        if not indexer.moduli:
+            return [0] * prod(self.radices[start:stop])
+        below, tops, shift, top = indexer.carry  # OrbitIndexer.reduce, inlined
+        table = [0]
         for v in range(start, stop):
-            digits = range(self.radices[v])
-            parts = [
-                [(x + c * e) % d for x in part for e in digits]
-                for part, c, d in zip(parts, indexer.columns[v], moduli)
+            column, multiples = indexer.packed(indexer.columns[v]), [0]
+            for _ in range(1, self.radices[v]):
+                multiples.append(indexer.reduce(multiples[-1] + column))
+            table = [
+                y - (((y + below) & tops) >> shift) * top
+                for x in table
+                for e in multiples
+                for y in (x + e,)
             ]
-        return list(zip(*parts)) if moduli else [()] * prod(self.radices[start:stop])
+        return table
 
     def evals(self, index: int) -> tuple[int, ...]:
         high, rest = divmod(index, self.low)
@@ -179,12 +188,11 @@ class BoxIndex:
             raise KeyError(f"{tuple(evals)} is not a box vector of this forest")
         return doubled >> 1
 
-    def key(self, index: int) -> tuple[int, ...]:
+    def key(self, index: int) -> int:
         """The orbit key of box index ``index``, as :meth:`OrbitIndexer.key`
-        gives it for ``evals(index)``."""
+        gives it for ``evals(index)``: the reduced sum of its key parts."""
         high, rest = divmod(index, self.low)
-        parts = zip(self.head_keys[high], self.tail_keys[rest], self.indexer.moduli)
-        return tuple([(a + b) % d for a, b, d in parts])
+        return self.indexer.reduce(self.head_keys[high] + self.tail_keys[rest])
 
     def splice(self, index: int, v: int, radix: int) -> tuple[int, range]:
         """Carry an index of a box that differs from this one only at vertex
@@ -203,7 +211,7 @@ class BoxIndex:
         start = high * self.radices[v] * stride + low
         return digit, range(start, start + self.radices[v] * stride, stride)
 
-    def orbits(self) -> dict[tuple[int, ...], int]:
+    def orbits(self) -> dict[int, int]:
         """Split the whole box into spin^c orbits: each orbit key mapped to
         its least member, in order of least member.
 
@@ -211,12 +219,14 @@ class BoxIndex:
         key's first sighting is its least member; the scan stops once |det|
         orbits have been seen.  :meth:`members` walks one orbit's members.
         """
-        moduli, expected = self.indexer.moduli, abs(self.indexer.determinant)
-        least: dict[tuple[int, ...], int] = {}
+        below, tops, shift, top = self.indexer.carry  # OrbitIndexer.reduce, inlined
+        expected, groups = abs(self.indexer.determinant), list(self._tail_groups.items())
+        least: dict[int, int] = {}
         for high, head_key in enumerate(self.head_keys):
             base = high * self.low
-            for tail_key, rests in self._tail_groups.items():
-                key = tuple([(a + b) % d for a, b, d in zip(head_key, tail_key, moduli)])
+            for tail_key, rests in groups:
+                x = head_key + tail_key
+                key = x - (((x + below) & tops) >> shift) * top
                 if key not in least:
                     least[key] = base + rests[0]
             if len(least) >= expected:
@@ -225,22 +235,25 @@ class BoxIndex:
             raise InternalInvariantViolation(f"box met {len(least)} orbits, |det| = {expected}")
         return least
 
-    def members(self, key: tuple[int, ...]) -> list[int]:
+    def members(self, key: int) -> list[int]:
         """The members of the orbit with key ``key``, in increasing order:
-        each head meets the tails whose key part completes ``key``."""
-        moduli, groups = self.indexer.moduli, self._tail_groups
+        each head h meets the tails whose key part completes ``key``, the
+        reduced sum of ``key`` and ``full - h``, which negates h."""
+        below, tops, shift, top = self.indexer.carry  # OrbitIndexer.reduce, inlined
+        groups, start = self._tail_groups, key + self.indexer.full
         out: list[int] = []
         for high, head_key in enumerate(self.head_keys):
-            rests = groups.get(tuple([(k - h) % d for k, h, d in zip(key, head_key, moduli)]))
+            x = start - head_key
+            rests = groups.get(x - (((x + below) & tops) >> shift) * top)
             if rests:
                 base = high * self.low
                 out.extend([base + r for r in rests])
         return out
 
     @cached_property
-    def _tail_groups(self) -> dict[tuple[int, ...], list[int]]:
+    def _tail_groups(self) -> dict[int, list[int]]:
         """The tail table's positions by key part, each list increasing."""
-        groups: dict[tuple[int, ...], list[int]] = {}
+        groups: dict[int, list[int]] = {}
         for rest, key in enumerate(self.tail_keys):
             groups.setdefault(key, []).append(rest)
         return groups
@@ -328,6 +341,18 @@ class OrbitIndexer:
     an orbit iff d' - d is in A Z^n, iff U(d' - d) is in D Z^n for the Smith
     form U A V = D.  So U d mod the invariant factors above 1, ``moduli``,
     is a complete invariant; ``columns[v]`` is column v of those rows of U.
+
+    A key packs the residues into one int.  Every d_i divides the largest,
+    ``top`` (1 when there is none), and r_i mod d_i is stored as
+    r_i top/d_i in field i, ``width`` = bit_length(2 top) + 1 bits wide;
+    ``units[i]`` is top/d_i in field i.  Fields of a key lie in [0, top),
+    so a sum of two keys has fields below 2 top - 1 and no carry crosses a
+    field.  :meth:`reduce` takes such a sum back to a key: adding
+    2^(width-1) - top to each field (``below``) sets the field's top bit
+    (``tops``) iff the field is >= top, and those fields lose top;
+    ``carry`` is (below, tops, width - 1, top).  ``full`` is top in every
+    field, so ``full - h`` stands for -h.  Every constant is O(s) for s
+    invariant factors, whatever |det| is.
     """
 
     def __init__(self, form: IntersectionForm):
@@ -338,22 +363,42 @@ class OrbitIndexer:
         factors = [f for f in zip(*intlinalg.smith_form(form.matrix)) if f[0] > 1]
         self.moduli = tuple(d for d, _ in factors)
         self.columns = [tuple(row[v] % d for d, row in factors) for v in range(self.n)]
+        self.top = top = self.moduli[-1] if factors else 1
+        if any(top % d for d in self.moduli):
+            raise InternalInvariantViolation(f"invariant factors {self.moduli} are no chain")
+        self.width = width = (2 * top).bit_length() + 1
+        shifts = range(0, width * len(factors), width)
+        self.units = tuple(top // d << s for d, s in zip(self.moduli, shifts))
+        below = sum((1 << width - 1) - top << s for s in shifts)
+        tops = sum(1 << s + width - 1 for s in shifts)
+        self.carry = below, tops, width - 1, top
+        self.full = sum(top << s for s in shifts)
 
     @cached_property
     def adjugate(self) -> list[list[int]]:  # read by hplus alone, for q(k) = k adj(A) k
         return intlinalg.adjugate(self.form.matrix)
 
-    def key(self, k: CharVector | Sequence[int], start: int = 0) -> tuple[int, ...]:
-        """U d mod the d_i for the k with evaluations ``k`` on vertices start,
-        start + 1, ... and digits 0 elsewhere, so the keys of a prefix and the
-        following suffix add; ParityViolation if k is not characteristic."""
+    def key(self, k: CharVector | Sequence[int], start: int = 0) -> int:
+        """U d mod the d_i, packed, for the k with evaluations ``k`` on
+        vertices start, start + 1, ... and digits 0 elsewhere, so the keys
+        of a prefix and the following suffix add under :meth:`reduce`;
+        ParityViolation if k is not characteristic."""
         evals = k.evals if isinstance(k, CharVector) else k
         doubled = [e - m for e, m in zip(evals, self.framings[start:])]  # 2 d
         if any(x % 2 for x in doubled):
             raise ParityViolation(f"{tuple(evals)} is not characteristic")
         cols = self.columns[start : start + len(doubled)]
         sums = [sum([c[r] * x for c, x in zip(cols, doubled)]) for r in range(len(self.moduli))]
-        return tuple([s // 2 % m for s, m in zip(sums, self.moduli)])
+        return self.packed([s // 2 for s in sums])
+
+    def packed(self, residues: Sequence[int]) -> int:
+        """The key with residues r_i mod d_i, for any integers r_i."""
+        return sum([r % d * unit for r, d, unit in zip(residues, self.moduli, self.units)])
+
+    def reduce(self, x: int) -> int:
+        """The key of x, a sum of two keys: top off each field >= top."""
+        below, tops, shift, top = self.carry
+        return x - (((x + below) & tops) >> shift) * top
 
 
 def chi(x: LatticeVector, canonical: CanonicalClass, form: IntersectionForm) -> int:

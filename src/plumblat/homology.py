@@ -32,7 +32,7 @@ A c = diag(A) mod 2 gives val(k) = (-1)^{c . (d(k) - d(root))} val(root)
 on every class (proof at :func:`compute_homology`), so no class is killed
 by k ~ -k.  That union-find is the one class table: the classes are the
 alive roots in index order, :meth:`HomologyResult.columns` reads the
-class and sign of box indices off it and off c, a whole column of index
+class and sign of box indices off it and off c, one column of index
 terms at a time, and :func:`class_of` reads a vector's box index
 (:meth:`~plumblat.charlattice.BoxIndex.index`) as a one-term column.
 Each class's orbit key is ``box.key`` of its root.  The object views --
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .charlattice import BoxIndex, CharVector, SpinCOrbit
 from .errors import (
@@ -100,7 +100,8 @@ class HomologyResult:
     The class table is integers only.  ``links`` is the union-find over
     box indices, each non-root mapped to its parent, which is smaller, so
     roots are class minima; ``root_refs`` maps the root of each nonzero
-    class to its class index, and ``orbit_classes`` maps each orbit key to
+    class to its class index, and ``orbit_classes`` maps each orbit key
+    (one int, :meth:`~plumblat.charlattice.BoxIndex.key` of the root) to
     the indices of its classes.  ``parity`` is the 0/1 vector c with
     A c = diag(A) mod 2 that carries the signs: val(a) = (-1)^{P(a) - P(r)}
     val(r) for a in the class of root r, P(a) = c . d(a) mod 2 on the box
@@ -124,7 +125,7 @@ class HomologyResult:
     box: BoxIndex = field(repr=False)
     links: dict[int, int] = field(repr=False)
     root_refs: dict[int, int] = field(repr=False)
-    orbit_classes: dict[tuple[int, ...], list[int]] = field(repr=False)
+    orbit_classes: dict[int, list[int]] = field(repr=False)
     parity: tuple[int, ...] = field(repr=False)
 
     @property
@@ -154,14 +155,16 @@ class HomologyResult:
         refs = {r: (i, heads[r // low] ^ tails[r % low]) for r, i in self.root_refs.items()}
         return heads, tails, low, refs
 
-    def columns(self, term_lists: Iterable[Iterable[tuple[int, int]]]) -> list[dict[int, int]]:
+    def columns(
+        self, term_lists: Iterable[Iterable[tuple[int, int]]]
+    ) -> Iterator[dict[int, int]]:
         """Per list of (coefficient, box index) terms, its nonzero
-        coordinates in the class basis.  Each term's index walks ``links``
-        up to its root; a dead root adds nothing, a class root r adds the
-        coefficient times (-1)^{P(a) - P(r)} to r's class."""
+        coordinates in the class basis, yielded one column at a time.  Each
+        term's index walks ``links`` up to its root; a dead root adds
+        nothing, a class root r adds the coefficient times (-1)^{P(a) - P(r)}
+        to r's class."""
         heads, tails, low, refs = self._signs
         get, ref_of = self.links.get, refs.get
-        out = []
         for terms in term_lists:
             coords: dict[int, int] = {}
             for coeff, a in terms:
@@ -174,8 +177,7 @@ class HomologyResult:
                     if s ^ heads[a // low] ^ tails[a % low]:
                         coeff = -coeff
                     coords[i] = coords.get(i, 0) + coeff
-            out.append({i: c for i, c in coords.items() if c})
-        return out
+            yield {i: c for i, c in coords.items() if c}
 
     @cached_property
     def classes(self) -> tuple[SignedClass, ...]:
@@ -215,9 +217,10 @@ def compute_homology(
 
     The union-find joins the two ends of each kept pair and stores no
     sign; the signs come from one 0/1 vector c with A c = diag(A) mod 2
-    (:func:`~plumblat.intlinalg.parity_vector`).  A pair at vertex v joins
-    digit vectors d and d - A e_v with val(d - A e_v) = (-1)^{a_vv} val(d).
-    Its ends differ in P = c . d mod 2 by c . A e_v = (A c)_v = a_vv mod 2,
+    (:func:`~plumblat.intlinalg.parity_vector`, on rows read off the
+    edges).  A pair at vertex v joins digit vectors d and d - A e_v with
+    val(d - A e_v) = (-1)^{a_vv} val(d).  Its ends differ in P = c . d
+    mod 2 by c . A e_v = (A c)_v = a_vv mod 2,
     so the relation reads val(d') = (-1)^{P(d') - P(d)} val(d) on every
     pair, and along any path from a root r, val(a) = (-1)^{P(a) - P(r)}
     val(r).  Every relation is thus met by the nonzero assignment
@@ -235,14 +238,17 @@ def compute_homology(
             "lattice homology is defined for negative-definite forests only"
         )
     box = BoxIndex(form, box_cap)
-    parity = tuple(parity_vector(form.matrix))
+    n = len(forest)
+    # A mod 2 from the edges: an edge entry is odd in both conventions
+    rows = [(m & 1) * (1 << i | 1 << n) | sum([1 << j for j in near])
+            for i, (m, near) in enumerate(zip(forest.framings, forest.adjacency))]
+    parity = tuple(parity_vector(rows))
     ones = [j for j, x in enumerate(parity) if x]
     for i, row in enumerate(form.matrix):
         if (sum([row[j] for j in ones]) - row[i]) & 1:
             raise InternalInvariantViolation(
                 f"the parity vector {parity} fails A c = diag(A) mod 2 at row {i}"
             )
-    n = len(forest)
     radices, strides = box.radices, box.strides
 
     starts, offsets, dead = [], [], 0
@@ -308,7 +314,7 @@ def compute_homology(
     # the classes: alive roots in index order, grouped by orbit key
     roots = sorted(set(box.set_bits(alive)).difference(links))
     root_refs = {a: i for i, a in enumerate(roots)}
-    orbit_classes: dict[tuple[int, ...], list[int]] = {}
+    orbit_classes: dict[int, list[int]] = {}
     for i, a in enumerate(roots):
         orbit_classes.setdefault(box.key(a), []).append(i)
 
@@ -344,7 +350,7 @@ def class_of(k: CharVector | Sequence[int], result: HomologyResult) -> ClassRef:
     looked at.  Dead vectors are roots of no class, so they give ZERO too.
     """
     a = result.box.index(k.evals if isinstance(k, CharVector) else k)
-    column = {} if a is None else result.columns([[(1, a)]])[0]
+    column = {} if a is None else next(result.columns([[(1, a)]]))
     if not column:
         return ZERO
     ((index, sign),) = column.items()

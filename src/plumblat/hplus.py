@@ -96,7 +96,7 @@ births of every orbit with more than one from sublevel sets.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
@@ -197,7 +197,7 @@ class _GradedOrbitTable:
         qh, cross = self._head_q[high]
         return qh + self._tail_q[rest] + 2 * sum(map(mul, cross, self.box.tails[rest]))
 
-    def key_and_q(self, k0: CharVector) -> tuple[tuple[int, ...], int]:
+    def key_and_q(self, k0: CharVector) -> tuple[int, int]:
         """The orbit key and q(k0) of a characteristic vector on or off the
         box, from its evaluations; a box vector's index gives both cheaper,
         as ``box.key(a)`` and ``q(a)``."""
@@ -219,7 +219,7 @@ class _GradedOrbitTable:
         return [-m * bound // det for m in self.box.framings]
 
     @cached_property
-    def _birth_roots(self) -> dict[tuple[int, ...], list[int]]:
+    def _birth_roots(self) -> dict[int, list[int]]:
         """One box index per birth of the whole box, by orbit key."""
         box, shift, matrix = self.box, self.box.shift, self.form.matrix
         faces, drained = [], 0
@@ -268,8 +268,8 @@ class _GradedOrbitTable:
                     parent[rb] = ra
                 elif rb < ra:
                     parent[ra] = rb
-        roots: dict[tuple[int, ...], list[int]] = {}
-        keys: list[tuple[int, ...] | None] = [None] * len(members)
+        roots: dict[int, list[int]] = {}
+        keys: list[int | None] = [None] * len(members)
         for i, a in enumerate(members):
             root = parent[i] = parent[parent[i]]
             if root == i:
@@ -279,17 +279,20 @@ class _GradedOrbitTable:
                 raise InternalInvariantViolation("a plateau member left its orbit")
         return roots
 
-    def births(self, key: tuple[int, ...], q0: int) -> dict[int, int]:
+    def births(self, key: int, q0: int) -> dict[int, int]:
         """Births per level of the orbit with key ``key`` and representative
         k0, q0 = q(k0), in increasing level order: the birth roots of its
-        key, each at its weight."""
+        key, each at its weight, counted over the sorted weights."""
         roots = self._birth_roots.get(key)
         if not roots:
             raise InternalInvariantViolation("an orbit has no birth")
-        return dict(sorted(Counter(self.weight(a, q0) for a in roots).items()))
+        counts: dict[int, int] = {}
+        for level in sorted([self.weight(a, q0) for a in roots]):
+            counts[level] = counts.get(level, 0) + 1
+        return counts
 
     def hplus(
-        self, orbit: SpinCOrbit, key: tuple[int, ...], q0: int, point_cap: int
+        self, orbit: SpinCOrbit, key: int, q0: int, point_cap: int
     ) -> GradedHPlus:
         """Level table of one orbit, with key ``key`` and q0 = q(k0) of its
         representative k0, counting its births once.
@@ -317,7 +320,7 @@ def _quadratic(adj: list[list[int]], k) -> int:
 
 def _sweep_levels(
     table: _GradedOrbitTable,
-    key: tuple[int, ...],
+    key: int,
     q0: int,
     births: dict[int, int],
     point_cap: int,

@@ -165,20 +165,21 @@ def _bezout(a: int, b: int) -> tuple[int, int, int]:
     return a, x0, y0
 
 
-def parity_vector(rows: Matrix) -> list[int]:
-    """A 0/1 vector c with A c = diag(A) mod 2, for a symmetric integer A.
+def parity_vector(rows: Sequence[int]) -> list[int]:
+    """A 0/1 vector c with A c = diag(A) mod 2, for a symmetric integer A
+    given mod 2 as int bitmasks: bit j of ``rows[i]`` is a_ij mod 2, and
+    bit n = len(rows) is a_ii mod 2, the right-hand side.
 
     It exists: x . A x = sum a_ii x_i^2 = diag(A) . x mod 2, so diag(A)
     is orthogonal to the kernel of A mod 2, which for symmetric A is the
-    orthogonal complement of its image.  Gauss-Jordan elimination over F_2
-    on rows held as int bitmasks, bit n the right-hand side; each pivot
-    row is kept clear of the other pivot columns, and free unknowns are 0.
-    Raises ValueError if there is no solution, which needs an unsymmetric A.
+    orthogonal complement of its image.  Gauss-Jordan elimination over F_2;
+    each pivot row is kept clear of the other pivot columns, and free
+    unknowns are 0.  Raises ValueError if there is no solution, which
+    needs an unsymmetric A.
     """
     n = len(rows)
     pivots: list[tuple[int, int]] = []  # (pivot column, its reduced row)
-    for i, row in enumerate(rows):
-        bits = sum([1 << j for j, x in enumerate(row) if x & 1]) | (row[i] & 1) << n
+    for bits in rows:
         for col, pivot in pivots:
             if bits >> col & 1:
                 bits ^= pivot

@@ -142,10 +142,11 @@ def _exactness_columns(
     vi = triple.vertex_index
     p = -triple.base.framings[vi]
     base, bumped = h_base.box, h_bumped.box
-    cols_a = h_base.columns(_extension_terms(base, r, vi, p) for r in h_removed.root_refs)
-    cols_2b = h_bumped.columns(_half_shift_terms(bumped, r, vi, p) for r in h_base.root_refs)
-    cols_s = h_base.columns(_section_terms(base, r, vi, p) for r in h_bumped.root_refs)
-    return cols_a, cols_2b, cols_s
+    return (
+        list(h_base.columns(_extension_terms(base, r, vi, p) for r in h_removed.root_refs)),
+        list(h_bumped.columns(_half_shift_terms(bumped, r, vi, p) for r in h_base.root_refs)),
+        list(h_base.columns(_section_terms(base, r, vi, p) for r in h_bumped.root_refs)),
+    )
 
 
 def _apply(cols: Sequence[Column], col: Column) -> Column:

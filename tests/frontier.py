@@ -1,9 +1,12 @@
 """Frontier ladder: the Seifert stars, chains, triad and blow-down past the
 benchmark's workloads.  Run it as ``PYTHONPATH=src python tests/frontier.py``.
 
-Each table row runs ``python`` with its arguments under ``timeout 120``, reads
-that process's wall time and peak RSS with ``os.wait4`` and gates on its JSON
-output; input text goes to a temporary directory.  The two start-up rows time
+Each table row runs ``python`` with its arguments under ``timeout 120`` three
+times, reads each process's wall time and peak RSS with ``os.wait4`` and gates
+on the JSON output of every run; input text goes to a temporary directory.  A
+row prints the median wall time and the largest peak RSS: one process time
+spreads by up to 40% on a small host, so a row read once says little about a
+change.  The two start-up rows time
 a copy of ``src/plumblat`` in that directory: cold with
 ``PYTHONDONTWRITEBYTECODE=1``, so nothing is cached, then warm, after one run
 without that variable has written the copy's bytecode.  Every row runs and
@@ -24,6 +27,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = ["-m", "plumblat.cli"]
+RUNS = 3  # processes per table row
 
 
 def chain(framings: list[int]) -> str:
@@ -103,19 +107,25 @@ def table_row(tmp: str, argv: list[str], text: str | None, facts, gate: dict):
     if text is not None:
         Path(path).write_text(text)
     argv = ["timeout", "120", sys.executable, *(path if arg == "{input}" else arg for arg in argv)]
-    start = time.perf_counter()
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
-        out = proc.stdout.read()
-        _, status, usage = os.wait4(proc.pid, 0)  # this run alone
-        proc.returncode = code = os.waitstatus_to_exitcode(status)
-    wall = time.perf_counter() - start
-    found = {}
-    if code == 0:
-        report = json.loads(out)
-        found = facts(report) if facts else {name: report[name] for name in gate}
-    ok = code == 0 and all(found[name] == value for name, value in gate.items())
+    ok, walls, peaks, codes = True, [], [], []
+    for _ in range(RUNS):
+        start = time.perf_counter()
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, text=True) as proc:
+            out = proc.stdout.read()
+            _, status, usage = os.wait4(proc.pid, 0)  # this run alone
+            proc.returncode = code = os.waitstatus_to_exitcode(status)
+        walls.append(time.perf_counter() - start)
+        peaks.append(usage.ru_maxrss / 1024)
+        codes.append(code)
+        found = {}
+        if code == 0:
+            report = json.loads(out)
+            found = facts(report) if facts else {name: report[name] for name in gate}
+        ok &= code == 0 and all(found[name] == value for name, value in gate.items())
     shown = "".join(f", {name} {value}" for name, value in found.items())
-    return ok, f"{wall:.2f} s, peak RSS {usage.ru_maxrss / 1024:.1f} MiB, exit {code}{shown}"
+    exits = ", ".join(map(str, sorted(set(codes))))
+    return ok, (f"{statistics.median(walls):.2f} s median, peak RSS {max(peaks):.1f} MiB"
+                f" largest of {RUNS}, exit {exits}{shown}")
 
 
 def startup_row(tmp: str, warm: bool):

@@ -26,6 +26,7 @@ from plumblat import (
     LatticeVector,
     SpinCOrbit,
 )
+from plumblat import intlinalg
 from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, OrbitIndexer, box_ranges
 from plumblat.errors import NotNegativeDefinite, ParityViolation
 
@@ -89,6 +90,38 @@ def adjugate_key(form: IntersectionForm) -> Callable[[Sequence[int]], tuple[int,
     adj = reference_adjugate(form.matrix)
     mod = 2 * abs(form.determinant)
     return lambda evals: tuple(sum(c * e for c, e in zip(row, evals)) % mod for row in adj)
+
+
+def tuple_key(form: IntersectionForm) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """The orbit key as a tuple of residues, k -> U d mod d_i, one per
+    invariant factor d_i above 1 of the Smith form U A V = D, with
+    d = (k - m)/2 the box digits: the key before it is packed into one
+    int.  ParityViolation if k is not characteristic."""
+    moduli, u = intlinalg.smith_form(form.matrix)
+    factors = [(d, row) for d, row in zip(moduli, u) if d > 1]
+    framings = [row[i] for i, row in enumerate(form.matrix)]
+
+    def key(evals: Sequence[int]) -> tuple[int, ...]:
+        doubled = [e - m for e, m in zip(evals, framings)]
+        if any(x % 2 for x in doubled):
+            raise ParityViolation(f"{tuple(evals)} is not characteristic")
+        return tuple(sum(r * x for r, x in zip(row, doubled)) // 2 % d for d, row in factors)
+
+    return key
+
+
+def decode_key(indexer: OrbitIndexer, key: int) -> tuple[int, ...]:
+    """The residues of a packed key, field by field.  Field i must hold
+    r top/d_i with 0 <= r < d_i, and no bit may lie past the last field;
+    AssertionError otherwise."""
+    width, top = indexer.width, indexer.top
+    residues = []
+    for i, d in enumerate(indexer.moduli):
+        field = key >> width * i & (1 << width) - 1
+        assert field < top and field % (top // d) == 0, (key, i)
+        residues.append(field // (top // d))
+    assert key >> width * len(indexer.moduli) == 0, key
+    return tuple(residues)
 
 
 def pd_dual(x: LatticeVector, form: IntersectionForm) -> CharVector:

@@ -13,12 +13,14 @@ from oracle_charlattice import (
     adjugate_key,
     char_to_lattice,
     coercivity_bounds,
+    decode_key,
     enumerate_box,
     in_box,
     is_local_minimum,
     lattice_to_char,
     orbit_decompose,
     pd_dual,
+    tuple_key,
     weight,
     weight_radius_sq_bound,
 )
@@ -34,7 +36,7 @@ from plumblat import (
     seifert_to_plumbing,
     validate_forest,
 )
-from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, box_ranges
+from plumblat.charlattice import DEFAULT_BOX_CAP, BoxIndex, OrbitIndexer, box_ranges
 from plumblat.errors import BoxTooLarge, ParityViolation
 
 
@@ -234,8 +236,8 @@ def test_set_bits_lists_every_index_in_order():
 def test_smith_keys_give_the_adjugate_partition(edge_sign):
     """On every box vector of seeded forests, the Smith normal form key and
     the reference key adj(A) k mod 2|det| split the box alike: each key of
-    one names exactly one key of the other.  Keys have one residue per
-    invariant factor above 1."""
+    one names exactly one key of the other.  Each packed key decodes to one
+    residue per invariant factor above 1."""
     rng = random.Random(0x5417)
     for _ in range(40):
         forest = random_forest(rng, 6, lo=-4, edge_sign=edge_sign)
@@ -245,7 +247,7 @@ def test_smith_keys_give_the_adjugate_partition(edge_sign):
         pairs = {(box.key(a), reference(box.evals(a))) for a in range(box.size)}
         assert len(pairs) == len({k for k, _ in pairs}) == len({r for _, r in pairs})
         assert len(pairs) == abs(form.determinant)
-        assert all(len(k) == len(box.indexer.moduli) for k, _ in pairs)
+        assert all(len(decode_key(box.indexer, k)) == len(box.indexer.moduli) for k, _ in pairs)
         assert math.prod(box.indexer.moduli) == abs(form.determinant)
 
 
@@ -259,8 +261,8 @@ def test_key_rejects_a_vector_that_is_not_characteristic():
     chain = intersection_form(validate_forest([("a", -3), ("b", -2)], [("a", "b")]))
     indexer = BoxIndex(chain, DEFAULT_BOX_CAP).indexer
     assert indexer.moduli == (5,)
-    assert indexer.key((-3, -2)) == (0,)  # all digits 0
-    assert indexer.key((0,), 1) == indexer.key((-3, 0)) != (0,)  # a tail: digit 1 at b
+    assert indexer.key((-3, -2)) == 0 and decode_key(indexer, 0) == (0,)  # all digits 0
+    assert indexer.key((0,), 1) == indexer.key((-3, 0)) != 0  # a tail: digit 1 at b
     with pytest.raises(ParityViolation):
         indexer.key((1,), 1)
 
@@ -280,10 +282,71 @@ def _star(text):
     ],
 )
 def test_key_width_on_named_inputs(forest, width):
-    """Keys are () on the integer homology spheres, one residue on every
-    (-3, -2^k, -3) chain (a lens space), three on the stars with H_1 of
-    rank 3."""
+    """Keys decode to no residue (key 0) on the integer homology spheres,
+    one residue on every (-3, -2^k, -3) chain (a lens space), three on the
+    stars with H_1 of rank 3."""
     box = BoxIndex(intersection_form(forest), DEFAULT_BOX_CAP)
     assert len(box.indexer.moduli) == width
-    assert {len(box.key(a)) for a in range(0, box.size, 7)} == {width}
+    keys = [box.key(a) for a in range(0, box.size, 7)]
+    assert {len(decode_key(box.indexer, k)) for k in keys} == {width}
+    assert width or set(keys) == {0}
     assert len(box.orbits()) == abs(box.indexer.determinant)
+
+
+def _disjoint_twos(k: int):
+    """k disjoint (-2)-vertices: H_1 is (Z/2)^k and the box 3^k."""
+    return validate_forest([(f"v{i}", -2) for i in range(k)], [])
+
+
+def test_packed_keys_match_the_tuple_key():
+    """Against the residue-tuple key U d mod d_i, on 25 seeded forests with
+    two or more invariant factors above 1, the (3, 3, 6) star and 1..6
+    disjoint (-2)-vertices: every box index's packed key, and the indexer's
+    key of its evaluations, decode to its tuple key; ``orbits()`` lists the
+    tuple key's orbits in order of least member, each with that member; and
+    ``members(key)`` lists each orbit's indices in increasing order."""
+    rng = random.Random(0x9AC4)
+    forests = []
+    while len(forests) < 25:
+        sign = rng.choice(list(EdgeSign))
+        forest = random_forest(rng, 6, lo=-4, edge_probability=0.4, edge_sign=sign)
+        if len(OrbitIndexer(intersection_form(forest)).moduli) >= 2:
+            forests.append(forest)
+    forests.append(_star("-2; 3/1 3/1 3/1 3/1"))
+    forests += [_disjoint_twos(k) for k in range(1, 7)]
+    for forest in forests:
+        form = intersection_form(forest)
+        box, reference = BoxIndex(form, DEFAULT_BOX_CAP), tuple_key(form)
+        grouped: dict[tuple[int, ...], list[int]] = {}
+        for a in range(box.size):
+            residues = reference(box.evals(a))
+            assert decode_key(box.indexer, box.key(a)) == residues
+            assert box.indexer.key(box.evals(a)) == box.key(a)
+            grouped.setdefault(residues, []).append(a)
+        orbits = box.orbits()
+        assert [(decode_key(box.indexer, k), a) for k, a in orbits.items()] == [
+            (residues, members[0]) for residues, members in grouped.items()
+        ]
+        assert [box.members(k) for k in orbits] == list(grouped.values())
+    assert OrbitIndexer(intersection_form(forests[25])).moduli == (3, 3, 6)
+
+
+def test_disjoint_twos_find_every_orbit_with_keys_of_o_k_bits():
+    """Fifteen disjoint (-2)-vertices: H_1 = (Z/2)^15, a box of 3^15
+    vectors under the default cap.  ``orbits()`` finds all 2^15 orbits,
+    their keys decode to every 0/1 residue vector, an orbit with z zero
+    residues has 2^z members, and nothing built for the keys grows with
+    |det| or 2^15: the tables hold sqrt-box entries and each constant
+    has 15 fields of 4 bits."""
+    k = 15
+    box = BoxIndex(intersection_form(_disjoint_twos(k)), DEFAULT_BOX_CAP)
+    indexer = box.indexer
+    assert indexer.moduli == (2,) * k and indexer.width == 4
+    assert max(*indexer.carry, indexer.full).bit_length() <= 4 * k
+    assert len(box.head_keys) * len(box.tail_keys) == box.size == 3**k
+    assert len(box.head_keys) + len(box.tail_keys) < 4 * math.isqrt(box.size)
+    orbits = box.orbits()
+    residues = [decode_key(indexer, key) for key in orbits]
+    assert sorted(residues) == list(product((0, 1), repeat=k))
+    for key, found in list(zip(orbits, residues))[:: 2**k // 64]:
+        assert len(box.members(key)) == 2 ** found.count(0)

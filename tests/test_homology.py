@@ -275,16 +275,16 @@ def test_views_and_lookups_agree_across_threads():
     vectors = enumerate_box(fresh.form)
     columns = [[(1 + a % 3, a) for a in range(start, fresh.box.size, 7)] for start in range(7)]
     expected = (fresh.classes, fresh.per_orbit, [class_of(k, fresh) for k in vectors],
-                fresh.columns(columns))
+                list(fresh.columns(columns)))
     shared = compute_homology(forest)
     seen = [None] * 6
 
     def read(slot):
         order = vectors if slot % 2 else vectors[::-1]  # odd slots walk forward
-        bulk = shared.columns(columns) if slot % 3 else None
+        bulk = list(shared.columns(columns)) if slot % 3 else None
         lookups = [class_of(k, shared) for k in order]
         if bulk is None:  # slots 0 and 3 read the columns last
-            bulk = shared.columns(columns)
+            bulk = list(shared.columns(columns))
         if not slot % 2:
             lookups.reverse()
         seen[slot] = (shared.classes, shared.per_orbit, lookups, bulk)

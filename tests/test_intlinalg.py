@@ -448,6 +448,13 @@ def test_smith_form_on_general_matrices(rng):
     assert intlinalg.smith_form([]) == ([], [])
 
 
+def _f2_rows(rows):
+    """A mod 2 as the bitmask rows that ``parity_vector`` reads."""
+    n = len(rows)
+    return [sum(1 << j for j, x in enumerate(row) if x & 1) | (row[i] & 1) << n
+            for i, row in enumerate(rows)]
+
+
 def test_parity_vector_solves_the_diagonal_system(rng):
     """A c = diag(A) mod 2, checked by multiplying out, on 1,200 seeded
     symmetric integer matrices, a third of them singular mod 2, and on
@@ -465,7 +472,7 @@ def test_parity_vector_solves_the_diagonal_system(rng):
                 row[-1] = row[0]
             rows[-1] = rows[0][:]
         singular += oracle.det_bareiss(rows) % 2 == 0
-        c = intlinalg.parity_vector(rows)
+        c = intlinalg.parity_vector(_f2_rows(rows))
         assert set(c) <= {0, 1} and len(c) == n
         assert all((sum(a * x for a, x in zip(row, c)) - row[i]) % 2 == 0
                    for i, row in enumerate(rows))
@@ -473,11 +480,11 @@ def test_parity_vector_solves_the_diagonal_system(rng):
     for edge_sign in EdgeSign:
         for _ in range(100):
             form = intersection_form(random_forest(rng, edge_sign=edge_sign))
-            c = intlinalg.parity_vector(form.matrix)
+            c = intlinalg.parity_vector(_f2_rows(form.matrix))
             assert all((sum(a * x for a, x in zip(row, c)) - row[i]) % 2 == 0
                        for i, row in enumerate(form.matrix))
     with pytest.raises(ValueError):
-        intlinalg.parity_vector([[1, 0], [1, 0]])
+        intlinalg.parity_vector(_f2_rows([[1, 0], [1, 0]]))
 
 
 @pytest.mark.parametrize(
