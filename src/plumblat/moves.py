@@ -24,8 +24,8 @@ reads each term's class and sign off the union-find and the parity vector.
 An extension sum has p + 1 terms of coefficient +1 and a section at most p
 of coefficient 2.  The half-shift B has coefficients -+1/2, so the check
 runs on 2B, whose two terms are -1 on k^+ and +1 on k^-: BA = 0 iff
-(2B)A = 0, BS = I iff each column of (2B)S is 2 e_j, and rank(2B) = rank(B).
-Ranks come from one fraction-free integer echelon, so the exactness report
+(2B)A = 0, and BS = I iff each column of (2B)S is 2 e_j, which makes B onto.
+Only A is ranked, by one fraction-free integer echelon, so the exactness report
 carries no tolerances.  The vector-level definitions of the three maps, on
 formal sums of characteristic vectors, live with the tests
 (``tests/oracle_moves.py``); :func:`project_to_classes` projects such a
@@ -183,9 +183,12 @@ def check_exactness(
 
     Builds the three quotients, materializes the two maps (and the section)
     as sparse integer columns over class bases straight from box indices,
-    the half-shift B doubled, and checks surjectivity, that the composite
-    vanishes, that the section inverts the half-shift, and the rank
-    identity ker = image.
+    the half-shift B doubled, and checks that the composite vanishes, that
+    the section inverts the half-shift, surjectivity, and the rank identity
+    ker = image.  Surjectivity is read off the section: with m =
+    dim H(bumped), 2B has m rows, so rank(2B) <= m, and (2B)S = 2 I_m
+    gives m = rank(2 I_m) <= rank(2B).  2B is ranked only when the
+    section check fails, so ``b_surjective`` stays exact on a broken map.
     """
     if not triple.valid:
         raise InvalidTriple(
@@ -198,17 +201,14 @@ def check_exactness(
 
     ba_zero = all(not _apply(cols_2b, col) for col in cols_a)
     section_ok = all(_apply(cols_2b, col) == {j: 2} for j, col in enumerate(cols_s))
-
-    rank_b = rank_rational(cols_2b)
-    rank_a = rank_rational(cols_a)
-    report = ExactnessReport(
+    rank_b = h_bumped.total_dim if section_ok else rank_rational(cols_2b)
+    return ExactnessReport(
         b_surjective=(rank_b == h_bumped.total_dim),
         ba_zero=ba_zero,
-        ker_b_equals_im_a=(rank_a == h_base.total_dim - rank_b),
+        ker_b_equals_im_a=(rank_rational(cols_a) == h_base.total_dim - rank_b),
         section_inverts_b=section_ok,
         dims=(h_removed.total_dim, h_base.total_dim, h_bumped.total_dim),
     )
-    return report
 
 
 # --- edge-sign conversion --------------------------------------------------

@@ -1,4 +1,4 @@
-"""Frontier ladder: the Seifert stars, chains, triad and blow-down past the
+"""Frontier ladder: the Seifert stars, chains, triads and blow-down past the
 benchmark's workloads.  Run it as ``PYTHONPATH=src python tests/frontier.py``.
 
 Each table row runs ``python`` with its arguments under ``timeout 120`` three
@@ -92,6 +92,8 @@ ROWS = [
      chain([-3] + [-2] * 13 + [-3]), None, {"total_dim": 60}),
     ("triad on the (-4)^6 chain at v1", [*CLI, "triad", "--json", "{input}", "--vertex", "v1"],
      chain([-4] * 6), None, {"exact": True, "dims": [836, 2911, 2075]}),
+    ("triad on the (-5)^6 chain at v2", [*CLI, "triad", "--json", "{input}", "--vertex", "v2"],
+     chain([-5] * 6), None, {"exact": True, "dims": [2760, 12649, 9889]}),
     ("blowdown on the (-1, -5, -4^5, -3) chain at v0",
      [*CLI, "blowdown", "--json", "{input}", "--vertex", "v0"], chain([-1, -5] + [-4] * 5 + [-3]),
      blowdown_facts, {"dim_before": 7953, "dim_after": 7953}),

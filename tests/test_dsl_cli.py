@@ -502,6 +502,50 @@ def test_cli_fuzz_sfs_text(family, data, action):
     assert "Traceback" not in err
 
 
+# argv from the CLI grammar: a command (or an unknown one, or none), an
+# input, the flags with good and bad values, the units in any order or with
+# the command kept in front, where argparse looks for it
+_ARGV_COMMANDS = [
+    *([name] for name in cli._ACTIONS),
+    *(["sfs", action] for action in ("info", "homology", "hplus", "classify")),
+    ["frobnicate"],
+    [],
+]
+_ARGV_INPUTS = [
+    *(FIXTURES / f"{name}.plumb" for name in ("e8", "elliptic_a", "lens_1", "lens_4")),
+    FIXTURES / "missing.plumb",
+    FIXTURES,
+]
+_ARGV_BUDGETS = ["0", "1", "5", "10000", "-1", "x", "1e3", "\u0663", "007", "+5", "9" * 20]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_argv_grammar(data):
+    """Any argv from the grammar ends in exit 0-3 with no exception; a
+    nonzero exit says why on stderr, and --json output that exits 0 parses."""
+    command = data.draw(st.sampled_from(_ARGV_COMMANDS), label="command")
+    path = data.draw(st.sampled_from(_ARGV_INPUTS), label="input")
+    ids = list(parse_dsl(path.read_text()).ids) if path.is_file() else []
+    head = [[command[0]]] if command and data.draw(st.booleans(), label="in front") else []
+    units = [[word] for word in command[len(head):]]
+    units.append(["--sfs", "-2; 2/1 3/1 5/4"] if command[:1] == ["sfs"] else [str(path)])
+    if data.draw(st.booleans(), label="vertex"):
+        units.append(["--vertex", data.draw(st.sampled_from([*ids, "nowhere"]), label="id")])
+    if data.draw(st.booleans(), label="json"):
+        units.append(["--json"])
+    for flag in ("--box-cap", "--point-cap", "--nmax"):
+        if data.draw(st.booleans(), label=flag):
+            units.append([flag, data.draw(st.sampled_from(_ARGV_BUDGETS), label="value")])
+    order = head + data.draw(st.permutations(units), label="order")
+    argv = [token for unit in order for token in unit]
+    code, out, err = _cli(*argv)
+    assert code in {0, 1, 2, 3}
+    assert code == 0 or err
+    if code == 0 and "--json" in argv:
+        json.loads(out)
+
+
 def test_cli_classify_needs_a_box_only_off_rational_forests():
     """``--box-cap 0`` refuses every box.  ``classify`` on a rational forest
     builds none and prints the bytes of a default run; on elliptic_a, which

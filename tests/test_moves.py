@@ -314,6 +314,31 @@ def test_check_exactness_flags_broken_maps(monkeypatch, name, breaker, failing):
         assert report == reference_exactness(triple)
 
 
+@pytest.mark.parametrize("breaker", [None, _drop_first_index, _shift_first_index])
+def test_check_exactness_ranks_2b_only_when_the_section_fails(monkeypatch, breaker):
+    """(2B)S = 2I fixes rank(2B) = dim H(bumped), so on an exact triple only
+    A's columns are ranked; with a broken section 2B's columns are ranked
+    too, and B is still found onto."""
+    ranked, rank = [], moves.rank_rational
+
+    def counted(cols):
+        ranked.append((type(cols), len(cols)))
+        return rank(cols)
+
+    monkeypatch.setattr(moves, "rank_rational", counted)
+    if breaker:
+        monkeypatch.setattr(moves, "_section_terms", breaker(moves._section_terms))
+    chain = validate_forest(
+        [("a", -3), ("b", -2), ("c", -3)], [("a", "b"), ("b", "c")]
+    )
+    for triple in (surgery_triple(lens(4), "v"), surgery_triple(chain, "a")):
+        ranked.clear()
+        report = check_exactness(triple)
+        assert report.b_surjective and report.section_inverts_b == (breaker is None)
+        removed, base, _ = report.dims
+        assert ranked == ([(list, base)] if breaker else []) + [(list, removed)]
+
+
 def _valid_triples(rng, count, edge_sign):
     """Seeded valid triples, cycling v over the first digit, the last digit
     and an interior digit of forests with at least three vertices."""

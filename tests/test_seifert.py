@@ -232,3 +232,50 @@ def test_long_star_adjugate_determinant_and_rationality(p):
             assert entry == (form.determinant if i == j else 0)
     assert abs(form.determinant) == conversion.h1_order == p + 6
     assert is_rational(conversion.forest).rational
+
+
+def _seeded_seifert_data(rng, count):
+    """Seifert data with alpha <= 6, 1-4 legs and e0 in -3..0 whose star (of
+    either orientation) is negative definite, with each conversion."""
+    found = 0
+    while found < count:
+        legs = []
+        for _ in range(rng.randint(1, 4)):
+            alpha = rng.randint(1, 6)
+            beta = rng.choice([b for b in range(-alpha, alpha + 1) if gcd(alpha, abs(b)) == 1])
+            legs.append((alpha, beta))
+        data = SeifertData(rng.randint(-3, 0), tuple(legs))
+        try:
+            conversion = seifert_to_plumbing(data)
+        except NotNegativeDefiniteEitherOrientation:
+            continue
+        found += 1
+        yield data, conversion
+
+
+def test_conversion_reads_beta_mod_alpha(rng):
+    """beta -> beta + k alpha at the same e0 leaves the conversion as it was:
+    the convention reduces beta mod alpha and leaves e0 alone."""
+    for data, conversion in _seeded_seifert_data(rng, 60):
+        i = rng.randrange(len(data.legs))
+        alpha, beta = data.legs[i]
+        for k in (-2, -1, 1, 2):
+            legs = data.legs[:i] + ((alpha, beta + k * alpha),) + data.legs[i + 1:]
+            moved = seifert_to_plumbing(SeifertData(data.e0, legs))
+            for field in ("forest", "used", "euler", "h1_order", "reversed_orientation"):
+                assert getattr(moved, field) == getattr(conversion, field), (data, k, field)
+
+
+def test_leg_order_keeps_the_invariants(rng):
+    """Permuting the legs keeps the Euler number, |H_1|, and the lattice
+    homology's total and per-orbit dimensions."""
+    def invariants(conversion):
+        homology = compute_homology(conversion.forest)
+        dims = sorted(orbit.dim for orbit in homology.per_orbit)
+        return conversion.euler, conversion.h1_order, homology.total_dim, dims
+
+    for data, conversion in _seeded_seifert_data(rng, 60):
+        legs = list(data.legs)
+        rng.shuffle(legs)
+        permuted = seifert_to_plumbing(SeifertData(data.e0, tuple(legs)))
+        assert invariants(permuted) == invariants(conversion), (data, legs)
