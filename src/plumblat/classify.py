@@ -235,8 +235,20 @@ def full_report(
 
     Laufer's walk runs first.  A rational forest has one class per orbit
     (Nemethi, Geom. Topol. 9 (2005), section 6), so its ``dim_h`` is |det|
-    and no box is built; only a failing one reaches :func:`compute_homology`,
-    before the decrement search and the witness enumeration.
+    and no box is built.  Only the walk's failing components reach
+    :func:`compute_homology`, each on its own sub-forest and under its own
+    ``box_cap``, before the decrement search and the witness enumeration.
+
+    ``dim_h`` multiplies over components.  The form is block diagonal, so
+    the box is the product of the component boxes, and a reflection or an
+    escape at a vertex of C reads and moves C's digits only: each relation
+    of C, with any digits fixed off C, is a relation of the whole box.  The
+    relations thus span R_C (x) V_rest + V_C (x) R_rest, and the quotient is
+    the tensor product of the component quotients, as HF-hat is under the
+    Kunneth formula (Ozsvath-Szabo, Ann. of Math. 159 (2004), Thm 6.2).  A
+    rational component contributes |det C|, so dim_h is |det| times
+    total_dim(C) / |det C| over the failing C; each |det C| is checked to
+    divide what is left of |det|.
 
     Enforces the structural facts as internal invariants: a zero-bad-vertex
     forest must test rational, and a forest with at most one bad vertex
@@ -252,7 +264,16 @@ def full_report(
 
     walk = _laufer_walk(forest)
     failing = walk(forest.framings, point_cap)
-    dim_h = compute_homology(forest, box_cap=box_cap).total_dim if failing else abs(det)
+    rational_part, failing_dims = abs(det), 1
+    for component in failing:
+        homology = compute_homology(forest.restrict(component), box_cap=box_cap)
+        rational_part, remainder = divmod(rational_part, homology.det_abs)
+        if remainder:
+            raise InternalInvariantViolation(
+                f"|det| of a component, {homology.det_abs}, does not divide the forest's"
+            )
+        failing_dims *= homology.total_dim
+    dim_h = rational_part * failing_dims
     ar = _decrement_search(forest, walk, failing, nmax, point_cap)
     rationality = _least_witness(forest, failing, point_cap)
     if ar.status == "unknown" and len(bad) == 1:

@@ -272,7 +272,8 @@ def _classify(forest: PlumbingForest, args) -> tuple[dict, list[str]]:
         + (f"  (witness {list(witness.coords)})" if witness else "")
     )
     if ar.status == "yes":
-        human.append(f"almost-rational: yes (vertex {ar.vertex}, decrement {ar.decrement})")
+        vertex = "-" if ar.vertex is None else ar.vertex  # the empty forest has none
+        human.append(f"almost-rational: yes (vertex {vertex}, decrement {ar.decrement})")
     else:
         human.append(f"almost-rational: unknown (searched decrements up to {ar.cutoff})")
     tag = " [conjectural]" if report.dims.conjectural else ""

@@ -154,15 +154,20 @@ class PlumbingForest:
         return PlumbingForest(self.ids, tuple(framings), self.edges, self.edge_sign)
 
     def delete_vertex(self, i: int) -> "PlumbingForest":
-        ids = tuple(v for j, v in enumerate(self.ids) if j != i)
-        framings = tuple(m for j, m in enumerate(self.framings) if j != i)
+        return self.restrict([j for j in range(len(self.ids)) if j != i])
 
-        def shift(j: int) -> int:
-            return j - 1 if j > i else j
-
+    def restrict(self, indices: list[int]) -> "PlumbingForest":
+        """The sub-forest on the ascending, distinct ``indices`` with the
+        edges among them, in their order; positions keep their order, so
+        each edge keeps i < j.  All the indices give the forest itself."""
+        if len(indices) == len(self.ids):
+            return self
+        position = {v: p for p, v in enumerate(indices)}
         edges = tuple(
-            (shift(a), shift(b)) for a, b in self.edges if a != i and b != i
+            (position[a], position[b]) for a, b in self.edges if a in position and b in position
         )
+        ids = tuple(self.ids[v] for v in indices)
+        framings = tuple(self.framings[v] for v in indices)
         return PlumbingForest(ids, framings, edges, self.edge_sign)
 
     def with_edge_sign(self, edge_sign: EdgeSign) -> "PlumbingForest":

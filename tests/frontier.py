@@ -100,7 +100,10 @@ ROWS = [
     (f'smith_form on "{star(201)}"', ["-c", SMITH], None, dict, {"prod_d_is_det_is_h1": True}),
     ("classify --point-cap 100 on three disjoint Sigma(2,3,7) stars",
      [*CLI, "classify", "--json", "--point-cap", "100", "{input}"], sigma237_stars(3), None,
-     {"rational_witness": [0] * 8 + [2, 1, 1, 1]}),
+     {"rational_witness": [0] * 8 + [2, 1, 1, 1], "dim_h": 8}),
+    ("classify --point-cap 100 on four disjoint Sigma(2,3,7) stars",
+     [*CLI, "classify", "--json", "--point-cap", "100", "{input}"], sigma237_stars(4), None,
+     {"dim_h": 16}),
 ]
 
 

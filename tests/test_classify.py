@@ -7,6 +7,7 @@ import random
 import sys
 import time
 import tracemalloc
+from math import prod
 
 import pytest
 
@@ -614,3 +615,57 @@ def test_rational_parts_only_pad_the_witness(rng):
                 after = is_rational(_disjoint(forest, extra, edge_sign=sign))
                 assert before.witness.coords == pad + coords, (forest, extra)
                 assert after.witness.coords == coords + pad, (forest, extra)
+
+
+def _small_non_rational_pool(rng: random.Random, size: int) -> list[PlumbingForest]:
+    """Seeded non-rational trees of at most 4 vertices, boxes of at most 400
+    vectors: stars on a (-1) vertex, like the Sigma(2,3,7) star."""
+    pool: list[PlumbingForest] = []
+    while len(pool) < size:
+        forest = random_forest(rng, max_vertices=4, lo=-7, hi=-1, edge_probability=1.0)
+        if prod(1 - m for m in forest.framings) <= 400 and not is_rational(forest).rational:
+            pool.append(forest)
+    return pool
+
+
+def test_dim_h_multiplies_over_failing_components(rng):
+    """On disjoint unions of 2-3 seeded forests, vertex lines shuffled so
+    that components interleave, in both conventions, whose product box
+    holds at most 200,000 vectors: ``full_report`` builds a box per failing
+    component, and its dim_h is the quotient dimension of the whole box."""
+    pool = _small_non_rational_pool(rng, 12)
+    counts = {"two_failing": 0, "one_failing_beside_rational": 0, "skips": 0}
+    for k in range(200):
+        parts = [
+            rng.choice(pool) if rng.random() < 0.6 else random_forest(rng, max_vertices=3, lo=-4)
+            for _ in range(rng.choice((2, 3)))
+        ]
+        sign = EdgeSign.PLUS_ONE if k % 2 else EdgeSign.MINUS_ONE
+        union = _disjoint(*parts, rng=rng, edge_sign=sign)
+        if prod(1 - m for m in union.framings) > 200_000:
+            counts["skips"] += 1
+            continue
+        assert full_report(union, nmax=2).dim_h == compute_homology(union).total_dim, union
+        failing = len(classify._laufer_walk(union)(union.framings, 10**7))
+        counts["two_failing"] += failing >= 2
+        counts["one_failing_beside_rational"] += failing == 1 and len(union.components()) > 1
+    assert counts["two_failing"] >= 20 and counts["one_failing_beside_rational"] >= 20, counts
+
+
+def test_restrict_matches_the_component_data(rng):
+    """``restrict`` on each component of a shuffled union, and on a seeded
+    vertex subset, is the forest that validates from that part's vertex
+    and edge lines in input order; all the vertices give the forest itself."""
+    for k in range(40):
+        parts = [random_forest(rng, max_vertices=5) for _ in range(rng.choice((2, 3)))]
+        union = _disjoint(*parts, rng=rng, edge_sign=list(EdgeSign)[k % 2])
+        subset = sorted(rng.sample(range(len(union)), rng.randint(1, len(union))))
+        for indices in [*union.components(), subset]:
+            keep = set(indices)
+            expected = validate_forest(
+                [(union.ids[v], union.framings[v]) for v in indices],
+                [(union.ids[a], union.ids[b]) for a, b in union.edges if a in keep and b in keep],
+                union.edge_sign,
+            )
+            assert union.restrict(indices) == expected, (union, indices)
+        assert union.restrict(list(range(len(union)))) is union

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, random_forest
+from frontier import sigma237_stars
 from plumblat import (
     EdgeSign,
     bad_vertices,
@@ -560,6 +561,36 @@ def test_cli_classify_needs_a_box_only_off_rational_forests():
     assert (code, out) == (3, "") and "box holds 972 vectors, cap is 0" in err
 
 
+def test_cli_classify_caps_each_failing_component_box(tmp_path):
+    """``classify`` builds one box per failing component, and ``--box-cap``
+    bounds each.  Four Sigma(2,3,7) stars, whose product box holds 192^4
+    vectors, classify with dim_h 2^4 from four boxes of 192; ``homology``
+    reads the product box and still exits 3 on it."""
+    four, two = tmp_path / "four.plumb", tmp_path / "two.plumb"
+    four.write_text(sigma237_stars(4))
+    two.write_text(sigma237_stars(2))
+    code, out, _ = _cli("classify", "--json", str(four))
+    report = json.loads(out)
+    assert code == 0 and report["dim_h"] == 16
+    assert report["almost_rational"]["status"] == "unknown"
+    code, out, err = _cli("homology", "--json", str(four))
+    assert (code, out) == (3, "") and "box holds 1358954496 vectors, cap is 20000000" in err
+    assert _cli("classify", "--box-cap", "192", str(two))[0] == 0
+    code, out, err = _cli("classify", "--box-cap", "191", str(two))
+    assert (code, out) == (3, "") and "box holds 192 vectors, cap is 191" in err
+
+
+def test_cli_classify_empty_forest_names_no_vertex(tmp_path):
+    """The empty forest is rational with no vertex to name: the human line
+    prints '-', as the bad-vertices line does, and JSON keeps null."""
+    empty = tmp_path / "empty.plumb"
+    empty.write_text("")
+    code, out, _ = _cli("classify", str(empty))
+    assert code == 0 and "almost-rational: yes (vertex -, decrement 0)" in out.splitlines()
+    code, out, _ = _cli("classify", "--json", str(empty))
+    assert code == 0 and json.loads(out)["almost_rational"]["vertex"] is None
+
+
 def test_cli_classify_answers_past_the_box_on_rational_stars():
     """The rung p = 998 of -2; 2/1 3/1 p/(p-1) has 1,000 vertices, the most
     a forest may have, and a box of about 10^477 vectors."""
@@ -734,6 +765,14 @@ def test_cli_json_deterministic(capsys):
     assert first == second
 
 
+# golden inputs that no shipped fixture holds: a fixture would join the
+# digest corpus and the benchmark's inputs
+_GOLDEN_TEXTS = {
+    "sigma237_stars2.plumb": sigma237_stars(2),
+    "sigma237_and_m2.plumb": sigma237_stars(1) + "vertex w -2\n",
+}
+
+
 @pytest.mark.parametrize(
     "name,argv",
     [
@@ -752,14 +791,19 @@ def test_cli_json_deterministic(capsys):
         ("elliptic_a_hplus", ["hplus", "elliptic_a.plumb"]),
         ("elliptic_b_hplus", ["hplus", "elliptic_b.plumb"]),
         ("m038_n1_sfs_hplus", ["sfs", "--sfs", "@m038_n1.sfs", "hplus"]),
+        ("sigma237_stars2_classify", ["classify", "sigma237_stars2.plumb"]),
+        ("sigma237_and_m2_classify", ["classify", "sigma237_and_m2.plumb"]),
     ],
 )
-def test_golden_json(capsys, name, argv):
-    """Shipped fixtures produce byte-stable machine output."""
+def test_golden_json(capsys, tmp_path, name, argv):
+    """Shipped fixtures, and the inputs in ``_GOLDEN_TEXTS``, produce
+    byte-stable machine output."""
+    for file, text in _GOLDEN_TEXTS.items():
+        (tmp_path / file).write_text(text)
     argv = [
         (FIXTURES / a.lstrip("@")).read_text().strip()
         if a.startswith("@")
-        else (str(FIXTURES / a) if a.endswith(".plumb") else a)
+        else (str((tmp_path if a in _GOLDEN_TEXTS else FIXTURES) / a) if a.endswith(".plumb") else a)
         for a in argv
     ]
     code, out = run_cli(capsys, *argv, "--json")
